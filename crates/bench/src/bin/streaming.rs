@@ -22,19 +22,28 @@
 //!    the stream-total p50 — a client acting on the first token waits
 //!    for one decode step, not the whole generation.
 //!
+//! A third, in-process arm measures the decode scheduler itself, with no
+//! wire and no modelled delay: `textgen` (real ~0.5 ms forward passes)
+//! behind one default engine, at 1 / 8 / 64 live 32-token streams —
+//! tokens/s and the inter-token gap as the receiver sees it. This is the
+//! arm that shows continuous batching: one decode tick stacks every live
+//! stream's next row, so tokens/s grows with the number of live streams
+//! instead of staying at the one-row rate. Reported, not gated.
+//!
 //! Output: a per-arm table (TTFT p50/p99, stream total p50/p99,
-//! TTFT/total ratio, tokens/s) written to stdout and
-//! `results/streaming_bench.txt` (plus CSV in the full run). `--smoke`
-//! shrinks the stream count and skips the CSV but keeps both gates —
-//! the CI job uploads the txt as its artifact.
+//! TTFT/total ratio, tokens/s) and the in-process table, written to
+//! stdout and `results/streaming_bench.txt` (plus CSV in the full run).
+//! `--smoke` shrinks the stream counts and skips the CSV but keeps both
+//! gates — the CI job uploads the txt as its artifact.
 
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bench::render::{num, Table};
 use djinn::{
-    DjinnClient, DjinnRouter, DjinnServer, ModelRegistry, RoutePolicy, RouterConfig, ServerConfig,
-    StreamMode,
+    CpuExecutor, DjinnClient, DjinnRouter, DjinnServer, EngineConfig, InferenceEngine,
+    ModelRegistry, RoutePolicy, RouterConfig, ServerConfig, StreamMode,
 };
 use tensor::{Shape, Tensor};
 
@@ -126,6 +135,59 @@ fn run_arm(addr: std::net::SocketAddr, streams: usize) -> Result<ArmResult, Stri
         out_of_order,
         elapsed: started.elapsed(),
     })
+}
+
+/// Live-stream counts of the in-process arm, and the tokens each one
+/// decodes in all (in rounds of `live` concurrent 32-token streams).
+const LIVE: [usize; 3] = [1, 8, 64];
+const ENGINE_TOKENS_FULL: usize = 8192;
+const ENGINE_TOKENS_SMOKE: usize = 2048;
+
+/// `textgen` behind one default engine, `live` streams at a time, no
+/// wire: returns (tokens/s, inter-token gap p50 ms, p99 ms).
+fn run_engine_arm(
+    engine: &InferenceEngine,
+    live: usize,
+    total_tokens: usize,
+) -> Result<(f64, f64, f64), String> {
+    let width = dnn::zoo::textgen().input_shape().dims()[1];
+    let rounds = (total_tokens / (live * TOKENS as usize)).max(1);
+    let mut gaps = Vec::with_capacity(total_tokens);
+    let mut tokens = 0usize;
+    let started = Instant::now();
+    for round in 0..rounds {
+        let (tx, rx) = crossbeam::channel::bounded(live * TOKENS as usize);
+        for s in 0..live {
+            let at = (round * live + s) * 7 % width;
+            let prompt = Tensor::from_fn(Shape::mat(1, width), |i| f32::from(i == at));
+            engine
+                .submit_stream_routed(
+                    prompt,
+                    s as u64,
+                    StreamMode::Generative { max_tokens: TOKENS },
+                    tx.clone(),
+                )
+                .map_err(|e| format!("stream {s} of round {round}: {e}"))?;
+        }
+        drop(tx);
+        let mut last: Vec<Option<Instant>> = vec![None; live];
+        for reply in rx.iter() {
+            reply.result.map_err(|e| format!("chunk: {e}"))?;
+            let now = Instant::now();
+            if let Some(prev) = last[reply.token as usize].replace(now) {
+                gaps.push((now - prev).as_secs_f64() * 1e3);
+            }
+            tokens += 1;
+        }
+    }
+    if tokens != rounds * live * TOKENS as usize {
+        return Err(format!("{live} live: {tokens} chunks arrived"));
+    }
+    Ok((
+        tokens as f64 / started.elapsed().as_secs_f64(),
+        pct_ms(&gaps, 0.5),
+        pct_ms(&gaps, 0.99),
+    ))
 }
 
 /// Percentile over millisecond samples (nearest-rank).
@@ -229,10 +291,44 @@ fn main() -> ExitCode {
     replica_a.shutdown();
     replica_b.shutdown();
 
+    let mut decode = Table::new(
+        "streaming_decode",
+        "In-process decode (textgen, 32 tokens greedy, one default engine, \
+         no wire): live streams vs. tokens/s and inter-token gap",
+        &["Live streams", "tokens/s", "Gap p50 ms", "Gap p99 ms"],
+    );
+    let textgen = dnn::Network::with_random_weights(dnn::zoo::textgen(), 0x7E47)
+        .expect("textgen definition is statically valid");
+    let engine = InferenceEngine::start(
+        "textgen",
+        Arc::new(textgen),
+        Arc::new(CpuExecutor::default()),
+        EngineConfig::default(),
+    );
+    let engine_tokens = if smoke {
+        ENGINE_TOKENS_SMOKE
+    } else {
+        ENGINE_TOKENS_FULL
+    };
+    for live in LIVE {
+        match run_engine_arm(&engine, live, engine_tokens) {
+            Ok((rate, p50, p99)) => {
+                decode.push(vec![live.to_string(), num(rate), num(p50), num(p99)]);
+            }
+            Err(e) => {
+                eprintln!("in-process arm failed: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    engine.shutdown();
+
     let ordered = total_out_of_order == 0;
     let streaming_wins = router_ratio < 0.25;
     let mut out = String::new();
     out.push_str(&summary.to_text());
+    out.push('\n');
+    out.push_str(&decode.to_text());
     out.push('\n');
     out.push_str(&format!(
         "verdict: all chunks in order: {}; routed TTFT p50 at {:.1}% of \
@@ -248,6 +344,7 @@ fn main() -> ExitCode {
     }
     if !smoke {
         let _ = summary.write_csv(std::path::Path::new("results"));
+        let _ = decode.write_csv(std::path::Path::new("results"));
     }
     if ordered && streaming_wins {
         ExitCode::SUCCESS

@@ -17,6 +17,15 @@
 //! job's reply, which is guaranteed to arrive: dispatch workers answer
 //! every job they pop, and shutdown drains the queue before joining.
 //!
+//! A **stream** is a job in the same queue. It is admitted once, through
+//! the same capacity check, and the queue entry is always its *next
+//! step*: a worker that dequeues a step takes every other queued step
+//! with it (one decode tick — continuous batching), runs one forward
+//! pass over the stacked rows, emits each stream's chunk and puts the
+//! unfinished streams back. At most one tick is in flight per engine, so
+//! streams that become ready meanwhile join the next tick instead of
+//! forming a second, smaller one.
+//!
 //! Telemetry: queue depth, in-flight jobs, shed count, and log-bucketed
 //! queue-wait / service-time histograms (from [`gpusim::queueing`], the
 //! same abstraction the open-loop simulator runs in virtual time).
@@ -26,11 +35,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use dnn::cache::InferenceCache;
 use dnn::Network;
 use gpusim::queueing::{BoundedQueue, LatencyHistogram};
-use tensor::Tensor;
+use tensor::{Shape, Tensor};
 
 use crate::device::{ColocationPolicy, DeviceScheduler};
 use crate::protocol::StreamMode;
@@ -100,6 +109,17 @@ impl Default for EngineConfig {
     }
 }
 
+/// Most tokens one generative stream may ask for; a larger
+/// [`StreamMode::Generative`] request is refused at admission. A constant
+/// rather than an option: it bounds what one request can make the engine
+/// compute, and no deployment here needs a different bound.
+pub const MAX_STREAM_TOKENS: u32 = 1024;
+
+/// How long a dispatch worker holds a tick whose every stream is waiting
+/// on a full receiver before it looks again (a new arrival ends the wait
+/// early).
+const STALL_BACKOFF: Duration = Duration::from_millis(1);
+
 /// Point-in-time queue telemetry for one model's engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineStats {
@@ -149,12 +169,6 @@ pub struct EngineStats {
     pub p99_token_gap_us: u64,
 }
 
-/// A finished job: the output plus the engine's span measurements.
-struct Completed {
-    output: Tensor,
-    spans: EngineSpans,
-}
-
 /// A completed routed job, delivered to whatever channel the submitter
 /// registered with [`InferenceEngine::submit_routed`] — in the server,
 /// a connection's reply pump, which may receive completions from many
@@ -176,45 +190,155 @@ pub struct RoutedReply {
     pub result: Result<(Tensor, EngineSpans)>,
 }
 
-/// Where a job's completion goes: back to a blocked [`Ticket`] holder,
-/// or routed (with a token) to a shared completion channel.
+/// Where a job's completion goes: once, to the channel the submitter
+/// gave ([`Ticket`]s wait on a private one), or — for a stream, whose
+/// queue entry is its next step — into the stream's state.
 enum ReplySlot {
-    Ticket(Sender<Result<Completed>>),
-    Routed { token: u64, tx: Sender<RoutedReply> },
+    Once { token: u64, tx: Sender<RoutedReply> },
+    Stream(Box<Stream>),
 }
 
-impl ReplySlot {
-    /// Delivers the result; a gone receiver is the receiver's problem,
-    /// never the engine's.
-    fn deliver(self, result: Result<Completed>) {
-        match self {
-            ReplySlot::Ticket(tx) => {
-                let _ = tx.send(result);
+/// Sends a one-shot job's only reply; a gone receiver is the receiver's
+/// problem, never the engine's.
+fn deliver(token: u64, tx: &Sender<RoutedReply>, result: Result<(Tensor, EngineSpans)>) {
+    let _ = tx.send(RoutedReply {
+        token,
+        seq: 0,
+        last: true,
+        result,
+    });
+}
+
+/// What a stream still owes after the step now queued.
+enum Rest {
+    /// The windows not yet run, in order.
+    Windows(std::vec::IntoIter<Tensor>),
+    /// Tokens still to generate, the queued step's included.
+    Tokens(u32),
+}
+
+/// One streaming job between steps: where its chunks go, the telemetry
+/// marks they carry, and what is left to run.
+struct Stream {
+    token: u64,
+    tx: Sender<RoutedReply>,
+    admitted: Instant,
+    last_emit: Option<Instant>,
+    first_token_us: u64,
+    seq: u32,
+    rest: Rest,
+    /// A reply the receiver had no room for. The engine never blocks on
+    /// a stream's channel: the stream sits out ticks until this goes
+    /// through, so its compute runs at most one chunk ahead of delivery.
+    held: Option<RoutedReply>,
+}
+
+impl Stream {
+    /// Sends `reply` if the receiver has room and keeps it for the next
+    /// tick if not; `false` once the receiver is gone.
+    fn offer(&mut self, reply: RoutedReply) -> bool {
+        match self.tx.try_send(reply) {
+            Ok(()) => true,
+            Err(TrySendError::Full(reply)) => {
+                self.held = Some(reply);
+                true
             }
-            ReplySlot::Routed { token, tx } => {
-                let _ = tx.send(RoutedReply {
-                    token,
-                    seq: 0,
-                    last: true,
-                    result: result.map(|c| (c.output, c.spans)),
-                });
-            }
+            Err(TrySendError::Disconnected(_)) => false,
         }
+    }
+
+    /// Books the outcome of the step that just ran: emits its chunk (or
+    /// the error that ends the stream) and returns the job for the next
+    /// step. `None` means the stream is over — finished, failed, or its
+    /// receiver gone — and dropping it closes its side of the channel.
+    fn advance(
+        mut self: Box<Self>,
+        inner: &Inner,
+        step: Result<(Tensor, EngineSpans)>,
+        input_shape: &Shape,
+    ) -> Option<Job> {
+        let now = Instant::now();
+        let mut next = None;
+        let result = step.and_then(|(out, spans)| {
+            next = match &mut self.rest {
+                Rest::Windows(parts) => parts.next(),
+                Rest::Tokens(_) if out.shape().dims()[1..] != input_shape.dims()[1..] => {
+                    return Err(DjinnError::Protocol {
+                        reason: format!(
+                            "generative stream needs output shape == input shape to feed \
+                             back, got {:?} from {:?}",
+                            out.shape(),
+                            input_shape.with_batch(1)
+                        ),
+                    });
+                }
+                Rest::Tokens(left) => {
+                    *left -= 1;
+                    (*left > 0).then(|| one_hot_like(&out))
+                }
+            };
+            let gap = now
+                .duration_since(self.last_emit.unwrap_or(self.admitted))
+                .as_micros() as u64;
+            if self.last_emit.is_none() {
+                self.first_token_us = gap;
+            }
+            self.last_emit = Some(now);
+            hist(&inner.token_gap).record(gap);
+            inner.tokens_out.fetch_add(1, Ordering::Relaxed);
+            let spans = EngineSpans {
+                first_token_us: self.first_token_us,
+                tokens: u64::from(self.seq) + 1,
+                ..spans
+            };
+            Ok((out, spans))
+        });
+        let reply = RoutedReply {
+            token: self.token,
+            seq: self.seq,
+            last: next.is_none(),
+            result,
+        };
+        self.seq += 1;
+        if !self.offer(reply) {
+            return None;
+        }
+        let input = match next {
+            Some(input) => input,
+            // Over but for an undelivered final reply: the entry goes
+            // back only to be offered again, and its input is never run.
+            None if self.held.is_some() => Tensor::zeros(Shape::vec(1)),
+            None => return None,
+        };
+        Some(Job {
+            input,
+            reply: ReplySlot::Stream(self),
+            enqueued: now,
+            dequeued: None,
+        })
     }
 }
 
 struct Job {
     input: Tensor,
     reply: ReplySlot,
+    /// Admission for a one-shot job; for a stream, when this step was
+    /// queued.
     enqueued: Instant,
-    /// Stamped when a dispatch worker takes the job off the queue — the
-    /// queue-exit span mark.
+    /// The queue-exit span mark, stamped by the batched worker when it
+    /// takes the job off the queue. Immediate dispatch has no coalescing
+    /// phase and leaves it to `dispatch`, so its batch span is ~0 and
+    /// time blocked acquiring the device is lease wait, not batching.
     dequeued: Option<Instant>,
 }
 
 impl Job {
     fn queries(&self) -> usize {
         self.input.shape().batch()
+    }
+
+    fn is_step(&self) -> bool {
+        matches!(self.reply, ReplySlot::Stream(_))
     }
 }
 
@@ -223,6 +347,10 @@ struct State {
     /// `false` once shutdown starts: no new admissions, workers drain
     /// what is queued and exit.
     open: bool,
+    /// Stream steps out of the queue with the decode tick now in flight
+    /// (0: no tick). They come back, so they keep counting against the
+    /// queue's capacity, and while they are out no second tick starts.
+    stepping: usize,
 }
 
 struct Inner {
@@ -240,10 +368,6 @@ struct Inner {
     /// Gap between consecutive chunk emissions of a stream; the first
     /// sample of each stream is admission → first chunk (TTFT).
     token_gap: Mutex<LatencyHistogram>,
-    /// Streaming jobs currently running on their dedicated threads.
-    /// Streams bypass the admission queue, so shutdown's drain waits on
-    /// this counter instead of the queue.
-    active_streams: AtomicUsize,
     /// The device this engine leases compute from. Engines started
     /// without an explicit scheduler get a dedicated (unbounded) one, so
     /// acquisition never blocks and grants never shrink.
@@ -264,15 +388,7 @@ impl Inner {
 /// A pending inference: the caller's handle to one admitted job.
 #[derive(Debug)]
 pub struct Ticket {
-    rx: Receiver<Result<Completed>>,
-}
-
-impl std::fmt::Debug for Completed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Completed")
-            .field("spans", &self.spans)
-            .finish_non_exhaustive()
-    }
+    rx: Receiver<RoutedReply>,
 }
 
 impl Ticket {
@@ -295,8 +411,7 @@ impl Ticket {
     ///
     /// Same as [`Ticket::wait`].
     pub fn wait_traced(self) -> Result<(Tensor, EngineSpans)> {
-        let done = self.rx.recv().map_err(|_| DjinnError::Shutdown)??;
-        Ok((done.output, done.spans))
+        self.rx.recv().map_err(|_| DjinnError::Shutdown)?.result
     }
 }
 
@@ -305,11 +420,8 @@ impl Ticket {
 pub struct InferenceEngine {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
-    /// Kept for streaming jobs, which run on their own threads rather
-    /// than the queue workers (see
-    /// [`InferenceEngine::submit_stream_routed`]).
-    network: Arc<Network>,
-    executor: Arc<dyn Executor>,
+    /// What a stream's input is checked against at admission.
+    input_shape: Shape,
 }
 
 impl std::fmt::Debug for InferenceEngine {
@@ -376,6 +488,7 @@ impl InferenceEngine {
             state: Mutex::new(State {
                 queue: BoundedQueue::new(config.queue_capacity.max(1)),
                 open: true,
+                stepping: 0,
             }),
             cv: Condvar::new(),
             in_flight: AtomicUsize::new(0),
@@ -386,7 +499,6 @@ impl InferenceEngine {
             service: Mutex::new(LatencyHistogram::new()),
             tokens_out: AtomicU64::new(0),
             token_gap: Mutex::new(LatencyHistogram::new()),
-            active_streams: AtomicUsize::new(0),
             scheduler,
             colocation: config.colocation,
             cache,
@@ -415,8 +527,7 @@ impl InferenceEngine {
         InferenceEngine {
             inner,
             workers,
-            network,
-            executor,
+            input_shape: network.def().input_shape().clone(),
         }
     }
 
@@ -434,7 +545,7 @@ impl InferenceEngine {
     /// [`DjinnError::Shutdown`] after shutdown has begun.
     pub fn submit(&self, input: Tensor) -> Result<Ticket> {
         let (tx, rx) = bounded(1);
-        self.enqueue(input, ReplySlot::Ticket(tx))?;
+        self.submit_routed(input, 0, tx)?;
         Ok(Ticket { rx })
     }
 
@@ -456,91 +567,6 @@ impl InferenceEngine {
     /// [`DjinnError::Shutdown`] — in both cases nothing was admitted and
     /// no reply will arrive for `token`.
     pub fn submit_routed(&self, input: Tensor, token: u64, tx: Sender<RoutedReply>) -> Result<()> {
-        self.enqueue(input, ReplySlot::Routed { token, tx })
-    }
-
-    /// Admits one *streaming* job: instead of a single completion, the
-    /// engine sends N ordered [`RoutedReply`] chunks (seq 0, 1, …; the
-    /// terminal one flagged `last`) to `tx`, all echoing `token`.
-    ///
-    /// Streams run on a dedicated thread, never co-batched with one-shot
-    /// jobs: each chunk's forward pass acquires its own device lease, so
-    /// long streams interleave fairly with regular traffic instead of
-    /// monopolizing a batch slot. [`StreamMode::Windowed`] feeds the
-    /// input's rows through the model `window_rows` at a time and emits
-    /// every window's scores as one chunk; [`StreamMode::Generative`]
-    /// runs an autoregressive decode loop — the output distribution's
-    /// argmax is fed back as a one-hot next input — emitting one chunk
-    /// per generated token. Streams bypass the inference cache in both
-    /// directions (partial outputs are not cacheable one-shot answers).
-    ///
-    /// If the engine shuts down mid-stream the decode stops and the
-    /// terminal reply is `Err(DjinnError::Shutdown)`; a failed forward
-    /// pass likewise ends the stream with its typed error. An `Err`
-    /// reply is always the stream's last.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DjinnError::Shutdown`] after shutdown has begun and
-    /// [`DjinnError::Protocol`] for an invalid mode (zero window/token
-    /// budget, or a generative request whose input is not a single row)
-    /// — in both cases nothing was admitted and no reply will arrive for
-    /// `token`.
-    pub fn submit_stream_routed(
-        &self,
-        input: Tensor,
-        token: u64,
-        mode: StreamMode,
-        tx: Sender<RoutedReply>,
-    ) -> Result<()> {
-        match mode {
-            StreamMode::Windowed { window_rows: 0 } => {
-                return Err(DjinnError::Protocol {
-                    reason: "streaming window must be at least one row".into(),
-                });
-            }
-            StreamMode::Generative { max_tokens: 0 } => {
-                return Err(DjinnError::Protocol {
-                    reason: "generative stream must request at least one token".into(),
-                });
-            }
-            StreamMode::Generative { .. } if input.shape().batch() != 1 => {
-                return Err(DjinnError::Protocol {
-                    reason: format!(
-                        "generative stream takes a single seed row, got batch {}",
-                        input.shape().batch()
-                    ),
-                });
-            }
-            _ => {}
-        }
-        {
-            let st = self.inner.lock();
-            if !st.open {
-                return Err(DjinnError::Shutdown);
-            }
-            // Registered under the state lock so a concurrent shutdown
-            // either sees the stream and waits for it, or closed first
-            // and this admission was refused.
-            self.inner.active_streams.fetch_add(1, Ordering::SeqCst);
-        }
-        let inner = Arc::clone(&self.inner);
-        let network = Arc::clone(&self.network);
-        let executor = Arc::clone(&self.executor);
-        let spawned = std::thread::Builder::new()
-            .name(format!("djinn-stream-{}", self.inner.model))
-            .spawn(move || {
-                stream_loop(&inner, &network, &*executor, input, mode, token, &tx);
-                inner.active_streams.fetch_sub(1, Ordering::SeqCst);
-            });
-        if let Err(e) = spawned {
-            self.inner.active_streams.fetch_sub(1, Ordering::SeqCst);
-            return Err(DjinnError::Io(e));
-        }
-        Ok(())
-    }
-
-    fn enqueue(&self, input: Tensor, reply: ReplySlot) -> Result<()> {
         // Probe the exact-match cache before admission: a hit skips the
         // queue, the device lease, and the forward pass entirely, and is
         // stamped with the `cache` disposition (all spans ~0). A miss
@@ -549,27 +575,128 @@ impl InferenceEngine {
         if let Some(exact) = self.inner.cache.as_deref().and_then(InferenceCache::exact) {
             if let Some(output) = exact.get(&input) {
                 self.inner.completed.fetch_add(1, Ordering::Relaxed);
-                reply.deliver(Ok(Completed {
-                    output,
-                    spans: EngineSpans {
-                        cache_hit: true,
-                        ..EngineSpans::default()
-                    },
-                }));
+                let spans = EngineSpans {
+                    cache_hit: true,
+                    ..EngineSpans::default()
+                };
+                deliver(token, &tx, Ok((output, spans)));
                 return Ok(());
             }
         }
-        let job = Job {
+        self.admit(Job {
             input,
-            reply,
+            reply: ReplySlot::Once { token, tx },
             enqueued: Instant::now(),
             dequeued: None,
+        })
+    }
+
+    /// Admits one *streaming* job: instead of a single completion, the
+    /// engine sends N ordered [`RoutedReply`] chunks (seq 0, 1, …; the
+    /// terminal one flagged `last`) to `tx`, all echoing `token`, and
+    /// drops its sender after the last.
+    ///
+    /// A stream is a job in the admission queue like any other: it passes
+    /// the capacity check once, on arrival, and is never shed afterwards.
+    /// Its queue entry is its next step; each decode tick stacks the next
+    /// rows of every stream that is ready into one forward pass under one
+    /// device lease (see the module docs). [`StreamMode::Windowed`] feeds
+    /// the input's rows through the model `window_rows` at a time and
+    /// emits every window's scores as one chunk; [`StreamMode::Generative`]
+    /// runs an autoregressive decode — the output distribution's argmax is
+    /// fed back as a one-hot next input — emitting one chunk per generated
+    /// token. Streams bypass the inference cache in both directions
+    /// (partial outputs are not cacheable one-shot answers).
+    ///
+    /// The engine never blocks on `tx`: a stream whose receiver is full
+    /// sits out ticks until its chunk fits, and one whose receiver is
+    /// gone is retired at its next send. If the engine shuts down
+    /// mid-stream the terminal reply is `Err(DjinnError::Shutdown)`; a
+    /// failed forward pass likewise ends the stream with its typed error.
+    /// An `Err` reply is always the stream's last.
+    ///
+    /// # Errors
+    ///
+    /// [`DjinnError::Busy`] when the admission queue is full,
+    /// [`DjinnError::Shutdown`] after shutdown has begun,
+    /// [`DjinnError::Protocol`] for an invalid mode (zero window/token
+    /// budget, more than [`MAX_STREAM_TOKENS`] tokens, or a generative
+    /// request whose input is not a single row) and [`DjinnError::Dnn`]
+    /// for an input the model cannot take — in every case nothing was
+    /// admitted and no reply will arrive for `token`.
+    pub fn submit_stream_routed(
+        &self,
+        input: Tensor,
+        token: u64,
+        mode: StreamMode,
+        tx: Sender<RoutedReply>,
+    ) -> Result<()> {
+        // Checked here and not left to the forward pass: a tick stacks
+        // many streams' rows, and one misshapen input would fail them all.
+        let (want, got) = (self.input_shape.dims(), input.shape().dims());
+        if got.len() != want.len() || got[1..] != want[1..] {
+            return Err(DjinnError::Dnn(dnn::DnnError::BadInput {
+                expected: want.to_vec(),
+                actual: got.to_vec(),
+            }));
+        }
+        let rows = input.shape().batch();
+        let refuse = |reason: String| Err(DjinnError::Protocol { reason });
+        let (input, rest) = match mode {
+            StreamMode::Windowed { window_rows: 0 } => {
+                return refuse("streaming window must be at least one row".into());
+            }
+            StreamMode::Generative { max_tokens: 0 } => {
+                return refuse("generative stream must request at least one token".into());
+            }
+            StreamMode::Generative { max_tokens } if max_tokens > MAX_STREAM_TOKENS => {
+                return refuse(format!(
+                    "generative stream asks for {max_tokens} tokens, the limit is \
+                     {MAX_STREAM_TOKENS}"
+                ));
+            }
+            StreamMode::Generative { .. } if rows != 1 => {
+                return refuse(format!(
+                    "generative stream takes a single seed row, got batch {rows}"
+                ));
+            }
+            StreamMode::Generative { max_tokens } => (input, Rest::Tokens(max_tokens)),
+            StreamMode::Windowed { window_rows } => {
+                // Windows of `window_rows` rows (the tail may be short);
+                // each is one step and one chunk.
+                let w = window_rows as usize;
+                let counts: Vec<usize> = (0..rows).step_by(w).map(|at| w.min(rows - at)).collect();
+                let mut windows = input.split_batch(&counts)?.into_iter();
+                let first = windows.next().expect("an input has at least one row");
+                (first, Rest::Windows(windows))
+            }
         };
+        let admitted = Instant::now();
+        self.admit(Job {
+            input,
+            reply: ReplySlot::Stream(Box::new(Stream {
+                token,
+                tx,
+                admitted,
+                last_emit: None,
+                first_token_us: 0,
+                seq: 0,
+                rest,
+                held: None,
+            })),
+            enqueued: admitted,
+            dequeued: None,
+        })
+    }
+
+    /// The one admission check, for one-shot jobs and streams alike.
+    fn admit(&self, job: Job) -> Result<()> {
         let mut st = self.inner.lock();
         if !st.open {
             return Err(DjinnError::Shutdown);
         }
-        match st.queue.offer(job) {
+        let lent = st.stepping;
+        match st.queue.offer_beside(job, lent) {
             Ok(_depth) => {
                 drop(st);
                 self.inner.cv.notify_one();
@@ -577,7 +704,7 @@ impl InferenceEngine {
             }
             Err(_job) => Err(DjinnError::Busy {
                 model: self.inner.model.clone(),
-                queue_depth: st.queue.len(),
+                queue_depth: st.queue.len() + lent,
             }),
         }
     }
@@ -609,42 +736,15 @@ impl InferenceEngine {
             let st = self.inner.lock();
             (st.queue.len(), st.queue.shed_count())
         };
-        let (p50_queue_wait_us, p99_queue_wait_us) = {
-            let h = self
-                .inner
-                .queue_wait
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
+        let quantiles = |h: &Mutex<LatencyHistogram>| {
+            let h = hist(h);
             (h.quantile(0.50), h.quantile(0.99))
         };
-        let (p50_batch_wait_us, p99_batch_wait_us) = {
-            let h = self
-                .inner
-                .batch_wait
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            (h.quantile(0.50), h.quantile(0.99))
-        };
-        let (p50_lease_wait_us, p99_lease_wait_us) = {
-            let h = self
-                .inner
-                .lease_wait
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            (h.quantile(0.50), h.quantile(0.99))
-        };
-        let (p50_service_us, p99_service_us) = {
-            let h = self.inner.service.lock().unwrap_or_else(|e| e.into_inner());
-            (h.quantile(0.50), h.quantile(0.99))
-        };
-        let (p50_token_gap_us, p99_token_gap_us) = {
-            let h = self
-                .inner
-                .token_gap
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            (h.quantile(0.50), h.quantile(0.99))
-        };
+        let (p50_queue_wait_us, p99_queue_wait_us) = quantiles(&self.inner.queue_wait);
+        let (p50_batch_wait_us, p99_batch_wait_us) = quantiles(&self.inner.batch_wait);
+        let (p50_lease_wait_us, p99_lease_wait_us) = quantiles(&self.inner.lease_wait);
+        let (p50_service_us, p99_service_us) = quantiles(&self.inner.service);
+        let (p50_token_gap_us, p99_token_gap_us) = quantiles(&self.inner.token_gap);
         let cache = self
             .inner
             .cache
@@ -675,7 +775,7 @@ impl InferenceEngine {
     }
 
     /// Stops admissions, drains every queued job (each gets a real
-    /// reply), and joins the workers.
+    /// reply; a live stream its terminal one), and joins the workers.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -686,13 +786,10 @@ impl InferenceEngine {
             st.open = false;
         }
         self.inner.cv.notify_all();
+        // A live stream ends with a terminal `Shutdown` reply at the end
+        // of the tick it is in, so the join is bounded by one tick.
         for h in self.workers.drain(..) {
             let _ = h.join();
-        }
-        // Streams poll the open flag once per chunk and wind down with a
-        // terminal reply, so this wait is bounded by one chunk's compute.
-        while self.inner.active_streams.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(1));
         }
         self.inner.scheduler.unregister_sharer();
     }
@@ -708,57 +805,36 @@ impl Drop for InferenceEngine {
     }
 }
 
-/// Pops one job, blocking until one is available or the engine is closed
-/// *and* drained.
-fn next_job(inner: &Inner) -> Option<Job> {
+/// Blocks until an immediate-policy worker has work, and pops it: one
+/// one-shot job, alone — or, when the first job it may run is a stream
+/// step, that step with every other step queued: one decode tick. While
+/// a tick is in flight its steps are out of the queue; steps that arrive
+/// meanwhile are passed over (one-shot jobs behind them still run on the
+/// other workers) and join the next tick. `None` once the engine is
+/// closed *and* drained.
+fn next_jobs(inner: &Inner) -> Option<Vec<Job>> {
     let mut st = inner.lock();
     loop {
-        if let Some(job) = st.queue.pop() {
-            return Some(job);
+        let ticking = st.stepping > 0;
+        if let Some(job) = st.queue.pop_first(|j| !(ticking && j.is_step())) {
+            let mut jobs = vec![job];
+            if jobs[0].is_step() {
+                jobs.extend(st.queue.take_all(Job::is_step));
+                st.stepping = jobs.len();
+            }
+            return Some(jobs);
         }
-        if !st.open {
+        if !st.open && st.queue.is_empty() {
             return None;
         }
         st = inner.cv.wait(st).unwrap_or_else(|e| e.into_inner());
     }
 }
 
-/// Records each job's queue wait (admission → queue-exit). Falls back to
-/// "now" for a job that was never stamped (cannot happen in the worker
-/// loops, which stamp immediately after popping).
-fn record_wait(inner: &Inner, jobs: &[Job]) {
-    let mut h = inner.queue_wait.lock().unwrap_or_else(|e| e.into_inner());
-    for job in jobs {
-        let dequeued = job.dequeued.unwrap_or_else(Instant::now);
-        h.record(dequeued.duration_since(job.enqueued).as_micros() as u64);
-    }
-}
-
-/// Records each job's batch coalescing wait (queue-exit → executor
-/// start).
-fn record_batch_wait(inner: &Inner, dequeued: &[Instant], exec_start: Instant) {
-    let mut h = inner.batch_wait.lock().unwrap_or_else(|e| e.into_inner());
-    for &d in dequeued {
-        h.record(exec_start.duration_since(d).as_micros() as u64);
-    }
-}
-
-fn record_service(inner: &Inner, device_latency: Duration) {
-    inner
-        .service
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .record(device_latency.as_micros() as u64);
-}
-
-/// Records how long a dispatch blocked acquiring its device lease (once
-/// per job in the dispatch, mirroring the other per-job spans).
-fn record_lease_wait(inner: &Inner, waited: Duration, jobs: usize) {
-    let mut h = inner.lease_wait.lock().unwrap_or_else(|e| e.into_inner());
-    let us = waited.as_micros() as u64;
-    for _ in 0..jobs.max(1) {
-        h.record(us);
-    }
+/// Locks a telemetry histogram. Recording leaves a histogram valid at
+/// every step, so a lock poisoned by a panicking recorder is recovered.
+fn hist(h: &Mutex<LatencyHistogram>) -> std::sync::MutexGuard<'_, LatencyHistogram> {
+    h.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Assembles one job's span measurements from its timeline marks. The
@@ -784,86 +860,6 @@ fn spans_for(
     }
 }
 
-/// Chunk-emission bookkeeping for one streaming job: sequence numbers,
-/// the first-token stamp, and the per-model token telemetry.
-struct StreamEmitter<'a> {
-    inner: &'a Inner,
-    token: u64,
-    tx: &'a Sender<RoutedReply>,
-    admitted: Instant,
-    last_emit: Option<Instant>,
-    first_token_us: u64,
-    seq: u32,
-}
-
-impl StreamEmitter<'_> {
-    fn emit(&mut self, tensor: Tensor, lease_us: u64, service_us: u64, last: bool) {
-        let now = Instant::now();
-        let gap = now
-            .duration_since(self.last_emit.unwrap_or(self.admitted))
-            .as_micros() as u64;
-        if self.last_emit.is_none() {
-            self.first_token_us = gap;
-        }
-        self.last_emit = Some(now);
-        self.inner
-            .token_gap
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .record(gap);
-        self.inner.tokens_out.fetch_add(1, Ordering::Relaxed);
-        let _ = self.tx.send(RoutedReply {
-            token: self.token,
-            seq: self.seq,
-            last,
-            result: Ok((
-                tensor,
-                EngineSpans {
-                    queue_us: 0,
-                    batch_us: 0,
-                    lease_us,
-                    service_us,
-                    cache_hit: false,
-                    first_token_us: self.first_token_us,
-                    tokens: u64::from(self.seq) + 1,
-                },
-            )),
-        });
-        self.seq += 1;
-    }
-}
-
-/// One forward pass of a stream under its own device lease. Returns the
-/// output plus the (lease wait, service) span measurements in
-/// microseconds.
-fn stream_step(
-    inner: &Inner,
-    network: &Arc<Network>,
-    executor: &dyn Executor,
-    input: &Tensor,
-) -> Result<(Tensor, u64, u64)> {
-    let lease = inner
-        .scheduler
-        .acquire(executor.preferred_threads(input.shape().batch()));
-    let lease_waited = lease.waited();
-    record_lease_wait(inner, lease_waited, 1);
-    let start = Instant::now();
-    let outcome = executor.infer_budgeted_cached(network, input, lease.threading(), None)?;
-    drop(lease);
-    record_service(inner, outcome.device_latency);
-    Ok((
-        outcome.output,
-        lease_waited.as_micros() as u64,
-        start.elapsed().as_micros() as u64,
-    ))
-}
-
-/// Whether the engine still accepts work; streams poll this once per
-/// chunk so shutdown is never blocked behind a long decode.
-fn stream_open(inner: &Inner) -> bool {
-    inner.lock().open
-}
-
 /// Feeds the decoded distribution back as the next input: argmax over
 /// the row, re-encoded one-hot. This is greedy decoding — deterministic,
 /// which the correctness tests rely on.
@@ -880,135 +876,9 @@ fn one_hot_like(row: &Tensor) -> Tensor {
     Tensor::from_vec(row.shape().clone(), next).expect("one-hot row matches the source shape")
 }
 
-/// Runs one streaming job to completion on its dedicated thread; any
-/// failure becomes the stream's terminal `Err` reply.
-fn stream_loop(
-    inner: &Inner,
-    network: &Arc<Network>,
-    executor: &dyn Executor,
-    input: Tensor,
-    mode: StreamMode,
-    token: u64,
-    tx: &Sender<RoutedReply>,
-) {
-    let admitted = Instant::now();
-    inner.in_flight.fetch_add(1, Ordering::Relaxed);
-    let mut em = StreamEmitter {
-        inner,
-        token,
-        tx,
-        admitted,
-        last_emit: None,
-        first_token_us: 0,
-        seq: 0,
-    };
-    if let Err(e) = run_stream(inner, network, executor, input, mode, &mut em) {
-        let _ = tx.send(RoutedReply {
-            token,
-            seq: em.seq,
-            last: true,
-            result: Err(e),
-        });
-    }
-    inner.in_flight.fetch_sub(1, Ordering::Relaxed);
-    inner.completed.fetch_add(1, Ordering::Relaxed);
-}
-
-fn run_stream(
-    inner: &Inner,
-    network: &Arc<Network>,
-    executor: &dyn Executor,
-    input: Tensor,
-    mode: StreamMode,
-    em: &mut StreamEmitter<'_>,
-) -> Result<()> {
-    match mode {
-        StreamMode::Windowed { window_rows } => {
-            // Partition the rows into windows of `window_rows` (the tail
-            // window may be short); each window is one chunk.
-            let w = window_rows as usize;
-            let mut counts = Vec::new();
-            let mut left = input.shape().batch();
-            while left > 0 {
-                let c = left.min(w);
-                counts.push(c);
-                left -= c;
-            }
-            let parts = input
-                .split_batch(&counts)
-                .map_err(dnn::DnnError::from)
-                .map_err(DjinnError::from)?;
-            let total = parts.len();
-            for (i, part) in parts.into_iter().enumerate() {
-                if !stream_open(inner) {
-                    return Err(DjinnError::Shutdown);
-                }
-                let (out, lease_us, service_us) = stream_step(inner, network, executor, &part)?;
-                em.emit(out, lease_us, service_us, i + 1 == total);
-            }
-        }
-        StreamMode::Generative { max_tokens } => {
-            let mut cur = input;
-            for i in 0..max_tokens {
-                if !stream_open(inner) {
-                    return Err(DjinnError::Shutdown);
-                }
-                let (out, lease_us, service_us) = stream_step(inner, network, executor, &cur)?;
-                if out.shape() != cur.shape() {
-                    return Err(DjinnError::Protocol {
-                        reason: format!(
-                            "generative stream needs output shape == input shape to feed \
-                             back, got {:?} from {:?}",
-                            out.shape(),
-                            cur.shape()
-                        ),
-                    });
-                }
-                cur = one_hot_like(&out);
-                em.emit(out, lease_us, service_us, i + 1 == max_tokens);
-            }
-        }
-    }
-    Ok(())
-}
-
 fn immediate_loop(inner: &Inner, network: &Arc<Network>, executor: &dyn Executor) {
-    while let Some(mut job) = next_job(inner) {
-        let dequeued = Instant::now();
-        job.dequeued = Some(dequeued);
-        record_wait(inner, std::slice::from_ref(&job));
-        inner.in_flight.fetch_add(1, Ordering::Relaxed);
-        // Acquire the device slice before touching the executor; on a
-        // dedicated scheduler this is an immediate full grant.
-        // Immediate dispatch has no coalescing phase: the batch span
-        // closes at the queue-exit mark (~0) and any time blocked here
-        // is lease wait, not batching.
-        record_batch_wait(inner, &[dequeued], dequeued);
-        let lease = inner
-            .scheduler
-            .acquire(executor.preferred_threads(job.queries()));
-        let lease_waited = lease.waited();
-        record_lease_wait(inner, lease_waited, 1);
-        let exec_start = Instant::now();
-        let embed = inner.cache.as_deref().and_then(InferenceCache::embed);
-        let outcome = executor.infer_budgeted_cached(network, &job.input, lease.threading(), embed);
-        drop(lease);
-        let service = exec_start.elapsed();
-        let result = outcome.map(|outcome| {
-            record_service(inner, outcome.device_latency);
-            // This input missed at admission (hits never reach a
-            // worker): memoize it so the next identical request hits.
-            if let Some(exact) = inner.cache.as_deref().and_then(InferenceCache::exact) {
-                exact.insert(&job.input, &outcome.output);
-            }
-            Completed {
-                output: outcome.output,
-                spans: spans_for(job.enqueued, dequeued, lease_waited, exec_start, service),
-            }
-        });
-        inner.in_flight.fetch_sub(1, Ordering::Relaxed);
-        inner.completed.fetch_add(1, Ordering::Relaxed);
-        job.reply.deliver(result);
+    while let Some(jobs) = next_jobs(inner) {
+        dispatch(inner, network, executor, jobs);
     }
 }
 
@@ -1030,6 +900,7 @@ fn batched_loop(
                 jobs = st.queue.assemble(config.max_batch, Job::queries);
                 if !jobs.is_empty() {
                     draining = !st.open;
+                    st.stepping += jobs.iter().filter(|j| j.is_step()).count();
                     break;
                 }
                 if !st.open {
@@ -1047,8 +918,10 @@ fn batched_loop(
         // classic §5.1 loop); `AlwaysColocate` dispatches the partial
         // batch at once; `Dynamic` weighs SLA headroom, batch fill, and
         // device availability. A draining engine skips the wait —
-        // queued jobs are answered as fast as possible.
-        let budget = if draining {
+        // queued jobs are answered as fast as possible — and so does a
+        // batch that carries a stream step: a token waits for the tick
+        // before it, never for a window.
+        let budget = if draining || jobs.iter().any(Job::is_step) {
             Duration::ZERO
         } else {
             let queries: usize = jobs.iter().map(Job::queries).sum();
@@ -1082,7 +955,13 @@ fn batched_loop(
                 {
                     job.dequeued = Some(Instant::now());
                     queries += job.queries();
+                    let step = job.is_step();
                     jobs.push(job);
+                    if step {
+                        // A stream arrived mid-window: close the batch.
+                        st.stepping += 1;
+                        break;
+                    }
                     continue;
                 }
                 if !st.queue.is_empty() || !st.open {
@@ -1101,27 +980,111 @@ fn batched_loop(
     }
 }
 
-/// Runs one assembled batch: stack owned inputs (no per-job copy), one
-/// forward pass, scatter rows back. Errors stay typed end-to-end; every
-/// co-batched job receives a clone of the real error.
+/// Before a tick computes anything, each stream still holding a reply
+/// from an earlier tick offers it again. Returns the jobs that run now
+/// and the ones that sit this tick out (receiver still full); a stream
+/// whose held reply was its last, or whose receiver is gone, ends here.
+fn settle(inner: &Inner, jobs: Vec<Job>) -> (Vec<Job>, Vec<Job>) {
+    let holds = |j: &Job| matches!(&j.reply, ReplySlot::Stream(s) if s.held.is_some());
+    if !jobs.iter().any(holds) {
+        return (jobs, Vec::new());
+    }
+    let mut run = Vec::with_capacity(jobs.len());
+    let mut stalled = Vec::new();
+    for mut job in jobs {
+        if let ReplySlot::Stream(stream) = &mut job.reply {
+            if let Some(reply) = stream.held.take() {
+                let last = reply.last;
+                if !stream.offer(reply) || (last && stream.held.is_none()) {
+                    inner.completed.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                if stream.held.is_some() {
+                    stalled.push(job);
+                    continue;
+                }
+            }
+        }
+        run.push(job);
+    }
+    (run, stalled)
+}
+
+/// Ends a tick: the `lent` steps it took are accounted back, and the
+/// streams that go on re-enter the queue — or, once the engine has
+/// closed, get their terminal `Shutdown` reply instead. `idle` is a tick
+/// that ran nothing because every stream in it is waiting on its
+/// receiver: it keeps the steps out of the queue a little longer (or
+/// until the next arrival), so the other workers go on serving one-shot
+/// jobs instead of spinning on them.
+fn requeue(inner: &Inner, lent: usize, next: Vec<Job>, idle: bool) {
+    let mut st = inner.lock();
+    if idle && st.open {
+        let (guard, _timeout) = inner
+            .cv
+            .wait_timeout(st, STALL_BACKOFF)
+            .unwrap_or_else(|e| e.into_inner());
+        st = guard;
+    }
+    st.stepping -= lent;
+    if st.open {
+        for job in next {
+            st.queue.readmit(job);
+        }
+        return;
+    }
+    drop(st);
+    // Workers that passed over queued steps while this tick ran must
+    // look again, or they would sleep through the drain.
+    inner.cv.notify_all();
+    for job in next {
+        if let ReplySlot::Stream(stream) = job.reply {
+            // A last offer: what a full receiver cannot take (this, and
+            // a chunk still held for it) is dropped with the sender.
+            let _ = stream.tx.try_send(RoutedReply {
+                token: stream.token,
+                seq: stream.seq,
+                last: true,
+                result: Err(DjinnError::Shutdown),
+            });
+            inner.completed.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Runs one assembled batch — co-batched one-shot jobs, a decode tick's
+/// stream steps, or both: stack owned inputs (no per-job copy), one
+/// forward pass under one lease, scatter rows back. Errors stay typed
+/// end-to-end; every co-batched job receives a clone of the real error.
 fn dispatch(inner: &Inner, network: &Arc<Network>, executor: &dyn Executor, jobs: Vec<Job>) {
-    record_wait(inner, &jobs);
+    let lent = jobs.iter().filter(|j| j.is_step()).count();
+    let (jobs, mut next) = if lent > 0 {
+        settle(inner, jobs)
+    } else {
+        (jobs, Vec::new())
+    };
+    if jobs.is_empty() {
+        return requeue(inner, lent, next, true);
+    }
     let n = jobs.len();
     inner.in_flight.fetch_add(n, Ordering::Relaxed);
     let counts: Vec<usize> = jobs.iter().map(Job::queries).collect();
     // Timeline marks per job, kept aside so spans can be attached to each
     // reply after the shared forward pass.
+    let entered = Instant::now();
     let marks: Vec<(Instant, Instant)> = jobs
         .iter()
-        .map(|j| (j.enqueued, j.dequeued.unwrap_or(j.enqueued)))
+        .map(|j| (j.enqueued, j.dequeued.unwrap_or(entered)))
         .collect();
     let (inputs, replies): (Vec<Tensor>, Vec<ReplySlot>) =
         jobs.into_iter().map(|j| (j.input, j.reply)).unzip();
+    // Streams bypass the cache, and so does a batch that carries one.
+    let cache = inner.cache.as_deref().filter(|_| lent == 0);
     // Keep per-job input copies only when an exact cache wants them for
     // miss insertion — stacking consumes the originals. With caching off
-    // this is free.
-    let exact = inner.cache.as_deref().and_then(InferenceCache::exact);
-    let kept_inputs: Option<Vec<Tensor>> = exact.map(|_| inputs.clone());
+    // this is free, and a lone job's input is the stacked tensor itself.
+    let exact = cache.and_then(InferenceCache::exact);
+    let kept_inputs: Option<Vec<Tensor>> = exact.filter(|_| n > 1).map(|_| inputs.clone());
     // Input stacking counts toward the batch span: the lease is taken
     // after it (a batch waiting on compute is lease wait, not
     // coalescing) and executor-start is stamped after the grant, right
@@ -1131,7 +1094,6 @@ fn dispatch(inner: &Inner, network: &Arc<Network>, executor: &dyn Executor, jobs
     let mut lease_waited = Duration::ZERO;
     let total_queries: usize = counts.iter().sum();
     let result = Tensor::stack_batch_owned(inputs)
-        .map_err(dnn::DnnError::from)
         .map_err(DjinnError::from)
         .and_then(|stacked| {
             let lease = inner
@@ -1139,48 +1101,70 @@ fn dispatch(inner: &Inner, network: &Arc<Network>, executor: &dyn Executor, jobs
                 .acquire(executor.preferred_threads(total_queries));
             lease_waited = lease.waited();
             exec_start = Instant::now();
-            let embed = inner.cache.as_deref().and_then(InferenceCache::embed);
+            let embed = cache.and_then(InferenceCache::embed);
             let outcome =
                 executor.infer_budgeted_cached(network, &stacked, lease.threading(), embed)?;
             drop(lease);
             service = exec_start.elapsed();
-            record_service(inner, outcome.device_latency);
-            if counts.len() == 1 {
+            hist(&inner.service).record(outcome.device_latency.as_micros() as u64);
+            if n == 1 {
                 // Single-job batch: hand the output over without the
                 // split_batch copy.
+                if let Some(exact) = exact {
+                    exact.insert(&stacked, &outcome.output);
+                }
                 return Ok(vec![outcome.output]);
             }
-            outcome
-                .output
-                .split_batch(&counts)
-                .map_err(dnn::DnnError::from)
-                .map_err(DjinnError::from)
+            Ok(outcome.output.split_batch(&counts)?)
         });
-    record_lease_wait(inner, lease_waited, n);
+    // Per-job telemetry: queue wait (admission → queue-exit), coalescing
+    // wait (queue-exit → the lease request) and the shared lease wait.
     let lease_mark = exec_start.checked_sub(lease_waited).unwrap_or(exec_start);
-    let dequeue_marks: Vec<Instant> = marks.iter().map(|&(_, d)| d).collect();
-    record_batch_wait(inner, &dequeue_marks, lease_mark);
+    {
+        let mut queue_wait = hist(&inner.queue_wait);
+        let mut batch_wait = hist(&inner.batch_wait);
+        let mut lease_wait = hist(&inner.lease_wait);
+        for &(enqueued, dequeued) in &marks {
+            queue_wait.record(dequeued.duration_since(enqueued).as_micros() as u64);
+            batch_wait.record(lease_mark.duration_since(dequeued).as_micros() as u64);
+            lease_wait.record(lease_waited.as_micros() as u64);
+        }
+    }
     inner.in_flight.fetch_sub(n, Ordering::Relaxed);
-    inner.completed.fetch_add(n as u64, Ordering::Relaxed);
-    match result {
-        Ok(parts) => {
-            for (i, ((reply, part), (enqueued, dequeued))) in
-                replies.into_iter().zip(parts).zip(marks).enumerate()
-            {
-                if let (Some(exact), Some(kept)) = (exact, kept_inputs.as_ref()) {
-                    exact.insert(&kept[i], &part);
+    let mut parts = result.map(Vec::into_iter);
+    for (i, (reply, (enqueued, dequeued))) in replies.into_iter().zip(marks).enumerate() {
+        let result = match &mut parts {
+            Ok(parts) => {
+                let part = parts.next().expect("one output part per job");
+                let spans = spans_for(enqueued, dequeued, lease_waited, exec_start, service);
+                Ok((part, spans))
+            }
+            Err(e) => Err(e.clone()),
+        };
+        match reply {
+            ReplySlot::Stream(stream) => {
+                match stream.advance(inner, result, network.def().input_shape()) {
+                    Some(job) => next.push(job),
+                    None => {
+                        inner.completed.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
-                reply.deliver(Ok(Completed {
-                    output: part,
-                    spans: spans_for(enqueued, dequeued, lease_waited, exec_start, service),
-                }));
+            }
+            ReplySlot::Once { token, tx } => {
+                // Counted before the reply can be seen. (A stream is one
+                // request: it counts when it ends, not per step.)
+                inner.completed.fetch_add(1, Ordering::Relaxed);
+                if let (Some(kept), Ok((part, _))) = (kept_inputs.as_ref(), &result) {
+                    if let Some(exact) = exact {
+                        exact.insert(&kept[i], part);
+                    }
+                }
+                deliver(token, &tx, result);
             }
         }
-        Err(e) => {
-            for reply in replies {
-                reply.deliver(Err(e.clone()));
-            }
-        }
+    }
+    if lent > 0 {
+        requeue(inner, lent, next, false);
     }
 }
 
@@ -1942,10 +1926,282 @@ mod tests {
             Err(DjinnError::Protocol { .. })
         ));
         assert!(matches!(
-            eng.submit_stream_routed(one, 3, StreamMode::Windowed { window_rows: 0 }, tx),
+            eng.submit_stream_routed(one, 3, StreamMode::Windowed { window_rows: 0 }, tx.clone()),
             Err(DjinnError::Protocol { .. })
         ));
+        // An input the model cannot take is refused at the door, typed,
+        // before it can be stacked with other streams' rows.
+        let misshapen = Tensor::zeros(Shape::mat(1, 15));
+        assert!(matches!(
+            eng.submit_stream_routed(misshapen, 4, StreamMode::Generative { max_tokens: 2 }, tx),
+            Err(DjinnError::Dnn(dnn::DnnError::BadInput { .. }))
+        ));
+        assert_eq!(eng.stats().queue_depth, 0, "nothing was admitted");
         eng.shutdown();
+    }
+
+    fn lm_prompt(token: usize) -> Tensor {
+        Tensor::from_fn(Shape::mat(1, 16), |i| if i == token { 1.0 } else { 0.0 })
+    }
+
+    #[test]
+    fn stream_over_the_token_cap_is_refused_and_the_cap_is_served() {
+        let eng = lm_engine();
+        let (tx, rx) = bounded(MAX_STREAM_TOKENS as usize);
+        let over = StreamMode::Generative {
+            max_tokens: MAX_STREAM_TOKENS + 1,
+        };
+        match eng.submit_stream_routed(lm_prompt(2), 1, over, tx.clone()) {
+            Err(DjinnError::Protocol { reason }) => {
+                assert!(reason.contains("limit"), "{reason}");
+            }
+            other => panic!("cap+1 must be a typed protocol error, got {other:?}"),
+        }
+        assert_eq!(eng.stats().queue_depth, 0, "nothing was admitted");
+        let at = StreamMode::Generative {
+            max_tokens: MAX_STREAM_TOKENS,
+        };
+        eng.submit_stream_routed(lm_prompt(2), 2, at, tx).unwrap();
+        let replies: Vec<RoutedReply> = rx.iter().collect();
+        assert_eq!(replies.len(), MAX_STREAM_TOKENS as usize);
+        assert!(replies.iter().all(|r| r.token == 2 && r.result.is_ok()));
+        assert!(replies.last().unwrap().last);
+        eng.shutdown();
+    }
+
+    /// An executor whose every call reports its batch rows on entry and
+    /// then waits at a gate: the test lets calls through one `()` at a
+    /// time, and dropping the gate's sender opens it for good.
+    struct GateExecutor {
+        inner: CpuExecutor,
+        entered: Sender<usize>,
+        gate: Mutex<Receiver<()>>,
+    }
+
+    impl Executor for GateExecutor {
+        fn infer(
+            &self,
+            network: &Arc<Network>,
+            input: &Tensor,
+        ) -> crate::Result<crate::InferenceOutcome> {
+            let _ = self.entered.send(input.shape().batch());
+            let _ = self.gate.lock().unwrap().recv();
+            self.inner.infer(network, input)
+        }
+
+        fn backend_name(&self) -> &'static str {
+            "gate"
+        }
+    }
+
+    fn gated_lm_engine(config: EngineConfig) -> (InferenceEngine, Receiver<usize>, Sender<()>) {
+        let (entered_tx, entered) = bounded(1024);
+        let (open, gate) = bounded(1024);
+        let eng = InferenceEngine::start(
+            "tiny-lm",
+            lm_net(),
+            Arc::new(GateExecutor {
+                inner: CpuExecutor::default(),
+                entered: entered_tx,
+                gate: Mutex::new(gate),
+            }),
+            config,
+        );
+        (eng, entered, open)
+    }
+
+    #[test]
+    fn a_tick_stacks_every_ready_stream_and_only_one_tick_is_in_flight() {
+        let (eng, entered, open) = gated_lm_engine(EngineConfig::default()); // 4 workers
+        let (tx, rx) = bounded(64);
+        let tokens = StreamMode::Generative { max_tokens: 3 };
+        eng.submit_stream_routed(lm_prompt(0), 0, tokens, tx.clone())
+            .unwrap();
+        let first = entered.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(first, 1, "the lone stream's first step runs at once");
+        // Three more arrive while that tick is held at the gate. Three
+        // workers are idle, and none of them may start a second tick.
+        for token in 1..4 {
+            eng.submit_stream_routed(lm_prompt(token as usize), token, tokens, tx.clone())
+                .unwrap();
+        }
+        assert!(
+            entered.recv_timeout(Duration::from_millis(100)).is_err(),
+            "a second decode tick started beside the one in flight"
+        );
+        // A one-shot job is not held up behind the queued steps: another
+        // worker passes them over and takes it to the executor.
+        let one_shot = eng.submit(lm_prompt(9)).unwrap();
+        assert_eq!(entered.recv_timeout(Duration::from_secs(10)).unwrap(), 1);
+        drop(open);
+        one_shot.wait().unwrap();
+        // The next tick carries all four streams in one forward pass.
+        let widths: Vec<usize> = entered.iter().take(3).collect();
+        assert_eq!(widths, vec![4, 4, 3], "ticks after the first: {widths:?}");
+        drop(tx);
+        let net = lm_net();
+        let mut seen = vec![0usize; 4];
+        let want: Vec<Vec<Tensor>> = (0..4)
+            .map(|t| greedy_reference(&net, lm_prompt(t), 3))
+            .collect();
+        for reply in rx.iter() {
+            let t = reply.token as usize;
+            assert_eq!(reply.seq as usize, seen[t], "stream {t} out of order");
+            let (out, _) = reply.result.unwrap();
+            assert_eq!(out, want[t][seen[t]], "stream {t} chunk {}", seen[t]);
+            seen[t] += 1;
+        }
+        assert_eq!(seen, vec![3; 4], "every stream delivered every chunk");
+        assert_eq!(eng.stats().completed, 5, "four streams and a one-shot");
+    }
+
+    #[test]
+    fn stream_is_shed_busy_when_the_queue_is_full() {
+        let (eng, entered, open) = gated_lm_engine(EngineConfig {
+            queue_capacity: 1,
+            workers: 1,
+            ..EngineConfig::default()
+        });
+        let (tx, rx) = bounded(64);
+        let tokens = StreamMode::Generative { max_tokens: 6 };
+        eng.submit_stream_routed(lm_prompt(1), 1, tokens, tx.clone())
+            .unwrap();
+        // The admitted stream's step is out with the (blocked) tick; it
+        // still holds the queue's one slot.
+        entered.recv_timeout(Duration::from_secs(10)).unwrap();
+        match eng.submit_stream_routed(lm_prompt(2), 2, tokens, tx.clone()) {
+            Err(DjinnError::Busy { model, queue_depth }) => {
+                assert_eq!((model.as_str(), queue_depth), ("tiny-lm", 1));
+            }
+            other => panic!("a stream must be shed like any job, got {other:?}"),
+        }
+        assert!(matches!(
+            eng.submit(lm_prompt(3)),
+            Err(DjinnError::Busy { .. })
+        ));
+        assert_eq!(eng.stats().shed, 2);
+        // The admitted stream is never shed mid-stream.
+        drop(open);
+        drop(tx);
+        let replies: Vec<RoutedReply> = rx.iter().collect();
+        assert_eq!(replies.len(), 6);
+        assert!(replies.iter().all(|r| r.token == 1 && r.result.is_ok()));
+    }
+
+    #[test]
+    fn a_full_receiver_sits_ticks_out_and_never_blocks_the_engine() {
+        let net = lm_net();
+        let eng = lm_engine(); // one worker: a blocked send would stop everything
+        let (slow_tx, slow_rx) = bounded(1);
+        let (tx, rx) = bounded(64);
+        eng.submit_stream_routed(
+            lm_prompt(4),
+            1,
+            StreamMode::Generative { max_tokens: 9 },
+            slow_tx,
+        )
+        .unwrap();
+        eng.submit_stream_routed(
+            lm_prompt(5),
+            2,
+            StreamMode::Generative { max_tokens: 40 },
+            tx,
+        )
+        .unwrap();
+        // Nobody reads the slow stream, yet the other stream and one-shot
+        // jobs run to the end.
+        assert_eq!(rx.iter().count(), 40);
+        eng.infer(lm_prompt(6)).unwrap();
+        assert!(eng.stats().tokens_out <= 42, "the stalled stream ran ahead");
+        // Read slowly: every chunk still arrives, in order, unchanged.
+        let want = greedy_reference(&net, lm_prompt(4), 9);
+        for (i, expect) in want.iter().enumerate() {
+            std::thread::sleep(Duration::from_millis(2));
+            let reply = slow_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("chunk");
+            assert_eq!((reply.seq as usize, reply.last), (i, i == 8));
+            assert_eq!(&reply.result.unwrap().0, expect, "chunk {i}");
+        }
+        assert!(
+            slow_rx.recv().is_err(),
+            "the sender is dropped after the last chunk"
+        );
+        assert_eq!(eng.stats().completed, 3);
+        eng.shutdown();
+    }
+
+    #[test]
+    fn a_dropped_receiver_retires_the_stream_at_its_next_chunk() {
+        let eng = InferenceEngine::start(
+            "tiny-lm",
+            lm_net(),
+            Arc::new(SlowExecutor {
+                inner: CpuExecutor::default(),
+                delay: Duration::from_millis(2),
+            }),
+            EngineConfig::default(),
+        );
+        let (tx, rx) = bounded(64);
+        eng.submit_stream_routed(
+            lm_prompt(7),
+            1,
+            StreamMode::Generative { max_tokens: 500 },
+            tx,
+        )
+        .unwrap();
+        for _ in 0..2 {
+            rx.recv_timeout(Duration::from_secs(10)).expect("chunk");
+        }
+        let buffered = rx.try_iter().count() as u64;
+        drop(rx);
+        // At most the tick in flight and the one whose send fails follow.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while eng.stats().completed == 0 {
+            assert!(Instant::now() < deadline, "the stream never retired");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let stats = eng.stats();
+        assert!(
+            stats.tokens_out <= 2 + buffered + 2,
+            "decode went on for nobody: {} tokens",
+            stats.tokens_out
+        );
+        assert_eq!((stats.queue_depth, stats.in_flight), (0, 0));
+    }
+
+    #[test]
+    fn stream_steps_ride_batched_dispatch_without_waiting_out_a_window() {
+        let net = lm_net();
+        // A window far longer than the test: a step that waited it out
+        // even once would time the test out.
+        let eng = InferenceEngine::start(
+            "tiny-lm",
+            Arc::clone(&net),
+            Arc::new(CpuExecutor::default()),
+            batched(8, Duration::from_secs(30)),
+        );
+        // A one-shot is waiting in its window when the stream arrives:
+        // the step closes the batch, and both are answered.
+        let one_shot = eng.submit(lm_prompt(3)).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        let (tx, rx) = bounded(16);
+        let t0 = Instant::now();
+        eng.submit_stream_routed(
+            lm_prompt(8),
+            1,
+            StreamMode::Generative { max_tokens: 6 },
+            tx,
+        )
+        .unwrap();
+        assert_eq!(
+            one_shot.wait().unwrap(),
+            net.forward(&lm_prompt(3)).unwrap()
+        );
+        let want = greedy_reference(&net, lm_prompt(8), 6);
+        let got: Vec<Tensor> = rx.iter().map(|r| r.result.unwrap().0).collect();
+        assert_eq!(got, want);
+        assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
     }
 
     #[test]

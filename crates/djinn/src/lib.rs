@@ -57,6 +57,7 @@ pub use device::{ColocationPolicy, ComputeLease, Device, DeviceScheduler};
 pub use dnn::cache::{CacheMode, CacheStats, InferenceCache};
 pub use engine::{
     BatchConfig, DispatchPolicy, EngineConfig, EngineStats, InferenceEngine, RoutedReply, Ticket,
+    MAX_STREAM_TOKENS,
 };
 pub use error::DjinnError;
 pub use executor::{CpuExecutor, DelayExecutor, Executor, InferenceOutcome, SimGpuExecutor};

@@ -377,7 +377,8 @@ fn accept_loop(
 /// Bound on the per-connection completion channel between engine
 /// dispatch workers and the reply pump. Deep enough that a draining pump
 /// never stalls dispatch in practice; if a stalled client does fill it,
-/// engine workers briefly block on send — backpressure, not loss.
+/// engine workers briefly block on a one-shot reply's send and the
+/// connection's streams sit out decode ticks — backpressure, not loss.
 const PUMP_CHANNEL: usize = 1024;
 
 /// What the connection worker remembers about an admitted Infer until
@@ -408,9 +409,9 @@ struct ConnWriter {
     /// allocations once the buffer has grown to the connection's working
     /// frame size.
     scratch: BytesMut,
-    /// Set after any failed write: the frame may have been partially
-    /// sent, so the byte stream can no longer be trusted and every
-    /// later write is refused.
+    /// Set after any failed write — the frame may have been partially
+    /// sent, so the byte stream can no longer be trusted — and when the
+    /// read half finds the peer gone. Every later write is refused.
     poisoned: bool,
 }
 
@@ -480,7 +481,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
         let writer = Arc::clone(&writer);
         std::thread::Builder::new()
             .name("djinn-reply-pump".into())
-            .spawn(move || reply_pump(&pump_rx, &pending, &writer, &shared))
+            .spawn(move || reply_pump(pump_rx, &pending, &writer, &shared))
     };
     let Ok(pump) = pump else { return };
     let mut stream = stream;
@@ -496,7 +497,14 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
         let decoded = match reader.read_frame_ref(&mut stream) {
             Ok(Some(p)) => Request::decode(p),
             Ok(None) => continue, // no complete frame yet; poll stop again
-            Err(_) => break,      // EOF or protocol break: drop the connection
+            Err(_) => {
+                // EOF or protocol break: drop the connection. Nobody is
+                // left to read replies, so the pump stops at its next one
+                // and what the engines still owe — a stream's remaining
+                // tokens above all — is cancelled, not computed.
+                writer.lock().poisoned = true;
+                break;
+            }
         };
         let received = Instant::now();
         let immediate = match decoded {
@@ -556,7 +564,8 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
     }
     // Dropping the worker's sender lets the pump drain what the engines
     // still owe this connection (every admitted job is answered, even
-    // during shutdown) and exit once the channel disconnects.
+    // during shutdown) and exit once the channel disconnects — or at the
+    // first reply it can no longer write.
     drop(pump_tx);
     let _ = pump.join();
 }
@@ -628,9 +637,13 @@ fn admit_infer(
 /// in completion order — the write side of the full-duplex connection.
 /// Runs until every sender is gone (the worker's handle plus the clone
 /// each in-flight job holds) and the channel drains, so no admitted job
-/// is ever dropped unanswered.
+/// is ever dropped unanswered while the connection can carry the answer.
+/// Once it cannot (writer poisoned or closed) the pump returns, dropping
+/// its receiver: every later send fails at once, which never blocks an
+/// engine worker and retires the connection's live streams at their next
+/// chunk instead of decoding to the last token for nobody.
 fn reply_pump(
-    rx: &Receiver<RoutedReply>,
+    rx: Receiver<RoutedReply>,
     pending: &Mutex<HashMap<u64, PendingInfer>>,
     writer: &Mutex<ConnWriter>,
     shared: &Shared,
@@ -702,9 +715,10 @@ fn reply_pump(
         };
         let is_output = matches!(response, Response::Output { .. } | Response::Chunk { .. });
         let write_start = Instant::now();
-        // A poisoned writer refuses silently; the pump keeps draining so
-        // engine workers are never blocked on a dead connection.
-        if writer.lock().write_response(&response) && is_output {
+        if !writer.lock().write_response(&response) {
+            return;
+        }
+        if is_output {
             // The response-write span mark closes the server's view of
             // the request: successful inferences feed the per-model wire
             // histogram reported by `Stats`.

@@ -54,13 +54,28 @@ impl<T> BoundedQueue<T> {
     /// itself (shed) when the queue is full.
     #[allow(clippy::result_large_err)] // Err IS the returned job, by design
     pub fn offer(&mut self, job: T) -> Result<usize, T> {
-        if self.jobs.len() >= self.capacity {
+        self.offer_beside(job, 0)
+    }
+
+    /// [`BoundedQueue::offer`] while `lent` admitted jobs are out with a
+    /// dispatcher that will [`BoundedQueue::readmit`] them: they keep
+    /// their slots, so the bound holds on queued plus lent jobs.
+    #[allow(clippy::result_large_err)]
+    pub fn offer_beside(&mut self, job: T, lent: usize) -> Result<usize, T> {
+        if self.jobs.len() + lent >= self.capacity {
             self.shed += 1;
             return Err(job);
         }
         self.jobs.push_back(job);
         self.admitted += 1;
         Ok(self.jobs.len())
+    }
+
+    /// Puts a job that was admitted once, and popped, back at the tail.
+    /// It is never shed and not counted as a new admission: a multi-step
+    /// job passes the capacity check when it arrives, not at every step.
+    pub fn readmit(&mut self, job: T) {
+        self.jobs.push_back(job);
     }
 
     /// Removes and returns the head job.
@@ -77,6 +92,29 @@ impl<T> BoundedQueue<T> {
         } else {
             None
         }
+    }
+
+    /// Removes and returns the first job `pred` accepts, passing over the
+    /// ones it does not (they keep their order).
+    pub fn pop_first(&mut self, pred: impl FnMut(&T) -> bool) -> Option<T> {
+        let at = self.jobs.iter().position(pred)?;
+        self.jobs.remove(at)
+    }
+
+    /// Removes every job `pred` accepts, in queue order; the rest stay.
+    pub fn take_all(&mut self, mut pred: impl FnMut(&T) -> bool) -> Vec<T> {
+        let mut taken = Vec::new();
+        for _ in 0..self.jobs.len() {
+            let Some(job) = self.jobs.pop_front() else {
+                break;
+            };
+            if pred(&job) {
+                taken.push(job);
+            } else {
+                self.jobs.push_back(job);
+            }
+        }
+        taken
     }
 
     /// Greedily assembles a batch from the head of the queue.
@@ -275,6 +313,36 @@ mod tests {
         assert_eq!(q.admitted_count(), 2);
         assert_eq!(q.pop(), Some("a"));
         assert_eq!(q.offer("d"), Ok(2));
+    }
+
+    #[test]
+    fn lent_jobs_keep_their_slots_and_come_back_unshed() {
+        let mut q = BoundedQueue::new(2);
+        q.offer("step").unwrap();
+        let step = q.pop().unwrap();
+        // One job out with a dispatcher: one slot left, not two.
+        assert_eq!(q.offer_beside("a", 1), Ok(1));
+        assert_eq!(q.offer_beside("b", 1), Err("b"));
+        assert_eq!(q.shed_count(), 1);
+        // The lent job returns even though the queue is "full" again,
+        // and is not a second admission.
+        q.readmit(step);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.admitted_count(), 2);
+    }
+
+    #[test]
+    fn pop_first_and_take_all_pass_over_the_rest_in_order() {
+        let mut q = BoundedQueue::new(8);
+        for v in [1u32, 2, 3, 4, 6] {
+            q.offer(v).unwrap();
+        }
+        assert_eq!(q.pop_first(|v| v % 2 == 0), Some(2));
+        assert_eq!(q.pop_first(|v| *v > 9), None);
+        assert_eq!(q.take_all(|v| v % 2 == 0), vec![4, 6]);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(3));
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use djinn_tonic::djinn::protocol::{read_frame, write_frame, Request, Response};
 use djinn_tonic::djinn::{
-    BatchConfig, DjinnClient, DjinnServer, ModelRegistry, ServerConfig, TraceRecord,
+    BatchConfig, DjinnClient, DjinnServer, ModelRegistry, ServerConfig, StreamMode, TraceRecord,
 };
 use djinn_tonic::tensor::{Shape, Tensor};
 
@@ -121,6 +121,78 @@ fn spans_account_for_end_to_end_latency_batched() {
         );
     }
     server.shutdown();
+}
+
+/// A stream's steps queue, coalesce, lease and run like any job, and each
+/// chunk's trace carries that step's own spans. Streams decoded together
+/// share each tick's forward pass, and every one of them is charged it
+/// once: a stream's stages, summed over its chunks, must still fit in its
+/// own end-to-end time — under both dispatch policies.
+#[test]
+fn stream_stages_summed_over_chunks_fit_in_its_end_to_end_time() {
+    const TOKENS: u32 = 12;
+    const STEP: Duration = Duration::from_millis(1);
+    for batching in [
+        None,
+        Some(BatchConfig {
+            max_batch: 4,
+            max_delay: Duration::from_millis(50),
+        }),
+    ] {
+        let registry = ModelRegistry::with_tiny_test_zoo().expect("tiny zoo builds");
+        let config = ServerConfig {
+            batching,
+            service_delay: Some(STEP),
+            ..ServerConfig::default()
+        };
+        let server = DjinnServer::start(registry, config).expect("server starts");
+        let mut client = DjinnClient::connect(server.local_addr()).unwrap();
+        let prompt = Tensor::from_fn(Shape::mat(1, 16), |i| if i == 3 { 1.0 } else { 0.0 });
+        let started = Instant::now();
+        let ids: Vec<u64> = (0..3)
+            .map(|_| {
+                let mode = StreamMode::Generative { max_tokens: TOKENS };
+                client.stream_infer("tiny-lm", &prompt, mode).unwrap()
+            })
+            .collect();
+        let mut stage_sum = [0u64; 3];
+        let mut service_sum = [0u64; 3];
+        let mut e2e_us = [0u64; 3];
+        for _ in 0..TOKENS {
+            for (s, &id) in ids.iter().enumerate() {
+                let chunk = client.recv_chunk(id).expect("chunk");
+                let t = chunk.trace;
+                let step = t.queue_us + t.batch_us + t.lease_us + t.service_us;
+                assert!(
+                    step <= t.server_total_us + QUANT_SLACK_US,
+                    "chunk {} of stream {s}: its step's stages ({step}us) exceed the \
+                     stream's server time so far ({}us)",
+                    chunk.seq,
+                    t.server_total_us
+                );
+                stage_sum[s] += step;
+                service_sum[s] += t.service_us;
+                e2e_us[s] = started.elapsed().as_micros() as u64;
+            }
+        }
+        for s in 0..3 {
+            assert!(
+                stage_sum[s] <= e2e_us[s] + QUANT_SLACK_US * u64::from(TOKENS),
+                "batching {batching:?}, stream {s}: stages sum to {}us, end to end {}us",
+                stage_sum[s],
+                e2e_us[s]
+            );
+            // Every step really ran under the modelled device time and
+            // says so (the spans are stamped, not hard-coded zeros) ...
+            assert!(service_sum[s] >= u64::from(TOKENS) * STEP.as_micros() as u64);
+        }
+        // ... and a batch window 50x the step never shows up in a token.
+        assert!(
+            started.elapsed() < Duration::from_millis(50) * TOKENS / 2,
+            "batching {batching:?}: decode steps waited out coalescing windows"
+        );
+        server.shutdown();
+    }
 }
 
 /// The server must echo the client's request ID verbatim in the trace
