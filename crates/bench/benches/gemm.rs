@@ -1,10 +1,14 @@
 //! SGEMM microbenchmarks: the compute substrate every forward pass runs
 //! on. Compares the naive reference, the blocked kernel, and the parallel
-//! driver — the `tensor` crate's design-choice ablation.
+//! driver — the `tensor` crate's design-choice ablation — and, in the
+//! `skinny` group, the no-pack and packed kernels row count by row count:
+//! the crossover table behind `SKINNY_MAX_M` (results/gemm_skinny.txt).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use tensor::{gemm_blocked, gemm_naive, sgemm, GemmOptions, Shape, Tensor};
+use tensor::{
+    gemm_blocked, gemm_naive, gemm_packed, gemm_skinny, sgemm, GemmOptions, Shape, Tensor,
+};
 
 fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("sgemm");
@@ -104,5 +108,40 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gemm);
+/// Few-row calls against the two serving-critical weight shapes (SENNA's
+/// 350x450 first layer, textgen's 512x512 hidden layer): both kernels at
+/// every height, whichever `sgemm` would pick, so the table shows where
+/// re-laying-out B starts to pay for itself.
+fn bench_skinny(c: &mut Criterion) {
+    type Kernel = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
+    let kernels: [(&str, Kernel); 2] = [
+        ("nopack", |m, n, k, a, b, c| {
+            gemm_skinny(m, n, k, 1.0, a, b, c)
+        }),
+        ("packed", |m, n, k, a, b, c| {
+            gemm_packed(m, n, k, 1.0, a, b, c, 1)
+        }),
+    ];
+    let mut group = c.benchmark_group("skinny");
+    group.sample_size(30);
+    for &(n, k) in &[(450usize, 350usize), (512, 512)] {
+        let b = Tensor::random_uniform(Shape::mat(k, n), 1.0, 2).into_vec();
+        for &m in &[1usize, 2, 4, 8, 16, 28] {
+            let a = Tensor::random_uniform(Shape::mat(m, k), 1.0, 1).into_vec();
+            group.throughput(Throughput::Elements((2 * m * n * k) as u64));
+            for (name, kernel) in kernels {
+                group.bench_function(BenchmarkId::new(name, format!("{m}x{n}x{k}")), |bench| {
+                    bench.iter(|| {
+                        let mut cbuf = vec![0.0f32; m * n];
+                        kernel(m, n, k, &a, &b, &mut cbuf);
+                        black_box(cbuf)
+                    });
+                });
+            }
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_gemm, bench_skinny);
 criterion_main!(benches);

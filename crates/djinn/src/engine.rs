@@ -235,15 +235,32 @@ struct Stream {
 
 impl Stream {
     /// Sends `reply` if the receiver has room and keeps it for the next
-    /// tick if not; `false` once the receiver is gone.
-    fn offer(&mut self, reply: RoutedReply) -> bool {
+    /// tick if not; `false` once the receiver is gone. A stream is one
+    /// request: it counts as completed here, when its last reply goes out
+    /// or its receiver is found gone — and, like a one-shot, before that
+    /// reply can be seen, so whoever reads the last chunk and then the
+    /// stats finds the stream in them.
+    fn offer(&mut self, inner: &Inner, reply: RoutedReply) -> bool {
+        let last = reply.last;
+        if last {
+            inner.completed.fetch_add(1, Ordering::Relaxed);
+        }
         match self.tx.try_send(reply) {
             Ok(()) => true,
             Err(TrySendError::Full(reply)) => {
+                if last {
+                    // Not out after all: it counts when it does go.
+                    inner.completed.fetch_sub(1, Ordering::Relaxed);
+                }
                 self.held = Some(reply);
                 true
             }
-            Err(TrySendError::Disconnected(_)) => false,
+            Err(TrySendError::Disconnected(_)) => {
+                if !last {
+                    inner.completed.fetch_add(1, Ordering::Relaxed);
+                }
+                false
+            }
         }
     }
 
@@ -300,7 +317,7 @@ impl Stream {
             result,
         };
         self.seq += 1;
-        if !self.offer(reply) {
+        if !self.offer(inner, reply) {
             return None;
         }
         let input = match next {
@@ -995,8 +1012,7 @@ fn settle(inner: &Inner, jobs: Vec<Job>) -> (Vec<Job>, Vec<Job>) {
         if let ReplySlot::Stream(stream) = &mut job.reply {
             if let Some(reply) = stream.held.take() {
                 let last = reply.last;
-                if !stream.offer(reply) || (last && stream.held.is_none()) {
-                    inner.completed.fetch_add(1, Ordering::Relaxed);
+                if !stream.offer(inner, reply) || (last && stream.held.is_none()) {
                     continue;
                 }
                 if stream.held.is_some() {
@@ -1143,16 +1159,12 @@ fn dispatch(inner: &Inner, network: &Arc<Network>, executor: &dyn Executor, jobs
         };
         match reply {
             ReplySlot::Stream(stream) => {
-                match stream.advance(inner, result, network.def().input_shape()) {
-                    Some(job) => next.push(job),
-                    None => {
-                        inner.completed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+                // (A stream is one request: it counts when it ends, in
+                // `Stream::offer`, not per step.)
+                next.extend(stream.advance(inner, result, network.def().input_shape()));
             }
             ReplySlot::Once { token, tx } => {
-                // Counted before the reply can be seen. (A stream is one
-                // request: it counts when it ends, not per step.)
+                // Counted before the reply can be seen.
                 inner.completed.fetch_add(1, Ordering::Relaxed);
                 if let (Some(kept), Ok((part, _))) = (kept_inputs.as_ref(), &result) {
                     if let Some(exact) = exact {

@@ -36,17 +36,144 @@ use tensor::Tensor;
 /// collisions and prove hits compare the full key, not just the hash.
 pub type KeyHasher = fn(&[u32]) -> u64;
 
-/// FNV-1a over the little-endian bytes of each key word — the default
-/// [`KeyHasher`]. Deterministic across processes and platforms.
-pub fn fnv1a(words: &[u32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
+/// The default [`KeyHasher`]: four independent lanes, each folding one
+/// pair of `u64`s (four key words) per sixteen-word block through a
+/// 64x64 -> 128-bit multiply, with the key length mixed in at the end.
+/// A 28x350 input is a 39 KB key; a byte-serial chain (the FNV-1a this
+/// replaced) spends one dependent multiply per *byte* on it, this one
+/// four overlapping multiplies per 64 bytes. Deterministic across
+/// processes and platforms.
+pub fn word_hash(words: &[u32]) -> u64 {
+    let mut h = WordHasher::new();
+    h.write(words, |w| w);
+    h.finish()
+}
+
+const LANES: usize = 4;
+/// Key words per [`WordHasher`] block: two `u64`s for each lane.
+const BLOCK: usize = 4 * LANES;
+/// Odd 64-bit lane seeds, also xored into each lane's input.
+const LANE_KEYS: [u64; LANES] = [
+    0x9e37_79b9_7f4a_7c15,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+    0xd6e8_feb8_6659_fd93,
+];
+/// Final-mix multiplier (splitmix64's). Which shard a key lands on
+/// follows from it: `tests/caching.rs` races two 636-byte entries through
+/// 1 KB shards and needs them on different ones, which one choice of
+/// constant in eight does not give.
+const FINISH_KEY: u64 = 0xbf58_476d_1ce4_e5b9;
+
+/// Full 64x64 -> 128-bit product folded back to 64 bits, so every input
+/// bit reaches both halves of the result.
+fn fold_mul(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    (p as u64) ^ ((p >> 64) as u64)
+}
+
+fn absorb(lanes: &mut [u64; LANES], block: &[u32; BLOCK]) {
+    let pair = |i: usize| u64::from(block[i]) | u64::from(block[i + 1]) << 32;
+    for (i, lane) in lanes.iter_mut().enumerate() {
+        *lane = fold_mul(pair(4 * i) ^ LANE_KEYS[i], pair(4 * i + 2) ^ *lane);
+    }
+}
+
+/// Streaming form of [`word_hash`]: the result depends only on the word
+/// sequence written, not on how it was split across `write` calls — so a
+/// key can be hashed in place from its parts (shape words, then float
+/// bit patterns) and land on the hash its materialised copy was stored
+/// under.
+struct WordHasher {
+    lanes: [u64; LANES],
+    /// Words written since the last whole block; `filled` of them.
+    partial: [u32; BLOCK],
+    filled: usize,
+    len: u64,
+}
+
+impl WordHasher {
+    fn new() -> Self {
+        WordHasher {
+            lanes: LANE_KEYS,
+            partial: [0; BLOCK],
+            filled: 0,
+            len: 0,
         }
     }
-    h
+
+    fn write<T: Copy>(&mut self, mut words: &[T], bits: impl Fn(T) -> u32) {
+        self.len += words.len() as u64;
+        if self.filled > 0 {
+            let take = (BLOCK - self.filled).min(words.len());
+            for (slot, &w) in self.partial[self.filled..].iter_mut().zip(&words[..take]) {
+                *slot = bits(w);
+            }
+            self.filled += take;
+            words = &words[take..];
+            if self.filled < BLOCK {
+                return;
+            }
+            absorb(&mut self.lanes, &self.partial);
+        }
+        let mut blocks = words.chunks_exact(BLOCK);
+        let mut lanes = self.lanes;
+        for b in &mut blocks {
+            absorb(&mut lanes, &std::array::from_fn(|i| bits(b[i])));
+        }
+        self.lanes = lanes;
+        let rest = blocks.remainder();
+        for (slot, &w) in self.partial.iter_mut().zip(rest) {
+            *slot = bits(w);
+        }
+        self.filled = rest.len();
+    }
+
+    fn finish(mut self) -> u64 {
+        if self.filled > 0 {
+            self.partial[self.filled..].fill(0);
+            absorb(&mut self.lanes, &self.partial);
+        }
+        // The zero padding above makes `[.., x]` and `[.., x, 0]` the same
+        // blocks; the length is what tells them apart.
+        let mut h = self.len.wrapping_mul(FINISH_KEY);
+        for lane in self.lanes {
+            h = fold_mul(h ^ lane, FINISH_KEY);
+        }
+        h
+    }
+}
+
+/// A key seen in place: the `head` words followed by the bit patterns of
+/// `body`. Lookups hash and compare through this view, so only an insert
+/// ever copies a key out of the tensor it came from.
+#[derive(Clone, Copy)]
+struct KeyView<'a> {
+    head: &'a [u32],
+    body: &'a [f32],
+}
+
+impl KeyView<'_> {
+    fn to_words(self) -> Vec<u32> {
+        let mut key = Vec::with_capacity(self.head.len() + self.body.len());
+        key.extend_from_slice(self.head);
+        key.extend(self.body.iter().map(|v| v.to_bits()));
+        key
+    }
+
+    fn matches(self, stored: &[u32]) -> bool {
+        stored.len() == self.head.len() + self.body.len() && {
+            let (head, body) = stored.split_at(self.head.len());
+            // No early exit: a full compare only runs when the hashes
+            // already agree, and the straight-line form vectorises.
+            head == self.head
+                && body
+                    .iter()
+                    .zip(self.body)
+                    .fold(0, |diff, (k, v)| diff | (k ^ v.to_bits()))
+                    == 0
+        }
+    }
 }
 
 /// Point-in-time cache telemetry.
@@ -137,7 +264,8 @@ impl<V> Shard<V> {
 pub struct ShardedLru<V> {
     shards: Vec<Mutex<Shard<V>>>,
     shard_budget: usize,
-    hasher: KeyHasher,
+    /// `None` is [`word_hash`], streamed over a [`KeyView`] in place.
+    hasher: Option<KeyHasher>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -150,15 +278,19 @@ const SHARDS: usize = 8;
 
 impl<V: Clone> ShardedLru<V> {
     /// A cache holding at most `budget_bytes` of keys + values, using
-    /// the default FNV-1a hasher.
+    /// the default hasher, [`word_hash`].
     pub fn new(budget_bytes: usize) -> Self {
-        Self::with_hasher(budget_bytes, fnv1a)
+        Self::build(budget_bytes, None)
     }
 
     /// Like [`ShardedLru::new`] with a caller-chosen hash function —
     /// the hook collision-hardening tests use to force every key onto
     /// one chain.
     pub fn with_hasher(budget_bytes: usize, hasher: KeyHasher) -> Self {
+        Self::build(budget_bytes, Some(hasher))
+    }
+
+    fn build(budget_bytes: usize, hasher: Option<KeyHasher>) -> Self {
         ShardedLru {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
             shard_budget: (budget_bytes / SHARDS).max(1),
@@ -176,17 +308,37 @@ impl<V: Clone> ShardedLru<V> {
         &self.shards[(hash >> 56) as usize % self.shards.len()]
     }
 
+    fn hash(&self, key: KeyView<'_>) -> u64 {
+        match self.hasher {
+            None => {
+                let mut h = WordHasher::new();
+                h.write(key.head, |w| w);
+                h.write(key.body, f32::to_bits);
+                h.finish()
+            }
+            // A plain `fn` over a slice needs the key in one piece.
+            Some(custom) => custom(&key.to_words()),
+        }
+    }
+
     /// Looks `key` up, returning a clone of the stored value on a
     /// verified full-key match and refreshing the entry's recency.
     pub fn get(&self, key: &[u32]) -> Option<V> {
-        let hash = (self.hasher)(key);
+        self.get_view(KeyView {
+            head: key,
+            body: &[],
+        })
+    }
+
+    fn get_view(&self, key: KeyView<'_>) -> Option<V> {
+        let hash = self.hash(key);
         let mut shard = self
             .shard_of(hash)
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let tick = shard.next_tick();
         if let Some(chain) = shard.chains.get_mut(&hash) {
-            if let Some(entry) = chain.iter_mut().find(|e| &*e.key == key) {
+            if let Some(entry) = chain.iter_mut().find(|e| key.matches(&e.key)) {
                 let old = entry.tick;
                 entry.tick = tick;
                 let value = entry.value.clone();
@@ -210,7 +362,10 @@ impl<V: Clone> ShardedLru<V> {
         if bytes > self.shard_budget {
             return;
         }
-        let hash = (self.hasher)(&key);
+        let hash = self.hash(KeyView {
+            head: &key,
+            body: &[],
+        });
         let mut shard = self
             .shard_of(hash)
             .lock()
@@ -307,18 +462,28 @@ impl<V: Clone> ShardedLru<V> {
 /// pattern of every float. Two tensors map to the same key iff they are
 /// bitwise identical in shape and content.
 pub fn tensor_key(t: &Tensor) -> Vec<u32> {
-    let dims = t.shape().dims();
-    let mut key = Vec::with_capacity(1 + dims.len() + t.data().len());
-    key.push(dims.len() as u32);
-    key.extend(dims.iter().map(|&d| d as u32));
-    key.extend(t.data().iter().map(|v| v.to_bits()));
-    key
+    KeyView {
+        head: &shape_words(t),
+        body: t.data(),
+    }
+    .to_words()
 }
 
-/// Canonical key words for one row: just the float bit patterns (the
-/// row length is implied by the model's input width).
-fn row_key(row: &[f32]) -> Vec<u32> {
-    row.iter().map(|v| v.to_bits()).collect()
+/// The shape part of [`tensor_key`]: rank, then dims.
+fn shape_words(t: &Tensor) -> Vec<u32> {
+    let dims = t.shape().dims();
+    std::iter::once(dims.len() as u32)
+        .chain(dims.iter().map(|&d| d as u32))
+        .collect()
+}
+
+/// One row's key: just the float bit patterns (the row length is implied
+/// by the model's input width).
+fn row_view(row: &[f32]) -> KeyView<'_> {
+    KeyView {
+        head: &[],
+        body: row,
+    }
 }
 
 /// Full-output memo: input tensor content → network output. A hit is a
@@ -344,8 +509,12 @@ impl ExactCache {
     }
 
     /// The cached output for a bitwise-identical prior input, if any.
+    /// Hashes and compares `input` where it lies; no key is built.
     pub fn get(&self, input: &Tensor) -> Option<Tensor> {
-        self.lru.get(&tensor_key(input))
+        self.lru.get_view(KeyView {
+            head: &shape_words(input),
+            body: input.data(),
+        })
     }
 
     /// Memoizes `input → output`. The charge covers both the key (a
@@ -403,12 +572,12 @@ impl EmbedCache {
 
     /// The cached prefix output for a bitwise-identical prior row.
     pub fn get_row(&self, row: &[f32]) -> Option<Arc<[f32]>> {
-        self.lru.get(&row_key(row))
+        self.lru.get_view(row_view(row))
     }
 
     /// Memoizes `row → prefix output row`.
     pub fn insert_row(&self, row: &[f32], out: &[f32]) {
-        let key = row_key(row);
+        let key = row_view(row).to_words();
         let bytes = (key.len() + out.len()) * 4;
         self.lru.insert(key, Arc::from(out), bytes);
     }
@@ -678,6 +847,65 @@ mod tests {
         let hit_b = cache.get(&in_b).expect("b hits");
         assert_eq!(hit_a.data(), out_a.data());
         assert_eq!(hit_b.data(), out_b.data());
+    }
+
+    /// What a content hash over float bit patterns must tell apart:
+    /// one changed word anywhere, a trailing zero word (length only),
+    /// and two words trading places.
+    #[test]
+    fn word_hash_separates_near_identical_keys() {
+        for len in [1usize, 2, 7, 8, 9, 16, 37, 9803] {
+            let key: Vec<u32> = (0..len as u32)
+                .map(|i| i.wrapping_mul(0x9e37_79b9))
+                .collect();
+            let h = word_hash(&key);
+            assert_eq!(h, word_hash(&key.clone()), "deterministic");
+            for at in [0, len / 2, len - 1] {
+                let mut other = key.clone();
+                other[at] ^= 1;
+                assert_ne!(h, word_hash(&other), "len {len}: word {at} changed");
+            }
+            let mut longer = key.clone();
+            longer.push(0);
+            assert_ne!(h, word_hash(&longer), "len {len}: trailing zero word");
+            if len >= 2 {
+                for (i, j) in [(0, 1), (0, len - 1), (len / 2, len - 1)] {
+                    if key[i] != key[j] {
+                        let mut swapped = key.clone();
+                        swapped.swap(i, j);
+                        assert_ne!(h, word_hash(&swapped), "len {len}: swap {i}<->{j}");
+                    }
+                }
+            }
+        }
+        assert_ne!(word_hash(&[]), word_hash(&[0]));
+        assert_ne!(word_hash(&[0; 8]), word_hash(&[0; 16]));
+    }
+
+    /// A lookup hashes the tensor in place, an insert hashes the key it
+    /// materialised; the two must agree for every split of the words
+    /// between shape and data, block-aligned or not.
+    #[test]
+    fn in_place_hash_equals_the_materialised_keys_hash() {
+        let lru: ShardedLru<u32> = ShardedLru::new(1 << 20);
+        for (dims, seed) in [
+            (vec![1, 1], 1),
+            (vec![3, 5], 2),
+            (vec![2, 3, 4], 3),
+            (vec![28, 350], 4),
+        ] {
+            let t = Tensor::random_uniform(Shape::new(&dims).unwrap(), 1.0, seed);
+            let view = KeyView {
+                head: &shape_words(&t),
+                body: t.data(),
+            };
+            assert_eq!(lru.hash(view), word_hash(&tensor_key(&t)));
+            assert!(view.matches(&tensor_key(&t)));
+            assert_eq!(
+                lru.hash(row_view(t.data())),
+                word_hash(&row_view(t.data()).to_words())
+            );
+        }
     }
 
     #[test]

@@ -268,14 +268,10 @@ impl LayerSpec {
                 Ok(out)
             }
             LayerSpec::InnerProduct { out } => {
-                let (rows, cols) = input.shape().as_matrix();
-                let flat = input
-                    .clone()
-                    .reshape(Shape::mat(rows, cols))
-                    .expect("matrix view volume always matches");
-                // weights stored (cols x out), so y = x * W + b.
+                // weights stored (cols x out), so y = x * W + b; `matmul`
+                // reads any-rank input as the `(N, C*H*W)` matrix in place.
                 let w = weights.weights();
-                let mut y = tensor::matmul_with(&flat, w, threading.threads)?;
+                let mut y = tensor::matmul_with(input, w, threading.threads)?;
                 debug_assert_eq!(y.shape().as_matrix().1, *out);
                 tensor::add_bias_rows(&mut y, weights.bias())?;
                 Ok(y)

@@ -122,20 +122,7 @@ impl Network {
                 actual: input.shape().dims().to_vec(),
             });
         }
-        let mut cur = input.clone();
-        for (l, w) in self.def.layers().iter().zip(&self.weights) {
-            cur = l
-                .spec
-                .forward_with(&cur, w, threading)
-                .map_err(|e| match e {
-                    DnnError::BadLayer { reason, .. } => DnnError::BadLayer {
-                        layer: l.name.clone(),
-                        reason,
-                    },
-                    other => other,
-                })?;
-        }
-        Ok(cur)
+        self.run_layers(0..self.def.depth(), input, threading)
     }
 
     /// Batch-sharded forward pass: splits the batch axis into contiguous
@@ -255,7 +242,7 @@ impl Network {
                 Some(hit) => hit,
                 None => {
                     let one = Tensor::from_vec(Shape::mat(1, width), row.to_vec())?;
-                    let computed = self.run_layers(0..prefix, one, Threading::SINGLE)?;
+                    let computed = self.run_layers(0..prefix, &one, Threading::SINGLE)?;
                     cache.insert_row(row, computed.data());
                     std::sync::Arc::from(computed.data())
                 }
@@ -264,24 +251,26 @@ impl Network {
             mid_data.extend_from_slice(&out_row);
         }
         let mid = Tensor::from_vec(Shape::mat(rows, out_width), mid_data)?;
-        self.run_layers(prefix..self.def.depth(), mid, threading)
+        self.run_layers(prefix..self.def.depth(), &mid, threading)
     }
 
-    /// Runs the half-open layer range `span` on `cur`, remapping layer
-    /// errors to the failing layer's name like [`Network::forward_with`].
+    /// Runs the half-open layer range `span` on `input`, remapping layer
+    /// errors to the failing layer's name. The first layer reads `input`
+    /// where it lies; nothing is copied unless `span` is empty.
     fn run_layers(
         &self,
         span: std::ops::Range<usize>,
-        mut cur: Tensor,
+        input: &Tensor,
         threading: Threading,
     ) -> Result<Tensor> {
+        let mut cur: Option<Tensor> = None;
         for (l, w) in self.def.layers()[span.clone()]
             .iter()
             .zip(&self.weights[span])
         {
-            cur = l
+            let out = l
                 .spec
-                .forward_with(&cur, w, threading)
+                .forward_with(cur.as_ref().unwrap_or(input), w, threading)
                 .map_err(|e| match e {
                     DnnError::BadLayer { reason, .. } => DnnError::BadLayer {
                         layer: l.name.clone(),
@@ -289,8 +278,9 @@ impl Network {
                     },
                     other => other,
                 })?;
+            cur = Some(out);
         }
-        Ok(cur)
+        Ok(cur.unwrap_or_else(|| input.clone()))
     }
 
     /// Runs the forward pass, returning every intermediate activation

@@ -1,15 +1,25 @@
 //! Single-precision general matrix multiply.
 //!
-//! Structured like a tuned BLAS, in three tiers: a naive triple loop
-//! (correctness oracle), a cache-blocked kernel for small problems, and a
-//! BLIS-style packed kernel for everything else — A is packed into
-//! `MR`-row column-major micro-panels and B into `NR`-column row-major
-//! micro-panels so the register-blocked `MR x NR` micro-kernel streams
-//! both operands at unit stride. The parallel driver packs B once,
-//! shares it read-only, and splits C's rows into `MR`-aligned strips
-//! across `std::thread::scope` workers; each worker packs its own A
-//! panels. Because every C row is computed in the same order regardless
-//! of the split, parallel results are bitwise identical to sequential.
+//! Structured like a tuned BLAS: a naive triple loop (correctness
+//! oracle) and three tiers [`sgemm`] picks between by shape — a
+//! cache-blocked kernel for small problems, a no-pack kernel for calls of
+//! at most `SKINNY_MAX_M` rows, and a BLIS-style packed kernel for
+//! everything else. The packed kernel lays A out in `MR`-row column-major
+//! micro-panels and B in `NR`-column row-major micro-panels so the
+//! register-blocked `MR x NR` micro-kernel streams both operands at unit
+//! stride. The parallel driver packs B once, shares it read-only, and
+//! splits C's rows into `MR`-aligned strips across `std::thread::scope`
+//! workers; each worker packs its own A panels. Because every C row is
+//! computed in the same order regardless of the split, parallel results
+//! are bitwise identical to sequential.
+//!
+//! The skinny and packed tiers share one **reduction-order contract**,
+//! which is what makes them interchangeable bit for bit: for each
+//! element of C and each `KC`-deep block of the inner dimension, blocks
+//! in ascending order, a fresh `0.0` accumulator takes `a[i][p] * b[p][j]`
+//! in ascending `p` (no fused multiply-add, no reassociation), and then
+//! `c[i][j] += alpha * acc`. A row therefore gets the same bits whether
+//! it is sent alone or inside a large batch.
 
 use crate::{Result, Shape, Tensor, TensorError};
 
@@ -26,6 +36,16 @@ const NC: usize = 256;
 /// Problems below this `m * n * k` volume skip packing: the O(mk + kn)
 /// copy costs more than it saves on matrices this small.
 const PACK_MIN_VOLUME: usize = 32 * 32 * 32;
+/// Calls of at most this many rows take the no-pack kernel. Packing B
+/// reads and writes all of it once before the first multiply, and with
+/// at most two A micro-panels each packed panel is then used at most
+/// twice — the copy cannot pay for itself. Measured, the no-pack kernel
+/// is 5-8x faster at one row and 1.1-1.6x at 8, and still 1.1-1.5x ahead
+/// at 16 and 28 (`results/gemm_skinny.txt`); the limit stays at two
+/// micro-panels because that last margin is the size of the measuring
+/// host's noise and the no-pack kernel is single-threaded — a taller
+/// call has row strips for `GemmOptions::threads` to spread over cores.
+const SKINNY_MAX_M: usize = 2 * MR;
 
 /// Tuning options for [`sgemm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,7 +184,11 @@ pub fn sgemm(
         b
     };
 
-    if beta != 1.0 {
+    if beta == 0.0 {
+        // BLAS semantics: beta 0 means C is not read, so a NaN or infinity
+        // already there must not survive (`NaN * 0.0` is NaN).
+        c.fill(0.0);
+    } else if beta != 1.0 {
         for v in c.iter_mut() {
             *v *= beta;
         }
@@ -172,10 +196,11 @@ pub fn sgemm(
 
     if m * n * k < PACK_MIN_VOLUME {
         gemm_blocked(m, n, k, alpha, a_rm, b_rm, c);
-        return Ok(());
+    } else if m <= SKINNY_MAX_M {
+        gemm_skinny(m, n, k, alpha, a_rm, b_rm, c);
+    } else {
+        gemm_packed(m, n, k, alpha, a_rm, b_rm, c, opts.threads);
     }
-    let threads = opts.threads.max(1).min(m.div_ceil(MR));
-    gemm_packed(m, n, k, alpha, a_rm, b_rm, c, threads);
     Ok(())
 }
 
@@ -270,6 +295,75 @@ fn inner_block(
 }
 
 // ---------------------------------------------------------------------------
+// Skinny kernel
+// ---------------------------------------------------------------------------
+
+/// No-pack kernel for calls of a few rows: streams B in place, row-major,
+/// with an `MR x NC` accumulator on the stack and no O(k·n) scratch. At
+/// this height a fully-connected layer is bound by moving its weights
+/// once, and packing would move them twice more. Follows the module's
+/// reduction-order contract, so the result is bitwise identical to
+/// [`gemm_packed`]'s for every shape and `alpha`.
+///
+/// Correct for any `m`: within each `KC x NC` block of B rows are walked
+/// `MR` at a time, so the block is streamed from memory once and re-read
+/// from cache. [`sgemm`] sends it `m <= SKINNY_MAX_M`, two groups.
+/// Public as an ablation tier for the GEMM benchmarks, like
+/// [`gemm_blocked`]: `C += alpha * A B`, no transposes or beta.
+pub fn gemm_skinny(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32], c: &mut [f32]) {
+    let mut acc = [[0.0f32; NC]; MR];
+    for jc in (0..n).step_by(NC) {
+        let nb = NC.min(n - jc);
+        for pc in (0..k).step_by(KC) {
+            let kb = KC.min(k - pc);
+            for i0 in (0..m).step_by(MR) {
+                let rows = MR.min(m - i0);
+                for row in &mut acc[..rows] {
+                    row[..nb].fill(0.0);
+                }
+                // Four depth steps per pass over the accumulator row: the
+                // sum stays in ascending-`p` order, but `acc` is loaded
+                // and stored once per four B rows instead of once each.
+                let mut p = pc;
+                while p + 4 <= pc + kb {
+                    let b0 = &b[p * n + jc..][..nb];
+                    let b1 = &b[(p + 1) * n + jc..][..nb];
+                    let b2 = &b[(p + 2) * n + jc..][..nb];
+                    let b3 = &b[(p + 3) * n + jc..][..nb];
+                    for (r, row) in acc[..rows].iter_mut().enumerate() {
+                        let av: &[f32; 4] = a[(i0 + r) * k + p..][..4]
+                            .try_into()
+                            .expect("slice of length 4");
+                        for ((((x, v0), v1), v2), v3) in
+                            row[..nb].iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
+                        {
+                            *x = (((*x + av[0] * v0) + av[1] * v1) + av[2] * v2) + av[3] * v3;
+                        }
+                    }
+                    p += 4;
+                }
+                while p < pc + kb {
+                    let brow = &b[p * n + jc..][..nb];
+                    for (r, row) in acc[..rows].iter_mut().enumerate() {
+                        let av = a[(i0 + r) * k + p];
+                        for (x, v) in row[..nb].iter_mut().zip(brow) {
+                            *x += av * v;
+                        }
+                    }
+                    p += 1;
+                }
+                for (r, row) in acc[..rows].iter().enumerate() {
+                    let crow = &mut c[(i0 + r) * n + jc..][..nb];
+                    for (cv, &x) in crow.iter_mut().zip(&row[..nb]) {
+                        *cv += alpha * x;
+                    }
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Packed kernel
 // ---------------------------------------------------------------------------
 
@@ -286,22 +380,28 @@ struct PackedB {
 }
 
 impl PackedB {
+    /// Every element of the packed buffer is written exactly once, in
+    /// layout order, so there is no zero-fill pass to overwrite.
     fn pack(k: usize, n: usize, b: &[f32]) -> PackedB {
-        let panels = n.div_ceil(NR);
-        let padded_n = panels * NR;
-        let mut data = vec![0.0f32; k * padded_n];
+        let full = n / NR;
+        let ragged = n % NR;
+        let padded_n = n.div_ceil(NR) * NR;
+        let mut data = Vec::with_capacity(k * padded_n);
         for pc in (0..k).step_by(KC) {
-            let kb = KC.min(k - pc);
-            for jp in 0..panels {
-                let j0 = jp * NR;
-                let nb = NR.min(n - j0);
-                let base = pc * padded_n + jp * NR * kb;
-                for pp in 0..kb {
-                    let src = &b[(pc + pp) * n + j0..(pc + pp) * n + j0 + nb];
-                    data[base + pp * NR..base + pp * NR + nb].copy_from_slice(src);
+            let rows = &b[pc * n..(pc + KC.min(k - pc)) * n];
+            for jp in 0..full {
+                for row in rows.chunks_exact(n) {
+                    data.extend_from_slice(&row[jp * NR..][..NR]);
+                }
+            }
+            if ragged > 0 {
+                for row in rows.chunks_exact(n) {
+                    data.extend_from_slice(&row[full * NR..]);
+                    data.extend_from_slice(&[0.0; NR][ragged..]);
                 }
             }
         }
+        debug_assert_eq!(data.len(), k * padded_n);
         PackedB { data, padded_n }
     }
 
@@ -409,11 +509,13 @@ fn gemm_strip(
 }
 
 /// Packed driver: packs B once (shared read-only), then runs row strips
-/// sequentially or across scoped threads. Strips are `MR`-panel aligned,
-/// so each C row is produced by exactly the same instruction sequence in
-/// both modes — thread count never changes the result.
+/// sequentially or across up to `threads` scoped threads. Strips are
+/// `MR`-panel aligned, so each C row is produced by exactly the same
+/// instruction sequence in both modes — thread count never changes the
+/// result. Public as an ablation tier for the GEMM benchmarks, like
+/// [`gemm_blocked`]: `C += alpha * A B`, no transposes or beta.
 #[allow(clippy::too_many_arguments)]
-fn gemm_packed(
+pub fn gemm_packed(
     m: usize,
     n: usize,
     k: usize,
@@ -423,6 +525,7 @@ fn gemm_packed(
     c: &mut [f32],
     threads: usize,
 ) {
+    let threads = threads.max(1).min(m.div_ceil(MR));
     let packed_b = PackedB::pack(k, n, b);
     if threads <= 1 {
         gemm_strip(0, m, n, k, alpha, a, &packed_b, c);
@@ -474,6 +577,10 @@ pub fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
 
     fn approx_eq(a: &[f32], b: &[f32], tol: f32) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() <= tol)
@@ -542,6 +649,49 @@ mod tests {
         let mut c = vec![0.0f32; m * m];
         sgemm(m, m, m, 1.0, &a, &b, 0.0, &mut c, GemmOptions::default()).unwrap();
         assert!(c[0].is_infinite());
+    }
+
+    #[test]
+    fn skinny_propagates_nan_and_infinity_through_zero_inputs() {
+        // 2 x 64 x 512 is above PACK_MIN_VOLUME and at most SKINNY_MAX_M
+        // rows. Row 0 of A is all zeros: `0 * NaN` and `0 * inf` are NaN,
+        // so a kernel that skips zero multipliers fails here.
+        let (m, n, k) = (2, 64, 512);
+        assert!(m * n * k >= PACK_MIN_VOLUME && m <= SKINNY_MAX_M);
+        let mut a = vec![0.0f32; m * k];
+        a[k..].fill(1.0);
+        let mut b = vec![1.0f32; k * n];
+        b[3] = f32::NAN; // depth 0, column 3
+        b[300 * n + 5] = f32::INFINITY; // second KC block, column 5
+        let mut c = vec![0.0f32; m * n];
+        sgemm(m, n, k, 1.0, &a, &b, 0.0, &mut c, GemmOptions::default()).unwrap();
+        assert!(c[3].is_nan() && c[5].is_nan(), "zero row: 0 * NaN, 0 * inf");
+        assert!(c[n + 3].is_nan());
+        assert_eq!(c[n + 5], f32::INFINITY);
+        assert_eq!((c[0], c[n]), (0.0, k as f32), "clean columns unaffected");
+    }
+
+    /// BLAS semantics: with `beta == 0` C is an output only, so whatever
+    /// it held — NaN and infinity included — must not reach the result.
+    #[test]
+    fn beta_zero_overwrites_a_poisoned_c_on_every_tier() {
+        // (m, n, k): blocked, skinny, packed.
+        let shapes = [(3usize, 5usize, 7usize), (2, 64, 512), (9, 64, 64)];
+        assert!(shapes[1..]
+            .iter()
+            .all(|(m, n, k)| m * n * k >= PACK_MIN_VOLUME));
+        assert!(shapes[1].0 <= SKINNY_MAX_M && shapes[2].0 > SKINNY_MAX_M);
+        for (m, n, k) in shapes {
+            let a = Tensor::random_uniform(Shape::mat(m, k), 1.0, 21).into_vec();
+            let b = Tensor::random_uniform(Shape::mat(k, n), 1.0, 22).into_vec();
+            let mut want = vec![0.0f32; m * n];
+            sgemm(m, n, k, 1.5, &a, &b, 0.0, &mut want, GemmOptions::default()).unwrap();
+            let mut got: Vec<f32> = (0..m * n)
+                .map(|i| [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -3.0][i % 4])
+                .collect();
+            sgemm(m, n, k, 1.5, &a, &b, 0.0, &mut got, GemmOptions::default()).unwrap();
+            assert_eq!(bits(&want), bits(&got), "m={m} n={n} k={k}");
+        }
     }
 
     #[test]
@@ -716,6 +866,51 @@ mod tests {
             sgemm(m, n, k, 1.0, &a, &b, 0.0, &mut c2, GemmOptions::default()).unwrap();
             for v in c2.iter_mut() { *v *= 2.0; }
             prop_assert!(approx_eq(&c1, &c2, 1e-3));
+        }
+    }
+
+    /// Sizes on and around the multiples of `block` up to `blocks` of
+    /// them, plus the smallest ones: the ragged edges of a blocked loop.
+    fn ragged(block: usize, blocks: usize) -> Vec<usize> {
+        let mut v: Vec<usize> = (1..=5).collect();
+        for i in 1..=blocks {
+            v.extend(i * block - 2..=i * block + 2);
+        }
+        v
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The reduction-order contract: the skinny tier gives the packed
+        /// tier's bits for every shape, `alpha` and `beta` — on both
+        /// sides of `SKINNY_MAX_M`, with n ragged against `NR`/`NC` and
+        /// k against `KC` (up to three depth blocks).
+        #[test]
+        fn skinny_is_bitwise_equal_to_packed(
+            m in 1usize..=2 * MR + 1,
+            n in prop::sample::select([ragged(NR, 3), ragged(NC, 2)].concat()),
+            k in prop::sample::select(ragged(KC, 3)),
+            alpha in prop::sample::select(vec![1.0f32, -0.75, 3.1]),
+            beta in prop::sample::select(vec![0.0f32, 1.0, 0.5]),
+            seed in 0u64..1000,
+        ) {
+            let a = Tensor::random_uniform(Shape::mat(m, k), 1.0, seed).into_vec();
+            let b = Tensor::random_uniform(Shape::mat(k, n), 1.0, seed + 1).into_vec();
+            let c0 = Tensor::random_uniform(Shape::mat(m, n), 1.0, seed + 2).into_vec();
+            // What `sgemm` does with beta before it picks a tier.
+            let scaled: Vec<f32> = c0.iter().map(|v| if beta == 0.0 { 0.0 } else { v * beta }).collect();
+            let mut packed = scaled.clone();
+            gemm_packed(m, n, k, alpha, &a, &b, &mut packed, 1);
+            let mut skinny = scaled;
+            gemm_skinny(m, n, k, alpha, &a, &b, &mut skinny);
+            prop_assert!(bits(&packed) == bits(&skinny), "m={m} n={n} k={k} alpha={alpha} beta={beta}");
+            // And through the front door, whichever of the two it picks.
+            if m * n * k >= PACK_MIN_VOLUME {
+                let mut front = c0;
+                sgemm(m, n, k, alpha, &a, &b, beta, &mut front, GemmOptions::default()).unwrap();
+                prop_assert!(bits(&packed) == bits(&front), "sgemm m={m} n={n} k={k} alpha={alpha} beta={beta}");
+            }
         }
     }
 }
