@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dnn::zoo::{self, App};
 use std::hint::black_box;
-use tensor::{Shape, Tensor, Threading};
+use tensor::{Conv2dParams, Pool2dParams, Shape, Tensor, Threading};
 
 fn bench_forward(c: &mut Criterion) {
     let mut group = c.benchmark_group("forward");
@@ -81,6 +81,61 @@ fn bench_forward_threaded(c: &mut Criterion) {
     group.finish();
 }
 
+/// The convolution lowering on its own: the two layers that are 80 % of
+/// a `dig` request (20 images) with the pools behind them, and the two
+/// AlexNet shapes that stress what LeNet does not — groups with padding,
+/// and an 11x11 stride-4 kernel. Recorded in `results/conv_lowering.txt`.
+fn bench_conv(c: &mut Criterion) {
+    let mut group = c.benchmark_group("conv");
+    group.sample_size(15);
+    let grouped = Conv2dParams {
+        groups: 2,
+        ..Conv2dParams::new(256, 5, 1, 2)
+    };
+    // (name, images, input channels, input side, geometry)
+    let cases = [
+        ("dig_conv1/20img", 20, 1, 28, Conv2dParams::new(10, 5, 1, 0)),
+        (
+            "dig_conv2/20img",
+            20,
+            10,
+            12,
+            Conv2dParams::new(20, 5, 1, 0),
+        ),
+        ("alexnet_conv2_g2_p2/1img", 1, 96, 27, grouped),
+        (
+            "alexnet_conv1_11x11_s4/1img",
+            1,
+            3,
+            227,
+            Conv2dParams::new(96, 11, 4, 0),
+        ),
+    ];
+    for (name, images, channels, side, p) in cases {
+        let input = Tensor::random_uniform(Shape::nchw(images, channels, side, side), 0.5, 9);
+        let weights = Tensor::random_uniform(
+            Shape::nchw(p.out_channels, channels / p.groups, p.kernel, p.kernel),
+            0.5,
+            10,
+        );
+        let bias = vec![0.1f32; p.out_channels];
+        group.throughput(Throughput::Elements(images as u64));
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(tensor::conv2d(&input, &weights, &bias, &p).unwrap()));
+        });
+    }
+    // The 2x2 stride-2 max pools that follow them in `dig`.
+    let pool = Pool2dParams::new(2, 2, 0);
+    for (name, channels, side) in [("dig_pool1/20img", 10, 24), ("dig_pool2/20img", 20, 8)] {
+        let input = Tensor::random_uniform(Shape::nchw(20, channels, side, side), 0.5, 11);
+        group.throughput(Throughput::Elements(20));
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(tensor::max_pool2d(&input, &pool).unwrap()));
+        });
+    }
+    group.finish();
+}
+
 fn bench_pipelines(c: &mut Criterion) {
     let mut group = c.benchmark_group("pre_post");
     group.sample_size(15);
@@ -111,6 +166,7 @@ criterion_group!(
     benches,
     bench_forward,
     bench_forward_threaded,
+    bench_conv,
     bench_pipelines
 );
 criterion_main!(benches);

@@ -5,6 +5,7 @@
 //! paper's batching optimization exploits): the input is unrolled into a
 //! column matrix and the kernel bank becomes the left GEMM operand.
 
+use crate::gemm::{packed_driver, sgemm_sums_in_packed_order, PackedA, PackedB};
 use crate::{partition, sgemm, GemmOptions, Result, Shape, Tensor, TensorError, Threading};
 
 /// Geometry of a 2-D convolution.
@@ -53,6 +54,80 @@ impl Conv2dParams {
         }
         Ok((padded - self.kernel) / self.stride + 1)
     }
+
+    /// `(input, output)` channels per group for an input of `c` channels.
+    fn split_channels(&self, c: usize, op: &'static str) -> Result<(usize, usize)> {
+        if self.groups == 0
+            || !c.is_multiple_of(self.groups)
+            || !self.out_channels.is_multiple_of(self.groups)
+        {
+            return Err(TensorError::InvalidParams {
+                op,
+                reason: format!(
+                    "channels {} / out {} not divisible by groups {}",
+                    c, self.out_channels, self.groups
+                ),
+            });
+        }
+        Ok((c / self.groups, self.out_channels / self.groups))
+    }
+}
+
+/// Output positions `o` in `0..out` whose tap `o * stride + tap - pad`
+/// lands inside `0..dim`; everything outside the range reads padding.
+fn valid_outputs(
+    tap: usize,
+    dim: usize,
+    out: usize,
+    stride: usize,
+    pad: usize,
+) -> std::ops::Range<usize> {
+    let lo = pad.saturating_sub(tap).div_ceil(stride);
+    let hi = if dim + pad > tap {
+        ((dim + pad - tap - 1) / stride + 1).min(out)
+    } else {
+        0
+    };
+    lo.min(hi)..hi
+}
+
+/// Walks the im2col matrix of one `c x h x w` image a row segment at a
+/// time: `emit(row, col, src, count)` says that columns
+/// `col..col + count` of matrix row `row` are `src[0], src[stride], ...`.
+/// Every element it does not mention is zero (a tap on the padding). The
+/// valid `oy` and `ox` ranges are worked out once per kernel row and
+/// column, so a segment is a whole output row's worth of in-image taps.
+fn im2col_segments(
+    image: &[f32],
+    (c, h, w): (usize, usize, usize),
+    (oh, ow): (usize, usize),
+    p: &Conv2dParams,
+    mut emit: impl FnMut(usize, usize, &[f32], usize),
+) {
+    let Conv2dParams {
+        kernel,
+        stride,
+        pad,
+        ..
+    } = *p;
+    for ch in 0..c {
+        let plane = &image[ch * h * w..(ch + 1) * h * w];
+        for ky in 0..kernel {
+            let oys = valid_outputs(ky, h, oh, stride, pad);
+            for kx in 0..kernel {
+                let oxs = valid_outputs(kx, w, ow, stride, pad);
+                if oxs.is_empty() {
+                    continue;
+                }
+                let row = (ch * kernel + ky) * kernel + kx;
+                let ix = oxs.start * stride + kx - pad;
+                for oy in oys.clone() {
+                    let iy = oy * stride + ky - pad;
+                    emit(row, oy * ow + oxs.start, &plane[iy * w + ix..], oxs.len());
+                }
+            }
+        }
+    }
 }
 
 /// Unrolls an `NCHW` input into the im2col matrix for one image.
@@ -60,6 +135,9 @@ impl Conv2dParams {
 /// The produced matrix has `c*kernel*kernel` rows and `out_h*out_w` columns;
 /// element `(ckk, xy)` is the input pixel that kernel position `ckk` covers
 /// at output location `xy` (zero where the kernel overhangs the padding).
+/// The forward convolution never builds this matrix ([`conv2d_with`]
+/// writes the same values straight into GEMM panels); training and the
+/// tests' oracle do.
 ///
 /// # Errors
 ///
@@ -75,46 +153,53 @@ pub fn im2col(image: &Tensor, c: usize, h: usize, w: usize, p: &Conv2dParams) ->
     let oh = p.out_dim(h)?;
     let ow = p.out_dim(w)?;
     let rows = c * p.kernel * p.kernel;
-    let cols = oh * ow;
-    let mut out = vec![0.0f32; rows * cols];
-    let data = image.data();
-    for ch in 0..c {
-        for ky in 0..p.kernel {
-            for kx in 0..p.kernel {
-                let row = (ch * p.kernel + ky) * p.kernel + kx;
-                for oy in 0..oh {
-                    let iy = (oy * p.stride + ky) as isize - p.pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * p.stride + kx) as isize - p.pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        out[row * cols + oy * ow + ox] =
-                            data[(ch * h + iy as usize) * w + ix as usize];
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(Shape::mat(rows, cols), out)
+    Tensor::from_vec(
+        Shape::mat(rows, oh * ow),
+        im2col_matrix(image.data(), (c, h, w), (oh, ow), p),
+    )
 }
 
-/// Resolved geometry shared by every image of one [`conv2d`] call.
-#[derive(Debug, Clone, Copy)]
-struct ConvGeom {
+/// [`im2col`] on a checked geometry: the row-major column matrix.
+fn im2col_matrix(
+    image: &[f32],
+    chw: (usize, usize, usize),
+    (oh, ow): (usize, usize),
+    p: &Conv2dParams,
+) -> Vec<f32> {
+    let cols = oh * ow;
+    let mut out = vec![0.0f32; chw.0 * p.kernel * p.kernel * cols];
+    im2col_segments(image, chw, (oh, ow), p, |row, col, src, count| {
+        let dst = &mut out[row * cols + col..][..count];
+        if p.stride == 1 {
+            dst.copy_from_slice(&src[..count]);
+        } else {
+            for (d, &v) in dst.iter_mut().zip(src.iter().step_by(p.stride)) {
+                *d = v;
+            }
+        }
+    });
+    out
+}
+
+/// One [`conv2d_with`] call after validation: what every image of the
+/// batch shares.
+struct ConvCall<'a> {
+    input: &'a [f32],
+    weights: &'a [f32],
+    bias: &'a [f32],
+    /// One group's geometry: `og` output channels over `cg` input channels.
+    group: Conv2dParams,
+    groups: usize,
+    cg: usize,
     h: usize,
     w: usize,
     oh: usize,
     ow: usize,
-    cg: usize,
-    og: usize,
-    /// GEMM inner dimension per group (`cg * k * k`).
-    wk: usize,
-    per_in: usize,
-    per_out: usize,
+    /// Each group's `og x wk` weight bank in the GEMM's panel layout,
+    /// packed once for the whole batch. Empty for the one shape class
+    /// whose bits `sgemm` sums in another order (see `run_images`).
+    packed_weights: Vec<PackedA>,
+    gemm_threads: usize,
 }
 
 /// 2-D convolution of an `NCHW` input with a weight bank, sequentially.
@@ -131,12 +216,20 @@ pub fn conv2d(input: &Tensor, weights: &Tensor, bias: &[f32], p: &Conv2dParams) 
 
 /// [`conv2d`] with a worker-thread budget.
 ///
+/// This is Caffe's im2col + GEMM lowering with the column matrix fused
+/// away: each group's weight bank is packed into the GEMM's A panels once
+/// per call, and each image's im2col columns are written directly in the
+/// GEMM's B panel layout, into one buffer per worker that every image of
+/// that worker reuses. The sums follow `sgemm`'s reduction-order
+/// contract, so the output is bit for bit what `im2col` → `sgemm` → add
+/// bias gives.
+///
 /// The batch dimension is split into contiguous image ranges, one scoped
-/// worker per range; each image is an independent im2col + GEMM, so the
-/// result is bitwise identical to the sequential path. Any budget left
-/// over after the batch split (e.g. a batch of one on a multi-core
-/// machine) flows into the per-image GEMM, which then parallelizes over
-/// output-channel row strips instead.
+/// worker per range; each image is independent, so the result is bitwise
+/// identical to the sequential path. Any budget left over after the batch
+/// split (e.g. a batch of one on a multi-core machine) flows into the
+/// per-image GEMM, which then parallelizes over output-channel row strips
+/// instead.
 ///
 /// # Errors
 ///
@@ -156,18 +249,9 @@ pub fn conv2d_with(
         });
     }
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    if c % p.groups != 0 || !p.out_channels.is_multiple_of(p.groups) {
-        return Err(TensorError::InvalidParams {
-            op: "conv2d",
-            reason: format!(
-                "channels {} / out {} not divisible by groups {}",
-                c, p.out_channels, p.groups
-            ),
-        });
-    }
-    let cg = c / p.groups;
-    let og = p.out_channels / p.groups;
-    if weights.len() != p.out_channels * cg * p.kernel * p.kernel {
+    let (cg, og) = p.split_channels(c, "conv2d")?;
+    let wk = cg * p.kernel * p.kernel;
+    if weights.len() != p.out_channels * wk {
         return Err(TensorError::InvalidParams {
             op: "conv2d",
             reason: format!(
@@ -188,46 +272,50 @@ pub fn conv2d_with(
     }
     let oh = p.out_dim(h)?;
     let ow = p.out_dim(w)?;
-    let geom = ConvGeom {
+    let mut out = Tensor::zeros(Shape::nchw(n, p.out_channels, oh, ow));
+
+    let img_workers = threading.workers_for(n);
+    let packed_weights = if sgemm_sums_in_packed_order(og, oh * ow, wk) {
+        weights
+            .data()
+            .chunks_exact(og * wk)
+            .map(|bank| PackedA::pack(og, wk, bank))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let call = ConvCall {
+        input: input.data(),
+        weights: weights.data(),
+        bias,
+        group: Conv2dParams {
+            out_channels: og,
+            groups: 1,
+            ..*p
+        },
+        groups: p.groups,
+        cg,
         h,
         w,
         oh,
         ow,
-        cg,
-        og,
-        wk: cg * p.kernel * p.kernel,
-        per_in: c * h * w,
-        per_out: p.out_channels * oh * ow,
+        packed_weights,
+        gemm_threads: (threading.threads / img_workers.max(1)).max(1),
     };
-    let mut out = Tensor::zeros(Shape::nchw(n, p.out_channels, oh, ow));
-
-    let img_workers = threading.workers_for(n);
-    let gemm_threads = (threading.threads / img_workers.max(1)).max(1);
     if img_workers <= 1 {
-        conv_image_range(
-            input.data(),
-            weights.data(),
-            bias,
-            p,
-            &geom,
-            0..n,
-            out.data_mut(),
-            gemm_threads,
-        )?;
+        call.run_images(0..n, out.data_mut())?;
         return Ok(out);
     }
 
-    let ranges = partition(n, img_workers);
+    let per_out = p.out_channels * oh * ow;
     let results = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ranges.len());
+        let mut handles = Vec::with_capacity(img_workers);
         let mut rest = out.data_mut();
-        let (x, wt, geom_ref) = (input.data(), weights.data(), &geom);
-        for &(img0, img1) in &ranges {
-            let (chunk, tail) = rest.split_at_mut((img1 - img0) * geom.per_out);
+        for (img0, img1) in partition(n, img_workers) {
+            let (chunk, tail) = rest.split_at_mut((img1 - img0) * per_out);
             rest = tail;
-            handles.push(scope.spawn(move || {
-                conv_image_range(x, wt, bias, p, geom_ref, img0..img1, chunk, gemm_threads)
-            }));
+            let call = &call;
+            handles.push(scope.spawn(move || call.run_images(img0..img1, chunk)));
         }
         handles
             .into_iter()
@@ -240,64 +328,71 @@ pub fn conv2d_with(
     Ok(out)
 }
 
-/// Convolves images `imgs.start..imgs.end`; `out` covers exactly those
-/// images' output volumes.
-#[allow(clippy::too_many_arguments)]
-fn conv_image_range(
-    input: &[f32],
-    weights: &[f32],
-    bias: &[f32],
-    p: &Conv2dParams,
-    geom: &ConvGeom,
-    imgs: std::ops::Range<usize>,
-    out: &mut [f32],
-    gemm_threads: usize,
-) -> Result<()> {
-    let ConvGeom {
-        h,
-        w,
-        oh,
-        ow,
-        cg,
-        og,
-        wk,
-        per_in,
-        per_out,
-    } = *geom;
-    let group_params = Conv2dParams {
-        out_channels: og,
-        groups: 1,
-        ..*p
-    };
-    let img0 = imgs.start;
-    for img in imgs {
-        for g in 0..p.groups {
-            // Slice out this group's input channels as a standalone image.
-            let img_slice = &input[img * per_in + g * cg * h * w..][..cg * h * w];
-            let img_t = Tensor::from_vec(Shape::nchw(1, cg, h, w), img_slice.to_vec())?;
-            let cols = im2col(&img_t, cg, h, w, &group_params)?;
-            let w_slice = &weights[g * og * wk..(g + 1) * og * wk];
-            let out_slice = &mut out[(img - img0) * per_out + g * og * oh * ow..][..og * oh * ow];
-            sgemm(
-                og,
-                oh * ow,
-                wk,
-                1.0,
-                w_slice,
-                cols.data(),
-                0.0,
-                out_slice,
-                GemmOptions::with_threads(gemm_threads),
-            )?;
-            for oc in 0..og {
-                let bv = bias[g * og + oc];
-                for v in &mut out_slice[oc * oh * ow..(oc + 1) * oh * ow] {
-                    *v += bv;
+impl ConvCall<'_> {
+    /// Convolves images `imgs.start..imgs.end`; `out` (zeroed) covers
+    /// exactly those images' output volumes.
+    fn run_images(&self, imgs: std::ops::Range<usize>, out: &mut [f32]) -> Result<()> {
+        let (og, cols) = (self.group.out_channels, self.oh * self.ow);
+        let chw = (self.cg, self.h, self.w);
+        let group_in = self.cg * self.h * self.w;
+        let wk = self.cg * self.group.kernel * self.group.kernel;
+        // The batch is a run of (image, group) blocks, in and out alike.
+        let first = imgs.start * self.groups * group_in;
+        let blocks = self.input[first..imgs.end * self.groups * group_in]
+            .chunks_exact(group_in)
+            .zip(out.chunks_exact_mut(og * cols))
+            .enumerate()
+            .map(|(i, (image, out))| (i % self.groups, image, out));
+
+        if self.packed_weights.is_empty() {
+            // Below `sgemm`'s packing volume with more than one depth
+            // block, its small-problem kernel associates the sum another
+            // way; such a call is a few hundred outputs, so it keeps the
+            // unfused lowering and with it those bits.
+            for (g, image, out) in blocks {
+                let columns = im2col_matrix(image, chw, (self.oh, self.ow), &self.group);
+                let bank = &self.weights[g * og * wk..(g + 1) * og * wk];
+                sgemm(
+                    og,
+                    cols,
+                    wk,
+                    1.0,
+                    bank,
+                    &columns,
+                    0.0,
+                    out,
+                    GemmOptions::default(),
+                )?;
+                for (plane, bv) in out.chunks_exact_mut(cols).zip(&self.bias[g * og..]) {
+                    plane.iter_mut().for_each(|v| *v += bv);
                 }
             }
+            return Ok(());
         }
+
+        // One column buffer for every image and group of this worker:
+        // the geometry fixes which elements are padding, those are never
+        // written, and the rest is overwritten each time.
+        let mut columns = PackedB::zeroed(wk, cols);
+        for (g, image, out) in blocks {
+            im2col_segments(
+                image,
+                chw,
+                (self.oh, self.ow),
+                &self.group,
+                |row, col, src, count| columns.put_row(row, col, src, self.group.stride, count),
+            );
+            packed_driver(
+                1.0,
+                &self.packed_weights[g],
+                &columns,
+                out,
+                Some(&self.bias[g * og..(g + 1) * og]),
+                self.gemm_threads,
+            );
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// The adjoint of [`im2col`]: scatters a column matrix back into image
@@ -369,8 +464,7 @@ pub fn conv2d_direct(
         });
     }
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    let cg = c / p.groups;
-    let og = p.out_channels / p.groups;
+    let (cg, og) = p.split_channels(c, "conv2d_direct")?;
     let oh = p.out_dim(h)?;
     let ow = p.out_dim(w)?;
     let mut out = Tensor::zeros(Shape::nchw(n, p.out_channels, oh, ow));
@@ -524,6 +618,265 @@ mod tests {
             (lhs - rhs).abs() < 1e-2 * lhs.abs().max(1.0),
             "{lhs} vs {rhs}"
         );
+    }
+
+    /// `groups == 0` is a geometry error like any other, not a division
+    /// by zero.
+    #[test]
+    fn zero_groups_is_an_error_not_a_panic() {
+        let input = Tensor::zeros(Shape::nchw(1, 2, 4, 4));
+        let weights = Tensor::zeros(Shape::nchw(2, 2, 3, 3));
+        let p = Conv2dParams {
+            groups: 0,
+            ..Conv2dParams::new(2, 3, 1, 0)
+        };
+        for result in [
+            conv2d(&input, &weights, &[0.0; 2], &p),
+            conv2d_direct(&input, &weights, &[0.0; 2], &p),
+        ] {
+            assert!(matches!(result, Err(TensorError::InvalidParams { .. })));
+        }
+    }
+
+    #[test]
+    fn valid_outputs_are_exactly_the_taps_inside_the_image() {
+        for (dim, kernel, stride, pad) in [
+            (5usize, 3usize, 1usize, 1usize),
+            (7, 4, 2, 2),
+            (2, 4, 1, 1),
+            (9, 11, 4, 2),
+        ] {
+            let out = (dim + 2 * pad - kernel) / stride + 1;
+            for tap in 0..kernel {
+                let want: Vec<usize> = (0..out)
+                    .filter(|o| (pad..dim + pad).contains(&(o * stride + tap)))
+                    .collect();
+                let got: Vec<usize> = valid_outputs(tap, dim, out, stride, pad).collect();
+                assert_eq!(
+                    want, got,
+                    "dim={dim} kernel={kernel} stride={stride} pad={pad} tap={tap}"
+                );
+            }
+        }
+    }
+
+    /// The definition of the column matrix, one bounds-tested element at
+    /// a time.
+    fn im2col_by_element(
+        image: &[f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        p: &Conv2dParams,
+    ) -> Vec<f32> {
+        let (oh, ow) = (p.out_dim(h).unwrap(), p.out_dim(w).unwrap());
+        let mut out = Vec::new();
+        for ch in 0..c {
+            for ky in 0..p.kernel {
+                for kx in 0..p.kernel {
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let (iy, ix) = (oy * p.stride + ky, ox * p.stride + kx);
+                            let inside = (p.pad..h + p.pad).contains(&iy)
+                                && (p.pad..w + p.pad).contains(&ix);
+                            out.push(if inside {
+                                image[(ch * h + iy - p.pad) * w + ix - p.pad]
+                            } else {
+                                0.0
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// One convolution's shape: batch, groups, channels per group in and
+    /// out, image height and width, kernel, stride, pad.
+    #[derive(Debug, Clone, Copy)]
+    struct Geometry {
+        n: usize,
+        groups: usize,
+        cg: usize,
+        og: usize,
+        h: usize,
+        w: usize,
+        kernel: usize,
+        stride: usize,
+        pad: usize,
+    }
+
+    impl Geometry {
+        fn params(&self) -> Conv2dParams {
+            Conv2dParams {
+                out_channels: self.groups * self.og,
+                kernel: self.kernel,
+                stride: self.stride,
+                pad: self.pad,
+                groups: self.groups,
+            }
+        }
+
+        /// `(m, n, k)` of each image-and-group GEMM.
+        fn gemm_shape(&self) -> (usize, usize, usize) {
+            let p = self.params();
+            let cols = p.out_dim(self.h).unwrap() * p.out_dim(self.w).unwrap();
+            (self.og, cols, self.cg * self.kernel * self.kernel)
+        }
+    }
+
+    /// The lowering `conv2d_with` replaces, through public functions
+    /// only: per image and group, `im2col`, then `sgemm` on whichever
+    /// tier the shape picks, then the bias.
+    fn conv_unfused(input: &Tensor, weights: &Tensor, bias: &[f32], g: &Geometry) -> Vec<f32> {
+        let (og, cols, wk) = g.gemm_shape();
+        let group = Conv2dParams {
+            out_channels: og,
+            groups: 1,
+            ..g.params()
+        };
+        let mut out = vec![0.0f32; g.n * g.groups * og * cols];
+        let images = input.data().chunks_exact(g.cg * g.h * g.w);
+        for (i, (image, out)) in images.zip(out.chunks_exact_mut(og * cols)).enumerate() {
+            let grp = i % g.groups;
+            let image = Tensor::from_vec(Shape::nchw(1, g.cg, g.h, g.w), image.to_vec()).unwrap();
+            let columns = im2col(&image, g.cg, g.h, g.w, &group).unwrap();
+            let bank = &weights.data()[grp * og * wk..(grp + 1) * og * wk];
+            sgemm(
+                og,
+                cols,
+                wk,
+                1.0,
+                bank,
+                columns.data(),
+                0.0,
+                out,
+                GemmOptions::default(),
+            )
+            .unwrap();
+            for (plane, bv) in out.chunks_exact_mut(cols).zip(&bias[grp * og..]) {
+                plane.iter_mut().for_each(|v| *v += bv);
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_fused_equals_unfused(g: &Geometry, threads: usize, seed: u64) {
+        let p = g.params();
+        let input = Tensor::random_uniform(Shape::nchw(g.n, g.groups * g.cg, g.h, g.w), 1.0, seed);
+        let weights = Tensor::random_uniform(
+            Shape::nchw(p.out_channels, g.cg, g.kernel, g.kernel),
+            1.0,
+            seed + 1,
+        );
+        let bias = Tensor::random_uniform(Shape::mat(1, p.out_channels), 1.0, seed + 2).into_vec();
+        let want = conv_unfused(&input, &weights, &bias, g);
+        let got = conv2d_with(&input, &weights, &bias, &p, Threading::new(threads)).unwrap();
+        assert!(
+            bits(&want) == bits(got.data()),
+            "{g:?} threads={threads}: fused conv differs from im2col + sgemm + bias"
+        );
+    }
+
+    /// Which path of `sgemm` the unfused lowering takes for a geometry.
+    fn tier(g: &Geometry) -> &'static str {
+        use crate::gemm::{KC, PACK_MIN_VOLUME, SKINNY_MAX_M};
+        let (m, n, k) = g.gemm_shape();
+        match (m * n * k < PACK_MIN_VOLUME, k > KC, m <= SKINNY_MAX_M) {
+            (true, false, _) => "blocked",
+            (true, true, _) => "blocked, two depth blocks",
+            (false, _, true) => "skinny",
+            (false, _, false) => "packed",
+        }
+    }
+
+    /// Named geometries, one or more per tier of the unfused lowering:
+    /// the two `dig` layers, `tiny-mnist`, AlexNet's grouped and padded
+    /// conv2 and its 11x11 stride-4 conv1 in miniature, a skinny bank
+    /// deeper than `KC`, and the one class that must stay unfused.
+    #[test]
+    fn fused_conv_is_bitwise_im2col_sgemm_bias_on_every_tier() {
+        let geometry = |n, groups, cg, og, hw: (usize, usize), kernel, stride, pad| Geometry {
+            n,
+            groups,
+            cg,
+            og,
+            h: hw.0,
+            w: hw.1,
+            kernel,
+            stride,
+            pad,
+        };
+        let cases = [
+            (geometry(3, 1, 1, 10, (28, 28), 5, 1, 0), "packed"),
+            (geometry(3, 1, 10, 20, (12, 12), 5, 1, 0), "packed"),
+            (geometry(2, 1, 1, 4, (12, 12), 3, 1, 0), "blocked"),
+            (geometry(2, 2, 6, 16, (13, 11), 5, 1, 2), "packed"),
+            (geometry(1, 1, 3, 12, (39, 43), 11, 4, 0), "packed"),
+            (geometry(2, 3, 12, 5, (11, 14), 5, 2, 1), "skinny"),
+            (
+                geometry(2, 1, 3, 2, (12, 11), 11, 1, 1),
+                "blocked, two depth blocks",
+            ),
+            (geometry(4, 2, 2, 3, (5, 7), 4, 4, 2), "blocked"),
+        ];
+        for (g, want_tier) in &cases {
+            assert_eq!(tier(g), *want_tier, "{g:?}");
+            for threads in [1usize, 2, 4, 7] {
+                assert_fused_equals_unfused(g, threads, 40);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// The same equality over drawn geometries: kernels up to 11x11,
+        /// strides 1/2/4, pads up to 2, groups, non-square images whose
+        /// `oh * ow` is ragged against the panel width, and depths
+        /// (`cg * kernel^2`, up to 484) on both sides of `KC`.
+        #[test]
+        fn fused_conv_is_bitwise_im2col_sgemm_bias(
+            n in 1usize..=4,
+            groups in prop::sample::select(vec![1usize, 2, 3]),
+            cg in 1usize..=4,
+            og in prop::sample::select(vec![1usize, 2, 3, 5, 8, 9, 13]),
+            kernel in 1usize..=11,
+            stride in prop::sample::select(vec![1usize, 2, 4]),
+            pad in 0usize..=2,
+            extra_h in 0usize..14,
+            extra_w in 0usize..14,
+            threads in prop::sample::select(vec![1usize, 2, 4, 7]),
+            seed in 0u64..1000,
+        ) {
+            // The smallest image the padded kernel fits, plus `extra`.
+            let side = |extra: usize| (kernel + extra).saturating_sub(2 * pad).max(1);
+            let g = Geometry { n, groups, cg, og, h: side(extra_h), w: side(extra_w), kernel, stride, pad };
+            assert_fused_equals_unfused(&g, threads, seed);
+        }
+
+        #[test]
+        fn im2col_matches_its_definition(
+            c in 1usize..=3,
+            kernel in 1usize..=6,
+            stride in prop::sample::select(vec![1usize, 2, 4]),
+            pad in 0usize..=3,
+            extra_h in 0usize..9,
+            extra_w in 0usize..9,
+            seed in 0u64..1000,
+        ) {
+            let side = |extra: usize| (kernel + extra).saturating_sub(2 * pad).max(1);
+            let (h, w) = (side(extra_h), side(extra_w));
+            let p = Conv2dParams::new(1, kernel, stride, pad);
+            let image = Tensor::random_uniform(Shape::nchw(1, c, h, w), 1.0, seed);
+            let got = im2col(&image, c, h, w, &p).unwrap();
+            prop_assert!(bits(got.data()) == bits(&im2col_by_element(image.data(), c, h, w, &p)));
+        }
     }
 
     proptest! {

@@ -7,11 +7,13 @@
 //! everything else. The packed kernel lays A out in `MR`-row column-major
 //! micro-panels and B in `NR`-column row-major micro-panels so the
 //! register-blocked `MR x NR` micro-kernel streams both operands at unit
-//! stride. The parallel driver packs B once, shares it read-only, and
-//! splits C's rows into `MR`-aligned strips across `std::thread::scope`
-//! workers; each worker packs its own A panels. Because every C row is
-//! computed in the same order regardless of the split, parallel results
-//! are bitwise identical to sequential.
+//! stride. Both operands are packed once per call and shared read-only;
+//! the driver splits C's rows into `MR`-aligned strips across
+//! `std::thread::scope` workers. Because every C row is computed in the
+//! same order regardless of the split, parallel results are bitwise
+//! identical to sequential. The convolution runs on the same driver: it
+//! packs a group's weights as A once per call and writes each image's
+//! im2col columns straight into B's panel layout (`crate::conv`).
 //!
 //! The skinny and packed tiers share one **reduction-order contract**,
 //! which is what makes them interchangeable bit for bit: for each
@@ -30,12 +32,12 @@ const NR: usize = 8;
 /// Row-dimension block size; an `MC x KC` packed A block stays in L2.
 const MC: usize = 64;
 /// Depth block size; a `KC x NR` packed B micro-panel stays in L1.
-const KC: usize = 256;
+pub(crate) const KC: usize = 256;
 /// Column-dimension block size (must be a multiple of `NR`).
 const NC: usize = 256;
 /// Problems below this `m * n * k` volume skip packing: the O(mk + kn)
 /// copy costs more than it saves on matrices this small.
-const PACK_MIN_VOLUME: usize = 32 * 32 * 32;
+pub(crate) const PACK_MIN_VOLUME: usize = 32 * 32 * 32;
 /// Calls of at most this many rows take the no-pack kernel. Packing B
 /// reads and writes all of it once before the first multiply, and with
 /// at most two A micro-panels each packed panel is then used at most
@@ -45,7 +47,7 @@ const PACK_MIN_VOLUME: usize = 32 * 32 * 32;
 /// micro-panels because that last margin is the size of the measuring
 /// host's noise and the no-pack kernel is single-threaded — a taller
 /// call has row strips for `GemmOptions::threads` to spread over cores.
-const SKINNY_MAX_M: usize = 2 * MR;
+pub(crate) const SKINNY_MAX_M: usize = 2 * MR;
 
 /// Tuning options for [`sgemm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -367,6 +369,45 @@ pub fn gemm_skinny(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32
 // Packed kernel
 // ---------------------------------------------------------------------------
 
+/// A packed for the micro-kernel: `MR`-row micro-panels, KC-blocked along
+/// the depth dimension, zero-padded to full panels.
+///
+/// Layout: the depth block starting at column `pc` (of depth `kb`)
+/// occupies `kb * padded_m` floats starting at `pc * padded_m`; within
+/// it, row panel `rp` is `kb * MR` contiguous floats, depth-major (`MR`
+/// values of depth `pc`, then depth `pc + 1`, ...).
+pub(crate) struct PackedA {
+    data: Vec<f32>,
+    m: usize,
+    padded_m: usize,
+}
+
+impl PackedA {
+    /// Packs the row-major `m x k` matrix `a`.
+    pub(crate) fn pack(m: usize, k: usize, a: &[f32]) -> PackedA {
+        let padded_m = m.div_ceil(MR) * MR;
+        let mut data = vec![0.0f32; k * padded_m];
+        for pc in (0..k).step_by(KC) {
+            let kb = KC.min(k - pc);
+            let block = &mut data[pc * padded_m..][..kb * padded_m];
+            for (i, row) in a.chunks_exact(k).enumerate() {
+                let lane = &mut block[(i - i % MR) * kb + i % MR..];
+                for (dst, &v) in lane.iter_mut().step_by(MR).zip(&row[pc..pc + kb]) {
+                    *dst = v;
+                }
+            }
+        }
+        PackedA { data, m, padded_m }
+    }
+
+    /// The `kb * MR` micro-panel for depth block `pc` and row panel `rp`.
+    #[inline]
+    fn panel(&self, pc: usize, kb: usize, rp: usize) -> &[f32] {
+        let base = pc * self.padded_m + rp * MR * kb;
+        &self.data[base..base + MR * kb]
+    }
+}
+
 /// B packed for the micro-kernel: row-major `NR`-column micro-panels,
 /// KC-blocked along the depth dimension, zero-padded to full panels.
 ///
@@ -374,8 +415,15 @@ pub fn gemm_skinny(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32
 /// `kb * padded_n` floats starting at `pc * padded_n`; within it, column
 /// panel `jp` is `kb * NR` contiguous floats, depth-major (`NR` values of
 /// row `pc`, then row `pc + 1`, ...).
-struct PackedB {
+///
+/// Two fillers produce it: [`PackedB::pack`] copies a row-major matrix,
+/// and the convolution writes im2col rows straight into a
+/// [`PackedB::zeroed`] buffer with [`PackedB::put_row`], so the column
+/// matrix never exists in row-major form.
+pub(crate) struct PackedB {
     data: Vec<f32>,
+    k: usize,
+    n: usize,
     padded_n: usize,
 }
 
@@ -402,7 +450,56 @@ impl PackedB {
             }
         }
         debug_assert_eq!(data.len(), k * padded_n);
-        PackedB { data, padded_n }
+        PackedB {
+            data,
+            k,
+            n,
+            padded_n,
+        }
+    }
+
+    /// An all-zero `k x n` matrix, to be filled with [`PackedB::put_row`].
+    /// What is never written — panel padding, and for a convolution the
+    /// taps that fall on the border — stays zero however often the rest
+    /// is overwritten.
+    pub(crate) fn zeroed(k: usize, n: usize) -> PackedB {
+        let padded_n = n.div_ceil(NR) * NR;
+        PackedB {
+            data: vec![0.0; k * padded_n],
+            k,
+            n,
+            padded_n,
+        }
+    }
+
+    /// Sets `count` consecutive elements of row `p`, from column `j0`, to
+    /// `src[0], src[step], src[2 * step], ...`.
+    #[inline]
+    pub(crate) fn put_row(&mut self, p: usize, j0: usize, src: &[f32], step: usize, count: usize) {
+        debug_assert!(p < self.k && j0 + count <= self.n);
+        let pc = p - p % KC;
+        let kb = KC.min(self.k - pc);
+        // Column `j` of this row sits at `row + (j / NR) * NR * kb + j % NR`.
+        let row = pc * self.padded_n + (p - pc) * NR;
+        let (mut j, end, mut at) = (j0, j0 + count, 0);
+        while j < end {
+            let lane = j % NR;
+            let len = (NR - lane).min(end - j);
+            let dst = &mut self.data[row + (j - lane) * kb + lane..][..len];
+            if step != 1 {
+                for (d, &v) in dst.iter_mut().zip(src[at..].iter().step_by(step)) {
+                    *d = v;
+                }
+            } else if len == NR {
+                // A fixed-size copy: two vector moves, not a `memcpy` call.
+                let whole: &mut [f32; NR] = dst.try_into().expect("len == NR");
+                *whole = src[at..at + NR].try_into().expect("NR elements");
+            } else {
+                dst.copy_from_slice(&src[at..at + len]);
+            }
+            j += len;
+            at += len * step;
+        }
     }
 
     /// The `kb * NR` micro-panel for depth block `pc` and column panel `jp`.
@@ -410,34 +507,6 @@ impl PackedB {
     fn panel(&self, pc: usize, kb: usize, jp: usize) -> &[f32] {
         let base = pc * self.padded_n + jp * NR * kb;
         &self.data[base..base + NR * kb]
-    }
-}
-
-/// Packs an `mb x kb` block of A (rows `ic..ic+mb`, depth `pc..pc+kb`)
-/// into `MR`-row micro-panels: depth-major within each panel (`MR` values
-/// of depth `pc`, then depth `pc + 1`, ...), zero-padded to full panels.
-fn pack_a_block(
-    a: &[f32],
-    k: usize,
-    ic: usize,
-    mb: usize,
-    pc: usize,
-    kb: usize,
-    buf: &mut Vec<f32>,
-) {
-    let panels = mb.div_ceil(MR);
-    buf.clear();
-    buf.resize(panels * MR * kb, 0.0);
-    for rp in 0..panels {
-        let base = rp * MR * kb;
-        let rows = MR.min(mb - rp * MR);
-        for r in 0..rows {
-            let row = ic + rp * MR + r;
-            let src = &a[row * k + pc..row * k + pc + kb];
-            for (pp, &v) in src.iter().enumerate() {
-                buf[base + pp * MR + r] = v;
-            }
-        }
     }
 }
 
@@ -462,43 +531,51 @@ fn microkernel(kb: usize, pa: &[f32], pb: &[f32], acc: &mut [f32; MR * NR]) {
     }
 }
 
-/// Runs the packed kernel over the row strip `r0..r1`, writing into
-/// `c_strip` (the `(r1 - r0) * n` slice of C starting at row `r0`).
-#[allow(clippy::too_many_arguments)]
-fn gemm_strip(
+/// The packed tier's one loop nest, over the `MR`-aligned row strip
+/// `r0..r1`: `c_strip` (the `(r1 - r0) * n` slice of C starting at row
+/// `r0`) takes `alpha * A B` block by block as the reduction-order
+/// contract says, and `bias[i]`, if given, is added to row `i` after its
+/// last depth block — the same bits as a separate pass over the finished
+/// product.
+fn packed_strip(
     r0: usize,
     r1: usize,
-    n: usize,
-    k: usize,
     alpha: f32,
-    a: &[f32],
-    packed_b: &PackedB,
+    a: &PackedA,
+    b: &PackedB,
     c_strip: &mut [f32],
+    bias: Option<&[f32]>,
 ) {
-    let mut packed_a = Vec::new();
+    let (n, k) = (b.n, b.k);
     for jc in (0..n).step_by(NC) {
         let ncb = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kb = KC.min(k - pc);
+            let bias = bias.filter(|_| pc + kb == k);
             for ic in (r0..r1).step_by(MC) {
                 let mb = MC.min(r1 - ic);
-                pack_a_block(a, k, ic, mb, pc, kb, &mut packed_a);
-                let row_panels = mb.div_ceil(MR);
                 for jp in jc / NR..(jc + ncb).div_ceil(NR) {
                     let j0 = jp * NR;
                     let nb = NR.min(n - j0);
-                    let pb = packed_b.panel(pc, kb, jp);
-                    for rp in 0..row_panels {
-                        let pa = &packed_a[rp * MR * kb..(rp + 1) * MR * kb];
+                    let pb = b.panel(pc, kb, jp);
+                    for rp in ic / MR..(ic + mb).div_ceil(MR) {
                         let mut acc = [0.0f32; MR * NR];
-                        microkernel(kb, pa, pb, &mut acc);
-                        let i0 = ic + rp * MR;
-                        let rows = MR.min(r1 - i0);
-                        for r in 0..rows {
-                            let co = (i0 - r0 + r) * n + j0;
-                            let crow = &mut c_strip[co..co + nb];
-                            for (cv, &av) in crow.iter_mut().zip(&acc[r * NR..r * NR + nb]) {
-                                *cv += alpha * av;
+                        microkernel(kb, a.panel(pc, kb, rp), pb, &mut acc);
+                        let i0 = rp * MR;
+                        for (r, acc_row) in acc.chunks_exact(NR).take(r1 - i0).enumerate() {
+                            let crow = &mut c_strip[(i0 - r0 + r) * n + j0..][..nb];
+                            match bias {
+                                None => {
+                                    for (cv, &av) in crow.iter_mut().zip(acc_row) {
+                                        *cv += alpha * av;
+                                    }
+                                }
+                                Some(bias) => {
+                                    let bv = bias[i0 + r];
+                                    for (cv, &av) in crow.iter_mut().zip(acc_row) {
+                                        *cv = (*cv + alpha * av) + bv;
+                                    }
+                                }
                             }
                         }
                     }
@@ -508,27 +585,23 @@ fn gemm_strip(
     }
 }
 
-/// Packed driver: packs B once (shared read-only), then runs row strips
-/// sequentially or across up to `threads` scoped threads. Strips are
-/// `MR`-panel aligned, so each C row is produced by exactly the same
-/// instruction sequence in both modes — thread count never changes the
-/// result. Public as an ablation tier for the GEMM benchmarks, like
-/// [`gemm_blocked`]: `C += alpha * A B`, no transposes or beta.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_packed(
-    m: usize,
-    n: usize,
-    k: usize,
+/// Packed driver, `C += alpha * A B (+ bias per row)` from operands
+/// already in panel form: runs the row strips sequentially or across up
+/// to `threads` scoped threads. Strips are `MR`-panel aligned, so each C
+/// row is produced by exactly the same instruction sequence in both
+/// modes — thread count never changes the result.
+pub(crate) fn packed_driver(
     alpha: f32,
-    a: &[f32],
-    b: &[f32],
+    a: &PackedA,
+    b: &PackedB,
     c: &mut [f32],
+    bias: Option<&[f32]>,
     threads: usize,
 ) {
+    let (m, n) = (a.m, b.n);
     let threads = threads.max(1).min(m.div_ceil(MR));
-    let packed_b = PackedB::pack(k, n, b);
     if threads <= 1 {
-        gemm_strip(0, m, n, k, alpha, a, &packed_b, c);
+        packed_strip(0, m, alpha, a, b, c, bias);
         return;
     }
 
@@ -541,13 +614,37 @@ pub fn gemm_packed(
             let rows = rows_per.min(m - r0);
             let (strip, tail) = rest.split_at_mut(rows * n);
             rest = tail;
-            let packed_b = &packed_b;
-            scope.spawn(move || {
-                gemm_strip(r0, r0 + rows, n, k, alpha, a, packed_b, strip);
-            });
+            scope.spawn(move || packed_strip(r0, r0 + rows, alpha, a, b, strip, bias));
             r0 += rows;
         }
     });
+}
+
+/// Packed tier: packs A and B once each (shared read-only by every
+/// worker), then hands them to the packed driver. Public as an ablation
+/// tier for the GEMM benchmarks, like [`gemm_blocked`]:
+/// `C += alpha * A B`, no transposes or beta.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_packed(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    threads: usize,
+) {
+    let (a, b) = (PackedA::pack(m, k, a), PackedB::pack(k, n, b));
+    packed_driver(alpha, &a, &b, c, None, threads);
+}
+
+/// Whether [`sgemm`] with `alpha == 1`, `beta == 0` gives this shape the
+/// packed tier's bits. The skinny tier always does; the blocked one sums
+/// straight into a zeroed C in ascending depth, which is the packed
+/// order as long as there is a single depth block.
+pub(crate) fn sgemm_sums_in_packed_order(m: usize, n: usize, k: usize) -> bool {
+    m * n * k >= PACK_MIN_VOLUME || k <= KC
 }
 
 /// Cache-blocked out-of-place transpose of a row-major `rows x cols`

@@ -62,34 +62,83 @@ fn pool2d(
     let oh = p.out_dim(h)?;
     let ow = p.out_dim(w)?;
     let mut out = Tensor::zeros(Shape::nchw(n, c, oh, ow));
-    let x = input.data();
-    for img in 0..n {
-        for ch in 0..c {
-            let base = (img * c + ch) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = init;
-                    let mut count = 0usize;
-                    for ky in 0..p.kernel {
-                        let iy = (oy * p.stride + ky) as isize - p.pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..p.kernel {
-                            let ix = (ox * p.stride + kx) as isize - p.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            acc = fold(acc, x[base + iy as usize * w + ix as usize]);
-                            count += 1;
-                        }
-                    }
-                    out.data_mut()[((img * c + ch) * oh + oy) * ow + ox] = finish(acc, count);
-                }
-            }
+    // With no padding and the last window ending inside the image, no
+    // window needs an edge test.
+    let last_end = |o: usize| (o - 1) * p.stride + p.kernel;
+    let interior = p.pad == 0 && last_end(oh) <= h && last_end(ow) <= w;
+    let planes = input.data().chunks_exact(h * w);
+    for (plane, out) in planes.zip(out.data_mut().chunks_exact_mut(oh * ow)) {
+        if interior {
+            pool_plane_interior(plane, w, out, ow, p, init, &fold, &finish);
+        } else {
+            pool_plane(plane, (h, w), out, ow, p, init, &fold, &finish);
         }
     }
     Ok(out)
+}
+
+/// Pools one `h x w` channel plane into `out` (`ow` wide), testing every
+/// tap against the image edge: windows may hang over the padding or, with
+/// ceiling division, over the bottom and right edges.
+#[allow(clippy::too_many_arguments)]
+fn pool_plane(
+    plane: &[f32],
+    (h, w): (usize, usize),
+    out: &mut [f32],
+    ow: usize,
+    p: &Pool2dParams,
+    init: f32,
+    fold: &impl Fn(f32, f32) -> f32,
+    finish: &impl Fn(f32, usize) -> f32,
+) {
+    for (oy, out_row) in out.chunks_exact_mut(ow).enumerate() {
+        for (ox, o) in out_row.iter_mut().enumerate() {
+            let mut acc = init;
+            let mut count = 0usize;
+            for ky in 0..p.kernel {
+                let iy = (oy * p.stride + ky) as isize - p.pad as isize;
+                if iy < 0 || iy >= h as isize {
+                    continue;
+                }
+                for kx in 0..p.kernel {
+                    let ix = (ox * p.stride + kx) as isize - p.pad as isize;
+                    if ix < 0 || ix >= w as isize {
+                        continue;
+                    }
+                    acc = fold(acc, plane[iy as usize * w + ix as usize]);
+                    count += 1;
+                }
+            }
+            *o = finish(acc, count);
+        }
+    }
+}
+
+/// [`pool_plane`] when every window lies inside the image: each window
+/// row is a slice of `kernel` taps, folded in the same order.
+#[allow(clippy::too_many_arguments)]
+fn pool_plane_interior(
+    plane: &[f32],
+    w: usize,
+    out: &mut [f32],
+    ow: usize,
+    p: &Pool2dParams,
+    init: f32,
+    fold: &impl Fn(f32, f32) -> f32,
+    finish: &impl Fn(f32, usize) -> f32,
+) {
+    for (oy, out_row) in out.chunks_exact_mut(ow).enumerate() {
+        let rows = &plane[oy * p.stride * w..][..p.kernel * w];
+        for (ox, o) in out_row.iter_mut().enumerate() {
+            let mut acc = init;
+            for row in rows.chunks_exact(w) {
+                for &v in &row[ox * p.stride..][..p.kernel] {
+                    acc = fold(acc, v);
+                }
+            }
+            *o = finish(acc, p.kernel * p.kernel);
+        }
+    }
 }
 
 /// Max-pooling: each output is the maximum over its window (ignoring the
@@ -163,6 +212,49 @@ mod tests {
         let input = Tensor::filled(Shape::nchw(1, 1, 2, 2), -3.0);
         let out = max_pool2d(&input, &Pool2dParams::new(2, 1, 1)).unwrap();
         assert!(out.data().iter().all(|&v| v == -3.0));
+    }
+
+    /// `pool2d` against the edge-tested loop run on every plane, as
+    /// bits, for a max and an averaging fold.
+    fn assert_pool2d_equals_edge_tested_loop(h: usize, w: usize, p: &Pool2dParams) {
+        let input = Tensor::random_uniform(Shape::nchw(2, 3, h, w), 4.0, (h * 31 + w) as u64);
+        let (oh, ow) = (p.out_dim(h).unwrap(), p.out_dim(w).unwrap());
+        type Fold = fn(f32, f32) -> f32;
+        let folds: [(f32, Fold); 2] = [(f32::NEG_INFINITY, f32::max), (0.0, |a, b| a + b)];
+        for (init, fold) in folds {
+            let finish = |acc: f32, count: usize| acc / count as f32;
+            let mut want = vec![0.0f32; 6 * oh * ow];
+            for (plane, out) in input
+                .data()
+                .chunks_exact(h * w)
+                .zip(want.chunks_exact_mut(oh * ow))
+            {
+                pool_plane(plane, (h, w), out, ow, p, init, &fold, &finish);
+            }
+            let got = pool2d(&input, p, init, fold, finish).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&want), bits(got.data()), "{h}x{w} {p:?}");
+        }
+    }
+
+    /// The interior fast path gives the edge-tested loop's bits where it
+    /// runs (windows tiling the image, overlapping inside it, one window
+    /// the size of the image), and does not run where a window leaves the
+    /// image: over a ceil-mode ragged edge, or over padding.
+    #[test]
+    fn interior_fast_path_equals_the_edge_tested_loop() {
+        for (h, w, kernel, stride, pad) in [
+            (24usize, 24usize, 2usize, 2usize, 0usize), // dig pool1
+            (7, 9, 3, 2, 0),                            // overlapping, ends flush
+            (6, 6, 6, 1, 0),                            // window = image
+            (7, 4, 4, 3, 0),                            // window = image width
+            (5, 5, 2, 2, 0),                            // ceil mode: last window hangs over
+            (7, 8, 3, 2, 0),                            // ragged on one axis only
+            (6, 6, 3, 1, 1),                            // padded border
+            (4, 5, 2, 2, 1),                            // padded and ragged
+        ] {
+            assert_pool2d_equals_edge_tested_loop(h, w, &Pool2dParams::new(kernel, stride, pad));
+        }
     }
 
     #[test]

@@ -4,10 +4,14 @@
 //! batch. Alone and in a pair the call is at most `SKINNY_MAX_M` rows and
 //! takes the no-pack kernel; as row 17 of 33 it takes the packed one. The
 //! serving invariants (batched ≡ solo, cache hit ≡ miss, remote ≡ local)
-//! all rest on the two agreeing bit for bit.
+//! all rest on the two agreeing bit for bit. The convolutional networks
+//! are held to the same: an image's output does not depend on the batch
+//! it rides in or on how the batch is split over threads — the fused
+//! im2col-into-panels convolution packs weights once per call and reuses
+//! one column buffer per worker, and neither may leak between images.
 
 use djinn_tonic::dnn::{zoo, NetDef, Network};
-use djinn_tonic::tensor::{sgemm, GemmOptions, Shape, Tensor};
+use djinn_tonic::tensor::{sgemm, GemmOptions, Shape, Tensor, Threading};
 
 /// Where the probed row sits in the tall call, and how tall that is.
 const ROW: usize = 17;
@@ -126,4 +130,53 @@ fn tiny_lm_forward_is_row_independent() {
     let def = zoo::tiny_lm();
     let depth = def.depth();
     assert_forward_is_row_independent(def, depth);
+}
+
+/// Where the probed image sits in the batch, and how many ride along —
+/// one `compute_dig` request is 20 images.
+const IMAGE: usize = 7;
+const IMAGES: usize = 20;
+
+/// One image through a convolutional `def`: alone, as image 7 of 20
+/// under `forward_with` on 1, 2 and 4 threads (the in-layer image split,
+/// with its leftover GEMM budget), and under `forward_sharded` (whole
+/// stacks per shard) — the same bits every time.
+fn assert_forward_is_image_independent(def: NetDef) {
+    let name = def.name().to_string();
+    let shape = def.input_shape().clone();
+    let per_image = shape.volume();
+    let net = Network::with_random_weights(def, 0xC0FFEE).unwrap();
+    let image = Tensor::random_uniform(shape.clone(), 1.0, 7);
+    let alone = net.forward(&image).unwrap();
+    let width = alone.len();
+
+    let mut batch = Tensor::random_uniform(shape.with_batch(IMAGES), 1.0, 8).into_vec();
+    batch[IMAGE * per_image..(IMAGE + 1) * per_image].copy_from_slice(image.data());
+    let batch = Tensor::from_vec(shape.with_batch(IMAGES), batch).unwrap();
+    for threads in [1usize, 2, 4] {
+        let budget = Threading::new(threads);
+        for (how, out) in [
+            ("forward_with", net.forward_with(&batch, budget).unwrap()),
+            (
+                "forward_sharded",
+                net.forward_sharded(&batch, budget).unwrap(),
+            ),
+        ] {
+            assert_eq!(
+                bits(alone.data()),
+                bits(&out.data()[IMAGE * width..(IMAGE + 1) * width]),
+                "{name}: alone vs image {IMAGE} of {IMAGES}, {how} on {threads} threads"
+            );
+        }
+    }
+}
+
+#[test]
+fn dig_forward_is_image_independent() {
+    assert_forward_is_image_independent(zoo::netdef(zoo::App::Dig));
+}
+
+#[test]
+fn tiny_mnist_forward_is_image_independent() {
+    assert_forward_is_image_independent(zoo::tiny_mnist());
 }
