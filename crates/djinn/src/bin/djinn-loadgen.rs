@@ -10,8 +10,8 @@
 //! ```
 //!
 //! `--pipeline N` keeps up to N requests in flight per connection
-//! (protocol v4 correlates responses by request ID, so replies may
-//! return out of order); the default of 1 is the classic closed loop.
+//! (responses are correlated by request ID, so replies may return
+//! out of order); the default of 1 is the classic closed loop.
 //! Pipelining is what keeps a batched server's coalescing window full
 //! from a single connection.
 //!
@@ -61,7 +61,7 @@
 //! the legacy behavior, a 100% duplicate stream.
 //!
 //! `--stream` switches the closed loop to generative streaming: each
-//! "request" is one protocol-v7 `StreamInfer` that decodes `--tokens`
+//! "request" is one `StreamInfer` that decodes `--tokens`
 //! tokens (default 16), delivered as ordered chunks. The report moves
 //! to the per-token SLA class — aggregate tokens/s, time-to-first-token
 //! (TTFT) p50/p99, inter-token gap p50/p99, and whole-stream totals —
@@ -899,8 +899,6 @@ fn main() -> ExitCode {
     );
 
     // Per-stage latency breakdown from the server's echoed trace blocks.
-    // Pre-v3 servers echo none: the aggregator leaves the wire (and
-    // other server-side) rows `n/a` rather than printing fake zeros.
     let mut agg = TraceAggregator::new();
     for r in &records {
         agg.record(r);

@@ -21,7 +21,7 @@
 //! `--export DIR` writes the built-in models as `.djnm` files and exits
 //! (a way to bootstrap a model repository). `--lm` additionally serves
 //! the `textgen` generative LM (a small MLP language model decoded
-//! token-at-a-time over protocol-v7 streams — pair with
+//! token-at-a-time over `StreamInfer` streams — pair with
 //! `djinn-loadgen --stream`).
 //!
 //! `--only a,b` restricts the loaded registry to the named models — how

@@ -45,10 +45,9 @@ struct PendingInfer {
     sent_bytes: u64,
 }
 
-/// One partial response of a streaming inference (protocol v7): the
-/// chunk's tensor, its position in the stream, and the server's span
-/// breakdown (whose `first_token_us`/`tokens` fields carry the
-/// per-token telemetry).
+/// One partial response of a streaming inference: the chunk's tensor,
+/// its position in the stream, and the server's span breakdown (whose
+/// `first_token_us`/`tokens` fields carry the per-token telemetry).
 #[derive(Debug)]
 pub struct StreamChunk {
     /// Zero-based position of this chunk within its stream.
@@ -88,9 +87,9 @@ enum Routed {
 /// # Correlation, not order
 ///
 /// Every request carries a client-assigned ID which the server echoes on
-/// the response (protocol v4 echoes it on *every* frame — `Busy` and
-/// error frames included), and the client matches responses to requests
-/// **by ID, never by arrival order**. A response that outlived its
+/// the response (on *every* frame — `Busy` and error frames included),
+/// and the client matches responses to requests **by ID, never by
+/// arrival order**. A response that outlived its
 /// request (the classic case: a read timeout fired, then the late answer
 /// arrived) is recognized as stale and discarded instead of being
 /// returned as the answer to the next call. A response that correlates
@@ -134,7 +133,7 @@ pub struct DjinnClient {
     /// In-flight infer requests by ID.
     pending: HashMap<u64, PendingInfer>,
     /// Pending IDs in submission order — the fallback attribution order
-    /// for uncorrelated (pre-v4 or ID-0) responses.
+    /// for uncorrelated (ID-0) responses.
     order: VecDeque<u64>,
     /// IDs whose responses were abandoned (a timeout fired while waiting
     /// for them); their late responses are drained and discarded.
@@ -420,7 +419,7 @@ impl DjinnClient {
 
     /// Like [`DjinnClient::stats`], additionally returning the server's
     /// aggregate count of infer requests rejected for naming an
-    /// unregistered model (0 from a pre-v4 server).
+    /// unregistered model.
     ///
     /// # Errors
     ///
@@ -440,10 +439,9 @@ impl DjinnClient {
         }
     }
 
-    /// Starts a streaming inference (protocol v7) and returns its
-    /// stream ID; chunks are claimed with [`DjinnClient::recv_chunk`].
-    /// Any number of streams and one-shot infers may share the
-    /// connection.
+    /// Starts a streaming inference and returns its stream ID; chunks
+    /// are claimed with [`DjinnClient::recv_chunk`]. Any number of
+    /// streams and one-shot infers may share the connection.
     ///
     /// # Errors
     ///
@@ -606,10 +604,9 @@ impl DjinnClient {
             return Ok(None);
         }
         let id = if wire_id == 0 {
-            // A pre-v4 peer (or an error for an undecodable request)
-            // carries no ID: fall back to order-based attribution
-            // against the oldest in-flight request — all a legacy,
-            // strictly serial server permits anyway.
+            // ID 0 answers a frame whose own ID the server could not
+            // read: fall back to order-based attribution against the
+            // oldest in-flight request.
             match self.order.front().copied() {
                 Some(oldest) => oldest,
                 None => {
@@ -638,13 +635,7 @@ impl DjinnClient {
         self.order.retain(|&o| o != id);
         let e2e_us = p.sent.elapsed().as_micros() as u64;
         let result = match rsp {
-            Response::Output { tensor, mut trace } => {
-                // A pre-v3 server echoes no trace; keep the ID the
-                // caller chose so the record still identifies the
-                // request.
-                if trace.request_id == 0 {
-                    trace.request_id = id;
-                }
+            Response::Output { tensor, trace } => {
                 // Both frames' wire footprint: each is payload + the
                 // 4-byte length prefix (the request size already
                 // includes its prefix).
@@ -779,17 +770,14 @@ impl DjinnClient {
                 }
             };
             match &rsp {
-                // A pre-v4 server echoes no ID on control frames; with
-                // one blocking control call at a time, the match is
-                // unambiguous.
                 Response::Models { request_id, .. } | Response::Stats { request_id, .. }
-                    if *request_id == want_id || *request_id == 0 =>
+                    if *request_id == want_id =>
                 {
                     return Ok(rsp);
                 }
                 // An uncorrelated (id-0) error while a control call is
                 // blocked answers the control call, *regardless* of
-                // infers in flight: a v4 server stamps every infer's ID
+                // infers in flight: the server stamps every infer's ID
                 // on its error frames, so the only request of ours an
                 // id-0 error can answer is one the server failed to
                 // decode — and the frame most recently at risk is this

@@ -1,8 +1,9 @@
 //! The DjiNN wire protocol: length-prefixed binary frames over TCP.
 //!
 //! Every message is `[u32 length | payload]` (little-endian length of the
-//! payload). Payloads begin with the 4-byte magic `DJNN` and a version
-//! byte, then an opcode:
+//! payload; every integer on the wire is little endian). Payloads begin
+//! with the 4-byte magic `DJNN`, the version byte [`VERSION`] and an
+//! opcode:
 //!
 //! ```text
 //! request   := magic version opcode=1 name:str id:u64 tensor
@@ -16,44 +17,39 @@
 //! stream_req:= magic version opcode=8 name:str id:u64 mode:u8 param:u32 tensor
 //! chunk     := magic version opcode=9 status=0 trace seq:u32 flags:u8 tensor
 //! str       := u16 len, utf-8 bytes
-//! tensor    := u8 rank, u32 dim*, f32 data* (little endian)
-//! trace     := id:u64 queue_us:u64 batch_us:u64 [lease_us:u64] service_us:u64 total_us:u64
+//! tensor    := u8 rank, u32 dim*, f32 data*
+//! trace     := 9 x u64 (72 bytes): id queue_us batch_us lease_us service_us
+//!              server_total_us cache_hit first_token_us tokens
+//! entry     := name:str, then 23 x u64: requests errors total_latency_us
+//!              max_latency_us queue_depth in_flight shed
+//!              p50,p99 queue_wait_us  p50,p99 batch_wait_us
+//!              p50,p99 service_us  p50,p99 wire_us  p50,p99 lease_wait_us
+//!              cache_hits cache_misses cache_evictions
+//!              tokens_out  p50,p99 token_gap_us
 //! ```
 //!
-//! # Versioning
+//! Every frame names the request it is, or answers, by a client-assigned
+//! `id:u64` at a fixed offset per kind: right after the name in `request`
+//! and `stream_req`, at payload offset 6 in control frames and `busy`, at
+//! offset 7 — behind the status byte, as the error's own field or the
+//! first word of the trace block — in results and chunks. So a connection
+//! is full duplex (responses arrive in any order and clients demultiplex
+//! by ID, see `DjinnClient::pipeline`) and a proxy forwards a frame by
+//! patching those 8 bytes in place ([`peek_request`],
+//! [`response_id_slot`]). ID 0 is reserved for the error that answers a
+//! frame whose ID could not be read. A `stream_req` is answered by N
+//! ordered `chunk` frames, seq-numbered from 0, the last with `flags`
+//! bit 0 set.
 //!
-//! Version 2 added the `busy` frame (admission-control backpressure) and
-//! extended each stats entry with queue telemetry (depth, in-flight,
-//! shed, p50/p99 queue wait). Version 3 added request tracing: an infer
-//! request carries a client-assigned `id:u64` after the model name, a
-//! successful response carries a 40-byte `trace` block (the echoed ID
-//! plus queue/batch/service/server-total durations in microseconds)
-//! before the tensor, and each stats entry appends six breakdown
-//! quantiles (p50/p99 × batch-wait, service, wire). Version 4 makes
-//! correlation by ID total: *every* request and response frame now
-//! carries the request ID — `result_err` and `busy` echo the ID of the
-//! infer they answer (so a shed or failed request can never be confused
-//! with its neighbor), `list_req`/`stats_req` carry one and
-//! `list_rsp`/`stats_rsp` echo it — and `stats_rsp` gains an aggregate
-//! `unknown:u64` counter of requests rejected for naming an unregistered
-//! model. With IDs on every frame the connection is full-duplex:
-//! responses may arrive in any order and clients demultiplex by ID (see
-//! `DjinnClient::pipeline`). Version 5 adds shared-device scheduling
-//! telemetry: the trace block grows to 48 bytes with a `lease_us:u64`
-//! (time the dispatch blocked acquiring its compute lease) between
-//! `batch_us` and `service_us`, and each stats entry appends two lease
-//! quantiles (p50/p99 lease wait). Version 7 opens the streaming regime:
-//! a `stream_req` asks for one request to be answered by N ordered
-//! `chunk` frames (each seq-numbered, the last carrying the `final` flag
-//! bit 0), the trace block grows to 72 bytes with trailing
-//! `first_token_us`/`tokens` words (time from admission to the first
-//! emitted chunk, and total chunks emitted), and each stats entry
-//! appends three per-token words (`tokens_out`, p50/p99 inter-token
-//! gap). Decoders accept every version from 1 up to
-//! [`VERSION`]: fields a version predates decode as zero (request ID 0
-//! means "untraced"/"uncorrelated"; an all-zero trace means "the peer
-//! reported none"), so a v4 client still understands a v1 server's reply
-//! and vice versa. Encoders always emit [`VERSION`].
+//! # One version
+//!
+//! [`VERSION`] is the only layout this module writes or reads. Client,
+//! server, router and load generator ship from one workspace and are
+//! deployed together; any change to the layouts above bumps [`VERSION`],
+//! and a frame stamped with any other version is refused with a
+//! [`DjinnError::Protocol`] naming both numbers — which a server sends
+//! back as an `Error` frame, so a peer left behind gets a typed refusal
+//! instead of a misparse.
 //!
 //! # Framing under timeouts
 //!
@@ -79,8 +75,8 @@ use crate::{DjinnError, Result};
 
 /// Protocol magic bytes.
 pub const MAGIC: &[u8; 4] = b"DJNN";
-/// Protocol version this implementation speaks. Decoding accepts any
-/// version in `1..=VERSION`.
+/// The one protocol version this implementation speaks: stamped on every
+/// frame it encodes, required of every frame it decodes.
 pub const VERSION: u8 = 7;
 /// Upper bound on a frame, to reject hostile lengths (64 MiB holds the
 /// largest Tonic batch comfortably).
@@ -104,7 +100,7 @@ const STATUS_ERR: u8 = 1;
 /// `chunk` frame flag bit: this is the stream's last chunk.
 const CHUNK_FLAG_FINAL: u8 = 1;
 
-/// How a v7 `stream_req` wants its N partial responses produced.
+/// How a `stream_req` wants its N partial responses produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamMode {
     /// Sliding-window evaluation (streaming ASR): the input's rows are
@@ -157,35 +153,31 @@ pub enum Request {
         model: String,
         /// Input tensor (batch axis = queries stacked by the client).
         input: Tensor,
-        /// Client-assigned trace ID, echoed in the response's trace
-        /// block. 0 means "untraced" (and is what a v1/v2 frame decodes
-        /// as). IDs are client-scoped; the server never interprets them.
+        /// Client-assigned ID, echoed by whatever frame answers the
+        /// request. IDs are client-scoped; the server never interprets
+        /// them.
         request_id: u64,
     },
     /// List registered model names.
     ListModels {
-        /// Client-assigned correlation ID, echoed by the response (0
-        /// from a pre-v4 frame, which carried none).
+        /// Client-assigned correlation ID, echoed by the response.
         request_id: u64,
     },
     /// Fetch per-model service statistics.
     Stats {
-        /// Client-assigned correlation ID, echoed by the response (0
-        /// from a pre-v4 frame, which carried none).
+        /// Client-assigned correlation ID, echoed by the response.
         request_id: u64,
     },
     /// Run streaming inference on `model`: the server answers with N
     /// ordered [`Response::Chunk`] frames (the last flagged final)
-    /// instead of one `Output`. v7+.
+    /// instead of one `Output`.
     StreamInfer {
         /// Registered model name.
         model: String,
         /// Seed input: the feature-frame matrix for windowed mode, the
         /// one-hot prompt token for generative mode.
         input: Tensor,
-        /// Client-assigned trace ID, echoed by every chunk of the
-        /// stream. Unlike one-shot infer, 0 is not meaningful here —
-        /// chunks are only correlatable by ID.
+        /// Client-assigned ID, echoed by every chunk of the stream.
         request_id: u64,
         /// How to produce the partial responses.
         mode: StreamMode,
@@ -217,60 +209,51 @@ pub struct ModelStats {
     pub total_latency_us: u64,
     /// Maximum single-request device latency, microseconds.
     pub max_latency_us: u64,
-    /// Jobs waiting in the model's admission queue at snapshot time
-    /// (0 when decoding a v1 peer).
+    /// Jobs waiting in the model's admission queue at snapshot time.
     pub queue_depth: u64,
-    /// Jobs executing on the backend at snapshot time (0 from a v1 peer).
+    /// Jobs executing on the backend at snapshot time.
     pub in_flight: u64,
-    /// Requests shed at admission with `Busy` (0 from a v1 peer).
+    /// Requests shed at admission with `Busy`.
     pub shed: u64,
-    /// Median queue wait before dispatch, microseconds (0 from a v1 peer).
+    /// Median queue wait before dispatch, microseconds.
     pub p50_queue_wait_us: u64,
-    /// 99th-percentile queue wait, microseconds (0 from a v1 peer).
+    /// 99th-percentile queue wait, microseconds.
     pub p99_queue_wait_us: u64,
     /// Median batch coalescing wait (dequeue → executor start),
-    /// microseconds (0 from a pre-v3 peer).
+    /// microseconds.
     pub p50_batch_wait_us: u64,
-    /// 99th-percentile batch coalescing wait, microseconds (0 from a
-    /// pre-v3 peer).
+    /// 99th-percentile batch coalescing wait, microseconds.
     pub p99_batch_wait_us: u64,
     /// Median device-lease wait (shared-device scheduling), microseconds
-    /// (0 from a pre-v5 peer or a dedicated device).
+    /// (0 on a dedicated device).
     pub p50_lease_wait_us: u64,
-    /// 99th-percentile device-lease wait, microseconds (0 from a pre-v5
-    /// peer).
+    /// 99th-percentile device-lease wait, microseconds.
     pub p99_lease_wait_us: u64,
-    /// Median service (forward-pass) latency, microseconds (0 from a
-    /// pre-v3 peer).
+    /// Median service (forward-pass) latency, microseconds.
     pub p50_service_us: u64,
-    /// 99th-percentile service latency, microseconds (0 from a pre-v3
-    /// peer).
+    /// 99th-percentile service latency, microseconds.
     pub p99_service_us: u64,
     /// Median response-write (wire) time as seen by the server,
-    /// microseconds (0 from a pre-v3 peer).
+    /// microseconds.
     pub p50_wire_us: u64,
-    /// 99th-percentile response-write time, microseconds (0 from a
-    /// pre-v3 peer).
+    /// 99th-percentile response-write time, microseconds.
     pub p99_wire_us: u64,
     /// Requests answered by the inference cache without touching the
-    /// queue, lease, or executor (0 from a pre-v6 peer or with
-    /// caching off). Exact-match hits count requests; embedding-layer
-    /// hits count rows.
+    /// queue, lease, or executor (0 with caching off). Exact-match hits
+    /// count requests; embedding-layer hits count rows.
     pub cache_hits: u64,
     /// Cache lookups that found nothing and fell through to the full
-    /// serving path (0 from a pre-v6 peer).
+    /// serving path.
     pub cache_misses: u64,
-    /// Cache entries evicted to stay under the byte budget (0 from a
-    /// pre-v6 peer).
+    /// Cache entries evicted to stay under the byte budget.
     pub cache_evictions: u64,
     /// Stream chunks (tokens / partial hypotheses) emitted by streaming
-    /// requests against this model (0 from a pre-v7 peer).
+    /// requests against this model.
     pub tokens_out: u64,
     /// Median gap between consecutive chunks of a stream, microseconds
-    /// (0 from a pre-v7 peer or with no streaming traffic).
+    /// (0 with no streaming traffic).
     pub p50_token_gap_us: u64,
-    /// 99th-percentile inter-chunk gap, microseconds (0 from a pre-v7
-    /// peer).
+    /// 99th-percentile inter-chunk gap, microseconds.
     pub p99_token_gap_us: u64,
 }
 
@@ -285,7 +268,7 @@ impl ModelStats {
     }
 
     /// Cache hits over cache lookups, 0.0 when nothing was looked up
-    /// (caching off, or a pre-v6 peer).
+    /// (caching off).
     pub fn cache_hit_rate(&self) -> f64 {
         let lookups = self.cache_hits + self.cache_misses;
         if lookups == 0 {
@@ -296,10 +279,9 @@ impl ModelStats {
     }
 }
 
-/// A server→client message. Since v4 every variant carries the ID of
-/// the request it answers ([`Response::request_id`]), so responses can
-/// arrive in any order and clients correlate by ID instead of trusting
-/// arrival order.
+/// A server→client message. Every variant carries the ID of the request
+/// it answers ([`Response::request_id`]), so responses can arrive in any
+/// order and clients correlate by ID instead of trusting arrival order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// Successful inference: the output tensor plus the server-side
@@ -307,32 +289,31 @@ pub enum Response {
     Output {
         /// The prediction.
         tensor: Tensor,
-        /// Server-side span durations and the echoed request ID
-        /// (all-zero when decoding a pre-v3 peer).
+        /// Server-side span durations and the echoed request ID.
         trace: ServerTrace,
     },
     /// Application-level failure.
     Error {
-        /// ID of the request that failed (0 from a pre-v4 peer, or when
-        /// the request itself was undecodable).
+        /// ID of the request that failed (0 when the request's own ID
+        /// could not be read).
         request_id: u64,
         /// Server-provided message.
         message: String,
     },
     /// Registered model names.
     Models {
-        /// Echoed `list_req` correlation ID (0 from a pre-v4 peer).
+        /// Echoed `list_req` correlation ID.
         request_id: u64,
         /// The names.
         names: Vec<String>,
     },
     /// Per-model service statistics.
     Stats {
-        /// Echoed `stats_req` correlation ID (0 from a pre-v4 peer).
+        /// Echoed `stats_req` correlation ID.
         request_id: u64,
         /// Total infer requests rejected because they named a model the
         /// server does not serve. One aggregate counter — unknown names
-        /// never create per-model entries (0 from a pre-v4 peer).
+        /// never create per-model entries.
         unknown_model_requests: u64,
         /// Per-model entries, registered models only.
         stats: Vec<ModelStats>,
@@ -340,14 +321,14 @@ pub enum Response {
     /// The model's admission queue is full: the request was shed, not
     /// queued. The client should back off and retry.
     Busy {
-        /// ID of the shed request (0 from a pre-v4 peer).
+        /// ID of the shed request.
         request_id: u64,
         /// Model whose queue rejected the request.
         model: String,
         /// Queue depth observed at admission (the configured bound).
         queue_depth: u32,
     },
-    /// One partial response of a streaming request (v7+). A
+    /// One partial response of a streaming request. A
     /// [`Request::StreamInfer`] is answered by a run of these, ordered
     /// by `seq` and closed by the one with `last` set; each carries the
     /// stream's request ID in its trace block.
@@ -367,8 +348,8 @@ pub enum Response {
 
 impl Response {
     /// The ID of the request this response answers. 0 means
-    /// uncorrelated: a pre-v4 peer, an untraced request, or an error
-    /// answering an undecodable frame.
+    /// uncorrelated: an error answering a frame whose ID could not be
+    /// read.
     pub fn request_id(&self) -> u64 {
         match self {
             Response::Output { trace, .. } | Response::Chunk { trace, .. } => trace.request_id,
@@ -504,66 +485,48 @@ fn err(reason: &str) -> DjinnError {
     }
 }
 
-/// Reads the correlation ID v4 added to control and error frames; a
-/// pre-v4 frame has none and decodes as the uncorrelated sentinel 0.
-fn get_request_id(buf: &mut &[u8], version: u8) -> Result<u64> {
-    if version < 4 {
-        return Ok(0);
+/// Reads the 8-byte request ID at `at` in a raw payload — how the
+/// no-decode readers ([`peek_request`], [`response_id_slot`]) get at it.
+fn raw_id(payload: &[u8], at: usize) -> Result<u64> {
+    match payload.get(at..at + 8) {
+        Some(id) => Ok(u64::from_le_bytes(id.try_into().expect("8 bytes"))),
+        None => Err(err("truncated request id")),
     }
-    if buf.remaining() < 8 {
-        return Err(err("truncated request id"));
-    }
-    Ok(buf.get_u64_le())
 }
 
-/// Reads the trace block prefixed to successful results: 40 bytes from
-/// a v3/v4 peer, 48 from v5 (which inserts `lease_us` between the batch
-/// and service spans), 56 from v6 (which appends a cache-hit word — at
-/// the *end*, so the request ID keeps its fixed offset for in-place
-/// rewriting; see [`response_id_slot`]), 72 from v7 (which appends the
-/// per-token words `first_token_us` and `tokens`, again trailing). A
-/// pre-v3 response has none and decodes as the all-zero "peer reported
-/// none" trace.
-fn get_trace(buf: &mut &[u8], version: u8) -> Result<ServerTrace> {
-    if version < 3 {
-        return Ok(ServerTrace::default());
-    }
-    let len = match version {
-        3 | 4 => 40,
-        5 => 48,
-        6 => 56,
-        _ => 72,
-    };
-    if buf.remaining() < len {
+fn get_request_id(buf: &mut &[u8]) -> Result<u64> {
+    let id = raw_id(buf, 0)?;
+    buf.advance(8);
+    Ok(id)
+}
+
+/// Bytes in a trace block: nine `u64` words.
+const TRACE_LEN: usize = 72;
+/// `u64` words in a stats entry, after its name.
+const STATS_WORDS: usize = 23;
+
+/// Reads the trace block prefixed to successful results and chunks. The
+/// request ID is its first word, so it sits at one offset whatever
+/// follows (see [`response_id_slot`]).
+fn get_trace(buf: &mut &[u8]) -> Result<ServerTrace> {
+    if buf.remaining() < TRACE_LEN {
         return Err(err("truncated trace block"));
     }
-    let request_id = buf.get_u64_le();
-    let queue_us = buf.get_u64_le();
-    let batch_us = buf.get_u64_le();
-    let lease_us = if version >= 5 { buf.get_u64_le() } else { 0 };
-    let service_us = buf.get_u64_le();
-    let server_total_us = buf.get_u64_le();
-    let cache_hit = version >= 6 && buf.get_u64_le() != 0;
-    let (first_token_us, tokens) = if version >= 7 {
-        (buf.get_u64_le(), buf.get_u64_le())
-    } else {
-        (0, 0)
-    };
     Ok(ServerTrace {
-        request_id,
-        queue_us,
-        batch_us,
-        lease_us,
-        service_us,
-        server_total_us,
-        cache_hit,
-        first_token_us,
-        tokens,
+        request_id: buf.get_u64_le(),
+        queue_us: buf.get_u64_le(),
+        batch_us: buf.get_u64_le(),
+        lease_us: buf.get_u64_le(),
+        service_us: buf.get_u64_le(),
+        server_total_us: buf.get_u64_le(),
+        cache_hit: buf.get_u64_le() != 0,
+        first_token_us: buf.get_u64_le(),
+        tokens: buf.get_u64_le(),
     })
 }
 
-/// Writes the 72-byte v7 trace block — shared by the `Output` and
-/// `Chunk` encoders so both stay byte-identical in layout.
+/// Writes the trace block — shared by the `Output` and `Chunk` encoders
+/// so both stay byte-identical in layout.
 fn put_trace(buf: &mut BytesMut, trace: &ServerTrace) {
     buf.put_u64_le(trace.request_id);
     buf.put_u64_le(trace.queue_us);
@@ -582,10 +545,9 @@ fn header(buf: &mut BytesMut, opcode: u8) {
     buf.put_u8(opcode);
 }
 
-/// Validates magic and version; returns `(version, opcode)`. Every
-/// version from 1 through [`VERSION`] is accepted so newer peers can
-/// still decode frames from older ones.
-fn check_header(buf: &mut &[u8]) -> Result<(u8, u8)> {
+/// Validates magic and version; returns the opcode. [`VERSION`] is the
+/// only version accepted — the one place a wire version is compared.
+fn check_header(buf: &mut &[u8]) -> Result<u8> {
     if buf.remaining() < 6 {
         return Err(err("frame shorter than header"));
     }
@@ -595,10 +557,12 @@ fn check_header(buf: &mut &[u8]) -> Result<(u8, u8)> {
         return Err(err("bad magic"));
     }
     let version = buf.get_u8();
-    if !(1..=VERSION).contains(&version) {
-        return Err(err(&format!("unsupported version {version}")));
+    if version != VERSION {
+        return Err(err(&format!(
+            "unsupported protocol version {version}: this peer speaks only version {VERSION}"
+        )));
     }
-    Ok((version, buf.get_u8()))
+    Ok(buf.get_u8())
 }
 
 /// Encodes an infer payload from borrowed parts — shared by
@@ -720,20 +684,10 @@ impl Request {
     /// Returns [`DjinnError::Protocol`] for any malformed frame.
     pub fn decode(mut payload: &[u8]) -> Result<Self> {
         let buf = &mut payload;
-        let (version, opcode) = check_header(buf)?;
-        match opcode {
+        match check_header(buf)? {
             OP_INFER => {
                 let model = get_str(buf)?;
-                // v3 added the client-assigned trace ID; a pre-v3 frame
-                // has none and decodes as the untraced sentinel 0.
-                let request_id = if version >= 3 {
-                    if buf.remaining() < 8 {
-                        return Err(err("truncated request id"));
-                    }
-                    buf.get_u64_le()
-                } else {
-                    0
-                };
+                let request_id = get_request_id(buf)?;
                 let input = get_tensor(buf)?;
                 Ok(Request::Infer {
                     model,
@@ -742,15 +696,12 @@ impl Request {
                 })
             }
             OP_LIST => Ok(Request::ListModels {
-                request_id: get_request_id(buf, version)?,
+                request_id: get_request_id(buf)?,
             }),
             OP_STATS => Ok(Request::Stats {
-                request_id: get_request_id(buf, version)?,
+                request_id: get_request_id(buf)?,
             }),
             OP_STREAM_INFER => {
-                if version < 7 {
-                    return Err(err("stream_req frames require protocol v7"));
-                }
                 let model = get_str(buf)?;
                 if buf.remaining() < 8 + 1 + 4 {
                     return Err(err("truncated stream request"));
@@ -910,7 +861,7 @@ impl Response {
         data: &mut Vec<f32>,
     ) -> Result<(Shape, ServerTrace)> {
         let buf = &mut payload;
-        let (version, opcode) = check_header(buf)?;
+        let opcode = check_header(buf)?;
         if opcode != OP_RESULT {
             return Err(err(&format!(
                 "expected an inference result, got opcode {opcode}"
@@ -925,7 +876,7 @@ impl Response {
                 "expected a successful result, got status {status}"
             )));
         }
-        let trace = get_trace(buf, version)?;
+        let trace = get_trace(buf)?;
         let shape = get_tensor_into(buf, data)?;
         Ok((shape, trace))
     }
@@ -937,31 +888,27 @@ impl Response {
     /// Returns [`DjinnError::Protocol`] for any malformed frame.
     pub fn decode(mut payload: &[u8]) -> Result<Self> {
         let buf = &mut payload;
-        let (version, opcode) = check_header(buf)?;
-        match opcode {
+        match check_header(buf)? {
             OP_RESULT => {
                 if buf.remaining() < 1 {
                     return Err(err("truncated status"));
                 }
                 match buf.get_u8() {
                     STATUS_OK => {
-                        let trace = get_trace(buf, version)?;
+                        let trace = get_trace(buf)?;
                         Ok(Response::Output {
                             tensor: get_tensor(buf)?,
                             trace,
                         })
                     }
                     STATUS_ERR => Ok(Response::Error {
-                        request_id: get_request_id(buf, version)?,
+                        request_id: get_request_id(buf)?,
                         message: get_str(buf)?,
                     }),
                     s => Err(err(&format!("unknown status {s}"))),
                 }
             }
             OP_OUTPUT_CHUNK => {
-                if version < 7 {
-                    return Err(err("chunk frames require protocol v7"));
-                }
                 if buf.remaining() < 1 {
                     return Err(err("truncated status"));
                 }
@@ -969,7 +916,7 @@ impl Response {
                 if status != STATUS_OK {
                     return Err(err(&format!("unknown chunk status {status}")));
                 }
-                let trace = get_trace(buf, version)?;
+                let trace = get_trace(buf)?;
                 if buf.remaining() < 5 {
                     return Err(err("truncated chunk sequence"));
                 }
@@ -983,7 +930,7 @@ impl Response {
                 })
             }
             OP_LIST_RESULT => {
-                let request_id = get_request_id(buf, version)?;
+                let request_id = get_request_id(buf)?;
                 if buf.remaining() < 2 {
                     return Err(err("truncated model count"));
                 }
@@ -995,94 +942,46 @@ impl Response {
                 Ok(Response::Models { request_id, names })
             }
             OP_STATS_RESULT => {
-                let request_id = get_request_id(buf, version)?;
-                let unknown_model_requests = if version >= 4 {
-                    if buf.remaining() < 8 {
-                        return Err(err("truncated unknown-model counter"));
-                    }
-                    buf.get_u64_le()
-                } else {
-                    0
-                };
-                if buf.remaining() < 2 {
-                    return Err(err("truncated stats count"));
+                let request_id = get_request_id(buf)?;
+                if buf.remaining() < 8 + 2 {
+                    return Err(err("truncated stats header"));
                 }
+                let unknown_model_requests = buf.get_u64_le();
                 let count = buf.get_u16_le() as usize;
-                // v1 entries carry 4 u64 counters; v2 appends 5 more for
-                // queue telemetry; v3 appends 6 breakdown quantiles; v5
-                // appends 2 lease-wait quantiles; v6 appends 3 cache
-                // counters; v7 appends 3 per-token words. Fields a
-                // version predates decode as 0.
-                let words = match version {
-                    1 => 4,
-                    2 => 9,
-                    3 | 4 => 15,
-                    5 => 17,
-                    6 => 20,
-                    _ => 23,
-                };
                 let mut stats = Vec::with_capacity(count);
                 for _ in 0..count {
                     let model = get_str(buf)?;
-                    if buf.remaining() < words * 8 {
+                    if buf.remaining() < STATS_WORDS * 8 {
                         return Err(err("truncated stats entry"));
                     }
-                    let mut entry = ModelStats {
+                    // Fields in wire order (the encoder's), which is not
+                    // the struct's declaration order.
+                    stats.push(ModelStats {
                         model,
                         requests: buf.get_u64_le(),
                         errors: buf.get_u64_le(),
                         total_latency_us: buf.get_u64_le(),
                         max_latency_us: buf.get_u64_le(),
-                        queue_depth: 0,
-                        in_flight: 0,
-                        shed: 0,
-                        p50_queue_wait_us: 0,
-                        p99_queue_wait_us: 0,
-                        p50_batch_wait_us: 0,
-                        p99_batch_wait_us: 0,
-                        p50_service_us: 0,
-                        p99_service_us: 0,
-                        p50_wire_us: 0,
-                        p99_wire_us: 0,
-                        p50_lease_wait_us: 0,
-                        p99_lease_wait_us: 0,
-                        cache_hits: 0,
-                        cache_misses: 0,
-                        cache_evictions: 0,
-                        tokens_out: 0,
-                        p50_token_gap_us: 0,
-                        p99_token_gap_us: 0,
-                    };
-                    if version >= 2 {
-                        entry.queue_depth = buf.get_u64_le();
-                        entry.in_flight = buf.get_u64_le();
-                        entry.shed = buf.get_u64_le();
-                        entry.p50_queue_wait_us = buf.get_u64_le();
-                        entry.p99_queue_wait_us = buf.get_u64_le();
-                    }
-                    if version >= 3 {
-                        entry.p50_batch_wait_us = buf.get_u64_le();
-                        entry.p99_batch_wait_us = buf.get_u64_le();
-                        entry.p50_service_us = buf.get_u64_le();
-                        entry.p99_service_us = buf.get_u64_le();
-                        entry.p50_wire_us = buf.get_u64_le();
-                        entry.p99_wire_us = buf.get_u64_le();
-                    }
-                    if version >= 5 {
-                        entry.p50_lease_wait_us = buf.get_u64_le();
-                        entry.p99_lease_wait_us = buf.get_u64_le();
-                    }
-                    if version >= 6 {
-                        entry.cache_hits = buf.get_u64_le();
-                        entry.cache_misses = buf.get_u64_le();
-                        entry.cache_evictions = buf.get_u64_le();
-                    }
-                    if version >= 7 {
-                        entry.tokens_out = buf.get_u64_le();
-                        entry.p50_token_gap_us = buf.get_u64_le();
-                        entry.p99_token_gap_us = buf.get_u64_le();
-                    }
-                    stats.push(entry);
+                        queue_depth: buf.get_u64_le(),
+                        in_flight: buf.get_u64_le(),
+                        shed: buf.get_u64_le(),
+                        p50_queue_wait_us: buf.get_u64_le(),
+                        p99_queue_wait_us: buf.get_u64_le(),
+                        p50_batch_wait_us: buf.get_u64_le(),
+                        p99_batch_wait_us: buf.get_u64_le(),
+                        p50_service_us: buf.get_u64_le(),
+                        p99_service_us: buf.get_u64_le(),
+                        p50_wire_us: buf.get_u64_le(),
+                        p99_wire_us: buf.get_u64_le(),
+                        p50_lease_wait_us: buf.get_u64_le(),
+                        p99_lease_wait_us: buf.get_u64_le(),
+                        cache_hits: buf.get_u64_le(),
+                        cache_misses: buf.get_u64_le(),
+                        cache_evictions: buf.get_u64_le(),
+                        tokens_out: buf.get_u64_le(),
+                        p50_token_gap_us: buf.get_u64_le(),
+                        p99_token_gap_us: buf.get_u64_le(),
+                    });
                 }
                 Ok(Response::Stats {
                     request_id,
@@ -1091,7 +990,7 @@ impl Response {
                 })
             }
             OP_BUSY => {
-                let request_id = get_request_id(buf, version)?;
+                let request_id = get_request_id(buf)?;
                 let model = get_str(buf)?;
                 if buf.remaining() < 4 {
                     return Err(err("truncated busy depth"));
@@ -1352,35 +1251,33 @@ impl FrameReader {
 /// the correlation ID sits so the ID can be rewritten *in place* — the
 /// multi-MB tensor section is never parsed, validated, or copied beyond
 /// the forwarding memcpy. `id_at` is the byte offset of the 8-byte
-/// little-endian ID within the payload, or `None` when the frame's
-/// version predates that field (pre-v3 `Infer`, pre-v4 control frames),
-/// in which case `request_id` is the uncorrelated sentinel 0.
+/// little-endian ID within the payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestPeek<'a> {
     /// An `Infer` frame for `model`; the tensor bytes are untouched.
     Infer {
         /// Model name, borrowed from the frame.
         model: &'a str,
-        /// Client-assigned ID (0 for a pre-v3 frame).
+        /// Client-assigned ID.
         request_id: u64,
-        /// Offset of the ID field, `None` on a pre-v3 frame.
-        id_at: Option<usize>,
+        /// Offset of the ID field.
+        id_at: usize,
     },
     /// A `ListModels` control frame.
     ListModels {
-        /// Client-assigned ID (0 for a pre-v4 frame).
+        /// Client-assigned ID.
         request_id: u64,
-        /// Offset of the ID field, `None` on a pre-v4 frame.
-        id_at: Option<usize>,
+        /// Offset of the ID field.
+        id_at: usize,
     },
     /// A `Stats` control frame.
     Stats {
-        /// Client-assigned ID (0 for a pre-v4 frame).
+        /// Client-assigned ID.
         request_id: u64,
-        /// Offset of the ID field, `None` on a pre-v4 frame.
-        id_at: Option<usize>,
+        /// Offset of the ID field.
+        id_at: usize,
     },
-    /// A v7 `StreamInfer` frame for `model`; routed like an `Infer` (the
+    /// A `StreamInfer` frame for `model`; routed like an `Infer` (the
     /// name and ID sit at the same offsets) but answered by a run of
     /// chunk frames that must all return through the same upstream.
     StreamInfer {
@@ -1388,13 +1285,13 @@ pub enum RequestPeek<'a> {
         model: &'a str,
         /// Client-assigned stream ID.
         request_id: u64,
-        /// Offset of the ID field (always present: the frame is v7+).
-        id_at: Option<usize>,
+        /// Offset of the ID field.
+        id_at: usize,
     },
 }
 
 impl RequestPeek<'_> {
-    /// The frame's correlation ID (0 when the version carries none).
+    /// The frame's correlation ID.
     pub fn request_id(&self) -> u64 {
         match self {
             RequestPeek::Infer { request_id, .. }
@@ -1404,9 +1301,8 @@ impl RequestPeek<'_> {
         }
     }
 
-    /// Byte offset of the ID field within the payload, if the frame's
-    /// version carries one.
-    pub fn id_at(&self) -> Option<usize> {
+    /// Byte offset of the ID field within the payload.
+    pub fn id_at(&self) -> usize {
         match self {
             RequestPeek::Infer { id_at, .. }
             | RequestPeek::StreamInfer { id_at, .. }
@@ -1427,12 +1323,8 @@ impl RequestPeek<'_> {
 /// frame still performs the full check.
 pub fn peek_request(payload: &[u8]) -> Result<RequestPeek<'_>> {
     let mut hdr = payload;
-    let (version, opcode) = check_header(&mut hdr)?;
-    match opcode {
-        OP_INFER | OP_STREAM_INFER => {
-            if opcode == OP_STREAM_INFER && version < 7 {
-                return Err(err("stream_req frames require protocol v7"));
-            }
+    match check_header(&mut hdr)? {
+        opcode @ (OP_INFER | OP_STREAM_INFER) => {
             if payload.len() < 8 {
                 return Err(err("truncated string length"));
             }
@@ -1443,69 +1335,39 @@ pub fn peek_request(payload: &[u8]) -> Result<RequestPeek<'_>> {
             }
             let model = std::str::from_utf8(&payload[8..name_end])
                 .map_err(|_| err("string is not utf-8"))?;
-            if opcode == OP_STREAM_INFER {
-                if payload.len() < name_end + 8 {
-                    return Err(err("truncated request id"));
-                }
-                let request_id = u64::from_le_bytes(
-                    payload[name_end..name_end + 8].try_into().expect("8 bytes"),
-                );
-                return Ok(RequestPeek::StreamInfer {
+            let request_id = raw_id(payload, name_end)?;
+            Ok(if opcode == OP_INFER {
+                RequestPeek::Infer {
                     model,
                     request_id,
-                    id_at: Some(name_end),
-                });
-            }
-            if version >= 3 {
-                if payload.len() < name_end + 8 {
-                    return Err(err("truncated request id"));
+                    id_at: name_end,
                 }
-                let request_id = u64::from_le_bytes(
-                    payload[name_end..name_end + 8].try_into().expect("8 bytes"),
-                );
-                Ok(RequestPeek::Infer {
-                    model,
-                    request_id,
-                    id_at: Some(name_end),
-                })
             } else {
-                Ok(RequestPeek::Infer {
+                RequestPeek::StreamInfer {
                     model,
-                    request_id: 0,
-                    id_at: None,
-                })
-            }
+                    request_id,
+                    id_at: name_end,
+                }
+            })
         }
-        OP_LIST | OP_STATS => {
-            let (request_id, id_at) = if version >= 4 {
-                if payload.len() < 14 {
-                    return Err(err("truncated request id"));
-                }
-                let id = u64::from_le_bytes(payload[6..14].try_into().expect("8 bytes"));
-                (id, Some(6))
-            } else {
-                (0, None)
-            };
+        opcode @ (OP_LIST | OP_STATS) => {
+            let request_id = raw_id(payload, 6)?;
             Ok(if opcode == OP_LIST {
-                RequestPeek::ListModels { request_id, id_at }
+                RequestPeek::ListModels {
+                    request_id,
+                    id_at: 6,
+                }
             } else {
-                RequestPeek::Stats { request_id, id_at }
+                RequestPeek::Stats {
+                    request_id,
+                    id_at: 6,
+                }
             })
         }
         other => Err(err(&format!("unexpected request opcode {other}"))),
     }
 }
 
-/// Locates a response frame's correlation ID without decoding the
-/// payload: returns `(request_id, byte offset of the 8-byte field)`, or
-/// `None` when the frame's version predates the field (pre-v3 `Output`
-/// trace, pre-v4 `Error`/`Busy`/control responses) and the response is
-/// therefore uncorrelated. The tensor/stats sections are not validated.
-///
-/// # Errors
-///
-/// Returns [`DjinnError::Protocol`] for a malformed header, a truncated
-/// ID field, an unknown status byte, or an unknown response opcode.
 /// Whether a response payload is a `Busy` (load-shed) frame, checked
 /// from the header bytes alone. A router uses this to feed its live
 /// shed signal without decoding the frame it is forwarding: a replica
@@ -1519,107 +1381,43 @@ pub fn is_busy_response(payload: &[u8]) -> bool {
 /// fixed-offset header bytes alone (no tensor decode). A router uses
 /// this to keep a stream's in-flight entry registered — every chunk of
 /// a stream must flow back through the replica that owns it — until the
-/// final chunk retires the request. Anything that is not a well-formed
-/// v7 chunk (including a truncated one) answers `false`, so malformed
-/// frames fall through to the normal retire-on-reply path.
+/// final chunk retires the request. Anything that is not a chunk
+/// (including a truncated one) answers `false`, so malformed frames fall
+/// through to the normal retire-on-reply path. Like
+/// [`is_busy_response`] it reads magic and opcode only: the version byte
+/// is [`response_id_slot`]'s to refuse, which a router calls first.
 pub fn is_partial_chunk(payload: &[u8]) -> bool {
-    // magic(4) version(1) opcode(1) status(1) trace(72) seq(4) flags(1):
-    // the flags byte sits at offset 83. Chunks exist only from v7 on,
-    // where the trace block is always the full 72 bytes.
-    payload.len() > 83
+    // magic(4) version(1) opcode(1) status(1) trace seq(4) flags(1)
+    const FLAGS_AT: usize = 7 + TRACE_LEN + 4;
+    payload.len() > FLAGS_AT
         && payload[..4] == *MAGIC
-        && payload[4] >= 7
         && payload[5] == OP_OUTPUT_CHUNK
-        && payload[83] & CHUNK_FLAG_FINAL == 0
+        && payload[FLAGS_AT] & CHUNK_FLAG_FINAL == 0
 }
 
-pub fn response_id_slot(payload: &[u8]) -> Result<Option<(u64, usize)>> {
+/// Locates a response frame's correlation ID without decoding the
+/// payload: returns `(request_id, byte offset of the 8-byte field)`. The
+/// tensor/stats sections are not validated.
+///
+/// # Errors
+///
+/// Returns [`DjinnError::Protocol`] for a malformed header, a truncated
+/// ID field, an unknown status byte, or an unknown response opcode.
+pub fn response_id_slot(payload: &[u8]) -> Result<(u64, usize)> {
     let mut hdr = payload;
-    let (version, opcode) = check_header(&mut hdr)?;
-    let at = match opcode {
-        OP_RESULT => {
-            if payload.len() < 7 {
-                return Err(err("truncated status"));
-            }
-            match payload[6] {
-                // A successful result leads with the v3 trace block whose
-                // first word is the echoed ID; an error result leads with
-                // the v4 ID field. Both land at offset 7.
-                STATUS_OK if version >= 3 => Some(7),
-                STATUS_ERR if version >= 4 => Some(7),
-                STATUS_OK | STATUS_ERR => None,
-                s => return Err(err(&format!("unknown status {s}"))),
-            }
-        }
-        OP_OUTPUT_CHUNK => {
-            // Chunks only exist from v7 on; like a successful result,
-            // the trace block (whose first word is the echoed ID)
-            // follows the status byte.
-            if version < 7 {
-                return Err(err("chunk frames require protocol v7"));
-            }
-            if payload.len() < 7 {
-                return Err(err("truncated status"));
-            }
-            Some(7)
-        }
-        OP_LIST_RESULT | OP_STATS_RESULT | OP_BUSY => {
-            if version >= 4 {
-                Some(6)
-            } else {
-                None
-            }
-        }
+    let at = match check_header(&mut hdr)? {
+        // Behind the status byte comes the ID: an error's own field, or
+        // the first word of a successful result's trace block.
+        OP_RESULT => match payload.get(6) {
+            Some(&(STATUS_OK | STATUS_ERR)) => 7,
+            Some(s) => return Err(err(&format!("unknown status {s}"))),
+            None => return Err(err("truncated status")),
+        },
+        OP_OUTPUT_CHUNK => 7,
+        OP_LIST_RESULT | OP_STATS_RESULT | OP_BUSY => 6,
         other => return Err(err(&format!("unexpected response opcode {other}"))),
     };
-    match at {
-        Some(at) => {
-            if payload.len() < at + 8 {
-                return Err(err("truncated request id"));
-            }
-            let id = u64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
-            Ok(Some((id, at)))
-        }
-        None => Ok(None),
-    }
-}
-
-/// Rewrites a request frame's correlation ID in place, returning the old
-/// ID. The forwarding primitive behind [`crate::DjinnRouter`]: a proxy
-/// stamps
-/// its own upstream ID into the client's frame and relays the bytes
-/// untouched otherwise.
-///
-/// # Errors
-///
-/// Returns [`DjinnError::Protocol`] for malformed frames and for frames
-/// whose version carries no ID slot (pre-v3 `Infer`, pre-v4 control) —
-/// those cannot participate in ID-correlated forwarding.
-pub fn rewrite_request_id(payload: &mut [u8], new_id: u64) -> Result<u64> {
-    let peek = peek_request(payload)?;
-    let Some(at) = peek.id_at() else {
-        return Err(err("frame version carries no request-id slot"));
-    };
-    let old = peek.request_id();
-    payload[at..at + 8].copy_from_slice(&new_id.to_le_bytes());
-    Ok(old)
-}
-
-/// Rewrites a response frame's correlation ID in place, returning the old
-/// ID — the return leg of [`rewrite_request_id`]: the proxy looks up the
-/// answered upstream ID and restores the originating client's ID before
-/// relaying the bytes.
-///
-/// # Errors
-///
-/// Returns [`DjinnError::Protocol`] for malformed frames and for
-/// uncorrelated frames (versions predating the ID field).
-pub fn rewrite_response_id(payload: &mut [u8], new_id: u64) -> Result<u64> {
-    let Some((old, at)) = response_id_slot(payload)? else {
-        return Err(err("frame version carries no request-id slot"));
-    };
-    payload[at..at + 8].copy_from_slice(&new_id.to_le_bytes());
-    Ok(old)
+    Ok((raw_id(payload, at)?, at))
 }
 
 #[cfg(test)]
@@ -1693,10 +1491,7 @@ mod tests {
 
     #[test]
     fn version_constant_matches_the_correlated_protocol() {
-        // v7 added streaming inference (stream_req/chunk frames, 72-byte
-        // trace block with trailing first-token/token-count words, three
-        // extra per-token stats words) on top of v6's cache telemetry;
-        // bump this test alongside any future wire change.
+        // Bump this alongside any change to a wire layout.
         assert_eq!(VERSION, 7);
         let wire = Request::ListModels { request_id: 1 }.encode().unwrap();
         assert_eq!(wire[4], VERSION, "encoders must stamp VERSION");
@@ -1714,43 +1509,7 @@ mod tests {
 
     #[test]
     fn every_response_variant_reports_its_request_id() {
-        let variants: Vec<Response> = vec![
-            Response::Output {
-                tensor: Tensor::zeros(Shape::mat(1, 1)),
-                trace: ServerTrace {
-                    request_id: 7,
-                    ..ServerTrace::default()
-                },
-            },
-            Response::Error {
-                request_id: 7,
-                message: "boom".into(),
-            },
-            Response::Models {
-                request_id: 7,
-                names: vec![],
-            },
-            Response::Stats {
-                request_id: 7,
-                unknown_model_requests: 0,
-                stats: vec![],
-            },
-            Response::Busy {
-                request_id: 7,
-                model: "imc".into(),
-                queue_depth: 1,
-            },
-            Response::Chunk {
-                tensor: Tensor::zeros(Shape::mat(1, 1)),
-                trace: ServerTrace {
-                    request_id: 7,
-                    ..ServerTrace::default()
-                },
-                seq: 3,
-                last: false,
-            },
-        ];
-        for rsp in variants {
+        for rsp in every_response(7) {
             assert_eq!(rsp.request_id(), 7, "{rsp:?}");
             let back = Response::decode(&rsp.encode().unwrap()).unwrap();
             assert_eq!(back.request_id(), 7, "id lost on the wire: {back:?}");
@@ -1831,7 +1590,7 @@ mod tests {
                 model: "lm",
                 request_id: 0xBEEF,
                 // Same slot as Infer: after magic+ver+op and the name.
-                id_at: Some(4 + 1 + 1 + 2 + 2),
+                id_at: 4 + 1 + 1 + 2 + 2,
             }
         );
     }
@@ -1861,391 +1620,15 @@ mod tests {
     }
 
     #[test]
-    fn pre_v4_control_and_error_frames_decode_with_zero_id() {
-        // v3 frames carry no correlation ID outside Infer/Output: splice
-        // the v4 id (and the stats unknown-counter) bytes out and rewrite
-        // the version byte; everything must decode with id 0.
-        let mut list = Request::ListModels { request_id: 9 }
-            .encode()
-            .unwrap()
-            .to_vec();
-        list.drain(6..14);
-        list[4] = 3;
-        assert_eq!(
-            Request::decode(&list).unwrap(),
-            Request::ListModels { request_id: 0 }
-        );
-
-        let mut error = Response::Error {
-            request_id: 9,
-            message: "bad".into(),
-        }
-        .encode()
-        .unwrap()
-        .to_vec();
-        error.drain(7..15); // id sits after magic+ver+op+status
-        error[4] = 3;
-        assert_eq!(
-            Response::decode(&error).unwrap(),
-            Response::Error {
-                request_id: 0,
-                message: "bad".into(),
-            }
-        );
-
-        let mut busy = Response::Busy {
-            request_id: 9,
-            model: "imc".into(),
-            queue_depth: 3,
-        }
-        .encode()
-        .unwrap()
-        .to_vec();
-        busy.drain(6..14);
-        busy[4] = 3;
-        assert_eq!(
-            Response::decode(&busy).unwrap(),
-            Response::Busy {
-                request_id: 0,
-                model: "imc".into(),
-                queue_depth: 3,
-            }
-        );
-
-        let mut stats = Response::Stats {
-            request_id: 9,
-            unknown_model_requests: 4,
-            stats: vec![stats_entry("dig")],
-        }
-        .encode()
-        .unwrap()
-        .to_vec();
-        stats.drain(6..22); // id + unknown counter
-        stats[4] = 3;
-        // A v3 entry has no lease quantiles, cache counters, or token
-        // words: they decode as zero (the eight extra encoded words
-        // trail the entry and are ignored).
-        let mut v3_entry = stats_entry("dig");
-        v3_entry.p50_lease_wait_us = 0;
-        v3_entry.p99_lease_wait_us = 0;
-        v3_entry.cache_hits = 0;
-        v3_entry.cache_misses = 0;
-        v3_entry.cache_evictions = 0;
-        v3_entry.tokens_out = 0;
-        v3_entry.p50_token_gap_us = 0;
-        v3_entry.p99_token_gap_us = 0;
-        assert_eq!(
-            Response::decode(&stats).unwrap(),
-            Response::Stats {
-                request_id: 0,
-                unknown_model_requests: 0,
-                stats: vec![v3_entry],
-            }
-        );
-    }
-
-    #[test]
-    fn v5_frames_decode_with_zero_cache_fields() {
-        // v5 → v7 compat: splice the trailing cache + token words out of
-        // an Output trace block (and the six trailing counters out of a
-        // stats entry), rewrite the version byte, and everything must
-        // decode with the cache and token fields zero-filled.
-        let tensor = Tensor::random_uniform(Shape::mat(1, 3), 1.0, 6);
-        let rsp = Response::Output {
-            tensor: tensor.clone(),
-            trace: ServerTrace {
-                request_id: 12,
-                queue_us: 1,
-                batch_us: 2,
-                lease_us: 3,
-                service_us: 4,
-                server_total_us: 10,
-                cache_hit: true,
-                first_token_us: 5,
-                tokens: 8,
-            },
-        };
-        let mut wire = rsp.encode().unwrap().to_vec();
-        wire.drain(7 + 48..7 + 72); // the v6 cache word + v7 token words
-        wire[4] = 5;
-        let decoded = Response::decode(&wire).unwrap();
-        assert_eq!(
-            decoded,
-            Response::Output {
-                tensor,
-                trace: ServerTrace {
-                    request_id: 12,
-                    queue_us: 1,
-                    batch_us: 2,
-                    lease_us: 3,
-                    service_us: 4,
-                    server_total_us: 10,
-                    cache_hit: false,
-                    first_token_us: 0,
-                    tokens: 0,
-                },
-            },
-            "v5 peers report no cache disposition and no token telemetry"
-        );
-
-        let mut stats = Response::Stats {
-            request_id: 9,
-            unknown_model_requests: 0,
-            stats: vec![stats_entry("pos")],
-        }
-        .encode()
-        .unwrap()
-        .to_vec();
-        stats.drain(stats.len() - 48..); // 3 cache counters + 3 token words
-        stats[4] = 5;
-        let mut v5_entry = stats_entry("pos");
-        v5_entry.cache_hits = 0;
-        v5_entry.cache_misses = 0;
-        v5_entry.cache_evictions = 0;
-        v5_entry.tokens_out = 0;
-        v5_entry.p50_token_gap_us = 0;
-        v5_entry.p99_token_gap_us = 0;
-        assert_eq!(v5_entry.cache_hit_rate(), 0.0);
-        assert_eq!(
-            Response::decode(&stats).unwrap(),
-            Response::Stats {
-                request_id: 9,
-                unknown_model_requests: 0,
-                stats: vec![v5_entry],
-            }
-        );
-    }
-
-    #[test]
-    fn v6_frames_decode_with_zero_token_fields() {
-        // v6 → v7 compat: a v6 Output trace block stops after the
-        // cache-hit word and a v6 stats entry after the cache counters;
-        // splice the v7 tails off and everything must decode with the
-        // token fields zero-filled.
-        let tensor = Tensor::random_uniform(Shape::mat(2, 2), 1.0, 13);
-        let rsp = Response::Output {
-            tensor: tensor.clone(),
-            trace: ServerTrace {
-                request_id: 21,
-                queue_us: 7,
-                batch_us: 8,
-                lease_us: 9,
-                service_us: 10,
-                server_total_us: 40,
-                cache_hit: true,
-                first_token_us: 11,
-                tokens: 12,
-            },
-        };
-        let mut wire = rsp.encode().unwrap().to_vec();
-        wire.drain(7 + 56..7 + 72); // the two trailing v7 token words
-        wire[4] = 6;
-        let decoded = Response::decode(&wire).unwrap();
-        assert_eq!(
-            decoded,
-            Response::Output {
-                tensor,
-                trace: ServerTrace {
-                    request_id: 21,
-                    queue_us: 7,
-                    batch_us: 8,
-                    lease_us: 9,
-                    service_us: 10,
-                    server_total_us: 40,
-                    cache_hit: true,
-                    first_token_us: 0,
-                    tokens: 0,
-                },
-            },
-            "v6 peers keep their cache flag but report no token telemetry"
-        );
-
-        let mut stats = Response::Stats {
-            request_id: 3,
-            unknown_model_requests: 0,
-            stats: vec![stats_entry("asr")],
-        }
-        .encode()
-        .unwrap()
-        .to_vec();
-        stats.drain(stats.len() - 24..); // the 3 trailing token words
-        stats[4] = 6;
-        let mut v6_entry = stats_entry("asr");
-        v6_entry.tokens_out = 0;
-        v6_entry.p50_token_gap_us = 0;
-        v6_entry.p99_token_gap_us = 0;
-        assert_eq!(
-            Response::decode(&stats).unwrap(),
-            Response::Stats {
-                request_id: 3,
-                unknown_model_requests: 0,
-                stats: vec![v6_entry],
-            }
-        );
-    }
-
-    #[test]
     fn cache_hit_rate_is_hits_over_lookups() {
         let s = stats_entry("pos"); // 18 hits, 24 misses
         assert!((s.cache_hit_rate() - 18.0 / 42.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn v1_stats_frames_still_decode_with_zero_queue_fields() {
-        // Handcraft the 32-byte-entry v1 stats frame an old server sends.
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u8(1); // protocol version 1
-        buf.put_u8(6); // OP_STATS_RESULT
-        buf.put_u16_le(1);
-        buf.put_u16_le(3);
-        buf.put_slice(b"dig");
-        buf.put_u64_le(42); // requests
-        buf.put_u64_le(1); // errors
-        buf.put_u64_le(10_000); // total_latency_us
-        buf.put_u64_le(900); // max_latency_us
-        let decoded = Response::decode(&buf).unwrap();
-        let Response::Stats {
-            request_id,
-            unknown_model_requests,
-            stats,
-        } = decoded
-        else {
-            panic!("expected Stats, got {decoded:?}");
+        let unused = ModelStats {
+            cache_hits: 0,
+            cache_misses: 0,
+            ..s
         };
-        assert_eq!(
-            (request_id, unknown_model_requests),
-            (0, 0),
-            "v4 correlation fields must decode as zero from a v1 peer"
-        );
-        assert_eq!(stats.len(), 1);
-        let s = &stats[0];
-        assert_eq!((s.model.as_str(), s.requests, s.errors), ("dig", 42, 1));
-        assert_eq!(s.total_latency_us, 10_000);
-        assert_eq!(s.max_latency_us, 900);
-        assert_eq!(
-            (s.queue_depth, s.in_flight, s.shed),
-            (0, 0, 0),
-            "v1 queue fields must decode as zero"
-        );
-        assert_eq!((s.p50_queue_wait_us, s.p99_queue_wait_us), (0, 0));
-        assert_eq!(
-            (s.p50_batch_wait_us, s.p50_service_us, s.p50_wire_us),
-            (0, 0, 0),
-            "v3 breakdown fields must decode as zero from a v1 peer"
-        );
-    }
-
-    #[test]
-    fn v1_infer_requests_still_decode() {
-        let req = Request::Infer {
-            model: "m".into(),
-            input: Tensor::zeros(Shape::mat(2, 2)),
-            request_id: 77,
-        };
-        // A v1 frame has no request-id field: splice the 8 ID bytes out
-        // (they sit right after the length-prefixed model name) and
-        // rewrite the version byte.
-        let mut wire = req.encode().unwrap().to_vec();
-        let id_at = 4 + 1 + 1 + 2 + "m".len();
-        wire.drain(id_at..id_at + 8);
-        wire[4] = 1;
-        let decoded = Request::decode(&wire).unwrap();
-        let Request::Infer {
-            model,
-            input,
-            request_id,
-        } = decoded
-        else {
-            panic!("expected Infer");
-        };
-        assert_eq!(model, "m");
-        assert_eq!(input, Tensor::zeros(Shape::mat(2, 2)));
-        assert_eq!(request_id, 0, "pre-v3 frames decode as untraced");
-        // Version 0 and versions beyond ours stay rejected.
-        wire[4] = 0;
-        assert!(Request::decode(&wire).is_err());
-        wire[4] = VERSION + 1;
-        assert!(Request::decode(&wire).is_err());
-    }
-
-    #[test]
-    fn v2_output_frames_decode_with_zero_trace() {
-        let tensor = Tensor::random_uniform(Shape::mat(2, 3), 1.0, 4);
-        let rsp = Response::Output {
-            tensor: tensor.clone(),
-            trace: ServerTrace {
-                request_id: 1,
-                queue_us: 2,
-                batch_us: 3,
-                lease_us: 9,
-                service_us: 4,
-                server_total_us: 5,
-                cache_hit: true,
-                first_token_us: 6,
-                tokens: 7,
-            },
-        };
-        // A v2 frame has no trace block: splice out the 72 bytes that
-        // follow the status byte and rewrite the version.
-        let mut wire = rsp.encode().unwrap().to_vec();
-        wire.drain(7..79);
-        wire[4] = 2;
-        let decoded = Response::decode(&wire).unwrap();
-        assert_eq!(
-            decoded,
-            Response::Output {
-                tensor,
-                trace: ServerTrace::default(),
-            },
-            "pre-v3 responses decode with an all-zero trace"
-        );
-    }
-
-    #[test]
-    fn v4_output_frames_decode_with_zero_lease() {
-        let tensor = Tensor::random_uniform(Shape::mat(1, 2), 1.0, 8);
-        let rsp = Response::Output {
-            tensor: tensor.clone(),
-            trace: ServerTrace {
-                request_id: 4,
-                queue_us: 10,
-                batch_us: 20,
-                lease_us: 30,
-                service_us: 40,
-                server_total_us: 100,
-                cache_hit: true,
-                first_token_us: 50,
-                tokens: 3,
-            },
-        };
-        // A v4 frame has a 40-byte trace block without the lease word,
-        // the v6 cache word, or the v7 token words: splice the trailing
-        // three words out, then lease_us (it sits after id+queue+batch),
-        // and rewrite the version byte.
-        let mut wire = rsp.encode().unwrap().to_vec();
-        wire.drain(7 + 48..7 + 72);
-        wire.drain(7 + 24..7 + 32);
-        wire[4] = 4;
-        let decoded = Response::decode(&wire).unwrap();
-        assert_eq!(
-            decoded,
-            Response::Output {
-                tensor,
-                trace: ServerTrace {
-                    request_id: 4,
-                    queue_us: 10,
-                    batch_us: 20,
-                    lease_us: 0,
-                    service_us: 40,
-                    server_total_us: 100,
-                    cache_hit: false,
-                    first_token_us: 0,
-                    tokens: 0,
-                },
-            },
-            "v4 peers report no lease wait and no cache flag"
-        );
+        assert_eq!(unused.cache_hit_rate(), 0.0);
     }
 
     #[test]
@@ -2289,21 +1672,105 @@ mod tests {
         assert!(Request::decode(&buf2).is_err());
     }
 
+    /// One frame of every request kind, all under `request_id`.
+    fn every_request(request_id: u64) -> Vec<Request> {
+        let input = Tensor::random_uniform(Shape::mat(2, 5), 1.0, 3);
+        vec![
+            Request::Infer {
+                model: "dig".into(),
+                input: input.clone(),
+                request_id,
+            },
+            Request::ListModels { request_id },
+            Request::Stats { request_id },
+            Request::StreamInfer {
+                model: "dig".into(),
+                input,
+                request_id,
+                mode: StreamMode::Windowed { window_rows: 2 },
+            },
+        ]
+    }
+
+    /// One frame of every response kind, all answering `request_id`.
+    fn every_response(request_id: u64) -> Vec<Response> {
+        let trace = ServerTrace {
+            request_id,
+            queue_us: 1,
+            batch_us: 2,
+            service_us: 3,
+            server_total_us: 4,
+            first_token_us: 12,
+            tokens: 2,
+            ..ServerTrace::default()
+        };
+        vec![
+            Response::Output {
+                tensor: Tensor::random_uniform(Shape::mat(1, 4), 1.0, 2),
+                trace,
+            },
+            Response::Error {
+                request_id,
+                message: "boom".into(),
+            },
+            Response::Models {
+                request_id,
+                names: vec!["a".into(), "b".into()],
+            },
+            Response::Stats {
+                request_id,
+                unknown_model_requests: 2,
+                stats: vec![stats_entry("dig")],
+            },
+            Response::Busy {
+                request_id,
+                model: "dig".into(),
+                queue_depth: 16,
+            },
+            Response::Chunk {
+                tensor: Tensor::random_uniform(Shape::mat(1, 4), 1.0, 2),
+                trace,
+                seq: 1,
+                last: false,
+            },
+        ]
+    }
+
+    /// Every strict prefix of every frame kind is refused by the full
+    /// decoders, and the raw-offset readers (`peek_request` indexes 6 and
+    /// 7, `response_id_slot` 6, `is_partial_chunk` 83) refuse — never
+    /// index past — any prefix that stops short of what they read.
     #[test]
     fn rejects_truncation_at_every_prefix() {
-        let full = Request::Infer {
-            model: "m".into(),
-            input: Tensor::zeros(Shape::mat(2, 2)),
-            request_id: 5,
+        for req in every_request(5) {
+            let full = req.encode().unwrap();
+            let id_end = peek_request(&full).unwrap().id_at() + 8;
+            for cut in 0..full.len() {
+                let prefix = &full[..cut];
+                assert!(Request::decode(prefix).is_err(), "{req:?} cut at {cut}");
+                // The peek stops reading at the ID: the tensor is not its
+                // to validate.
+                match peek_request(prefix) {
+                    Ok(peek) => assert!(cut >= id_end && peek.request_id() == 5),
+                    Err(_) => assert!(cut < id_end, "{req:?} cut at {cut}"),
+                }
+            }
         }
-        .encode()
-        .unwrap()
-        .to_vec();
-        for cut in 0..full.len() {
-            assert!(
-                Request::decode(&full[..cut]).is_err(),
-                "prefix of {cut} bytes decoded"
-            );
+        for rsp in every_response(5) {
+            let full = rsp.encode().unwrap();
+            let id_end = response_id_slot(&full).unwrap().1 + 8;
+            let partial = is_partial_chunk(&full);
+            assert_eq!(partial, matches!(rsp, Response::Chunk { .. }));
+            for cut in 0..full.len() {
+                let prefix = &full[..cut];
+                assert!(Response::decode(prefix).is_err(), "{rsp:?} cut at {cut}");
+                match response_id_slot(prefix) {
+                    Ok((id, _)) => assert!(cut >= id_end && id == 5),
+                    Err(_) => assert!(cut < id_end, "{rsp:?} cut at {cut}"),
+                }
+                // The flags byte is the 84th: a shorter prefix is no chunk.
+                assert_eq!(is_partial_chunk(prefix), partial && cut > 83);
+            }
         }
     }
 
@@ -2919,7 +2386,7 @@ mod tests {
             RequestPeek::Infer {
                 model: "imc",
                 request_id: 0xAB,
-                id_at: Some(4 + 1 + 1 + 2 + 3),
+                id_at: 4 + 1 + 1 + 2 + 3,
             }
         );
         assert_eq!(peek.request_id(), 0xAB);
@@ -2929,7 +2396,7 @@ mod tests {
             peek_request(&list).unwrap(),
             RequestPeek::ListModels {
                 request_id: 7,
-                id_at: Some(6),
+                id_at: 6,
             }
         );
         let stats = Request::Stats { request_id: 8 }.encode().unwrap();
@@ -2937,195 +2404,42 @@ mod tests {
             peek_request(&stats).unwrap(),
             RequestPeek::Stats {
                 request_id: 8,
-                id_at: Some(6),
+                id_at: 6,
             }
         );
     }
 
+    /// What the router does to a forwarded request: write 8 bytes at the
+    /// offset `peek_request` reports. The patched frame must be
+    /// byte-identical to encoding the request with the new ID directly.
     #[test]
-    fn peek_request_reports_legacy_frames_as_slotless() {
-        // Pre-v3 infer: splice out the 8 ID bytes after the name.
-        let mut infer = Request::Infer {
-            model: "m".into(),
-            input: Tensor::zeros(Shape::mat(1, 1)),
-            request_id: 3,
-        }
-        .encode()
-        .unwrap()
-        .to_vec();
-        let id_at = 4 + 1 + 1 + 2 + 1;
-        infer.drain(id_at..id_at + 8);
-        infer[4] = 2;
-        assert_eq!(
-            peek_request(&infer).unwrap(),
-            RequestPeek::Infer {
-                model: "m",
-                request_id: 0,
-                id_at: None,
-            }
-        );
-        assert!(rewrite_request_id(&mut infer, 9).is_err());
-
-        // Pre-v4 control frame: no ID field at all.
-        let mut list = Request::ListModels { request_id: 7 }
-            .encode()
-            .unwrap()
-            .to_vec();
-        list.drain(6..14);
-        list[4] = 3;
-        assert_eq!(
-            peek_request(&list).unwrap(),
-            RequestPeek::ListModels {
-                request_id: 0,
-                id_at: None,
-            }
-        );
-        assert!(rewrite_request_id(&mut list, 9).is_err());
-    }
-
-    #[test]
-    fn rewrite_request_id_matches_a_full_reencode() {
-        let input = Tensor::random_uniform(Shape::mat(2, 5), 1.0, 3);
-        for req in [
-            Request::Infer {
-                model: "dig".into(),
-                input: input.clone(),
-                request_id: 41,
-            },
-            Request::ListModels { request_id: 41 },
-            Request::Stats { request_id: 41 },
-            Request::StreamInfer {
-                model: "dig".into(),
-                input: input.clone(),
-                request_id: 41,
-                mode: StreamMode::Windowed { window_rows: 2 },
-            },
-        ] {
+    fn patching_the_peeked_id_slot_matches_a_full_reencode() {
+        for (req, renumbered) in every_request(41)
+            .into_iter()
+            .zip(every_request(0x1234_5678_9ABC))
+        {
             let mut wire = req.encode().unwrap().to_vec();
-            let old = rewrite_request_id(&mut wire, 0x1234_5678_9ABC).unwrap();
-            assert_eq!(old, 41);
-            // The patched frame must be byte-identical to encoding the
-            // request with the new ID directly.
-            let renumbered = match req {
-                Request::Infer { model, input, .. } => Request::Infer {
-                    model,
-                    input,
-                    request_id: 0x1234_5678_9ABC,
-                },
-                Request::ListModels { .. } => Request::ListModels {
-                    request_id: 0x1234_5678_9ABC,
-                },
-                Request::Stats { .. } => Request::Stats {
-                    request_id: 0x1234_5678_9ABC,
-                },
-                Request::StreamInfer {
-                    model, input, mode, ..
-                } => Request::StreamInfer {
-                    model,
-                    input,
-                    mode,
-                    request_id: 0x1234_5678_9ABC,
-                },
-            };
+            let peek = peek_request(&wire).unwrap();
+            assert_eq!(peek.request_id(), 41);
+            let at = peek.id_at();
+            wire[at..at + 8].copy_from_slice(&0x1234_5678_9ABC_u64.to_le_bytes());
             assert_eq!(&wire[..], &renumbered.encode().unwrap()[..]);
         }
     }
 
+    /// The return leg: 8 bytes at the offset `response_id_slot` reports.
     #[test]
-    fn rewrite_response_id_round_trips_every_variant() {
-        let variants: Vec<Response> = vec![
-            Response::Output {
-                tensor: Tensor::random_uniform(Shape::mat(1, 4), 1.0, 2),
-                trace: ServerTrace {
-                    request_id: 55,
-                    queue_us: 1,
-                    batch_us: 2,
-                    lease_us: 0,
-                    service_us: 3,
-                    server_total_us: 4,
-                    cache_hit: false,
-                    first_token_us: 0,
-                    tokens: 0,
-                },
-            },
-            Response::Error {
-                request_id: 55,
-                message: "boom".into(),
-            },
-            Response::Models {
-                request_id: 55,
-                names: vec!["a".into(), "b".into()],
-            },
-            Response::Stats {
-                request_id: 55,
-                unknown_model_requests: 2,
-                stats: vec![stats_entry("dig")],
-            },
-            Response::Busy {
-                request_id: 55,
-                model: "dig".into(),
-                queue_depth: 16,
-            },
-            Response::Chunk {
-                tensor: Tensor::random_uniform(Shape::mat(1, 4), 1.0, 2),
-                trace: ServerTrace {
-                    request_id: 55,
-                    first_token_us: 12,
-                    tokens: 2,
-                    ..ServerTrace::default()
-                },
-                seq: 1,
-                last: false,
-            },
-        ];
-        for rsp in variants {
+    fn patching_the_response_id_slot_round_trips_every_variant() {
+        for rsp in every_response(55) {
             let mut wire = rsp.encode().unwrap().to_vec();
-            let (id, _) = response_id_slot(&wire).unwrap().expect("v4 has a slot");
+            let (id, at) = response_id_slot(&wire).unwrap();
             assert_eq!(id, 55, "{rsp:?}");
-            let old = rewrite_response_id(&mut wire, 77).unwrap();
-            assert_eq!(old, 55);
+            wire[at..at + 8].copy_from_slice(&77u64.to_le_bytes());
             let back = Response::decode(&wire).unwrap();
             assert_eq!(back.request_id(), 77, "{back:?}");
             // Only the ID changed: restoring it reproduces the original.
-            rewrite_response_id(&mut wire, 55).unwrap();
+            wire[at..at + 8].copy_from_slice(&55u64.to_le_bytes());
             assert_eq!(Response::decode(&wire).unwrap(), rsp);
         }
-    }
-
-    #[test]
-    fn response_id_slot_reports_uncorrelated_legacy_frames() {
-        // v3 error: status byte, no ID field.
-        let mut error = Response::Error {
-            request_id: 9,
-            message: "bad".into(),
-        }
-        .encode()
-        .unwrap()
-        .to_vec();
-        error.drain(7..15);
-        error[4] = 3;
-        assert_eq!(response_id_slot(&error).unwrap(), None);
-        assert!(rewrite_response_id(&mut error, 1).is_err());
-
-        // v2 output: no trace block, hence no echoed ID.
-        let mut out = Response::Output {
-            tensor: Tensor::zeros(Shape::mat(1, 1)),
-            trace: ServerTrace::default(),
-        }
-        .encode()
-        .unwrap()
-        .to_vec();
-        out.drain(7..47);
-        out[4] = 2;
-        assert_eq!(response_id_slot(&out).unwrap(), None);
-
-        // Truncated-just-after-status frames fail loudly, not as None.
-        let wire = Response::Error {
-            request_id: 9,
-            message: "bad".into(),
-        }
-        .encode()
-        .unwrap();
-        assert!(response_id_slot(&wire[..8]).is_err());
     }
 }

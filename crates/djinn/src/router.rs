@@ -4,7 +4,7 @@
 //! The paper's thesis is DNN-as-a-service at warehouse scale; a single
 //! DjiNN instance is the unit of that service, not its extent. This
 //! module adds the tier above the instance: a TCP front end that speaks
-//! the same protocol v4 wire format as a single server — clients connect
+//! the same wire protocol as a single server — clients connect
 //! to it exactly as they would to one replica — and forwards each
 //! `Infer` frame to a backing replica chosen by model affinity and load.
 //!
@@ -28,16 +28,15 @@
 //! Request IDs are client-scoped, so two clients both legitimately use
 //! ID 1. The router therefore assigns each forwarded frame a fresh
 //! **router-scoped upstream ID** and rewrites the 8 ID bytes *in place*
-//! ([`crate::protocol::peek_request`] /
-//! [`crate::protocol::rewrite_request_id`]) — the multi-MB tensor bytes
-//! are never decoded, validated, or re-encoded; forwarding is one
-//! `memcpy` into the upstream's write buffer plus an 8-byte patch. A
-//! reply's ID ([`crate::protocol::response_id_slot`]) looks up the
+//! at the offset [`crate::protocol::peek_request`] reports — the multi-MB
+//! tensor bytes are never decoded, validated, or re-encoded; forwarding
+//! is one `memcpy` into the upstream's write buffer plus an 8-byte patch.
+//! A reply's ID ([`crate::protocol::response_id_slot`]) looks up the
 //! originating connection and is patched back to the client's original
 //! ID before the raw frame — `Output`, `Error`, and `Busy` alike — is
-//! passed through. This reuses the v4 correlation machinery end to end:
-//! replies may return out of any replica in any order and still land on
-//! the right client with the right ID.
+//! passed through. Every frame carries its ID, so replies may return out
+//! of any replica in any order and still land on the right client with
+//! the right ID.
 //!
 //! # Replica selection
 //!
@@ -47,7 +46,7 @@
 //! requested model:
 //!
 //! * [`RoutePolicy::RoundRobin`] rotates blindly (the baseline);
-//! * [`RoutePolicy::LoadAware`] polls each replica's v4 `Stats`
+//! * [`RoutePolicy::LoadAware`] polls each replica's `Stats`
 //!   telemetry on a short interval and scores each candidate as
 //!   `polled backlog (queue depth + in flight) + recent sheds ×
 //!   penalty + frames forwarded since the poll − replies returned
@@ -685,7 +684,7 @@ fn pump_upstreams(
                     Ok(Some(frame)) => {
                         any = true;
                         match response_id_slot(frame) {
-                            Ok(Some((rid, id_at))) => {
+                            Ok((rid, id_at)) => {
                                 // A non-final chunk leaves the stream
                                 // registered: later chunks of the same
                                 // stream must keep resolving to this
@@ -722,9 +721,9 @@ fn pump_upstreams(
                                     UpstreamPost::Ignored
                                 }
                             }
-                            // An uncorrelated (legacy/id-0) frame from a
-                            // v4 replica answers nothing we can route.
-                            Ok(None) | Err(_) => UpstreamPost::Ignored,
+                            // A frame whose ID cannot be read answers
+                            // nothing we can route.
+                            Err(_) => UpstreamPost::Ignored,
                         }
                     }
                 }
@@ -809,12 +808,12 @@ fn pump_clients(
                                 RequestPeek::Infer {
                                     model,
                                     request_id,
-                                    id_at: Some(id_at),
+                                    id_at,
                                 }
                                 | RequestPeek::StreamInfer {
                                     model,
                                     request_id,
-                                    id_at: Some(id_at),
+                                    id_at,
                                 },
                             ) => match pick_replica(core, upstreams, model) {
                                 Some(r) => {
@@ -847,19 +846,6 @@ fn pump_clients(
                                     message: format!("unknown model '{model}'"),
                                 }),
                             },
-                            // A pre-v3 infer carries no ID: the router
-                            // cannot correlate its reply back, so it is
-                            // refused up front (id 0 → the legacy
-                            // client's order-front rule attributes it).
-                            Ok(
-                                RequestPeek::Infer { id_at: None, .. }
-                                | RequestPeek::StreamInfer { id_at: None, .. },
-                            ) => ClientAct::Reply(Response::Error {
-                                request_id: 0,
-                                message: "router requires protocol v3+ infer frames \
-                                              (no correlation ID to remap)"
-                                    .into(),
-                            }),
                             Ok(RequestPeek::ListModels { request_id, .. }) => {
                                 ClientAct::Reply(Response::Models {
                                     request_id,

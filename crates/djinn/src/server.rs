@@ -6,7 +6,7 @@
 //! directly, and never block on a ticket. Each connection is
 //! **full-duplex**: the worker reads and admits frames while a small
 //! per-connection *reply pump* thread writes completions back as the
-//! engines finish them — possibly out of order, which protocol v4's
+//! engines finish them — possibly out of order, which the protocol's
 //! ID-correlated frames make safe. Admission is non-blocking; a full
 //! queue answers with a `Busy` frame (echoing the request's ID) instead
 //! of wedging the connection worker.
@@ -27,7 +27,7 @@ use tensor::{Tensor, Threading};
 use bytes::BytesMut;
 
 use crate::device::{ColocationPolicy, Device, DeviceScheduler};
-use crate::protocol::{FrameReader, ModelStats, Request, Response, StreamMode};
+use crate::protocol::{peek_request, FrameReader, ModelStats, Request, Response, StreamMode};
 use crate::trace::ServerTrace;
 use crate::{
     BatchConfig, CpuExecutor, DelayExecutor, DispatchPolicy, DjinnError, EngineConfig, Executor,
@@ -200,7 +200,7 @@ impl DjinnServer {
         };
         // One scheduler fronts the device all engines share; without
         // --device-threads each engine gets the legacy dedicated
-        // (unbounded) scheduler and behavior is exactly pre-v5.
+        // (unbounded) scheduler: no engine ever waits on another's lease.
         let scheduler = Arc::new(match config.device_capacity {
             Some(units) => DeviceScheduler::new(match config.backend {
                 Backend::Cpu => Device::Cpu { threads: units },
@@ -398,7 +398,7 @@ struct PendingInfer {
 }
 
 /// The write half of a connection, shared by the worker (control and
-/// rejection frames) and the reply pump (completions). With v4's
+/// rejection frames) and the reply pump (completions). With
 /// ID-correlated frames the interleaving order is free; only frame
 /// *atomicity* matters, which the mutex provides.
 struct ConnWriter {
@@ -494,8 +494,8 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
         // Frames are decoded straight out of the reader's buffer (no
         // per-frame payload copy); Request::decode produces the owned
         // tensor the engine needs.
-        let decoded = match reader.read_frame_ref(&mut stream) {
-            Ok(Some(p)) => Request::decode(p),
+        let frame = match reader.read_frame_ref(&mut stream) {
+            Ok(Some(p)) => p,
             Ok(None) => continue, // no complete frame yet; poll stop again
             Err(_) => {
                 // EOF or protocol break: drop the connection. Nobody is
@@ -506,6 +506,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 break;
             }
         };
+        let decoded = Request::decode(frame);
         let received = Instant::now();
         let immediate = match decoded {
             // Infer is full-duplex: admit to the engine and go read the
@@ -549,10 +550,12 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 names: shared.registry.names(),
             }),
             Ok(Request::Stats { request_id }) => Some(stats_response(shared, request_id)),
-            // An undecodable request has no recoverable ID; 0 marks the
-            // error as uncorrelated.
+            // An undecodable request is refused under its own ID whenever
+            // that much of the frame is readable, so the refusal finds its
+            // way back — through a client's correlation, or a router's —
+            // to the request it answers; 0 only when there is no ID to read.
             Err(e) => Some(Response::Error {
-                request_id: 0,
+                request_id: peek_request(frame).map_or(0, |peek| peek.request_id()),
                 message: e.to_string(),
             }),
         };

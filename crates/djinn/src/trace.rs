@@ -4,7 +4,7 @@
 //! # The trace model
 //!
 //! A request ID is assigned **at the client** (see [`next_request_id`])
-//! and travels with the request through the v3 protocol, the server, and
+//! and travels with the request through the protocol, the server, and
 //! the engine; the response echoes it together with the server-side span
 //! durations. IDs are client-scoped — two clients may reuse an ID, and
 //! the server never interprets them beyond echoing.
@@ -36,7 +36,8 @@ pub use gpusim::obs::{BreakdownTable, Stage, StageSummary};
 use gpusim::queueing::LatencyHistogram;
 
 /// Process-wide request-ID source. IDs are unique within the process and
-/// strictly positive (0 is the "untraced" sentinel a v1/v2 peer decodes).
+/// strictly positive (0 is reserved on the wire for an error answering a
+/// frame whose ID could not be read).
 static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Draws the next client-assigned request ID.
@@ -73,32 +74,29 @@ pub struct EngineSpans {
     pub tokens: u64,
 }
 
-/// The server-side trace slice of one request, echoed in v3 responses.
-/// A v1/v2 peer's responses decode as all-zero ([`ServerTrace::default`]).
+/// The server-side trace slice of one request, echoed in its response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerTrace {
-    /// Client-assigned request ID, echoed back (0 from a v1/v2 peer).
+    /// Client-assigned request ID, echoed back.
     pub request_id: u64,
     /// Engine queue wait, microseconds.
     pub queue_us: u64,
     /// Batch coalescing wait, microseconds.
     pub batch_us: u64,
-    /// Device-lease wait, microseconds (0 from a pre-v5 peer or a
-    /// dedicated device).
+    /// Device-lease wait, microseconds (0 on a dedicated device).
     pub lease_us: u64,
     /// Forward-pass wall time, microseconds.
     pub service_us: u64,
     /// Server-read → response-encode, microseconds: everything the
     /// server's clock can attribute to this request.
     pub server_total_us: u64,
-    /// Whether the inference cache answered this request (v6; decodes
-    /// as `false` from a pre-v6 peer).
+    /// Whether the inference cache answered this request.
     pub cache_hit: bool,
     /// Admission → first emitted chunk of a streaming request,
-    /// microseconds (v7; 0 for one-shot requests or a pre-v7 peer).
+    /// microseconds (0 for one-shot requests).
     pub first_token_us: u64,
     /// Chunks the stream emitted so far — on the final chunk, the
-    /// stream's total (v7; 0 for one-shot requests or a pre-v7 peer).
+    /// stream's total (0 for one-shot requests).
     pub tokens: u64,
 }
 
@@ -133,8 +131,8 @@ pub struct TraceRecord {
     pub queue_us: u64,
     /// Batch coalescing wait, microseconds (server clock).
     pub batch_us: u64,
-    /// Device-lease wait, microseconds (server clock; 0 from a pre-v5
-    /// peer or a dedicated device).
+    /// Device-lease wait, microseconds (server clock; 0 on a dedicated
+    /// device).
     pub lease_us: u64,
     /// Forward-pass wall time, microseconds (server clock).
     pub service_us: u64,
@@ -193,19 +191,6 @@ impl TraceRecord {
     /// different clocks; see the module docs).
     pub fn wire_us(&self) -> u64 {
         self.e2e_us.saturating_sub(self.server_total_us)
-    }
-
-    /// Whether the server reported its side of the trace. A pre-v3 peer
-    /// echoes nothing, so `server_total_us` (and every other server
-    /// span) decodes as 0 — in that case `wire_us()` would equal the
-    /// whole end-to-end latency and the queue/batch/service spans would
-    /// be fake zeros, so reports render those columns as `n/a` instead.
-    ///
-    /// A cache hit is the one case where a *traced* request can report
-    /// `server_total_us == 0` (the whole server side can complete inside
-    /// one microsecond tick), so the hit flag counts as a server trace.
-    pub fn has_server_trace(&self) -> bool {
-        self.server_total_us > 0 || self.cache_hit
     }
 
     /// Server overhead outside the engine (decode, admission, batch
@@ -272,19 +257,13 @@ impl TraceAggregator {
         TraceAggregator::default()
     }
 
-    /// Folds one record in. Server-side stages (queue/batch/service) and
-    /// the derived wire span are recorded only when the server actually
-    /// reported its trace: a pre-v3 peer's all-zero echo would otherwise
-    /// render as a misleading `0.00 ms` wire column (and fake-zero server
-    /// stages) instead of `n/a`.
+    /// Folds one record in.
     pub fn record(&mut self, r: &TraceRecord) {
-        if r.has_server_trace() {
-            self.queue.record(r.queue_us);
-            self.batch.record(r.batch_us);
-            self.lease.record(r.lease_us);
-            self.service.record(r.service_us);
-            self.wire.record(r.wire_us());
-        }
+        self.queue.record(r.queue_us);
+        self.batch.record(r.batch_us);
+        self.lease.record(r.lease_us);
+        self.service.record(r.service_us);
+        self.wire.record(r.wire_us());
         self.total.record(r.e2e_us);
     }
 
@@ -458,35 +437,9 @@ mod tests {
         );
     }
 
-    /// A pre-v3 server echoes no trace: every server span decodes as 0.
-    /// The aggregator must render the wire (and server-stage) columns as
-    /// `n/a`, not claim the whole e2e was 0.00 ms of wire.
-    #[test]
-    fn untraced_records_leave_server_stages_na() {
-        let untraced = record(40_000, 0, 0, 0, 0);
-        assert!(!untraced.has_server_trace());
-        let mut agg = TraceAggregator::new();
-        agg.record(&untraced);
-        agg.record(&record(41_000, 0, 0, 0, 0));
-        assert_eq!(agg.count(), 2, "e2e totals still aggregate");
-        let rendered = agg.table().render();
-        let wire_row = rendered
-            .lines()
-            .find(|l| l.starts_with("wire"))
-            .expect("wire row");
-        assert!(wire_row.contains("n/a"), "{rendered}");
-        assert!(!wire_row.contains("ms"), "{rendered}");
-        let total_row = rendered
-            .lines()
-            .find(|l| l.starts_with("total"))
-            .expect("total row");
-        assert!(total_row.contains("ms"), "{rendered}");
-    }
-
     /// A cache hit can land with every server span at 0 — the whole
-    /// server side fits inside one microsecond tick. The hit flag must
-    /// still count as a server trace, or hits would render as untraced
-    /// pre-v3 peers and vanish from the stage breakdown.
+    /// server side fits inside one microsecond tick. Those zeros are
+    /// measurements and belong in the stage breakdown.
     #[test]
     fn cache_hits_are_traced_even_with_zero_spans() {
         let spans = EngineSpans {
@@ -495,7 +448,6 @@ mod tests {
         };
         let r = TraceRecord::new("pos", 120, ServerTrace::new(9, spans, 0));
         assert!(r.cache_hit, "hit flag travels spans → wire trace → record");
-        assert!(r.has_server_trace());
         assert_eq!(r.wire_us(), 120, "all e2e is wire when the server took ~0");
         assert!(
             r.to_json().contains("\"cache_hit\":true"),

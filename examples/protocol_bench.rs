@@ -65,8 +65,8 @@ fn main() {
 
     let iters = 10;
     // Isolate the f32 section: rank byte + 4 dims after the 7-byte
-    // header+status and the 40-byte v3 trace block.
-    let data_off = 6 + 1 + 40 + 1 + 4 * 4;
+    // header+status and the 72-byte trace block.
+    let data_off = 6 + 1 + 72 + 1 + 4 * 4;
     let f32_section = &wire[data_off..];
 
     let naive = time(iters, || naive_f32_decode(f32_section, n));

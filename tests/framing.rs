@@ -7,7 +7,7 @@
 //! The `stale_responses` module pins the companion client-side bug: with
 //! order-based correlation, a response that arrived *after* its request
 //! timed out used to be returned as the answer to the **next** request.
-//! Protocol v4 stamps every response with the ID of the request it
+//! The protocol stamps every response with the ID of the request it
 //! answers, and the client discards responses to abandoned requests.
 
 use std::io::Write;
@@ -15,7 +15,7 @@ use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 use djinn_tonic::djinn::protocol::{
-    read_frame, write_frame, Request, Response, StreamMode, VERSION,
+    peek_request, read_frame, response_id_slot, write_frame, Request, Response, StreamMode, VERSION,
 };
 use djinn_tonic::djinn::{
     DjinnClient, DjinnError, DjinnServer, ModelRegistry, ServerConfig, ServerTrace,
@@ -192,10 +192,10 @@ fn slow_client_does_not_disturb_fast_clients() {
     server.shutdown();
 }
 
-/// Protocol compatibility matrix: golden byte vectors for every wire
-/// version, pinned byte-for-byte. These are the frames real v1/v2/v3
-/// peers put on the wire; if encoding drifts, these tests — not a
-/// production incident — catch it.
+/// The one wire layout, pinned: a hand-written golden byte vector for
+/// every frame kind, so if encoding drifts these tests — not a
+/// production incident — catch it; and the refusal of every other
+/// version byte.
 mod golden_vectors {
     use super::*;
     use djinn_tonic::djinn::ModelStats;
@@ -203,8 +203,7 @@ mod golden_vectors {
     const MAGIC: &[u8; 4] = b"DJNN";
 
     /// Golden infer request: model `"m"`, request ID 7, a 1x1 tensor
-    /// holding 2.0. The infer layout is identical in v3 and v4 — only the
-    /// version byte differs — so one builder covers both.
+    /// holding 2.0.
     fn infer_golden(version: u8) -> Vec<u8> {
         let mut wire = Vec::new();
         wire.extend_from_slice(MAGIC);
@@ -235,55 +234,9 @@ mod golden_vectors {
         assert_eq!(&wire[..], &infer_golden(7)[..]);
     }
 
-    #[test]
-    fn v6_infer_golden_still_decodes_with_its_id() {
-        let Request::Infer {
-            model, request_id, ..
-        } = Request::decode(&infer_golden(6)).unwrap()
-        else {
-            panic!("expected Infer");
-        };
-        assert_eq!((model.as_str(), request_id), ("m", 7));
-    }
-
-    #[test]
-    fn v5_infer_golden_still_decodes_with_its_id() {
-        let Request::Infer {
-            model, request_id, ..
-        } = Request::decode(&infer_golden(5)).unwrap()
-        else {
-            panic!("expected Infer");
-        };
-        assert_eq!((model.as_str(), request_id), ("m", 7));
-    }
-
-    #[test]
-    fn v4_infer_golden_still_decodes_with_its_id() {
-        let Request::Infer {
-            model, request_id, ..
-        } = Request::decode(&infer_golden(4)).unwrap()
-        else {
-            panic!("expected Infer");
-        };
-        assert_eq!((model.as_str(), request_id), ("m", 7));
-    }
-
-    #[test]
-    fn v3_infer_golden_still_decodes_with_its_id() {
-        let Request::Infer {
-            model, request_id, ..
-        } = Request::decode(&infer_golden(3)).unwrap()
-        else {
-            panic!("expected Infer");
-        };
-        assert_eq!((model.as_str(), request_id), ("m", 7));
-    }
-
     /// Golden busy response, pinned byte-for-byte: the request ID the
     /// shed request carried comes right after the header — the field
-    /// that makes `Busy` attributable under pipelining. The layout is
-    /// identical from v4 through v7 (only the version byte differs), so
-    /// the same bytes double as the v4/v5/v6 decode-compat checks.
+    /// that makes `Busy` attributable under pipelining.
     #[test]
     fn v7_busy_encoding_matches_the_golden_bytes() {
         let mut wire = Vec::new();
@@ -301,16 +254,11 @@ mod golden_vectors {
         };
         assert_eq!(&rsp.encode().unwrap()[..], &wire[..]);
         assert_eq!(Response::decode(&wire).unwrap(), rsp);
-        for old in [6u8, 5, 4] {
-            wire[4] = old; // same bytes at older versions decode identically
-            assert_eq!(Response::decode(&wire).unwrap(), rsp);
-        }
     }
 
     /// Golden error response, pinned byte-for-byte: the request ID
     /// follows the error status, so a pipelined client knows *which*
-    /// request failed. Layout unchanged from v4 — the same bytes with
-    /// the old version bytes double as the decode-compat checks.
+    /// request failed.
     #[test]
     fn v7_error_encoding_matches_the_golden_bytes() {
         let mut wire = Vec::new();
@@ -327,230 +275,6 @@ mod golden_vectors {
         };
         assert_eq!(&rsp.encode().unwrap()[..], &wire[..]);
         assert_eq!(Response::decode(&wire).unwrap(), rsp);
-        for old in [6u8, 5, 4] {
-            wire[4] = old; // same bytes at older versions decode identically
-            assert_eq!(Response::decode(&wire).unwrap(), rsp);
-        }
-    }
-
-    /// Golden v3 error response: no ID on the wire — decodes as the
-    /// uncorrelated sentinel 0.
-    #[test]
-    fn v3_error_golden_decodes_with_zero_id() {
-        let mut wire = Vec::new();
-        wire.extend_from_slice(MAGIC);
-        wire.push(3); // version 3 — last version without response IDs
-        wire.push(2); // OP_RESULT
-        wire.push(1); // STATUS_ERR
-        wire.extend_from_slice(&4u16.to_le_bytes());
-        wire.extend_from_slice(b"nope");
-        assert_eq!(
-            Response::decode(&wire).unwrap(),
-            Response::Error {
-                request_id: 0,
-                message: "nope".into(),
-            }
-        );
-    }
-
-    #[test]
-    fn v1_infer_golden_decodes_as_untraced() {
-        // The same request as a v1 peer sends it: no request-id field.
-        let mut wire = Vec::new();
-        wire.extend_from_slice(MAGIC);
-        wire.push(1); // version 1
-        wire.push(1); // OP_INFER
-        wire.extend_from_slice(&1u16.to_le_bytes());
-        wire.push(b'm');
-        wire.push(2); // rank
-        wire.extend_from_slice(&1u32.to_le_bytes());
-        wire.extend_from_slice(&1u32.to_le_bytes());
-        wire.extend_from_slice(&2.0f32.to_le_bytes());
-        let decoded = Request::decode(&wire).unwrap();
-        let Request::Infer {
-            model, request_id, ..
-        } = decoded
-        else {
-            panic!("expected Infer");
-        };
-        assert_eq!(model, "m");
-        assert_eq!(request_id, 0, "a v1 frame decodes as untraced (ID 0)");
-    }
-
-    /// Golden v2 output response: status OK, no trace block, the same
-    /// 1x1 tensor. Must decode with an all-zero trace.
-    #[test]
-    fn v2_output_golden_decodes_with_zero_trace() {
-        let mut wire = Vec::new();
-        wire.extend_from_slice(MAGIC);
-        wire.push(2); // version 2
-        wire.push(2); // OP_RESULT
-        wire.push(0); // STATUS_OK
-        wire.push(2); // rank
-        wire.extend_from_slice(&1u32.to_le_bytes());
-        wire.extend_from_slice(&1u32.to_le_bytes());
-        wire.extend_from_slice(&2.0f32.to_le_bytes());
-        match Response::decode(&wire).unwrap() {
-            Response::Output { tensor, trace } => {
-                assert_eq!(tensor.data(), &[2.0]);
-                assert_eq!(trace, ServerTrace::default());
-            }
-            other => panic!("expected Output, got {other:?}"),
-        }
-    }
-
-    /// Golden v1 stats response: one 32-byte entry (4 u64 words). The
-    /// queue and breakdown fields a v1 peer cannot send decode as zero —
-    /// the documented zero-fill behaviour.
-    #[test]
-    fn v1_stats_golden_zero_fills_newer_fields() {
-        let mut wire = Vec::new();
-        wire.extend_from_slice(MAGIC);
-        wire.push(1); // version 1
-        wire.push(6); // OP_STATS_RESULT
-        wire.extend_from_slice(&1u16.to_le_bytes()); // one entry
-        wire.extend_from_slice(&3u16.to_le_bytes()); // name length
-        wire.extend_from_slice(b"dig");
-        for word in [42u64, 1, 10_000, 900] {
-            wire.extend_from_slice(&word.to_le_bytes());
-        }
-        let Response::Stats {
-            request_id,
-            unknown_model_requests,
-            stats,
-        } = Response::decode(&wire).unwrap()
-        else {
-            panic!("expected Stats");
-        };
-        assert_eq!(
-            (request_id, unknown_model_requests),
-            (0, 0),
-            "v1 peers carry neither response IDs nor the unknown-model counter"
-        );
-        let s = &stats[0];
-        assert_eq!((s.model.as_str(), s.requests, s.errors), ("dig", 42, 1));
-        assert_eq!((s.queue_depth, s.shed, s.p99_queue_wait_us), (0, 0, 0));
-        assert_eq!(
-            (s.p50_batch_wait_us, s.p50_service_us, s.p50_wire_us),
-            (0, 0, 0)
-        );
-    }
-
-    /// Golden v2 stats response: one 72-byte entry (9 u64 words). Queue
-    /// telemetry decodes; the v3 breakdown quantiles zero-fill.
-    #[test]
-    fn v2_stats_golden_zero_fills_v3_fields() {
-        let mut wire = Vec::new();
-        wire.extend_from_slice(MAGIC);
-        wire.push(2); // version 2
-        wire.push(6); // OP_STATS_RESULT
-        wire.extend_from_slice(&1u16.to_le_bytes());
-        wire.extend_from_slice(&3u16.to_le_bytes());
-        wire.extend_from_slice(b"pos");
-        for word in [10u64, 0, 5_000, 800, 3, 2, 7, 120, 4_500] {
-            wire.extend_from_slice(&word.to_le_bytes());
-        }
-        let Response::Stats { stats, .. } = Response::decode(&wire).unwrap() else {
-            panic!("expected Stats");
-        };
-        let s = &stats[0];
-        assert_eq!((s.queue_depth, s.in_flight, s.shed), (3, 2, 7));
-        assert_eq!((s.p50_queue_wait_us, s.p99_queue_wait_us), (120, 4_500));
-        assert_eq!(
-            (s.p50_batch_wait_us, s.p99_service_us, s.p99_wire_us),
-            (0, 0, 0),
-            "v3 breakdown fields zero-fill from a v2 peer"
-        );
-    }
-
-    /// Golden v5 output response: a 48-byte trace block with no cache
-    /// word. The v6 `cache_hit` flag must decode as `false` — the
-    /// documented zero-fill for frames from a pre-cache peer.
-    #[test]
-    fn v5_output_golden_decodes_with_zero_cache_flag() {
-        let mut wire = Vec::new();
-        wire.extend_from_slice(MAGIC);
-        wire.push(5); // version 5 — last version without the cache word
-        wire.push(2); // OP_RESULT
-        wire.push(0); // STATUS_OK
-        for word in [7u64, 10, 20, 30, 40, 100] {
-            // id, queue, batch, lease, service, server_total
-            wire.extend_from_slice(&word.to_le_bytes());
-        }
-        wire.push(2); // rank
-        wire.extend_from_slice(&1u32.to_le_bytes());
-        wire.extend_from_slice(&1u32.to_le_bytes());
-        wire.extend_from_slice(&2.0f32.to_le_bytes());
-        match Response::decode(&wire).unwrap() {
-            Response::Output { tensor, trace } => {
-                assert_eq!(tensor.data(), &[2.0]);
-                assert_eq!(
-                    trace,
-                    ServerTrace {
-                        request_id: 7,
-                        queue_us: 10,
-                        batch_us: 20,
-                        lease_us: 30,
-                        service_us: 40,
-                        server_total_us: 100,
-                        cache_hit: false,
-                        first_token_us: 0,
-                        tokens: 0,
-                    }
-                );
-            }
-            other => panic!("expected Output, got {other:?}"),
-        }
-    }
-
-    /// Golden v5 stats response: one 17-word entry (no cache counters).
-    /// The v6 cache fields must zero-fill.
-    #[test]
-    fn v5_stats_golden_zero_fills_cache_counters() {
-        let mut wire = Vec::new();
-        wire.extend_from_slice(MAGIC);
-        wire.push(5); // version 5
-        wire.push(6); // OP_STATS_RESULT
-        wire.extend_from_slice(&11u64.to_le_bytes()); // request id
-        wire.extend_from_slice(&9u64.to_le_bytes()); // unknown models
-        wire.extend_from_slice(&1u16.to_le_bytes()); // one entry
-        wire.extend_from_slice(&3u16.to_le_bytes()); // name length
-        wire.extend_from_slice(b"ner");
-        for word in [
-            42u64, 1, 10_000, 900, 3, 2, 7, 120, 4_500, 80, 1_900, 2_400, 3_100, 60, 700, 35, 880,
-        ] {
-            wire.extend_from_slice(&word.to_le_bytes());
-        }
-        let Response::Stats { stats, .. } = Response::decode(&wire).unwrap() else {
-            panic!("expected Stats");
-        };
-        let s = &stats[0];
-        assert_eq!((s.model.as_str(), s.requests), ("ner", 42));
-        assert_eq!((s.p50_lease_wait_us, s.p99_lease_wait_us), (35, 880));
-        assert_eq!(
-            (s.cache_hits, s.cache_misses, s.cache_evictions),
-            (0, 0, 0),
-            "v6 cache counters zero-fill from a v5 peer"
-        );
-    }
-
-    #[test]
-    fn v2_busy_golden_decodes() {
-        let mut wire = Vec::new();
-        wire.extend_from_slice(MAGIC);
-        wire.push(2); // version 2 — the version that introduced busy
-        wire.push(7); // OP_BUSY
-        wire.extend_from_slice(&3u16.to_le_bytes());
-        wire.extend_from_slice(b"imc");
-        wire.extend_from_slice(&128u32.to_le_bytes());
-        assert_eq!(
-            Response::decode(&wire).unwrap(),
-            Response::Busy {
-                request_id: 0,
-                model: "imc".into(),
-                queue_depth: 128,
-            }
-        );
     }
 
     /// Golden v7 stream request: model `"m"`, request ID 7, generative
@@ -632,57 +356,227 @@ mod golden_vectors {
         assert!(Response::decode(&wire).is_err());
     }
 
-    /// Golden v6 output response: a 56-byte trace block with no
-    /// per-token words. The v7 `first_token_us`/`tokens` fields must
-    /// decode as zero — the documented zero-fill for frames from a
-    /// pre-streaming peer.
+    /// Golden output response: the status byte, the 72-byte trace block
+    /// (nine words, the request ID first so it sits at payload offset 7),
+    /// then the tensor.
     #[test]
-    fn v6_output_golden_decodes_with_zero_token_fields() {
+    fn v7_output_encoding_matches_the_golden_bytes() {
         let mut wire = Vec::new();
         wire.extend_from_slice(MAGIC);
-        wire.push(6); // version 6 — last version without token words
+        wire.push(7); // version 7
         wire.push(2); // OP_RESULT
         wire.push(0); // STATUS_OK
-        for word in [7u64, 10, 20, 30, 40, 100, 1] {
-            // id, queue, batch, lease, service, server_total, cache_hit
+        for word in [7u64, 10, 20, 30, 40, 100, 1, 0, 0] {
+            // id, queue, batch, lease, service, total, cache,
+            // first_token_us, tokens
             wire.extend_from_slice(&word.to_le_bytes());
         }
         wire.push(2); // rank
         wire.extend_from_slice(&1u32.to_le_bytes());
         wire.extend_from_slice(&1u32.to_le_bytes());
         wire.extend_from_slice(&2.0f32.to_le_bytes());
-        match Response::decode(&wire).unwrap() {
-            Response::Output { tensor, trace } => {
-                assert_eq!(tensor.data(), &[2.0]);
-                assert_eq!(
-                    trace,
-                    ServerTrace {
-                        request_id: 7,
-                        queue_us: 10,
-                        batch_us: 20,
-                        lease_us: 30,
-                        service_us: 40,
-                        server_total_us: 100,
-                        cache_hit: true,
-                        first_token_us: 0,
-                        tokens: 0,
-                    }
-                );
-            }
-            other => panic!("expected Output, got {other:?}"),
+        assert_eq!(wire.len(), 6 + 1 + 72 + 1 + 8 + 4);
+        let rsp = Response::Output {
+            tensor: Tensor::from_vec(Shape::mat(1, 1), vec![2.0]).unwrap(),
+            trace: ServerTrace {
+                request_id: 7,
+                queue_us: 10,
+                batch_us: 20,
+                lease_us: 30,
+                service_us: 40,
+                server_total_us: 100,
+                cache_hit: true,
+                first_token_us: 0,
+                tokens: 0,
+            },
+        };
+        assert_eq!(&rsp.encode().unwrap()[..], &wire[..]);
+        assert_eq!(Response::decode(&wire).unwrap(), rsp);
+    }
+
+    /// Golden control requests: nothing but the header and the ID.
+    #[test]
+    fn v7_list_models_and_stats_request_encodings_match_the_golden_bytes() {
+        for (opcode, req) in [
+            (3u8, Request::ListModels { request_id: 31 }),
+            (5u8, Request::Stats { request_id: 31 }),
+        ] {
+            let mut wire = Vec::new();
+            wire.extend_from_slice(MAGIC);
+            wire.push(7); // version 7
+            wire.push(opcode); // OP_LIST / OP_STATS
+            wire.extend_from_slice(&31u64.to_le_bytes()); // request id
+            assert_eq!(&req.encode().unwrap()[..], &wire[..]);
+            assert_eq!(Request::decode(&wire).unwrap(), req);
         }
     }
 
+    /// Golden model list: the echoed ID, a `u16` count, then the names.
     #[test]
-    fn decoders_reject_versions_beyond_ours() {
-        let mut wire = infer_golden(4);
-        wire[4] = VERSION + 1;
-        assert!(
-            Request::decode(&wire).is_err(),
-            "future version must be rejected, not misparsed"
-        );
-        wire[4] = 0;
-        assert!(Request::decode(&wire).is_err(), "version 0 is invalid");
+    fn v7_models_encoding_matches_the_golden_bytes() {
+        let mut wire = Vec::new();
+        wire.extend_from_slice(MAGIC);
+        wire.push(7); // version 7
+        wire.push(4); // OP_LIST_RESULT
+        wire.extend_from_slice(&5u64.to_le_bytes()); // request id
+        wire.extend_from_slice(&2u16.to_le_bytes()); // two names
+        wire.extend_from_slice(&3u16.to_le_bytes());
+        wire.extend_from_slice(b"dig");
+        wire.extend_from_slice(&1u16.to_le_bytes());
+        wire.push(b'm');
+        let rsp = Response::Models {
+            request_id: 5,
+            names: vec!["dig".into(), "m".into()],
+        };
+        assert_eq!(&rsp.encode().unwrap()[..], &wire[..]);
+        assert_eq!(Response::decode(&wire).unwrap(), rsp);
+    }
+
+    /// Golden stats response: the echoed ID, the unknown-model counter, a
+    /// `u16` count, then per entry the name and 23 words. Every word
+    /// holds a different value, so two fields swapped on the wire cannot
+    /// pass.
+    #[test]
+    fn v7_stats_response_encoding_matches_the_golden_bytes() {
+        let mut wire = Vec::new();
+        wire.extend_from_slice(MAGIC);
+        wire.push(7); // version 7
+        wire.push(6); // OP_STATS_RESULT
+        wire.extend_from_slice(&6u64.to_le_bytes()); // request id
+        wire.extend_from_slice(&2u64.to_le_bytes()); // unknown-model requests
+        wire.extend_from_slice(&1u16.to_le_bytes()); // one entry
+        wire.extend_from_slice(&3u16.to_le_bytes());
+        wire.extend_from_slice(b"dig");
+        for word in 101u64..=123 {
+            wire.extend_from_slice(&word.to_le_bytes());
+        }
+        assert_eq!(wire.len(), 6 + 8 + 8 + 2 + 5 + 23 * 8);
+        let rsp = Response::Stats {
+            request_id: 6,
+            unknown_model_requests: 2,
+            stats: vec![ModelStats {
+                model: "dig".into(),
+                requests: 101,
+                errors: 102,
+                total_latency_us: 103,
+                max_latency_us: 104,
+                queue_depth: 105,
+                in_flight: 106,
+                shed: 107,
+                p50_queue_wait_us: 108,
+                p99_queue_wait_us: 109,
+                p50_batch_wait_us: 110,
+                p99_batch_wait_us: 111,
+                p50_service_us: 112,
+                p99_service_us: 113,
+                p50_wire_us: 114,
+                p99_wire_us: 115,
+                p50_lease_wait_us: 116,
+                p99_lease_wait_us: 117,
+                cache_hits: 118,
+                cache_misses: 119,
+                cache_evictions: 120,
+                tokens_out: 121,
+                p50_token_gap_us: 122,
+                p99_token_gap_us: 123,
+            }],
+        };
+        assert_eq!(&rsp.encode().unwrap()[..], &wire[..]);
+        assert_eq!(Response::decode(&wire).unwrap(), rsp);
+    }
+
+    /// One layout, one version: every frame kind stamped with any version
+    /// byte but ours — the six retired ones, 0, the next one, 255 — is
+    /// refused by the full decoders and by the no-decode readers alike,
+    /// with a protocol error naming the version received and the one
+    /// spoken. Nothing is zero-filled, nothing is misparsed.
+    #[test]
+    fn decoders_refuse_every_version_but_ours() {
+        let tensor = || Tensor::from_vec(Shape::mat(1, 1), vec![2.0]).unwrap();
+        let trace = ServerTrace {
+            request_id: 7,
+            ..ServerTrace::default()
+        };
+        // The infer golden is built at the version asked for; every other
+        // kind is encoded, then re-stamped.
+        let requests = [
+            Request::ListModels { request_id: 7 },
+            Request::Stats { request_id: 7 },
+            Request::StreamInfer {
+                model: "m".into(),
+                input: tensor(),
+                request_id: 7,
+                mode: StreamMode::Generative { max_tokens: 3 },
+            },
+        ];
+        let responses = [
+            Response::Output {
+                tensor: tensor(),
+                trace,
+            },
+            Response::Error {
+                request_id: 7,
+                message: "nope".into(),
+            },
+            Response::Models {
+                request_id: 7,
+                names: vec!["m".into()],
+            },
+            Response::Stats {
+                request_id: 7,
+                unknown_model_requests: 0,
+                stats: vec![],
+            },
+            Response::Busy {
+                request_id: 7,
+                model: "m".into(),
+                queue_depth: 1,
+            },
+            Response::Chunk {
+                tensor: tensor(),
+                trace,
+                seq: 0,
+                last: true,
+            },
+        ];
+        let refused = |what: &str, version: u8, err: DjinnError| match err {
+            DjinnError::Protocol { reason } => assert!(
+                reason.contains(&version.to_string()) && reason.contains(&VERSION.to_string()),
+                "{what} at version {version}: the refusal must hold both numbers: {reason}"
+            ),
+            other => panic!("{what} at version {version}: expected Protocol, got {other}"),
+        };
+        let stamp = |encoded: &[u8], version: u8| {
+            let mut wire = encoded.to_vec();
+            wire[4] = version;
+            wire
+        };
+        for version in (0..VERSION).chain([VERSION + 1, 255]) {
+            let encoded = requests
+                .iter()
+                .map(|r| stamp(&r.encode().unwrap(), version));
+            for wire in std::iter::once(infer_golden(version)).chain(encoded) {
+                refused(
+                    "Request::decode",
+                    version,
+                    Request::decode(&wire).unwrap_err(),
+                );
+                refused("peek_request", version, peek_request(&wire).unwrap_err());
+            }
+            for rsp in &responses {
+                let wire = stamp(&rsp.encode().unwrap(), version);
+                refused(
+                    "Response::decode",
+                    version,
+                    Response::decode(&wire).unwrap_err(),
+                );
+                refused(
+                    "response_id_slot",
+                    version,
+                    response_id_slot(&wire).unwrap_err(),
+                );
+            }
+        }
     }
 
     /// Round-trip stability: encode → decode → encode is byte-identical
