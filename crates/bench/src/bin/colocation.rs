@@ -38,11 +38,11 @@
 //! seconds — the CI wiring.
 
 use std::process::ExitCode;
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bench::render::{num, Table};
+use crossbeam::channel::bounded;
 use djinn::trace::{ServerTrace, TraceAggregator};
 use djinn::{
     BatchConfig, ColocationPolicy, CpuExecutor, DelayExecutor, Device, DeviceScheduler,
@@ -328,7 +328,7 @@ fn run_cell(cell: &Cell, arm: Arm, duration: Duration) -> Result<RunResult, Stri
     let total = schedule.len();
 
     // Capacity covers every arrival, so the engine-side send never blocks.
-    let (tx, rx) = mpsc::sync_channel::<RoutedReply>(total.max(1));
+    let (tx, rx) = bounded::<RoutedReply>(total.max(1));
     let collector = std::thread::spawn(move || {
         // Completion time per token, in receive order. The channel
         // closes once the submitter's handle drops and every admitted

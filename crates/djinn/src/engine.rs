@@ -12,10 +12,12 @@
 //!
 //! Admission is **non-blocking with explicit backpressure**: when the
 //! queue holds `queue_capacity` jobs, [`InferenceEngine::submit`] returns
-//! [`DjinnError::Busy`] immediately instead of blocking the caller. A
-//! connection worker therefore only ever waits on its *own admitted*
-//! job's reply, which is guaranteed to arrive: dispatch workers answer
-//! every job they pop, and shutdown drains the queue before joining.
+//! [`DjinnError::Busy`] immediately instead of blocking the caller. The
+//! server's connection loop therefore never waits on the engine at all:
+//! it admits, and each admitted job's reply — guaranteed to arrive,
+//! because dispatch workers answer every job they pop and shutdown drains
+//! the queue before joining — comes back through a [`ReplyTo`] that wakes
+//! the loop.
 //!
 //! A **stream** is a job in the same queue. It is admitted once, through
 //! the same capacity check, and the queue entry is always its *next
@@ -42,6 +44,7 @@ use gpusim::queueing::{BoundedQueue, LatencyHistogram};
 use tensor::{Shape, Tensor};
 
 use crate::device::{ColocationPolicy, DeviceScheduler};
+use crate::io::Wake;
 use crate::protocol::StreamMode;
 use crate::trace::EngineSpans;
 use crate::{DjinnError, Executor, Result};
@@ -170,9 +173,9 @@ pub struct EngineStats {
 }
 
 /// A completed routed job, delivered to whatever channel the submitter
-/// registered with [`InferenceEngine::submit_routed`] — in the server,
-/// a connection's reply pump, which may receive completions from many
-/// models in any order.
+/// registered with [`InferenceEngine::submit_routed`] — in the server, a
+/// connection's completion channel, which may receive completions from
+/// many models in any order.
 #[derive(Debug)]
 pub struct RoutedReply {
     /// The submitter's opaque token, echoed verbatim so the receiver can
@@ -190,18 +193,66 @@ pub struct RoutedReply {
     pub result: Result<(Tensor, EngineSpans)>,
 }
 
-/// Where a job's completion goes: once, to the channel the submitter
-/// gave ([`Ticket`]s wait on a private one), or — for a stream, whose
+/// Where a routed job's replies go: a channel, and — for the server's
+/// connection loop — the wake that gets the loop out of `poll(2)` after
+/// every reply sent. Any [`Sender`] converts into one.
+#[derive(Debug, Clone)]
+pub struct ReplyTo {
+    tx: Sender<RoutedReply>,
+    wake: Option<Arc<Wake>>,
+}
+
+impl From<Sender<RoutedReply>> for ReplyTo {
+    fn from(tx: Sender<RoutedReply>) -> Self {
+        ReplyTo { tx, wake: None }
+    }
+}
+
+impl ReplyTo {
+    /// A channel whose every reply is followed by `wake`.
+    pub(crate) fn waking(tx: Sender<RoutedReply>, wake: Arc<Wake>) -> Self {
+        ReplyTo {
+            tx,
+            wake: Some(wake),
+        }
+    }
+
+    /// Sends a one-shot job's reply, waiting for room in a full bounded
+    /// channel; a gone receiver is the receiver's problem, never the
+    /// engine's.
+    fn send(&self, reply: RoutedReply) {
+        if self.tx.send(reply).is_ok() {
+            self.woken();
+        }
+    }
+
+    /// Sends without waiting: a stream's chunk. Like the channel's own
+    /// `try_send`, a refusal hands the reply back, so the error is large.
+    #[allow(clippy::result_large_err)]
+    fn try_send(&self, reply: RoutedReply) -> std::result::Result<(), TrySendError<RoutedReply>> {
+        self.tx.try_send(reply)?;
+        self.woken();
+        Ok(())
+    }
+
+    fn woken(&self) {
+        if let Some(wake) = &self.wake {
+            wake.wake();
+        }
+    }
+}
+
+/// Where a job's completion goes: once, to the destination the submitter
+/// gave ([`Ticket`]s wait on a private channel), or — for a stream, whose
 /// queue entry is its next step — into the stream's state.
 enum ReplySlot {
-    Once { token: u64, tx: Sender<RoutedReply> },
+    Once { token: u64, tx: ReplyTo },
     Stream(Box<Stream>),
 }
 
-/// Sends a one-shot job's only reply; a gone receiver is the receiver's
-/// problem, never the engine's.
-fn deliver(token: u64, tx: &Sender<RoutedReply>, result: Result<(Tensor, EngineSpans)>) {
-    let _ = tx.send(RoutedReply {
+/// Sends a one-shot job's only reply.
+fn deliver(token: u64, tx: &ReplyTo, result: Result<(Tensor, EngineSpans)>) {
+    tx.send(RoutedReply {
         token,
         seq: 0,
         last: true,
@@ -221,7 +272,7 @@ enum Rest {
 /// marks they carry, and what is left to run.
 struct Stream {
     token: u64,
-    tx: Sender<RoutedReply>,
+    tx: ReplyTo,
     admitted: Instant,
     last_emit: Option<Instant>,
     first_token_us: u64,
@@ -567,11 +618,10 @@ impl InferenceEngine {
     }
 
     /// Admits one job without blocking, routing its completion to `tx`
-    /// instead of a per-job [`Ticket`]. The engine echoes `token` on the
+    /// (a [`Sender`] or a [`ReplyTo`]) instead of a per-job [`Ticket`]. The engine echoes `token` on the
     /// [`RoutedReply`] so the receiver can correlate completions — this
-    /// is the handoff the server's per-connection reply pump uses to
-    /// answer pipelined requests out of order without a worker blocked
-    /// per request.
+    /// is how the server's connection loop answers pipelined requests out
+    /// of order without a thread blocked per request.
     ///
     /// The reply guarantee is identical to [`InferenceEngine::submit`]:
     /// every admitted job produces exactly one [`RoutedReply`], including
@@ -583,7 +633,8 @@ impl InferenceEngine {
     /// queue returns [`DjinnError::Busy`], a closed engine
     /// [`DjinnError::Shutdown`] — in both cases nothing was admitted and
     /// no reply will arrive for `token`.
-    pub fn submit_routed(&self, input: Tensor, token: u64, tx: Sender<RoutedReply>) -> Result<()> {
+    pub fn submit_routed(&self, input: Tensor, token: u64, tx: impl Into<ReplyTo>) -> Result<()> {
+        let tx = tx.into();
         // Probe the exact-match cache before admission: a hit skips the
         // queue, the device lease, and the forward pass entirely, and is
         // stamped with the `cache` disposition (all spans ~0). A miss
@@ -646,7 +697,7 @@ impl InferenceEngine {
         input: Tensor,
         token: u64,
         mode: StreamMode,
-        tx: Sender<RoutedReply>,
+        tx: impl Into<ReplyTo>,
     ) -> Result<()> {
         // Checked here and not left to the forward pass: a tick stacks
         // many streams' rows, and one misshapen input would fail them all.
@@ -693,7 +744,7 @@ impl InferenceEngine {
             input,
             reply: ReplySlot::Stream(Box::new(Stream {
                 token,
-                tx,
+                tx: tx.into(),
                 admitted,
                 last_emit: None,
                 first_token_us: 0,

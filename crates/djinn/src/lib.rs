@@ -19,6 +19,10 @@
 //!   §5.1 of the paper), and queue telemetry;
 //! * [`DjinnServer`]/[`DjinnClient`] — the TCP service and its client.
 //!
+//! Both network tiers run on one I/O core: a single thread per server or
+//! router waits in `poll(2)` for whichever connection is ready, so an idle
+//! connection costs a socket and a few buffers, not a thread.
+//!
 //! # Quickstart
 //!
 //! ```no_run
@@ -40,11 +44,14 @@
 //! # }
 //! ```
 
+#![deny(unsafe_code)]
+
 mod client;
 pub mod device;
 mod engine;
 mod error;
 mod executor;
+mod io;
 pub mod protocol;
 mod registry;
 mod router;
@@ -56,8 +63,8 @@ pub use client::{DjinnClient, PipelinedResponse, StreamChunk, StreamIter};
 pub use device::{ColocationPolicy, ComputeLease, Device, DeviceScheduler};
 pub use dnn::cache::{CacheMode, CacheStats, InferenceCache};
 pub use engine::{
-    BatchConfig, DispatchPolicy, EngineConfig, EngineStats, InferenceEngine, RoutedReply, Ticket,
-    MAX_STREAM_TOKENS,
+    BatchConfig, DispatchPolicy, EngineConfig, EngineStats, InferenceEngine, ReplyTo, RoutedReply,
+    Ticket, MAX_STREAM_TOKENS,
 };
 pub use error::DjinnError;
 pub use executor::{CpuExecutor, DelayExecutor, Executor, InferenceOutcome, SimGpuExecutor};

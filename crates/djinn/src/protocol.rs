@@ -587,14 +587,30 @@ fn put_infer_payload(
 /// for a single `write_all`.
 fn frame_into(buf: &mut BytesMut, encode: impl FnOnce(&mut BytesMut) -> Result<()>) -> Result<()> {
     buf.clear();
+    append_frame(buf, encode)
+}
+
+/// Appends one `[len | payload]` frame to `buf` behind what it already
+/// holds — how a connection's write buffer queues replies. On error `buf`
+/// is left exactly as it was.
+pub(crate) fn append_frame(
+    buf: &mut BytesMut,
+    encode: impl FnOnce(&mut BytesMut) -> Result<()>,
+) -> Result<()> {
+    let start = buf.len();
     buf.put_u32_le(0); // length, backfilled below
-    encode(buf)?;
-    let len = buf.len() - 4;
-    if len > MAX_FRAME {
-        return Err(err(&format!("frame length {len} exceeds cap {MAX_FRAME}")));
+    let framed = encode(buf).and_then(|()| {
+        let len = buf.len() - start - 4;
+        if len > MAX_FRAME {
+            return Err(err(&format!("frame length {len} exceeds cap {MAX_FRAME}")));
+        }
+        buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        Ok(())
+    });
+    if framed.is_err() {
+        buf.truncate(start);
     }
-    buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
-    Ok(())
+    framed
 }
 
 /// Encodes a complete infer request *frame* (length prefix included) from
@@ -1131,9 +1147,15 @@ pub struct FrameReader {
     end: usize,
 }
 
-/// Read granularity: spare buffer space grows in steps of this size, so
-/// one syscall can pull at most this much past what is already buffered.
+/// Read granularity: a reader starts with [`FIRST_READ`] bytes of room
+/// and each growth doubles it, adding at most [`READ_CHUNK`] at a time —
+/// so one syscall pulls at most that much past what is already buffered,
+/// and a connection that only ever carried small frames holds a few kB
+/// while it sits idle, not a whole chunk.
 const READ_CHUNK: usize = 64 * 1024;
+
+/// A new reader's first buffer size.
+const FIRST_READ: usize = 4 * 1024;
 
 impl FrameReader {
     /// An empty reader.
@@ -1227,7 +1249,7 @@ impl FrameReader {
     /// resets the cursors when everything is consumed (free), compacts
     /// when the filled region hits the end and at least half of it is
     /// consumed (the copy recovers more space than it moves), and
-    /// otherwise grows the initialized region by [`READ_CHUNK`].
+    /// otherwise grows the initialized region (see [`READ_CHUNK`]).
     fn ensure_read_space(&mut self) {
         if self.pos == self.end {
             self.pos = 0;
@@ -1238,7 +1260,8 @@ impl FrameReader {
             self.pos = 0;
         }
         if self.end == self.buf.len() {
-            self.buf.resize(self.end + READ_CHUNK, 0);
+            let grow = self.buf.len().clamp(FIRST_READ, READ_CHUNK);
+            self.buf.resize(self.end + grow, 0);
         }
     }
 }

@@ -10,18 +10,12 @@
 //!
 //! # Architecture
 //!
-//! Unlike [`crate::DjinnServer`], which spends a thread (plus a reply
-//! pump) per connection, the router is a **single-threaded readiness
-//! loop over nonblocking sockets**: one thread holds hundreds of client
-//! connections and a few persistent, pipelined upstream connections —
-//! one per replica. Each tick it accepts new clients, drains readable
-//! sockets through per-connection [`FrameReader`]s (whose cursor-based
-//! buffers return `Ok(None)` on `WouldBlock`, exactly the contract a
-//! poll loop needs), and flushes per-connection write buffers with
-//! partial-write cursors. No epoll dependency: with the tiny socket
-//! counts a serving tier uses (hundreds, not hundreds of thousands), a
-//! scan-all-sockets tick plus a ~500 µs idle sleep is simpler and fast
-//! enough to keep replicas saturated.
+//! Like [`crate::DjinnServer`], the router is one thread that sleeps in
+//! `poll(2)` until a socket is ready or the next stats tick is due. It
+//! holds hundreds of client connections and one persistent, pipelined
+//! connection per replica. A replica is watched only while it owes
+//! replies; each tick reads what an idle one sent since the last, so an
+//! idle router wakes only for its ticks.
 //!
 //! # Forwarding and ID remapping
 //!
@@ -67,24 +61,27 @@
 //! A replica connection that errors is torn down: every request in
 //! flight on it is answered to its client with a correlated `Error`
 //! frame (the client sees a `Remote` failure on that request, not a
-//! poisoned connection), and the router retries the replica at each
-//! stats tick. Clients that disconnect mid-flight are forgotten;
-//! replies that arrive for them are dropped by slot-generation check, so
-//! a reused connection slot can never receive a predecessor's reply.
+//! poisoned connection), and the router redials the replica at each
+//! stats tick — connect and `ListModels` handshake inside the loop, so a
+//! replica that accepts and never answers delays no one, and is dropped
+//! after [`HANDSHAKE_TIMEOUT`]. A client that falls behind its replies is
+//! not read until it catches up, and one that takes none of them for the
+//! I/O core's stall limit is dropped; a replica that takes none of its
+//! requests for as long is torn down like one that errors. Replies are
+//! always read, whoever they are for, so one slow client cannot hold up
+//! the replica connection every client shares. Replies for a client that
+//! left are dropped: connection IDs are never reused, so none reaches a
+//! successor.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
-
+use crate::io::{dial, Conn, LoopThread, Poller, WriteBuf};
 use crate::protocol::{
-    is_busy_response, is_partial_chunk, peek_request, read_frame, response_id_slot, FrameReader,
-    ModelStats, Request, RequestPeek, Response, MAX_FRAME,
+    is_busy_response, is_partial_chunk, peek_request, read_frame, response_id_slot, write_frame,
+    ModelStats, Request, RequestPeek, Response,
 };
 use crate::{DjinnError, Result};
 
@@ -152,26 +149,15 @@ impl Default for RouterConfig {
 #[derive(Debug)]
 pub struct DjinnRouter {
     local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    thread: LoopThread,
 }
-
-/// Idle-tick sleep: the scan loop's poll granularity when no socket had
-/// traffic. Small enough to add negligible latency at the measured
-/// throughputs, large enough to keep an idle router near 0% CPU.
-const IDLE_SLEEP: Duration = Duration::from_micros(500);
-
-/// Per-connection write-buffer bound. A client that stops draining its
-/// socket while replies pile up is dropped once its buffer would exceed
-/// this, so one stalled reader cannot grow router memory without bound.
-const OUT_BUF_CAP: usize = 2 * MAX_FRAME;
 
 /// Score penalty per shed observed between the last two stats polls: a
 /// replica actively shedding load is in a worse state than its queue
 /// depth alone admits, so recent sheds weigh extra against it.
 const SHED_PENALTY: u64 = 4;
 
-/// Timeout for the blocking bootstrap/reconnect handshake per replica.
+/// Bound on a replica's connect and `ListModels` handshake.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
 impl DjinnRouter {
@@ -195,6 +181,7 @@ impl DjinnRouter {
             upstreams.push(Upstream {
                 addr,
                 conn: Some(conn),
+                hello: None,
                 models,
                 polled_backlog: 0,
                 polled_shed: 0,
@@ -209,14 +196,12 @@ impl DjinnRouter {
             });
         }
         let listener = TcpListener::bind(&config.bind_addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let mut core = Core {
             in_flight: HashMap::new(),
             control: HashMap::new(),
             next_id: 1,
-            next_gen: 1,
+            next_client: 1,
             models: HashMap::new(),
             policy: config.policy,
             rr: 0,
@@ -226,22 +211,12 @@ impl DjinnRouter {
             rng: 0x9E37_79B9_7F4A_7C15,
         };
         rebuild_model_map(&mut core, &upstreams);
-        let thread = {
-            let stop = Arc::clone(&stop);
-            let stats_interval = config.stats_interval;
-            let max_clients = config.max_clients;
-            std::thread::Builder::new()
-                .name("djinn-router".into())
-                .spawn(move || {
-                    event_loop(listener, upstreams, core, stop, stats_interval, max_clients)
-                })
-                .map_err(DjinnError::Io)?
-        };
-        Ok(DjinnRouter {
-            local_addr,
-            stop,
-            thread: Some(thread),
-        })
+        let (stats_interval, max_clients) = (config.stats_interval, config.max_clients);
+        let thread = LoopThread::spawn("djinn-router", listener, move |poller, stop| {
+            let limits = (stats_interval, max_clients);
+            event_loop(poller, upstreams, core, stop, limits)
+        })?;
+        Ok(DjinnRouter { local_addr, thread })
     }
 
     /// The address clients connect to.
@@ -249,110 +224,15 @@ impl DjinnRouter {
         self.local_addr
     }
 
-    /// Stops the event loop and joins it. The loop never blocks (the
-    /// listener and every socket are nonblocking), so the flag is
-    /// noticed within one idle tick.
+    /// Stops the event loop and joins it; the loop is woken out of its
+    /// wait, so this returns at once.
     pub fn shutdown(mut self) {
-        self.stop_event_loop();
-    }
-
-    fn stop_event_loop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.thread.stop();
     }
 }
 
-impl Drop for DjinnRouter {
-    fn drop(&mut self) {
-        self.stop_event_loop();
-    }
-}
-
-/// A write buffer with a partial-write cursor: frames are appended
-/// whole, the socket drains as much as it will take per tick, and the
-/// cursor remembers where the next flush resumes. Storage is reclaimed
-/// whenever the buffer fully drains.
-#[derive(Debug, Default)]
-struct WriteBuf {
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl WriteBuf {
-    fn pending(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Appends `[len | payload]` verbatim.
-    fn push_frame(&mut self, payload: &[u8]) {
-        self.buf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(payload);
-    }
-
-    /// Appends `[len | payload]` with the 8 ID bytes at `id_at` (an
-    /// offset into the payload) rewritten to `id` — the zero-decode
-    /// forwarding path.
-    fn push_frame_with_id(&mut self, payload: &[u8], id_at: usize, id: u64) {
-        let base = self.buf.len() + 4 + id_at;
-        self.push_frame(payload);
-        self.buf[base..base + 8].copy_from_slice(&id.to_le_bytes());
-    }
-
-    /// Encodes and appends a locally-produced response frame.
-    fn push_response(&mut self, resp: &Response) -> Result<()> {
-        let mut tmp = BytesMut::new();
-        resp.encode_framed_into(&mut tmp)?;
-        self.buf.extend_from_slice(&tmp);
-        Ok(())
-    }
-
-    /// Writes as much buffered data as the socket accepts. Returns
-    /// whether any bytes moved; `WouldBlock` is "done for this tick",
-    /// not an error.
-    fn flush<W: Write>(&mut self, mut w: W) -> std::io::Result<bool> {
-        let mut progressed = false;
-        while self.pos < self.buf.len() {
-            match w.write(&self.buf[self.pos..]) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "socket accepted zero bytes",
-                    ))
-                }
-                Ok(n) => {
-                    self.pos += n;
-                    progressed = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Ok(progressed)
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        self.buf.clear();
-        self.pos = 0;
-        Ok(progressed)
-    }
-}
-
-/// One client connection's state.
-#[derive(Debug)]
-struct ClientConn {
-    stream: TcpStream,
-    reader: FrameReader,
-    out: WriteBuf,
-    /// Slot-reuse guard: in-flight entries record (slot, gen), so a
-    /// reply addressed to a connection that died cannot be delivered to
-    /// whichever new client later reuses its slot.
-    gen: u64,
-}
+/// Client connections by ID.
+type Clients = HashMap<u64, Conn>;
 
 /// One replica: its (possibly down) connection, its model list, and the
 /// telemetry behind the load-aware score.
@@ -360,6 +240,9 @@ struct ClientConn {
 struct Upstream {
     addr: SocketAddr,
     conn: Option<Conn>,
+    /// A redial awaiting its `ListModels` answer: the request's ID and the
+    /// dial's start. Nothing is routed to the replica meanwhile.
+    hello: Option<(u64, Instant)>,
     /// Models this replica serves — learned at bootstrap, refreshed on
     /// reconnect, and retained while down so "unknown model" stays
     /// distinguishable from "no live replica serves it".
@@ -373,7 +256,9 @@ struct Upstream {
     shed_delta: u64,
     /// Lifetime frames forwarded to this replica (never reset).
     sent_total: u64,
-    /// Lifetime replies received from this replica (never reset).
+    /// Lifetime replies received from this replica, plus requests
+    /// orphaned when its connection died (never reset): `sent_total -
+    /// done_total` is what it still owes.
     done_total: u64,
     /// `sent_total` at the moment the answered stats poll was *sent*:
     /// every request forwarded before that point is either inside the
@@ -406,20 +291,22 @@ impl Upstream {
         (self.polled_backlog + (self.shed_delta + self.shed_live) * SHED_PENALTY + sent_delta)
             .saturating_sub(done_delta)
     }
-}
 
-#[derive(Debug)]
-struct Conn {
-    stream: TcpStream,
-    reader: FrameReader,
-    out: WriteBuf,
+    /// Connected and past its handshake: requests may be routed here.
+    fn is_live(&self) -> bool {
+        self.conn.is_some() && self.hello.is_none()
+    }
+
+    /// Whether to watch for replies now; a stats answer waits for a tick.
+    fn owes_reply(&self) -> bool {
+        self.hello.is_some() || self.sent_total > self.done_total
+    }
 }
 
 /// Where a forwarded request came from.
 #[derive(Debug)]
 struct InFlight {
-    slot: usize,
-    gen: u64,
+    client: u64,
     orig_id: u64,
     upstream: usize,
 }
@@ -428,11 +315,11 @@ struct InFlight {
 struct Core {
     /// Router-scoped upstream ID → originating request.
     in_flight: HashMap<u64, InFlight>,
-    /// Router-issued control request (stats poll) → (upstream index,
-    /// the upstream's `sent_total` when the poll was sent).
+    /// Router-issued stats poll → (upstream index, the upstream's
+    /// `sent_total` when the poll was sent).
     control: HashMap<u64, (usize, u64)>,
     next_id: u64,
-    next_gen: u64,
+    next_client: u64,
     /// Model name → replicas serving it (indices into `upstreams`).
     models: HashMap<String, Vec<usize>>,
     policy: RoutePolicy,
@@ -456,36 +343,23 @@ impl Core {
 }
 
 /// Blocking bootstrap handshake: connect, ask `ListModels`, return the
-/// connection flipped to nonblocking plus the model list.
+/// connection (nonblocking from here on) plus the model list.
 fn connect_upstream(addr: SocketAddr) -> Result<(Conn, Vec<String>)> {
     let stream = TcpStream::connect_timeout(&addr, HANDSHAKE_TIMEOUT)?;
-    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-    let mut buf = BytesMut::new();
-    Request::ListModels { request_id: 1 }.encode_framed_into(&mut buf)?;
-    (&stream).write_all(&buf)?;
-    let reply = read_frame(&stream)?;
-    let names = match Response::decode(&reply)? {
-        Response::Models { names, .. } => names,
-        Response::Error { message, .. } => {
-            return Err(DjinnError::Remote { message });
-        }
-        other => {
-            return Err(DjinnError::Protocol {
-                reason: format!("replica {addr} answered ListModels with {other:?}"),
-            });
-        }
-    };
-    stream.set_read_timeout(None)?;
-    stream.set_nonblocking(true)?;
-    Ok((
-        Conn {
-            stream,
-            reader: FrameReader::new(),
-            out: WriteBuf::default(),
-        },
-        names,
-    ))
+    write_frame(&stream, &Request::ListModels { request_id: 1 }.encode()?)?;
+    let names = models_of(&read_frame(&stream)?, addr)?;
+    Ok((Conn::new(stream)?, names))
+}
+
+/// The model list in a replica's answer to `ListModels`.
+fn models_of(frame: &[u8], addr: SocketAddr) -> Result<Vec<String>> {
+    match Response::decode(frame)? {
+        Response::Models { names, .. } => Ok(names),
+        other => Err(DjinnError::Protocol {
+            reason: format!("replica {addr} answered ListModels with {other:?}"),
+        }),
+    }
 }
 
 /// Rebuilds the model → replicas map from every upstream's model list
@@ -506,7 +380,7 @@ fn pick_replica(core: &mut Core, upstreams: &[Upstream], model: &str) -> Option<
     let live: Vec<usize> = cands
         .iter()
         .copied()
-        .filter(|&i| upstreams[i].conn.is_some())
+        .filter(|&i| upstreams[i].is_live())
         .collect();
     if live.is_empty() {
         return None;
@@ -601,431 +475,294 @@ fn merged_stats(request_id: u64, upstreams: &[Upstream]) -> Response {
     }
 }
 
-/// Tears down a dead replica connection: every request in flight on it
-/// is answered to its client with a correlated `Error` frame, so the
-/// client sees a per-request `Remote` failure instead of a hung call.
+/// Tears down a replica connection: every request in flight on it is
+/// answered to its client with a correlated `Error` frame, so the client
+/// sees a per-request `Remote` failure instead of a hung call.
 fn kill_upstream(
     u: usize,
     upstreams: &mut [Upstream],
-    clients: &mut [Option<ClientConn>],
+    clients: &mut Clients,
     core: &mut Core,
     reason: &str,
 ) {
-    upstreams[u].conn = None;
-    let orphaned: Vec<u64> = core
-        .in_flight
-        .iter()
-        .filter(|(_, f)| f.upstream == u)
-        .map(|(&rid, _)| rid)
-        .collect();
-    let message = format!(
-        "replica {} connection lost mid-request: {reason}",
-        upstreams[u].addr
-    );
-    for rid in orphaned {
-        let Some(f) = core.in_flight.remove(&rid) else {
-            continue;
-        };
-        if let Some(Some(cc)) = clients.get_mut(f.slot) {
-            if cc.gen == f.gen {
-                let _ = cc.out.push_response(&Response::Error {
-                    request_id: f.orig_id,
-                    message: message.clone(),
-                });
-            }
-        }
-    }
-    // Router-issued control requests on the dead connection just vanish.
-    core.control.retain(|_, &mut (uu, _)| uu != u);
-    // Poll-delta state is stale once the connection is gone.
     let up = &mut upstreams[u];
+    up.conn = None;
+    up.hello = None;
+    let message = format!("replica {} connection lost mid-request: {reason}", up.addr);
+    core.in_flight.retain(|_, f| {
+        if f.upstream != u {
+            return true;
+        }
+        up.done_total += 1;
+        if let Some(client) = clients.get_mut(&f.client) {
+            let _ = client.out.push_response(&Response::Error {
+                request_id: f.orig_id,
+                message: message.clone(),
+            });
+        }
+        false
+    });
+    // Router-issued stats polls on the dead connection just vanish.
+    core.control.retain(|_, &mut (uu, _)| uu != u);
+    // Load telemetry is stale once the connection is gone.
     up.sent_mark = up.sent_total;
     up.done_mark = up.done_total;
-    up.polled_backlog = 0;
+    (up.polled_backlog, up.shed_delta, up.shed_live) = (0, 0, 0);
 }
 
-/// What `pump_upstreams` decided about one inbound replica frame, split
-/// out so the frame borrow ends before the upstream's counters mutate.
-enum UpstreamPost {
-    /// A reply was matched (and delivered if its client still exists);
-    /// the flag says whether it was a `Busy` (shed) frame.
-    Done { busy: bool },
-    /// A non-final stream chunk was matched and delivered; the request
-    /// stays in flight (its replica pin and `done_total` accounting
-    /// settle on the final chunk).
-    Partial,
-    /// A stats-poll reply (with the upstream's `sent_total` recorded at
-    /// poll-send time); apply to the upstream's telemetry.
-    Control(u64, Option<Response>),
-    /// Stale or uncorrelated frame — dropped.
-    Ignored,
-}
-
-/// Drains every readable replica connection, delivering replies to
-/// their originating clients. Returns whether any frame moved.
-fn pump_upstreams(
-    upstreams: &mut [Upstream],
-    clients: &mut [Option<ClientConn>],
-    core: &mut Core,
-) -> bool {
-    let mut any = false;
-    for u in 0..upstreams.len() {
-        let mut dead: Option<String> = None;
-        loop {
-            let post = {
-                let up = &mut upstreams[u];
-                let Some(conn) = up.conn.as_mut() else { break };
-                match conn.reader.read_frame_ref(&conn.stream) {
-                    Ok(None) => break,
-                    Err(e) => {
-                        dead = Some(e.to_string());
-                        break;
-                    }
-                    Ok(Some(frame)) => {
-                        any = true;
-                        match response_id_slot(frame) {
-                            Ok((rid, id_at)) => {
-                                // A non-final chunk leaves the stream
-                                // registered: later chunks of the same
-                                // stream must keep resolving to this
-                                // client, and the request only retires
-                                // (for load accounting) on its final
-                                // chunk.
-                                let partial = is_partial_chunk(frame);
-                                let routed = if partial {
-                                    core.in_flight.get(&rid).map(|f| (f.slot, f.gen, f.orig_id))
-                                } else {
-                                    core.in_flight
-                                        .remove(&rid)
-                                        .map(|f| (f.slot, f.gen, f.orig_id))
-                                };
-                                if let Some((slot, gen, orig_id)) = routed {
-                                    if let Some(Some(cc)) = clients.get_mut(slot) {
-                                        if cc.gen == gen && cc.out.pending() <= OUT_BUF_CAP {
-                                            cc.out.push_frame_with_id(frame, id_at, orig_id);
-                                        }
-                                    }
-                                    if partial {
-                                        UpstreamPost::Partial
-                                    } else {
-                                        UpstreamPost::Done {
-                                            busy: is_busy_response(frame),
-                                        }
-                                    }
-                                } else if let Some((_, sent_at_send)) = core.control.remove(&rid) {
-                                    UpstreamPost::Control(
-                                        sent_at_send,
-                                        Response::decode(frame).ok(),
-                                    )
-                                } else {
-                                    UpstreamPost::Ignored
-                                }
-                            }
-                            // A frame whose ID cannot be read answers
-                            // nothing we can route.
-                            Err(_) => UpstreamPost::Ignored,
-                        }
-                    }
-                }
-            };
-            match post {
-                UpstreamPost::Done { busy } => {
-                    let up = &mut upstreams[u];
-                    up.done_total += 1;
-                    if busy {
-                        up.shed_live += 1;
-                    }
-                }
-                UpstreamPost::Control(
-                    sent_at_send,
-                    Some(Response::Stats {
-                        unknown_model_requests,
-                        stats,
-                        ..
-                    }),
-                ) => {
-                    let up = &mut upstreams[u];
-                    let backlog: u64 = stats.iter().map(|m| m.queue_depth + m.in_flight).sum();
-                    let shed: u64 = stats.iter().map(|m| m.shed).sum();
-                    up.shed_delta = shed.saturating_sub(up.polled_shed);
-                    up.polled_shed = shed;
-                    up.polled_backlog = backlog;
-                    up.sent_mark = sent_at_send;
-                    up.done_mark = up.done_total;
-                    up.shed_live = 0;
-                    up.last_stats = stats;
-                    up.last_unknown = unknown_model_requests;
-                }
-                UpstreamPost::Control(_, _) | UpstreamPost::Partial | UpstreamPost::Ignored => {}
-            }
-        }
-        if let Some(reason) = dead {
-            kill_upstream(u, upstreams, clients, core, &reason);
-        }
+/// Copies a reply to its client under the client's ID, unless the client
+/// left.
+fn deliver(clients: &mut Clients, f: &InFlight, frame: &[u8], id_at: usize) {
+    if let Some(client) = clients.get_mut(&f.client) {
+        client.out.push_frame_with_id(frame, id_at, f.orig_id);
     }
-    any
 }
 
-/// What `pump_clients` decided about one inbound client frame.
-enum ClientAct {
-    /// Frame already copied into an upstream's write buffer.
-    Forwarded,
-    /// Answer locally with this response.
-    Reply(Response),
-    /// Answer, then drop the connection (undecodable input).
-    ReplyAndClose(Response),
-    /// Drop the connection silently (EOF / transport error).
-    Close,
-}
-
-/// Drains every readable client connection: infers are forwarded with a
-/// remapped ID, `ListModels`/`Stats` are answered locally. Returns
-/// whether any frame moved.
-fn pump_clients(
-    clients: &mut [Option<ClientConn>],
-    upstreams: &mut [Upstream],
-    core: &mut Core,
-) -> bool {
-    let mut any = false;
-    for (slot, client) in clients.iter_mut().enumerate() {
-        loop {
-            let act = {
-                let Some(cc) = client.as_mut() else {
-                    break;
-                };
-                let gen = cc.gen;
-                match cc.reader.read_frame_ref(&cc.stream) {
-                    Ok(None) => break,
-                    Err(_) => ClientAct::Close,
-                    Ok(Some(frame)) => {
-                        any = true;
-                        match peek_request(frame) {
-                            // StreamInfer forwards exactly like Infer:
-                            // same ID rewrite, same replica pin — the
-                            // in-flight entry then routes every chunk of
-                            // the stream back to this client.
-                            Ok(
-                                RequestPeek::Infer {
-                                    model,
-                                    request_id,
-                                    id_at,
-                                }
-                                | RequestPeek::StreamInfer {
-                                    model,
-                                    request_id,
-                                    id_at,
-                                },
-                            ) => match pick_replica(core, upstreams, model) {
-                                Some(r) => {
-                                    let rid = core.alloc_id();
-                                    let conn = upstreams[r]
-                                        .conn
-                                        .as_mut()
-                                        .expect("pick_replica returns live replicas");
-                                    conn.out.push_frame_with_id(frame, id_at, rid);
-                                    upstreams[r].sent_total += 1;
-                                    core.in_flight.insert(
-                                        rid,
-                                        InFlight {
-                                            slot,
-                                            gen,
-                                            orig_id: request_id,
-                                            upstream: r,
-                                        },
-                                    );
-                                    ClientAct::Forwarded
-                                }
-                                None if core.models.contains_key(model) => {
-                                    ClientAct::Reply(Response::Error {
-                                        request_id,
-                                        message: format!("no live replica serves model '{model}'"),
-                                    })
-                                }
-                                None => ClientAct::Reply(Response::Error {
-                                    request_id,
-                                    message: format!("unknown model '{model}'"),
-                                }),
-                            },
-                            Ok(RequestPeek::ListModels { request_id, .. }) => {
-                                ClientAct::Reply(Response::Models {
-                                    request_id,
-                                    names: model_union(core),
-                                })
-                            }
-                            Ok(RequestPeek::Stats { request_id, .. }) => {
-                                ClientAct::Reply(merged_stats(request_id, upstreams))
-                            }
-                            Err(e) => ClientAct::ReplyAndClose(Response::Error {
-                                request_id: 0,
-                                message: format!("undecodable request: {e}"),
-                            }),
-                        }
-                    }
-                }
-            };
-            match act {
-                ClientAct::Forwarded => {}
-                ClientAct::Reply(resp) => {
-                    let cc = client.as_mut().expect("checked above");
-                    let _ = cc.out.push_response(&resp);
-                }
-                ClientAct::ReplyAndClose(resp) => {
-                    if let Some(cc) = client.as_mut() {
-                        let _ = cc.out.push_response(&resp);
-                        let _ = cc.out.flush(&cc.stream);
-                    }
-                    *client = None;
-                    break;
-                }
-                ClientAct::Close => {
-                    *client = None;
-                    break;
-                }
-            }
-        }
-    }
-    any
-}
-
-/// Accepts pending client connections into free slots. Beyond
-/// `max_clients` live connections, accepts are closed on the spot.
-fn accept_clients(
-    listener: &TcpListener,
-    clients: &mut Vec<Option<ClientConn>>,
-    core: &mut Core,
-    max_clients: usize,
-) -> bool {
-    let mut any = false;
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                any = true;
-                let live = clients.iter().filter(|c| c.is_some()).count();
-                if live >= max_clients {
-                    drop(stream);
-                    continue;
-                }
-                if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                    continue;
-                }
-                let gen = core.next_gen;
-                core.next_gen += 1;
-                let cc = ClientConn {
-                    stream,
-                    reader: FrameReader::new(),
-                    out: WriteBuf::default(),
-                    gen,
-                };
-                match clients.iter_mut().find(|c| c.is_none()) {
-                    Some(free) => *free = Some(cc),
-                    None => clients.push(Some(cc)),
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        }
-    }
-    any
-}
-
-/// Flushes every connection's write buffer; drops clients (and tears
-/// down replicas) whose sockets fail. Returns whether any bytes moved.
-fn flush_all(
-    upstreams: &mut [Upstream],
-    clients: &mut [Option<ClientConn>],
-    core: &mut Core,
-) -> bool {
-    let mut any = false;
-    for u in 0..upstreams.len() {
-        let result = match upstreams[u].conn.as_mut() {
-            Some(conn) => conn.out.flush(&conn.stream),
-            None => Ok(false),
+/// Reads what a replica sent — replies, whose frames go on to their
+/// clients, its answer to a stats poll, or its handshake — and tears the
+/// connection down if it failed.
+fn pump_upstream(u: usize, upstreams: &mut [Upstream], clients: &mut Clients, core: &mut Core) {
+    let up = &mut upstreams[u];
+    let Some(conn) = up.conn.as_mut() else { return };
+    let (mut failed, mut remap) = (None, false);
+    let read = conn.read_frames(|frame, _| {
+        // A frame whose ID cannot be read answers nothing we can route.
+        let Ok((rid, id_at)) = response_id_slot(frame) else {
+            return true;
         };
-        match result {
-            Ok(p) => any |= p,
-            Err(e) => kill_upstream(u, upstreams, clients, core, &e.to_string()),
-        }
-    }
-    for entry in clients.iter_mut() {
-        let drop_conn = match entry {
-            Some(cc) => match cc.out.flush(&cc.stream) {
-                Ok(p) => {
-                    any |= p;
-                    cc.out.pending() > OUT_BUF_CAP
+        if let Some((hello_id, _)) = up.hello {
+            if rid == hello_id {
+                match models_of(frame, up.addr) {
+                    Ok(models) => {
+                        remap = up.models != models;
+                        up.models = models;
+                        up.hello = None;
+                    }
+                    Err(e) => failed = Some(e.to_string()),
                 }
-                Err(_) => true,
-            },
-            None => false,
-        };
-        if drop_conn {
-            *entry = None;
-        }
-    }
-    any
-}
-
-/// Enqueues a `Stats` poll on every live replica and retries dead ones
-/// (blocking, bounded by [`HANDSHAKE_TIMEOUT`]).
-fn stats_tick(upstreams: &mut [Upstream], core: &mut Core) {
-    let mut remap = false;
-    for (u, up) in upstreams.iter_mut().enumerate() {
-        if up.conn.is_none() {
-            if let Ok((conn, models)) = connect_upstream(up.addr) {
-                remap = up.models != models || remap;
-                up.models = models;
-                up.conn = Some(conn);
-                up.polled_backlog = 0;
-                up.shed_delta = 0;
-                up.sent_mark = up.sent_total;
+            }
+        } else if is_partial_chunk(frame) {
+            // A non-final chunk leaves the stream registered: later
+            // chunks must keep resolving to this client, and the request
+            // only retires (for load accounting) on its final chunk.
+            if let Some(f) = core.in_flight.get(&rid) {
+                deliver(clients, f, frame, id_at);
+            }
+        } else if let Some(f) = core.in_flight.remove(&rid) {
+            deliver(clients, &f, frame, id_at);
+            up.done_total += 1;
+            if is_busy_response(frame) {
+                up.shed_live += 1;
+            }
+        } else if let Some((_, sent_at_send)) = core.control.remove(&rid) {
+            if let Ok(Response::Stats {
+                unknown_model_requests,
+                stats,
+                ..
+            }) = Response::decode(frame)
+            {
+                let shed: u64 = stats.iter().map(|m| m.shed).sum();
+                up.polled_backlog = stats.iter().map(|m| m.queue_depth + m.in_flight).sum();
+                up.shed_delta = shed.saturating_sub(up.polled_shed);
+                up.polled_shed = shed;
+                up.sent_mark = sent_at_send;
                 up.done_mark = up.done_total;
                 up.shed_live = 0;
-            } else {
-                continue;
+                up.last_stats = stats;
+                up.last_unknown = unknown_model_requests;
             }
         }
-        let rid = core.alloc_id();
-        let conn = up.conn.as_mut().expect("connected above");
-        let mut tmp = BytesMut::new();
-        if (Request::Stats { request_id: rid })
-            .encode_framed_into(&mut tmp)
-            .is_ok()
-        {
-            conn.out.buf.extend_from_slice(&tmp);
-            core.control.insert(rid, (u, up.sent_total));
-        }
-    }
+        true
+    });
     if remap {
         rebuild_model_map(core, upstreams);
     }
+    if let Some(reason) = read.err().map(|e| e.to_string()).or(failed) {
+        kill_upstream(u, upstreams, clients, core, &reason);
+    }
 }
 
-/// The router's single-threaded readiness loop.
+/// Reads what a client sent: infers are forwarded with a remapped ID,
+/// `ListModels`/`Stats` are answered locally. A backlogged client is not
+/// read. A client that hung up, or sent a frame that cannot be routed, is
+/// dropped.
+fn pump_client(id: u64, clients: &mut Clients, upstreams: &mut [Upstream], core: &mut Core) {
+    let Some(client) = clients.get_mut(&id).filter(|c| !c.backlogged()) else {
+        return;
+    };
+    let open = client.read_frames(|frame, out| route_request(frame, out, id, upstreams, core));
+    if !matches!(open, Ok(true)) {
+        // Best effort: an undecodable frame's refusal is already queued.
+        let _ = client.flush();
+        clients.remove(&id);
+    }
+}
+
+/// Forwards one client frame to a replica, or answers it into the
+/// client's `out`; `false` closes the client.
+fn route_request(
+    frame: &[u8],
+    out: &mut WriteBuf,
+    client: u64,
+    upstreams: &mut [Upstream],
+    core: &mut Core,
+) -> bool {
+    let reply = match peek_request(frame) {
+        // StreamInfer forwards exactly like Infer: same ID rewrite, same
+        // replica pin — the in-flight entry then routes every chunk of
+        // the stream back to this client.
+        Ok(
+            RequestPeek::Infer {
+                model,
+                request_id,
+                id_at,
+            }
+            | RequestPeek::StreamInfer {
+                model,
+                request_id,
+                id_at,
+            },
+        ) => match pick_replica(core, upstreams, model) {
+            Some(r) => {
+                let rid = core.alloc_id();
+                let conn = upstreams[r]
+                    .conn
+                    .as_mut()
+                    .expect("pick_replica returns live replicas");
+                conn.out.push_frame_with_id(frame, id_at, rid);
+                upstreams[r].sent_total += 1;
+                core.in_flight.insert(
+                    rid,
+                    InFlight {
+                        client,
+                        orig_id: request_id,
+                        upstream: r,
+                    },
+                );
+                return true;
+            }
+            None if core.models.contains_key(model) => Response::Error {
+                request_id,
+                message: format!("no live replica serves model '{model}'"),
+            },
+            None => Response::Error {
+                request_id,
+                message: format!("unknown model '{model}'"),
+            },
+        },
+        Ok(RequestPeek::ListModels { request_id, .. }) => Response::Models {
+            request_id,
+            names: model_union(core),
+        },
+        Ok(RequestPeek::Stats { request_id, .. }) => merged_stats(request_id, upstreams),
+        // A frame that cannot even be peeked cannot be routed: close.
+        Err(e) => {
+            let _ = out.push_response(&Response::Error {
+                request_id: 0,
+                message: format!("undecodable request: {e}"),
+            });
+            return false;
+        }
+    };
+    let _ = out.push_response(&reply);
+    true
+}
+
+/// Takes a freshly accepted client — or closes it on the spot beyond
+/// `max_clients` live connections.
+fn add_client(stream: TcpStream, clients: &mut Clients, core: &mut Core, max_clients: usize) {
+    if clients.len() < max_clients {
+        if let Ok(conn) = Conn::new(stream) {
+            clients.insert(core.next_client, conn);
+            core.next_client += 1;
+        }
+    }
+}
+
+/// Writes what every connection has queued; drops clients, and tears
+/// down replicas, whose sockets fail or whose peers stopped reading.
+fn flush_all(upstreams: &mut [Upstream], clients: &mut Clients, core: &mut Core) {
+    for u in 0..upstreams.len() {
+        if let Some(Err(e)) = upstreams[u].conn.as_mut().map(Conn::flush) {
+            kill_upstream(u, upstreams, clients, core, &e.to_string());
+        }
+    }
+    clients.retain(|_, client| client.flush().is_ok());
+}
+
+/// Per replica: reads what it sent since the last tick, then polls a
+/// live one for `Stats`, dials a dead one, or drops a stale redial.
+fn stats_tick(upstreams: &mut [Upstream], clients: &mut Clients, core: &mut Core) {
+    for u in 0..upstreams.len() {
+        pump_upstream(u, upstreams, clients, core);
+        let up = &mut upstreams[u];
+        match (up.conn.as_mut(), up.hello) {
+            (None, _) => {
+                if let Ok(mut conn) = dial(up.addr) {
+                    let rid = core.alloc_id();
+                    conn.out
+                        .push_control(&Request::ListModels { request_id: rid });
+                    (up.conn, up.hello) = (Some(conn), Some((rid, Instant::now())));
+                }
+            }
+            (Some(_), Some((_, dialled))) => {
+                if dialled.elapsed() > HANDSHAKE_TIMEOUT {
+                    kill_upstream(u, upstreams, clients, core, "handshake timed out");
+                }
+            }
+            (Some(conn), None) => {
+                let rid = core.alloc_id();
+                conn.out.push_control(&Request::Stats { request_id: rid });
+                core.control.insert(rid, (u, up.sent_total));
+            }
+        }
+    }
+}
+
+#[derive(Clone, Copy)]
+enum Token {
+    Upstream(usize),
+    Client(u64),
+}
+
+/// The router's event loop: one thread, asleep in `poll(2)` until a
+/// socket is ready, the next stats tick is due, or shutdown wakes it.
 fn event_loop(
-    listener: TcpListener,
+    mut poller: Poller<Token>,
     mut upstreams: Vec<Upstream>,
     mut core: Core,
-    stop: Arc<AtomicBool>,
-    stats_interval: Duration,
-    max_clients: usize,
+    stop: &AtomicBool,
+    (stats_interval, max_clients): (Duration, usize),
 ) {
-    let mut clients: Vec<Option<ClientConn>> = Vec::new();
-    // Fire the first poll immediately so load-aware routing has
-    // telemetry before the first client arrives.
-    let mut last_poll: Option<Instant> = None;
+    let mut clients = Clients::new();
+    // The first tick fires at once, so load-aware routing has telemetry
+    // before the first client arrives.
+    let mut next_tick = Instant::now();
     while !stop.load(Ordering::SeqCst) {
-        let due = last_poll.is_none_or(|t| t.elapsed() >= stats_interval);
-        if due {
-            last_poll = Some(Instant::now());
-            stats_tick(&mut upstreams, &mut core);
+        if Instant::now() >= next_tick {
+            next_tick = Instant::now() + stats_interval;
+            stats_tick(&mut upstreams, &mut clients, &mut core);
+            flush_all(&mut upstreams, &mut clients, &mut core);
         }
-        let mut progress = accept_clients(&listener, &mut clients, &mut core, max_clients);
-        progress |= pump_upstreams(&mut upstreams, &mut clients, &mut core);
-        progress |= pump_clients(&mut clients, &mut upstreams, &mut core);
-        progress |= flush_all(&mut upstreams, &mut clients, &mut core);
-        if !progress {
-            std::thread::sleep(IDLE_SLEEP);
+        poller.clear();
+        for (u, up) in upstreams.iter().enumerate() {
+            if let Some(conn) = &up.conn {
+                conn.register(&mut poller, up.owes_reply(), Token::Upstream(u));
+            }
         }
+        for (&id, client) in &clients {
+            client.register(&mut poller, !client.backlogged(), Token::Client(id));
+        }
+        // The wake only ever says "stop", and the loop checks for that.
+        poller.wait(Some(next_tick.saturating_duration_since(Instant::now())));
+        poller.accept(|stream| add_client(stream, &mut clients, &mut core, max_clients));
+        for token in poller.ready() {
+            match token {
+                Token::Upstream(u) => pump_upstream(u, &mut upstreams, &mut clients, &mut core),
+                Token::Client(id) => pump_client(id, &mut clients, &mut upstreams, &mut core),
+            }
+        }
+        flush_all(&mut upstreams, &mut clients, &mut core);
     }
 }
 
@@ -1066,6 +803,7 @@ mod tests {
         Upstream {
             addr: "127.0.0.1:1".parse().unwrap(),
             conn: None,
+            hello: None,
             models: models.iter().map(|s| s.to_string()).collect(),
             polled_backlog: 0,
             polled_shed: 0,
@@ -1085,7 +823,7 @@ mod tests {
             in_flight: HashMap::new(),
             control: HashMap::new(),
             next_id: 1,
-            next_gen: 1,
+            next_client: 1,
             models: HashMap::new(),
             policy,
             rr: 0,
@@ -1101,58 +839,8 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let mut up = upstream(models);
-        up.conn = Some(Conn {
-            stream,
-            reader: FrameReader::new(),
-            out: WriteBuf::default(),
-        });
+        up.conn = Some(Conn::new(stream).unwrap());
         (up, listener)
-    }
-
-    #[test]
-    fn write_buf_survives_partial_writes() {
-        let mut wb = WriteBuf::default();
-        wb.push_frame(b"hello");
-        wb.push_frame_with_id(&[0u8; 12], 2, 0x0102_0304_0506_0708);
-        // A writer that takes 3 bytes per call, then blocks forever.
-        struct Dribble {
-            taken: Vec<u8>,
-            calls: usize,
-        }
-        impl Write for Dribble {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.calls += 1;
-                if self.calls > 4 {
-                    return Err(std::io::ErrorKind::WouldBlock.into());
-                }
-                let n = buf.len().min(3);
-                self.taken.extend_from_slice(&buf[..n]);
-                Ok(n)
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut w = Dribble {
-            taken: Vec::new(),
-            calls: 0,
-        };
-        assert!(wb.flush(&mut w).unwrap());
-        assert_eq!(w.taken.len(), 12);
-        assert!(wb.pending() > 0);
-        // Unblock: the rest drains and the buffer resets.
-        w.calls = 0;
-        while wb.pending() > 0 {
-            w.calls = 0;
-            wb.flush(&mut w).unwrap();
-        }
-        assert_eq!(&w.taken[..4], &5u32.to_le_bytes());
-        assert_eq!(&w.taken[4..9], b"hello");
-        assert_eq!(&w.taken[9..13], &12u32.to_le_bytes());
-        let mut expect = [0u8; 12];
-        expect[2..10].copy_from_slice(&0x0102_0304_0506_0708u64.to_le_bytes());
-        assert_eq!(&w.taken[13..], &expect);
-        assert_eq!(wb.buf.len(), 0);
     }
 
     #[test]
@@ -1160,8 +848,12 @@ mod tests {
         let (up0, _l0) = live(&["a", "b"]);
         let (up1, _l1) = live(&["b"]);
         let dead = upstream(&["c"]);
-        let ups = vec![up0, up1, dead];
+        // Connected again but not yet past its handshake.
+        let (mut redialled, _l3) = live(&["d"]);
+        redialled.hello = Some((7, Instant::now()));
+        let ups = vec![up0, up1, dead, redialled];
         let mut core = mk_core(RoutePolicy::RoundRobin, &ups);
+        assert_eq!(pick_replica(&mut core, &ups, "d"), None);
         // `a` only on replica 0; `b` on both; `c` only on the dead one.
         for _ in 0..4 {
             assert_eq!(pick_replica(&mut core, &ups, "a"), Some(0));

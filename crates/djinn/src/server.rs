@@ -1,37 +1,35 @@
-//! The DjiNN TCP server: accept loop, one worker thread per connection,
-//! shared read-only model registry, one [`InferenceEngine`] per model.
+//! The DjiNN TCP server: one event-loop thread holds every connection,
+//! over a shared read-only model registry and one [`InferenceEngine`]
+//! per model.
 //!
-//! Every inference request — batched or not — goes through its model's
-//! engine: connection workers only admit jobs, never touch the executor
-//! directly, and never block on a ticket. Each connection is
-//! **full-duplex**: the worker reads and admits frames while a small
-//! per-connection *reply pump* thread writes completions back as the
-//! engines finish them — possibly out of order, which the protocol's
-//! ID-correlated frames make safe. Admission is non-blocking; a full
-//! queue answers with a `Busy` frame (echoing the request's ID) instead
-//! of wedging the connection worker.
+//! The loop sleeps in `poll(2)` until a socket is readable or an engine
+//! wakes it, then reads, decodes and admits what arrived — never touching
+//! the executor or blocking on a job — and writes back what finished,
+//! possibly out of order, which ID-correlated frames make safe; only
+//! requests that share an ID are answered in the order they came. Each
+//! connection has its own completion channels, whose every reply wakes
+//! the loop. A full queue answers `Busy` under the request's ID. A client
+//! that falls behind its replies is neither read nor fed stream chunks
+//! until it catches up, and one that takes nothing for the I/O core's
+//! stall limit is dropped: neither holds up anyone else.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver};
 use gpusim::queueing::LatencyHistogram;
-use parking_lot::Mutex;
 use tensor::{Tensor, Threading};
 
-use bytes::BytesMut;
-
 use crate::device::{ColocationPolicy, Device, DeviceScheduler};
-use crate::protocol::{peek_request, FrameReader, ModelStats, Request, Response, StreamMode};
+use crate::io::{Conn, LoopThread, Poller, Wake, WriteBuf};
+use crate::protocol::{peek_request, ModelStats, Request, Response, StreamMode};
 use crate::trace::ServerTrace;
 use crate::{
     BatchConfig, CpuExecutor, DelayExecutor, DispatchPolicy, DjinnError, EngineConfig, Executor,
-    InferenceEngine, ModelRegistry, Result, RoutedReply, SimGpuExecutor,
+    InferenceEngine, ModelRegistry, ReplyTo, Result, RoutedReply, SimGpuExecutor,
 };
 use dnn::cache::{CacheMode, InferenceCache};
 
@@ -132,28 +130,18 @@ impl ServerConfig {
 
 /// A running DjiNN service.
 ///
-/// Dropping the handle (or calling [`DjinnServer::shutdown`]) stops the
-/// accept loop, lets in-flight connections finish their current request,
-/// and joins every worker thread before returning — no worker outlives
-/// the handle.
+/// Dropping the handle is [`DjinnServer::shutdown`]: nothing outlives
+/// it.
 #[derive(Debug)]
 pub struct DjinnServer {
     local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    thread: LoopThread,
 }
 
-/// How often an idle connection re-checks the stop flag. A fired read
-/// timeout is a clean "no frame yet" signal (see [`FrameReader`]), so
-/// this bounds shutdown latency without risking stream desync.
-const READ_POLL: Duration = Duration::from_millis(100);
-
-/// Per-write-call stall bound on responses, so a worker writing to a
-/// client that never drains its socket cannot wedge shutdown forever. A
-/// slow-but-live reader keeps making progress within each window; only a
-/// fully stalled one errors out and drops the connection.
-const WRITE_STALL: Duration = Duration::from_secs(5);
+/// Stream chunks a connection's channel holds: room for one decode tick
+/// of as many streams as one engine admits by default, so only a client
+/// that has fallen behind makes its streams sit out ticks.
+const CHUNK_CHANNEL: usize = 128;
 
 #[derive(Default)]
 struct StatsAcc {
@@ -161,20 +149,82 @@ struct StatsAcc {
     errors: u64,
     total_latency_us: u64,
     max_latency_us: u64,
-    /// Response-write durations for successful inferences — the slice of
-    /// the wire the server's clock can see.
+    /// Encode time of each successful reply into its write buffer (the
+    /// write itself is shared by all a pass queued on the connection).
     wire: LatencyHistogram,
 }
 
-struct Shared {
+/// One registered model: its engine and the server's wire-level stats.
+struct Model {
+    name: String,
+    engine: InferenceEngine,
+    stats: StatsAcc,
+}
+
+/// Everything the loop owns besides its sockets.
+struct Service {
     registry: ModelRegistry,
-    engines: BTreeMap<String, InferenceEngine>,
-    stats: Mutex<BTreeMap<String, StatsAcc>>,
+    /// In the registry's (sorted) order, for binary search by name.
+    models: Vec<Model>,
     /// Infer requests rejected for naming an unregistered model. One
-    /// aggregate counter: unknown names never create stats-map entries,
-    /// so a client spraying random names cannot grow server memory.
-    unknown_models: AtomicU64,
-    stop: Arc<AtomicBool>,
+    /// aggregate counter: unknown names never create stats entries, so a
+    /// client spraying names cannot grow server memory.
+    unknown_models: u64,
+}
+
+/// An admitted Infer, under a per-connection token (the client's request
+/// ID may be 0 or reused) until its completion comes back.
+#[derive(Clone, Copy)]
+struct PendingInfer {
+    request_id: u64,
+    /// Index into [`Service::models`].
+    model: usize,
+    /// The server-read span mark: everything from here to response
+    /// encoding is the server's view of the request, in its own clock.
+    received: Instant,
+    /// A StreamInfer: completions are `Chunk`s, until the terminal one.
+    streaming: bool,
+    /// The request admitted before this one under its ID, if that one was
+    /// still owed then: this one's replies wait for its last.
+    behind: Option<u64>,
+}
+
+/// What a connection is owed, by token. A client that reuses a request ID
+/// can tell those replies apart only by order (`tests/framing.rs` sends
+/// two Infers under one ID and expects them in turn), so a reply whose
+/// request is behind one still owed is held until that one is done.
+#[derive(Default)]
+struct Pending {
+    by_token: HashMap<u64, PendingInfer>,
+    /// Request ID → token of the newest request under it still owed.
+    newest: HashMap<u64, u64>,
+    /// Token still owed → the replies waiting for its last, in turn.
+    held: HashMap<u64, Vec<RoutedReply>>,
+}
+
+/// A connection's admitted jobs and where their completions go: two
+/// channels, every send on which wakes the loop. Their receivers are
+/// dropped with the connection, so every later send fails and its live
+/// streams retire at their next chunk rather than decode for nobody.
+struct Owed {
+    /// One-shot replies. Unbounded: an engine never waits on a client,
+    /// and a cache hit is sent from the loop's own admission. Admission
+    /// stops while the client is backlogged, which bounds what this holds.
+    once: (ReplyTo, Receiver<RoutedReply>),
+    /// Stream chunks, opened with the connection's first stream. Bounded,
+    /// and drained only while the client is not backlogged: a stream
+    /// whose chunk finds it full sits out decode ticks, so a slow reader's
+    /// streams decode no further ahead of it than this and its buffer.
+    chunks: Option<(ReplyTo, Receiver<RoutedReply>)>,
+    wake: Arc<Wake>,
+    pending: Pending,
+    next_token: u64,
+}
+
+/// One client connection.
+struct Client {
+    conn: Conn,
+    owed: Owed,
 }
 
 impl DjinnServer {
@@ -186,7 +236,6 @@ impl DjinnServer {
     pub fn start(registry: ModelRegistry, config: ServerConfig) -> Result<Self> {
         let listener = TcpListener::bind(&config.bind_addr)?;
         let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let executor: Arc<dyn Executor> = match (config.backend, config.service_delay) {
             (Backend::Cpu, None) => Arc::new(CpuExecutor::new(Threading::new(config.threads))),
             (Backend::SimGpu, None) => Arc::new(SimGpuExecutor::default()),
@@ -211,7 +260,7 @@ impl DjinnServer {
         // Engines are created eagerly at initialization, one per model,
         // mirroring DjiNN's load-everything-up-front design. Batched and
         // unbatched serving are just dispatch policies of the same engine.
-        let mut engines = BTreeMap::new();
+        let mut models = Vec::new();
         let model_count = registry.names().len().max(1);
         let per_model_cache_bytes = (config.cache_bytes / model_count).max(1);
         for name in registry.names() {
@@ -241,28 +290,21 @@ impl DjinnServer {
                 Arc::clone(&scheduler),
                 cache,
             );
-            engines.insert(name, engine);
+            models.push(Model {
+                name,
+                engine,
+                stats: StatsAcc::default(),
+            });
         }
-        let shared = Arc::new(Shared {
+        let service = Service {
             registry,
-            engines,
-            stats: Mutex::new(BTreeMap::new()),
-            unknown_models: AtomicU64::new(0),
-            stop: Arc::clone(&stop),
-        });
-        let accept_stop = Arc::clone(&stop);
-        let workers = Arc::new(Mutex::new(Vec::new()));
-        let accept_workers = Arc::clone(&workers);
-        let accept_thread = std::thread::Builder::new()
-            .name("djinn-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_stop, &shared, &accept_workers))
-            .expect("spawning accept thread");
-        Ok(DjinnServer {
-            local_addr,
-            stop,
-            accept_thread: Some(accept_thread),
-            workers,
-        })
+            models,
+            unknown_models: 0,
+        };
+        let thread = LoopThread::spawn("djinn-server", listener, move |poller, stop| {
+            serve(poller, service, stop)
+        })?;
+        Ok(DjinnServer { local_addr, thread })
     }
 
     /// Starts the service pre-loaded with all seven Tonic models.
@@ -279,512 +321,347 @@ impl DjinnServer {
         self.local_addr
     }
 
-    /// Stops accepting connections, then joins the accept thread and every
-    /// connection worker. Workers notice the stop flag within one read
-    /// poll (100 ms) when idle and after their in-flight request
-    /// otherwise, so teardown is bounded and nothing races test (or
-    /// process) exit.
+    /// Stops accepting and admitting, answers and writes out every request
+    /// already admitted (a live stream runs to its last chunk), then joins
+    /// the loop thread and the engines. Idle connections close at once.
     pub fn shutdown(mut self) {
-        self.stop_accepting();
-    }
-
-    fn stop_accepting(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(wake_addr(self.local_addr));
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-        let workers = std::mem::take(&mut *self.workers.lock());
-        for h in workers {
-            let _ = h.join();
-        }
+        self.thread.stop();
     }
 }
 
-/// The address the shutdown path dials to wake a blocked `accept`.
-///
-/// `local_addr()` on a wildcard bind reports the *unspecified* address
-/// (`0.0.0.0:PORT` / `[::]:PORT`), which is a listen address, not a
-/// destination: connecting to it is platform-dependent (outright refused
-/// on some systems), and when it fails the accept loop stays blocked
-/// until an unrelated client happens to connect. The listener is always
-/// reachable via loopback on the bound port, so map an unspecified IP to
-/// its family's loopback and leave concrete addresses untouched.
-fn wake_addr(local: SocketAddr) -> SocketAddr {
-    use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
-    match local.ip() {
-        IpAddr::V4(ip) if ip.is_unspecified() => {
-            SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), local.port())
-        }
-        IpAddr::V6(ip) if ip.is_unspecified() => {
-            SocketAddr::new(IpAddr::V6(Ipv6Addr::LOCALHOST), local.port())
-        }
-        _ => local,
-    }
-}
-
-impl Drop for DjinnServer {
-    fn drop(&mut self) {
-        if self.accept_thread.is_some() {
-            self.stop_accepting();
-        }
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    stop: &AtomicBool,
-    shared: &Arc<Shared>,
-    workers: &Mutex<Vec<JoinHandle<()>>>,
-) {
-    // Bounded backoff for persistent accept errors (EMFILE, ENFILE):
-    // without it the loop hot-spins on the same failure.
-    let mut backoff = Duration::from_millis(5);
+/// The server's event loop, on client IDs. Returns once shutdown has
+/// drained every connection; dropping `service` then drains and joins the
+/// engines.
+fn serve(mut poller: Poller<u64>, mut service: Service, stop: &AtomicBool) {
+    let mut clients: HashMap<u64, Client> = HashMap::new();
+    let mut next_client = 0;
     loop {
-        let (stream, _) = match listener.accept() {
-            Ok(pair) => {
-                backoff = Duration::from_millis(5);
-                pair
+        // Once shutdown has begun nothing more is accepted or admitted.
+        let draining = poller.listener.is_none();
+        poller.clear();
+        for (&id, c) in &clients {
+            c.conn.register(&mut poller, !c.conn.backlogged(), id);
+        }
+        poller.wait(None);
+        let wake = Arc::clone(poller.wake());
+        poller.accept(|stream| {
+            if let Ok(conn) = Conn::new(stream) {
+                clients.insert(next_client, Client::new(conn, &wake));
+                next_client += 1;
             }
-            Err(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(Duration::from_millis(200));
-                continue;
-            }
-        };
-        if stop.load(Ordering::SeqCst) {
+        });
+        for id in poller.ready() {
+            read_client(&mut service, &mut clients, id, draining);
+        }
+        if !draining && stop.load(Ordering::SeqCst) {
+            poller.listener = None;
+        }
+        // Keep a client while it can be written to — and, in shutdown,
+        // while it is owed something. Completions are looked for on every
+        // pass, since a flush that ends a backlog lets held stream chunks
+        // through with no engine waking the loop; so wake-ups until now,
+        // a cache hit answered during admission above included, are
+        // served here and need not bring the loop straight back.
+        poller.reset_wake();
+        let draining = poller.listener.is_none();
+        clients.retain(|_, c| {
+            c.conn.flush().is_ok()
+                && drain_completions(&mut service, c)
+                && c.conn.flush().is_ok()
+                && !(draining && c.owed.pending.by_token.is_empty() && c.conn.out.pending() == 0)
+        });
+        if draining && clients.is_empty() {
             return;
         }
-        // One worker thread per connection — the paper's request model.
-        let shared = Arc::clone(shared);
-        let handle = std::thread::Builder::new()
-            .name("djinn-worker".into())
-            .spawn(move || connection_loop(stream, &shared));
-        if let Ok(h) = handle {
-            let mut workers = workers.lock();
-            // Reap handles of connections that already finished so a
-            // long-lived server doesn't accumulate them without bound.
-            workers.retain(|w| !w.is_finished());
-            workers.push(h);
-        }
     }
 }
 
-/// Bound on the per-connection completion channel between engine
-/// dispatch workers and the reply pump. Deep enough that a draining pump
-/// never stalls dispatch in practice; if a stalled client does fill it,
-/// engine workers briefly block on a one-shot reply's send and the
-/// connection's streams sit out decode ticks — backpressure, not loss.
-const PUMP_CHANNEL: usize = 1024;
-
-/// What the connection worker remembers about an admitted Infer until
-/// its completion comes back through the reply pump. Keyed by a
-/// per-connection token (not the client's request ID, which may be 0 or
-/// reused), allocated before admission.
-#[derive(Clone)]
-struct PendingInfer {
-    request_id: u64,
-    model: String,
-    /// The server-read span mark: everything from here to response
-    /// encoding is the server's view of the request, in its own clock.
-    received: Instant,
-    /// `true` for a StreamInfer: completions become `Chunk` frames, and
-    /// the entry stays registered until the terminal reply arrives.
-    streaming: bool,
-}
-
-/// The write half of a connection, shared by the worker (control and
-/// rejection frames) and the reply pump (completions). With
-/// ID-correlated frames the interleaving order is free; only frame
-/// *atomicity* matters, which the mutex provides.
-struct ConnWriter {
-    stream: TcpStream,
-    /// Per-connection scratch for framed encoding: each response is laid
-    /// out as one `[len | payload]` image here and sent with a single
-    /// `write_all` — one syscall per frame, zero steady-state
-    /// allocations once the buffer has grown to the connection's working
-    /// frame size.
-    scratch: BytesMut,
-    /// Set after any failed write — the frame may have been partially
-    /// sent, so the byte stream can no longer be trusted — and when the
-    /// read half finds the peer gone. Every later write is refused.
-    poisoned: bool,
-}
-
-impl ConnWriter {
-    fn new(stream: TcpStream) -> Self {
-        ConnWriter {
-            stream,
-            scratch: BytesMut::new(),
-            poisoned: false,
-        }
-    }
-
-    /// Encodes and writes one response frame; returns `false` once the
-    /// connection is poisoned (now or previously).
-    fn write_response(&mut self, response: &Response) -> bool {
-        if self.poisoned {
-            return false;
-        }
-        if let Err(e) = response.encode_framed_into(&mut self.scratch) {
-            // Unencodable response (e.g. oversized model name in a list):
-            // degrade to a clamped error frame carrying the same ID
-            // rather than dropping the response.
-            let fallback = Response::Error {
-                request_id: response.request_id(),
-                message: e.to_string(),
-            };
-            if fallback.encode_framed_into(&mut self.scratch).is_err() {
-                self.poisoned = true;
-                return false;
-            }
-        }
-        let sent = self
-            .stream
-            .write_all(&self.scratch)
-            .and_then(|()| self.stream.flush());
-        if sent.is_err() {
-            self.poisoned = true;
-            return false;
-        }
-        true
-    }
-}
-
-fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
-    // Bounded reads so workers poll the stop flag while idle; the
-    // FrameReader keeps partial bytes across fired timeouts, so a slow
-    // writer mid-frame never desyncs the stream (see protocol.rs).
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let _ = stream.set_write_timeout(Some(WRITE_STALL));
-    // Disable Nagle: response frames go out as single writes, and
-    // letting the kernel hold one back waiting for the client's delayed
-    // ACK pins small-frame latency at ~40 ms (the client sets this on
-    // its end already; both halves of the fd share the option).
-    let _ = stream.set_nodelay(true);
-    // Split the socket: the worker keeps the read half, and a cloned
-    // write half (same fd, same timeouts) goes behind a mutex shared
-    // with the reply pump.
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(ConnWriter::new(w))),
-        Err(_) => return,
-    };
-    let pending: Arc<Mutex<HashMap<u64, PendingInfer>>> = Arc::new(Mutex::new(HashMap::new()));
-    let (pump_tx, pump_rx) = bounded::<RoutedReply>(PUMP_CHANNEL);
-    let pump = {
-        let shared = Arc::clone(shared);
-        let pending = Arc::clone(&pending);
-        let writer = Arc::clone(&writer);
-        std::thread::Builder::new()
-            .name("djinn-reply-pump".into())
-            .spawn(move || reply_pump(pump_rx, &pending, &writer, &shared))
-    };
-    let Ok(pump) = pump else { return };
-    let mut stream = stream;
-    let mut reader = FrameReader::new();
-    let mut next_token: u64 = 0;
-    loop {
-        if shared.stop.load(Ordering::SeqCst) || writer.lock().poisoned {
-            break;
-        }
-        // Frames are decoded straight out of the reader's buffer (no
-        // per-frame payload copy); Request::decode produces the owned
-        // tensor the engine needs.
-        let frame = match reader.read_frame_ref(&mut stream) {
-            Ok(Some(p)) => p,
-            Ok(None) => continue, // no complete frame yet; poll stop again
-            Err(_) => {
-                // EOF or protocol break: drop the connection. Nobody is
-                // left to read replies, so the pump stops at its next one
-                // and what the engines still owe — a stream's remaining
-                // tokens above all — is cancelled, not computed.
-                writer.lock().poisoned = true;
-                break;
-            }
+impl Client {
+    fn new(conn: Conn, wake: &Arc<Wake>) -> Self {
+        let (tx, rx) = unbounded();
+        let owed = Owed {
+            once: (ReplyTo::waking(tx, Arc::clone(wake)), rx),
+            chunks: None,
+            wake: Arc::clone(wake),
+            pending: Pending::default(),
+            next_token: 0,
         };
-        let decoded = Request::decode(frame);
-        let received = Instant::now();
-        let immediate = match decoded {
-            // Infer is full-duplex: admit to the engine and go read the
-            // next frame — the reply pump answers when the job
-            // completes, possibly after later requests.
-            Ok(Request::Infer {
-                model,
-                input,
-                request_id,
-            }) => {
-                let token = next_token;
-                next_token += 1;
-                admit_infer(
-                    shared, &pending, &pump_tx, token, model, input, request_id, received, None,
-                )
-            }
-            // StreamInfer admits the same way; the engine answers with N
-            // routed chunks and the pump writes each as a Chunk frame.
-            Ok(Request::StreamInfer {
-                model,
-                input,
-                request_id,
-                mode,
-            }) => {
-                let token = next_token;
-                next_token += 1;
-                admit_infer(
-                    shared,
-                    &pending,
-                    &pump_tx,
-                    token,
-                    model,
-                    input,
-                    request_id,
-                    received,
-                    Some(mode),
-                )
-            }
-            Ok(Request::ListModels { request_id }) => Some(Response::Models {
-                request_id,
-                names: shared.registry.names(),
-            }),
-            Ok(Request::Stats { request_id }) => Some(stats_response(shared, request_id)),
-            // An undecodable request is refused under its own ID whenever
-            // that much of the frame is readable, so the refusal finds its
-            // way back — through a client's correlation, or a router's —
-            // to the request it answers; 0 only when there is no ID to read.
-            Err(e) => Some(Response::Error {
-                request_id: peek_request(frame).map_or(0, |peek| peek.request_id()),
-                message: e.to_string(),
-            }),
-        };
-        if let Some(response) = immediate {
-            if !writer.lock().write_response(&response) {
-                break;
-            }
-        }
+        Client { conn, owed }
     }
-    // Dropping the worker's sender lets the pump drain what the engines
-    // still owe this connection (every admitted job is answered, even
-    // during shutdown) and exit once the channel disconnects — or at the
-    // first reply it can no longer write.
-    drop(pump_tx);
-    let _ = pump.join();
 }
 
-/// Admits one decoded Infer or StreamInfer (`stream: Some(mode)`).
-/// `Some(response)` means the request was answered synchronously
-/// (unknown model, shed, shutdown, invalid stream mode) and nothing was
-/// admitted; `None` means the job is in flight and the reply pump will
-/// answer under `token` when it completes — once for an Infer, once per
-/// chunk for a stream.
-#[allow(clippy::too_many_arguments)]
-fn admit_infer(
-    shared: &Shared,
-    pending: &Mutex<HashMap<u64, PendingInfer>>,
-    pump_tx: &Sender<RoutedReply>,
-    token: u64,
-    model: String,
-    input: Tensor,
-    request_id: u64,
-    received: Instant,
-    stream: Option<StreamMode>,
-) -> Option<Response> {
-    let Some(engine) = shared.engines.get(&model) else {
-        // Reject before touching the stats map: unknown names bump one
-        // aggregate counter and never create per-model entries, so a
-        // client spraying names cannot grow the map without bound.
-        shared.unknown_models.fetch_add(1, Ordering::Relaxed);
-        return Some(Response::Error {
+/// Reads and answers what a client sent — once `draining`, only to see it
+/// hang up. A backlogged client is not read. On EOF or a framing error
+/// the connection goes, and with it what the engines still owe it:
+/// nobody is left to read it.
+fn read_client(service: &mut Service, clients: &mut HashMap<u64, Client>, id: u64, draining: bool) {
+    let Some(c) = clients.get_mut(&id).filter(|c| !c.conn.backlogged()) else {
+        return;
+    };
+    let Client { conn, owed } = c;
+    let open = conn.read_frames(|frame, out| draining || on_request(service, owed, frame, out));
+    if !matches!(open, Ok(true)) {
+        let _ = c.conn.flush();
+        clients.remove(&id);
+    }
+}
+
+/// Answers one request frame into `out`, or admits it; `false` closes
+/// the connection (a response not even encodable as an error).
+fn on_request(service: &mut Service, owed: &mut Owed, frame: &[u8], out: &mut WriteBuf) -> bool {
+    let received = Instant::now();
+    let immediate = match Request::decode(frame) {
+        Ok(Request::Infer {
+            model,
+            input,
             request_id,
-            message: DjinnError::UnknownModel { name: model }.to_string(),
-        });
+        }) => service.admit(owed, model, input, request_id, received, None),
+        Ok(Request::StreamInfer {
+            model,
+            input,
+            request_id,
+            mode,
+        }) => service.admit(owed, model, input, request_id, received, Some(mode)),
+        Ok(Request::ListModels { request_id }) => Some(Response::Models {
+            request_id,
+            names: service.registry.names(),
+        }),
+        Ok(Request::Stats { request_id }) => Some(service.stats_response(request_id)),
+        // An undecodable request is refused under its own ID whenever
+        // that much of the frame is readable, so the refusal finds its
+        // way back — through a client's correlation, or a router's — to
+        // the request it answers; 0 only when there is no ID to read.
+        Err(e) => Some(Response::Error {
+            request_id: peek_request(frame).map_or(0, |peek| peek.request_id()),
+            message: e.to_string(),
+        }),
     };
-    // Register the token before admission: the completion may race the
-    // return of `submit_routed`.
-    pending.lock().insert(
-        token,
-        PendingInfer {
+    immediate.is_none_or(|response| out.push_response(&response).is_ok())
+}
+
+/// A request's failure as its wire frame: a shed is `Busy`, anything
+/// else an `Error` — stringified only here, at the wire boundary.
+fn refusal(request_id: u64, e: DjinnError) -> Response {
+    match e {
+        DjinnError::Busy { model, queue_depth } => Response::Busy {
             request_id,
             model,
-            received,
-            streaming: stream.is_some(),
+            queue_depth: queue_depth.min(u32::MAX as usize) as u32,
         },
-    );
-    let admitted = match stream {
-        Some(mode) => engine.submit_stream_routed(input, token, mode, pump_tx.clone()),
-        None => engine.submit_routed(input, token, pump_tx.clone()),
-    };
-    match admitted {
-        Ok(()) => None,
-        Err(e) => {
-            // Nothing was admitted; no reply will arrive for the token.
-            pending.lock().remove(&token);
-            Some(match e {
-                DjinnError::Busy { model, queue_depth } => Response::Busy {
-                    request_id,
-                    model,
-                    queue_depth: queue_depth.min(u32::MAX as usize) as u32,
-                },
-                other => Response::Error {
-                    request_id,
-                    message: other.to_string(),
-                },
-            })
-        }
+        other => Response::Error {
+            request_id,
+            message: other.to_string(),
+        },
     }
 }
 
-/// Receives engine completions for one connection and writes them back
-/// in completion order — the write side of the full-duplex connection.
-/// Runs until every sender is gone (the worker's handle plus the clone
-/// each in-flight job holds) and the channel drains, so no admitted job
-/// is ever dropped unanswered while the connection can carry the answer.
-/// Once it cannot (writer poisoned or closed) the pump returns, dropping
-/// its receiver: every later send fails at once, which never blocks an
-/// engine worker and retires the connection's live streams at their next
-/// chunk instead of decoding to the last token for nobody.
-fn reply_pump(
-    rx: Receiver<RoutedReply>,
-    pending: &Mutex<HashMap<u64, PendingInfer>>,
-    writer: &Mutex<ConnWriter>,
-    shared: &Shared,
-) {
-    while let Ok(RoutedReply {
+/// Moves the completions waiting on a client's channels into its write
+/// buffer, booking each in the stats — stream chunks only while the
+/// client is not backlogged. `false` once the client must go: a reply
+/// that cannot be encoded even as an error.
+fn drain_completions(service: &mut Service, c: &mut Client) -> bool {
+    let Owed {
+        once: (_, once),
+        chunks,
+        pending,
+        ..
+    } = &mut c.owed;
+    let conn = &mut c.conn;
+    while let Ok(reply) = once.try_recv() {
+        if !answer(service, pending, &mut conn.out, reply) {
+            return false;
+        }
+    }
+    let Some((_, chunks)) = chunks else {
+        return true;
+    };
+    while !conn.backlogged() {
+        let Ok(reply) = chunks.try_recv() else {
+            break;
+        };
+        if !answer(service, pending, &mut conn.out, reply) {
+            return false;
+        }
+    }
+    true
+}
+
+/// Books one completion and encodes it into `out` — or, while the
+/// request it is behind is owed, holds it; `false` as for
+/// [`drain_completions`].
+fn answer(
+    service: &mut Service,
+    pending: &mut Pending,
+    out: &mut WriteBuf,
+    reply: RoutedReply,
+) -> bool {
+    let Some(&p) = pending.by_token.get(&reply.token) else {
+        return true; // unreachable: tokens are registered at admission
+    };
+    if let Some(b) = p.behind.filter(|b| pending.by_token.contains_key(b)) {
+        pending.held.entry(b).or_default().push(reply);
+        return true;
+    }
+    let RoutedReply {
         token,
         seq,
         last,
         result,
-    }) = rx.recv()
-    {
-        // A streaming job completes many times under one token: the
-        // entry stays registered until its terminal reply.
-        let looked_up = if last {
-            pending.lock().remove(&token)
-        } else {
-            pending.lock().get(&token).cloned()
-        };
-        let Some(p) = looked_up else {
-            continue; // unreachable: tokens are registered before admission
-        };
-        let elapsed_us = p.received.elapsed().as_micros() as u64;
-        // Stats count requests, not chunks: a stream accumulates on its
-        // terminal reply only, with the full admission→final latency.
-        if last {
-            let mut stats = shared.stats.lock();
-            let acc = stats.entry(p.model.clone()).or_default();
-            match &result {
-                Ok(_) => {
-                    acc.requests += 1;
-                    acc.total_latency_us += elapsed_us;
-                    acc.max_latency_us = acc.max_latency_us.max(elapsed_us);
-                }
-                // Sheds are backpressure, not failures: the engine
-                // counts them; `errors` stays inference failures only.
-                Err(DjinnError::Busy { .. }) => {}
-                Err(_) => acc.errors += 1,
-            }
+    } = reply;
+    let elapsed_us = p.received.elapsed().as_micros() as u64;
+    // A streaming job completes many times under one token: the entry
+    // stays registered until its terminal reply. Stats count requests,
+    // not chunks: a stream accumulates on its terminal reply only, with
+    // the full admission→final latency.
+    if last {
+        pending.by_token.remove(&token);
+        if pending.newest.get(&p.request_id) == Some(&token) {
+            pending.newest.remove(&p.request_id);
         }
-        let response = match result {
-            Ok((tensor, spans)) => {
-                // server_total reuses the single measurement taken above:
-                // server-read → completion, the server's whole view of
-                // the request in its own clock domain. Stamping the clock
-                // a second time here would let `Stats` and the trace
-                // block disagree about the same request.
-                let trace = ServerTrace::new(p.request_id, spans, elapsed_us);
-                if p.streaming {
-                    Response::Chunk {
-                        tensor,
-                        trace,
-                        seq,
-                        last,
-                    }
-                } else {
-                    Response::Output { tensor, trace }
-                }
+        let acc = &mut service.models[p.model].stats;
+        match &result {
+            Ok(_) => {
+                acc.requests += 1;
+                acc.total_latency_us += elapsed_us;
+                acc.max_latency_us = acc.max_latency_us.max(elapsed_us);
             }
-            Err(DjinnError::Busy { model, queue_depth }) => Response::Busy {
-                request_id: p.request_id,
-                model,
-                queue_depth: queue_depth.min(u32::MAX as usize) as u32,
-            },
-            // Stringify only here, at the wire boundary.
-            Err(e) => Response::Error {
-                request_id: p.request_id,
-                message: e.to_string(),
-            },
-        };
-        let is_output = matches!(response, Response::Output { .. } | Response::Chunk { .. });
-        let write_start = Instant::now();
-        if !writer.lock().write_response(&response) {
-            return;
-        }
-        if is_output {
-            // The response-write span mark closes the server's view of
-            // the request: successful inferences feed the per-model wire
-            // histogram reported by `Stats`.
-            let mut stats = shared.stats.lock();
-            stats
-                .entry(p.model)
-                .or_default()
-                .wire
-                .record(write_start.elapsed().as_micros() as u64);
+            // Sheds are backpressure, not failures: the engine
+            // counts them; `errors` stays inference failures only.
+            Err(DjinnError::Busy { .. }) => {}
+            Err(_) => acc.errors += 1,
         }
     }
+    let response = match result {
+        Ok((tensor, spans)) => {
+            // server_total reuses the single measurement taken above:
+            // server-read → completion, the server's whole view of
+            // the request in its own clock domain. Stamping the clock
+            // a second time here would let `Stats` and the trace
+            // block disagree about the same request.
+            let trace = ServerTrace::new(p.request_id, spans, elapsed_us);
+            if p.streaming {
+                Response::Chunk {
+                    tensor,
+                    trace,
+                    seq,
+                    last,
+                }
+            } else {
+                Response::Output { tensor, trace }
+            }
+        }
+        Err(e) => refusal(p.request_id, e),
+    };
+    let encode_start = Instant::now();
+    if out.push_response(&response).is_err() {
+        return false;
+    }
+    if matches!(response, Response::Output { .. } | Response::Chunk { .. }) {
+        let us = encode_start.elapsed().as_micros() as u64;
+        service.models[p.model].stats.wire.record(us);
+    }
+    // Done: what waited for this request goes out now, in turn.
+    if last && !pending.held.is_empty() {
+        for reply in pending.held.remove(&token).unwrap_or_default() {
+            if !answer(service, pending, out, reply) {
+                return false;
+            }
+        }
+    }
+    true
 }
 
-/// Merges the wire-level accumulators with each engine's queue
-/// telemetry; every registered model gets an entry, and requests for
-/// unregistered models surface only in the aggregate counter.
-fn stats_response(shared: &Shared, request_id: u64) -> Response {
-    // Snapshot engine telemetry *before* taking the wire-stats lock: the
-    // reply pump grabs that lock on every completion, so holding it
-    // across per-engine snapshots would serialize a Stats poll against a
-    // busy pump and stale-ify the queue-depth/in-flight numbers a
-    // router's load poller steers by.
-    let engine_stats: Vec<(&String, crate::EngineStats)> = shared
-        .engines
-        .iter()
-        .map(|(model, engine)| (model, engine.stats()))
-        .collect();
-    let stats = shared.stats.lock();
-    Response::Stats {
-        request_id,
-        unknown_model_requests: shared.unknown_models.load(Ordering::Relaxed),
-        stats: engine_stats
-            .into_iter()
-            .map(|(model, q)| {
-                let acc = stats.get(model);
-                ModelStats {
-                    model: model.clone(),
-                    requests: acc.map_or(0, |a| a.requests),
-                    errors: acc.map_or(0, |a| a.errors),
-                    total_latency_us: acc.map_or(0, |a| a.total_latency_us),
-                    max_latency_us: acc.map_or(0, |a| a.max_latency_us),
-                    queue_depth: q.queue_depth as u64,
-                    in_flight: q.in_flight as u64,
-                    shed: q.shed,
-                    p50_queue_wait_us: q.p50_queue_wait_us,
-                    p99_queue_wait_us: q.p99_queue_wait_us,
-                    p50_batch_wait_us: q.p50_batch_wait_us,
-                    p99_batch_wait_us: q.p99_batch_wait_us,
-                    p50_service_us: q.p50_service_us,
-                    p99_service_us: q.p99_service_us,
-                    p50_wire_us: acc.map_or(0, |a| a.wire.quantile(0.50)),
-                    p99_wire_us: acc.map_or(0, |a| a.wire.quantile(0.99)),
-                    p50_lease_wait_us: q.p50_lease_wait_us,
-                    p99_lease_wait_us: q.p99_lease_wait_us,
-                    cache_hits: q.cache_hits,
-                    cache_misses: q.cache_misses,
-                    cache_evictions: q.cache_evictions,
-                    tokens_out: q.tokens_out,
-                    p50_token_gap_us: q.p50_token_gap_us,
-                    p99_token_gap_us: q.p99_token_gap_us,
-                }
-            })
-            .collect(),
+impl Service {
+    /// Admits an Infer, or a StreamInfer (`stream: Some(mode)`), whose
+    /// completions come back under a fresh token; `Some` refuses it.
+    fn admit(
+        &mut self,
+        owed: &mut Owed,
+        model: String,
+        input: Tensor,
+        request_id: u64,
+        received: Instant,
+        stream: Option<StreamMode>,
+    ) -> Option<Response> {
+        let Ok(m) = self
+            .models
+            .binary_search_by(|known| known.name.as_str().cmp(&model))
+        else {
+            self.unknown_models += 1;
+            return Some(refusal(
+                request_id,
+                DjinnError::UnknownModel { name: model },
+            ));
+        };
+        let token = owed.next_token;
+        owed.next_token += 1;
+        let engine = &self.models[m].engine;
+        let admitted = match stream {
+            Some(mode) => {
+                let (tx, _) = owed.chunks.get_or_insert_with(|| {
+                    let (tx, rx) = bounded(CHUNK_CHANNEL);
+                    (ReplyTo::waking(tx, Arc::clone(&owed.wake)), rx)
+                });
+                engine.submit_stream_routed(input, token, mode, tx.clone())
+            }
+            None => engine.submit_routed(input, token, owed.once.0.clone()),
+        };
+        if let Err(refused) = admitted {
+            return Some(refusal(request_id, refused));
+        }
+        // (A cache hit is already in the channel; only this thread reads it.)
+        let pending = PendingInfer {
+            request_id,
+            model: m,
+            received,
+            streaming: stream.is_some(),
+            behind: owed.pending.newest.insert(request_id, token),
+        };
+        owed.pending.by_token.insert(token, pending);
+        None
+    }
+
+    /// Merges the wire-level accumulators with each engine's queue
+    /// telemetry; every registered model gets an entry, and requests for
+    /// unregistered models surface only in the aggregate counter.
+    fn stats_response(&self, request_id: u64) -> Response {
+        Response::Stats {
+            request_id,
+            unknown_model_requests: self.unknown_models,
+            stats: self
+                .models
+                .iter()
+                .map(|m| {
+                    let (acc, q) = (&m.stats, m.engine.stats());
+                    ModelStats {
+                        model: m.name.clone(),
+                        requests: acc.requests,
+                        errors: acc.errors,
+                        total_latency_us: acc.total_latency_us,
+                        max_latency_us: acc.max_latency_us,
+                        queue_depth: q.queue_depth as u64,
+                        in_flight: q.in_flight as u64,
+                        shed: q.shed,
+                        p50_queue_wait_us: q.p50_queue_wait_us,
+                        p99_queue_wait_us: q.p99_queue_wait_us,
+                        p50_batch_wait_us: q.p50_batch_wait_us,
+                        p99_batch_wait_us: q.p99_batch_wait_us,
+                        p50_service_us: q.p50_service_us,
+                        p99_service_us: q.p99_service_us,
+                        p50_wire_us: acc.wire.quantile(0.50),
+                        p99_wire_us: acc.wire.quantile(0.99),
+                        p50_lease_wait_us: q.p50_lease_wait_us,
+                        p99_lease_wait_us: q.p99_lease_wait_us,
+                        cache_hits: q.cache_hits,
+                        cache_misses: q.cache_misses,
+                        cache_evictions: q.cache_evictions,
+                        tokens_out: q.tokens_out,
+                        p50_token_gap_us: q.p50_token_gap_us,
+                        p99_token_gap_us: q.p99_token_gap_us,
+                    }
+                })
+                .collect(),
+        }
     }
 }
 
@@ -792,6 +669,7 @@ fn stats_response(shared: &Shared, request_id: u64) -> Response {
 mod tests {
     use super::*;
     use crate::{DjinnClient, DjinnError};
+    use std::net::TcpStream;
     use tensor::{Shape, Tensor};
 
     fn small_registry() -> ModelRegistry {
@@ -882,42 +760,23 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_joins_workers_even_with_idle_connections_open() {
+    fn shutdown_is_prompt_and_closes_idle_connections() {
         let server = DjinnServer::start(small_registry(), ServerConfig::default()).unwrap();
-        let workers = Arc::clone(&server.workers);
-        // Open connections that never send a frame; their workers sit in
-        // the read-poll loop.
+        // One connection that was served, one that never sent a frame.
         let mut client = DjinnClient::connect(server.local_addr()).unwrap();
-        let _idle = TcpStream::connect(server.local_addr()).unwrap();
-        // Make sure at least one worker actually did work.
+        let mut idle = TcpStream::connect(server.local_addr()).unwrap();
         assert!(client.list_models().is_ok());
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         server.shutdown();
-        // Every worker has been joined: none left tracked, and shutdown
-        // returned within a few read-poll periods rather than hanging.
-        assert!(workers.lock().is_empty());
+        // Neither is owed anything, so shutdown closes both at once.
         assert!(t0.elapsed() < Duration::from_secs(5));
-    }
-
-    #[test]
-    fn wake_addr_maps_unspecified_addresses_to_loopback() {
-        // `connect(0.0.0.0:p)` is a platform-dependent accident — the
-        // shutdown wake must dial loopback explicitly, same family, same
-        // port. Concrete addresses pass through untouched.
-        let v4: SocketAddr = "0.0.0.0:7741".parse().unwrap();
-        assert_eq!(wake_addr(v4), "127.0.0.1:7741".parse().unwrap());
-        let v6: SocketAddr = "[::]:7741".parse().unwrap();
-        assert_eq!(wake_addr(v6), "[::1]:7741".parse().unwrap());
-        let concrete: SocketAddr = "127.0.0.1:7741".parse().unwrap();
-        assert_eq!(wake_addr(concrete), concrete);
+        idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut byte = [0u8; 1];
+        assert_eq!(std::io::Read::read(&mut idle, &mut byte).unwrap(), 0);
     }
 
     #[test]
     fn shutdown_is_prompt_on_a_wildcard_bind() {
-        // Regression: stop_accepting used to dial `local_addr()`
-        // verbatim, which for a wildcard bind is the unspecified address
-        // — where that connect fails, shutdown hangs until an unrelated
-        // client happens to arrive.
         let config = ServerConfig {
             bind_addr: "0.0.0.0:0".into(),
             ..ServerConfig::default()
@@ -925,7 +784,7 @@ mod tests {
         let server = DjinnServer::start(small_registry(), config).unwrap();
         assert!(server.local_addr().ip().is_unspecified());
         // The listener serves real traffic via loopback.
-        let reach = wake_addr(server.local_addr());
+        let reach = SocketAddr::from(([127, 0, 0, 1], server.local_addr().port()));
         let mut client = DjinnClient::connect(reach).unwrap();
         assert_eq!(client.list_models().unwrap(), vec!["tiny".to_string()]);
         drop(client);
@@ -939,7 +798,7 @@ mod tests {
 
     #[test]
     fn stats_and_trace_report_the_same_latency() {
-        // Regression: the reply pump used to read the clock twice per
+        // Regression: the reply path used to read the clock twice per
         // request — once for the stats accumulator, again for the trace
         // block — so the two views of the same request could disagree.
         // With a single measurement, the stats totals must equal the
@@ -969,8 +828,8 @@ mod tests {
     #[test]
     fn unencodable_response_degrades_to_a_correlated_error() {
         // A model name longer than the wire's u16 string limit makes the
-        // Models response unencodable; ConnWriter must degrade to an
-        // Error frame carrying the same request ID — the client sees a
+        // Models response unencodable; the write buffer must degrade to
+        // an Error frame carrying the same request ID — the client sees a
         // correlated Remote error and the connection stays usable.
         let mut registry = small_registry();
         let def = dnn::parser::parse_netdef(
@@ -1010,97 +869,45 @@ mod tests {
         server.shutdown();
     }
 
-    /// An executor that sleeps before answering, to saturate a tiny queue.
-    struct SlowExecutor(Duration);
-
-    impl Executor for SlowExecutor {
-        fn infer(
-            &self,
-            network: &Arc<dnn::Network>,
-            input: &tensor::Tensor,
-        ) -> Result<crate::InferenceOutcome> {
-            std::thread::sleep(self.0);
-            CpuExecutor::default().infer(network, input)
-        }
-
-        fn backend_name(&self) -> &'static str {
-            "slow"
-        }
-    }
-
     #[test]
     fn overloaded_engine_answers_busy_not_error() {
-        // Build the shared state by hand so the engine can be saturated
-        // deterministically: capacity 1, one worker stuck in a slow job.
-        let registry = small_registry();
-        let net = registry.get("tiny").unwrap();
-        let engine = InferenceEngine::start(
-            "tiny",
-            net,
-            Arc::new(SlowExecutor(Duration::from_millis(100))),
-            EngineConfig {
-                policy: DispatchPolicy::Immediate,
-                queue_capacity: 1,
-                workers: 1,
-                ..EngineConfig::default()
-            },
-        );
-        let mut engines = BTreeMap::new();
-        engines.insert("tiny".to_string(), engine);
-        let shared = Shared {
-            registry,
-            engines,
-            stats: Mutex::new(BTreeMap::new()),
-            unknown_models: AtomicU64::new(0),
-            stop: Arc::new(AtomicBool::new(false)),
+        // Capacity 1 and one worker held 100 ms per job: of four requests
+        // pipelined at once, one runs, at most one waits, the rest shed.
+        let config = ServerConfig {
+            queue_capacity: 1,
+            engine_workers: 1,
+            service_delay: Some(Duration::from_millis(100)),
+            ..ServerConfig::default()
         };
+        let server = DjinnServer::start(small_registry(), config).unwrap();
+        let mut client = DjinnClient::connect(server.local_addr()).unwrap();
         let input = Tensor::random_uniform(Shape::mat(1, 8), 1.0, 6);
-        // Admit without waiting until the queue is provably full.
-        let engine = shared.engines.get("tiny").unwrap();
-        let mut tickets = Vec::new();
-        loop {
-            match engine.submit(input.clone()) {
-                Ok(t) => tickets.push(t),
-                Err(DjinnError::Busy { .. }) => break,
-                Err(other) => panic!("unexpected admission error: {other}"),
+        let ids: Vec<u64> = (0..4)
+            .map(|_| client.submit("tiny", &input).unwrap())
+            .collect();
+        let mut shed = 0;
+        for _ in &ids {
+            let done = client.recv_next().unwrap();
+            assert!(ids.contains(&done.request_id));
+            match done.result {
+                Ok(_) => {}
+                // The shed is a Busy frame under the request's own ID,
+                // not a stringly error.
+                Err(DjinnError::Busy { model, queue_depth }) => {
+                    assert_eq!((model.as_str(), queue_depth), ("tiny", 1));
+                    shed += 1;
+                }
+                Err(other) => panic!("expected Busy, got {other:?}"),
             }
         }
-        // The request path sheds with a Busy frame echoing the request's
-        // ID, not a stringly error.
-        let pending = Mutex::new(HashMap::new());
-        let (pump_tx, _pump_rx) = bounded(8);
-        let rsp = admit_infer(
-            &shared,
-            &pending,
-            &pump_tx,
-            0,
-            "tiny".into(),
-            input.clone(),
-            99,
-            Instant::now(),
-            None,
-        )
-        .expect("a shed request is answered synchronously");
-        assert!(
-            matches!(rsp, Response::Busy { request_id: 99, ref model, queue_depth }
-                if model == "tiny" && queue_depth == 1),
-            "expected Busy echoing id 99, got {rsp:?}"
-        );
-        assert!(
-            pending.lock().is_empty(),
-            "a rejected admission must not leave a pending token"
-        );
-        // Sheds are visible in stats as `shed`, never as `errors`.
-        let Response::Stats { stats, .. } = stats_response(&shared, 7) else {
-            panic!("expected stats");
-        };
+        assert!(shed >= 2, "{shed} of 4 shed");
+        // Sheds are visible in stats as `shed`, never as `errors`, and
+        // the admitted jobs completed.
+        let stats = client.stats().unwrap();
         let tiny = stats.iter().find(|s| s.model == "tiny").unwrap();
-        assert!(tiny.shed >= 2);
-        assert_eq!(tiny.errors, 0);
-        // Admitted jobs still complete.
-        for t in tickets {
-            t.wait().unwrap();
-        }
+        assert_eq!(tiny.shed, shed);
+        assert_eq!((tiny.errors, tiny.requests), (0, 4 - shed));
+        server.shutdown();
     }
 
     #[test]
@@ -1152,6 +959,51 @@ mod tests {
                 "pipelined response attributed to the wrong request"
             );
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn replies_under_a_reused_id_keep_admission_order() {
+        // A 32-token stream, a 4-token one and a one-shot, all under ID
+        // 7: the later ones finish long before the first does, but a
+        // client that reuses an ID can only correlate by order, so each
+        // must follow the last chunk of the one before.
+        use crate::protocol::{read_frame, write_frame};
+        let registry = ModelRegistry::with_tiny_test_zoo().unwrap();
+        let server = DjinnServer::start(registry, ServerConfig::default()).unwrap();
+        let mut prompt = vec![0.0f32; 16];
+        prompt[3] = 1.0;
+        let prompt = Tensor::from_vec(Shape::mat(1, 16), prompt).unwrap();
+        let stream = |max_tokens| Request::StreamInfer {
+            model: "tiny-lm".into(),
+            input: prompt.clone(),
+            request_id: 7,
+            mode: StreamMode::Generative { max_tokens },
+        };
+        let once = Request::Infer {
+            model: "tiny-lm".into(),
+            input: prompt.clone(),
+            request_id: 7,
+        };
+        let mut wire = Vec::new();
+        for request in [stream(32), stream(4), once] {
+            write_frame(&mut wire, &request.encode().unwrap()).unwrap();
+        }
+        let mut socket = TcpStream::connect(server.local_addr()).unwrap();
+        socket
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        std::io::Write::write_all(&mut socket, &wire).unwrap();
+        for n in [32u32, 4] {
+            for i in 0..n {
+                match Response::decode(&read_frame(&mut socket).unwrap()).unwrap() {
+                    Response::Chunk { seq, last, .. } => assert_eq!((seq, last), (i, i == n - 1)),
+                    other => panic!("chunk {i} of {n}: got {other:?}"),
+                }
+            }
+        }
+        let rsp = Response::decode(&read_frame(&mut socket).unwrap()).unwrap();
+        assert!(matches!(rsp, Response::Output { .. }), "{rsp:?}");
         server.shutdown();
     }
 

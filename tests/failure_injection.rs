@@ -317,3 +317,274 @@ mod undecodable {
         replica.shutdown();
     }
 }
+
+/// Peers that stall instead of failing: a replica that accepts and never
+/// answers or never completes a connect, a client that pipelines and
+/// never reads. None may hold up anyone else, through the server or the
+/// router. Every name starts `stalled_` so CI can run the group by name.
+mod stalled {
+    use super::*;
+    use djinn_tonic::djinn::protocol::{write_frame, ModelStats, Request, StreamMode};
+    use djinn_tonic::djinn::{DjinnRouter, ModelRegistry, RouterConfig};
+    use djinn_tonic::dnn::{parser, Network};
+    use std::io::Read;
+    use std::net::{SocketAddr, TcpListener};
+    use std::thread::JoinHandle;
+    use std::time::Instant;
+
+    /// How long the service keeps a peer that takes none of its output.
+    const STALL_LIMIT: Duration = Duration::from_secs(5);
+
+    fn tiny_server() -> DjinnServer {
+        let registry = ModelRegistry::with_tiny_test_zoo().unwrap();
+        DjinnServer::start(registry, ServerConfig::default()).unwrap()
+    }
+
+    fn router_over(replicas: &[&DjinnServer]) -> DjinnRouter {
+        DjinnRouter::start(RouterConfig {
+            replicas: replicas.iter().map(|r| r.local_addr()).collect(),
+            stats_interval: Duration::from_millis(10),
+            ..RouterConfig::default()
+        })
+        .unwrap()
+    }
+
+    /// Stops the second of two replicas, lets `silence` take its port, and
+    /// checks for 3 s — long enough for redials, their timeouts and redials
+    /// again — that requests the router sends the live one answer
+    /// promptly.
+    fn redials_do_not_block_the_router<T>(silence: impl FnOnce(SocketAddr) -> T) {
+        let live = tiny_server();
+        let doomed = tiny_server();
+        let doomed_addr = doomed.local_addr();
+        let router = router_over(&[&live, &doomed]);
+        let mut client = DjinnClient::connect(router.local_addr()).unwrap();
+        let input = Tensor::random_uniform(Shape::nchw(1, 1, 12, 12), 0.5, 1);
+        client.infer("tiny-mnist", &input).unwrap();
+
+        doomed.shutdown();
+        // Let the router see the replica go before its port is taken.
+        std::thread::sleep(Duration::from_millis(50));
+        let _silent = silence(doomed_addr);
+        let until = Instant::now() + Duration::from_secs(3);
+        let mut slowest = Duration::ZERO;
+        while Instant::now() < until {
+            let asked = Instant::now();
+            client.infer("tiny-mnist", &input).unwrap();
+            slowest = slowest.max(asked.elapsed());
+        }
+        assert!(
+            slowest < Duration::from_millis(250),
+            "a request took {slowest:?} while a replica's redial hung"
+        );
+        router.shutdown();
+        live.shutdown();
+    }
+
+    /// A replica that is restarting or wedged: its port accepts, and
+    /// nothing ever answers `ListModels`.
+    #[test]
+    fn stalled_replica_handshake_does_not_block_the_router() {
+        redials_do_not_block_the_router(|addr| TcpListener::bind(addr).unwrap());
+    }
+
+    /// An address that swallows connection attempts, as an unreachable
+    /// host does: a listener whose accept queue is full, so the kernel
+    /// drops the router's SYNs and its connect never completes.
+    #[test]
+    fn stalled_replica_connect_does_not_block_the_router() {
+        redials_do_not_block_the_router(|addr| {
+            let listener = TcpListener::bind(addr).unwrap();
+            // Connect until one times out: then the queue is full.
+            let mut queued = Vec::new();
+            while let Ok(s) = TcpStream::connect_timeout(&addr, Duration::from_millis(200)) {
+                queued.push(s);
+                assert!(queued.len() < 10_000, "the accept queue never filled");
+            }
+            (listener, queued)
+        });
+    }
+
+    /// One input number in, 1 024 out: the replies are 4 KiB per input
+    /// row, so a client can ask for far more than it sends.
+    fn wide_server() -> DjinnServer {
+        let def = parser::parse_netdef("name: wide\ninput: 1\nlayer fc1 fc out=1024\n").unwrap();
+        let mut registry = ModelRegistry::new();
+        registry.register("wide", Network::with_random_weights(def, 3).unwrap());
+        let config = ServerConfig {
+            // Room to admit a whole flood: the stall under test is in
+            // writing replies, not in admission.
+            queue_capacity: 4096,
+            ..ServerConfig::default()
+        };
+        DjinnServer::start(registry, config).unwrap()
+    }
+
+    /// `n` pipelined requests for 128 KiB replies each, framed.
+    fn flood(n: u64) -> Vec<u8> {
+        let input = Tensor::random_uniform(Shape::mat(32, 1), 1.0, 5);
+        let mut wire = Vec::new();
+        for request_id in 1..=n {
+            let request = Request::Infer {
+                model: "wide".into(),
+                input: input.clone(),
+                request_id,
+            };
+            write_frame(&mut wire, &request.encode().unwrap()).unwrap();
+        }
+        wire
+    }
+
+    /// Waits (up to `within`) until `count` of the wide model's stats
+    /// stops moving, and returns it.
+    fn settle(
+        client: &mut DjinnClient,
+        within: Duration,
+        count: impl Fn(&ModelStats) -> u64,
+    ) -> u64 {
+        let mut last = u64::MAX;
+        let started = Instant::now();
+        while started.elapsed() < within {
+            std::thread::sleep(Duration::from_millis(100));
+            let stats = client.stats().unwrap();
+            let now = count(stats.iter().find(|s| s.model == "wide").unwrap());
+            if now == last {
+                break;
+            }
+            last = now;
+        }
+        last
+    }
+
+    fn answered(s: &ModelStats) -> u64 {
+        s.requests
+    }
+
+    /// Connects a client that pipelines `n` requests for 128 KiB replies
+    /// and reads none. It writes from a thread of its own: a service that
+    /// stops reading it may leave that write blocked until it drops it.
+    fn stalled_client(addr: SocketAddr, n: u64) -> (TcpStream, JoinHandle<()>) {
+        let a = TcpStream::connect(addr).unwrap();
+        let mut w = a.try_clone().unwrap();
+        let writer = std::thread::spawn(move || {
+            let _ = w.write_all(&flood(n));
+        });
+        (a, writer)
+    }
+
+    /// Client A pipelines `n` requests whose 128 KiB replies add up to
+    /// far more than socket buffers hold, and never reads. Client B, on
+    /// the same model, must keep getting answers within a second, and A
+    /// must be dropped once it has taken nothing for the stall limit.
+    fn a_reader_that_stops_is_dropped_alone(addr: SocketAddr, n: u64) {
+        let (mut a, writer) = stalled_client(addr, n);
+        let flooded = Instant::now();
+
+        let mut b = DjinnClient::connect_with_timeout(addr, Duration::from_secs(10)).unwrap();
+        // B's requests are to measure the stall, not a fair wait behind
+        // A's admitted work: let the service finish with A first (where
+        // A's replies wedge the engine, it finishes nothing before the 5 s
+        // write bound such a server had).
+        settle(&mut b, Duration::from_secs(3), answered);
+        for i in 0..10 {
+            let asked = Instant::now();
+            let out = b.infer("wide", &Tensor::zeros(Shape::mat(1, 1))).unwrap();
+            assert_eq!(out.shape().dims(), &[1, 1024]);
+            assert!(
+                asked.elapsed() < Duration::from_secs(1),
+                "request {i} took {:?} behind a client that stopped reading",
+                asked.elapsed()
+            );
+        }
+
+        // A was dropped: past its stall limit it reads to the connection's
+        // end (or a reset), not into a timeout. (Any read by A before then
+        // takes some of its output and restarts the clock.)
+        let dropped_by = STALL_LIMIT + Duration::from_secs(3);
+        std::thread::sleep(dropped_by.saturating_sub(flooded.elapsed()));
+        a.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut sink = vec![0u8; 1 << 20];
+        loop {
+            match a.read(&mut sink) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+                Err(e) => panic!("the stalled reader was never dropped: {e}"),
+            }
+        }
+        writer.join().unwrap();
+    }
+
+    /// 1 600 requests, 210 MB of replies. A server whose connections each
+    /// had a writer thread blocked that writer on A's full socket, then
+    /// every engine worker on A's full 1 024-deep reply channel: B waited
+    /// for the 5 s write bound. This one reads no more of A once A is
+    /// 1 MiB behind, so it admits a few dozen of A's requests, not all.
+    #[test]
+    fn stalled_reader_is_dropped_without_stalling_others_direct() {
+        let server = wide_server();
+        a_reader_that_stops_is_dropped_alone(server.local_addr(), 1600);
+        server.shutdown();
+    }
+
+    /// 256 requests, 32 MB of replies. The router reads its replica's
+    /// replies whoever they are for, so A's stall stays in A's own buffer
+    /// there, and the replica never finds the router slow. (Replies come
+    /// back well after the router forwarded A's requests, so it holds what
+    /// A asked for, not a few dozen: hence the smaller flood.)
+    #[test]
+    fn stalled_reader_is_dropped_without_stalling_others_routed() {
+        let replica = wide_server();
+        let router = router_over(&[&replica]);
+        a_reader_that_stops_is_dropped_alone(router.local_addr(), 256);
+        router.shutdown();
+        replica.shutdown();
+    }
+
+    /// Shutdown answers what was admitted, but a peer that stopped
+    /// reading cannot hold it past its stall limit.
+    #[test]
+    fn stalled_reader_cannot_hold_shutdown() {
+        let server = wide_server();
+        let (_a, writer) = stalled_client(server.local_addr(), 256);
+        let mut b = DjinnClient::connect(server.local_addr()).unwrap();
+        settle(&mut b, Duration::from_secs(10), answered);
+        drop(b);
+        let asked = Instant::now();
+        server.shutdown();
+        assert!(
+            asked.elapsed() < Duration::from_secs(10),
+            "shutdown took {:?} behind a client that stopped reading",
+            asked.elapsed()
+        );
+        writer.join().unwrap();
+    }
+
+    /// A stream whose client reads nothing decodes only as far ahead as
+    /// its connection buffers for it — here, of 1 000 windows of 128 KiB,
+    /// well under half — and not to its end.
+    #[test]
+    fn stalled_stream_reader_holds_its_stream() {
+        const WINDOWS: u64 = 1000;
+        let server = wide_server();
+        let mut a = TcpStream::connect(server.local_addr()).unwrap();
+        let request = Request::StreamInfer {
+            model: "wide".into(),
+            input: Tensor::zeros(Shape::mat(32 * WINDOWS as usize, 1)),
+            request_id: 1,
+            mode: StreamMode::Windowed { window_rows: 32 },
+        };
+        write_frame(&mut a, &request.encode().unwrap()).unwrap();
+        let mut b = DjinnClient::connect(server.local_addr()).unwrap();
+        let decoded = settle(&mut b, Duration::from_secs(10), |s| s.tokens_out);
+        assert!(
+            (1..WINDOWS / 2).contains(&decoded),
+            "{decoded} of {WINDOWS} windows decoded for a client reading none"
+        );
+        // Gone, the client retires its stream.
+        drop(a);
+        let retired = settle(&mut b, Duration::from_secs(10), |s| s.tokens_out);
+        assert!(retired < WINDOWS, "the stream decoded to its end");
+        server.shutdown();
+    }
+}

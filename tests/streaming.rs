@@ -576,8 +576,8 @@ fn streaming_disconnect_stops_decode() {
         assert_eq!(client.recv_chunk(id).expect("chunk").seq, seq);
     }
     drop(client);
-    // Two chunks were read; the step in flight, the chunk the reply pump
-    // finds it cannot write and the one whose send then fails may follow.
+    // Two chunks were read; the step in flight, chunks queued before the
+    // server saw the hang-up and the one whose send then fails may follow.
     std::thread::sleep(Duration::from_millis(100));
     let settled = lm_tokens_out(&mut watcher);
     assert!(
