@@ -1,14 +1,13 @@
 //! SGEMM microbenchmarks: the compute substrate every forward pass runs
-//! on. Compares the naive reference, the blocked kernel, and the parallel
-//! driver — the `tensor` crate's design-choice ablation — and, in the
-//! `skinny` group, the no-pack and packed kernels row count by row count:
-//! the crossover table behind `SKINNY_MAX_M` (results/gemm_skinny.txt).
+//! on. Compares the naive reference, `sgemm` on one thread, and the
+//! parallel driver — the `tensor` crate's design-choice ablation — and,
+//! in the `skinny` group, the no-pack and packed kernels row count by row
+//! count: the crossover table behind `SKINNY_MAX_M`
+//! (results/gemm_skinny.txt).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use tensor::{
-    gemm_blocked, gemm_naive, gemm_packed, gemm_skinny, sgemm, GemmOptions, Shape, Tensor,
-};
+use tensor::{gemm_naive, gemm_packed, gemm_skinny, sgemm, GemmOptions, Shape, Tensor};
 
 fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("sgemm");
@@ -30,7 +29,7 @@ fn bench_gemm(c: &mut Criterion) {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new("blocked", format!("{m}x{n}x{k}")),
+            BenchmarkId::new("sgemm", format!("{m}x{n}x{k}")),
             &(m, n, k),
             |bench, _| {
                 bench.iter(|| {
@@ -68,19 +67,11 @@ fn bench_gemm(c: &mut Criterion) {
     }
 
     // The acceptance point for the parallel packed kernel: 512^3 across
-    // thread counts. At 1 thread this doubles as the packed-vs-blocked
-    // regression check (PACK_MIN_VOLUME routes 512^3 to the packed path).
+    // thread counts.
     let (m, n, k) = (512usize, 512usize, 512usize);
     let a = Tensor::random_uniform(Shape::mat(m, k), 1.0, 9).into_vec();
     let b = Tensor::random_uniform(Shape::mat(k, n), 1.0, 10).into_vec();
     group.throughput(Throughput::Elements((2 * m * n * k) as u64));
-    group.bench_function("blocked512", |bench| {
-        bench.iter(|| {
-            let mut cbuf = vec![0.0f32; m * n];
-            gemm_blocked(m, n, k, 1.0, &a, &b, &mut cbuf);
-            black_box(cbuf)
-        });
-    });
     for &threads in &[1usize, 2, 4, 8] {
         group.bench_with_input(
             BenchmarkId::new("packed512", format!("{threads}t")),

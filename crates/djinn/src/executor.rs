@@ -439,14 +439,12 @@ mod tests {
         let net = mnist();
         let input = Tensor::random_uniform(Shape::nchw(4, 1, 28, 28), 1.0, 8);
         let serial = CpuExecutor::default().infer(&net, &input).unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for threads in [2usize, 4] {
             let par = CpuExecutor::new(Threading::new(threads))
                 .infer(&net, &input)
                 .unwrap();
-            assert!(
-                par.output.max_abs_diff(&serial.output).unwrap() < 1e-5,
-                "threads={threads}"
-            );
+            assert_eq!(bits(&par.output), bits(&serial.output), "threads={threads}");
         }
     }
 

@@ -333,6 +333,10 @@ mod tests {
         .unwrap()
     }
 
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn forward_produces_probabilities() {
         let net = Network::with_random_weights(mlp(), 1).unwrap();
@@ -357,8 +361,8 @@ mod tests {
         let parts = out_batched.split_batch(&[1, 1]).unwrap();
         let out_a = net.forward(&a).unwrap();
         let out_b = net.forward(&b).unwrap();
-        assert!(parts[0].max_abs_diff(&out_a).unwrap() < 1e-5);
-        assert!(parts[1].max_abs_diff(&out_b).unwrap() < 1e-5);
+        assert_eq!(bits(&parts[0]), bits(&out_a));
+        assert_eq!(bits(&parts[1]), bits(&out_b));
     }
 
     #[test]
@@ -371,10 +375,7 @@ mod tests {
                 .forward_sharded(&input, Threading::new(threads))
                 .unwrap();
             assert_eq!(sharded.shape(), serial.shape());
-            assert!(
-                sharded.max_abs_diff(&serial).unwrap() < 1e-5,
-                "threads={threads}"
-            );
+            assert_eq!(bits(&sharded), bits(&serial), "threads={threads}");
         }
     }
 
@@ -384,7 +385,7 @@ mod tests {
         let input = Tensor::random_uniform(Shape::mat(9, 8), 1.0, 6);
         let serial = net.forward(&input).unwrap();
         let threaded = net.forward_with(&input, Threading::new(4)).unwrap();
-        assert!(threaded.max_abs_diff(&serial).unwrap() < 1e-5);
+        assert_eq!(bits(&threaded), bits(&serial));
     }
 
     #[test]
@@ -422,7 +423,6 @@ mod tests {
         let warm = net
             .forward_embed_cached(&input, &cache, Threading::SINGLE)
             .unwrap();
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&cold), bits(&warm), "hit must equal the miss bitwise");
         assert_eq!(
             bits(&cold),

@@ -560,12 +560,14 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Issue acceptance criterion: for every Tonic model, the parallel
-    /// forward paths (batch-sharded and intra-layer threaded) must agree
-    /// with the serial forward within 1e-5.
+    /// For every Tonic model, the parallel forward paths (batch-sharded
+    /// and intra-layer threaded) give the serial forward's bits: both
+    /// GEMM tiers sum in one order, so a shard moving a call across the
+    /// tier cutoff changes nothing.
     #[test]
     fn parallel_forward_matches_serial_for_every_model() {
         use tensor::Threading;
+        let bits = |t: &tensor::Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for app in App::ALL {
             let net = network(app).unwrap();
             // Keep the vision batches small — AlexNet at batch 2 is
@@ -580,12 +582,12 @@ mod tests {
             let sharded = net.forward_sharded(&input, Threading::new(2)).unwrap();
             assert_eq!(serial.shape(), sharded.shape(), "{app}: sharded shape");
             assert!(
-                serial.max_abs_diff(&sharded).unwrap() < 1e-5,
+                bits(&serial) == bits(&sharded),
                 "{app}: sharded forward diverged"
             );
             let threaded = net.forward_with(&input, Threading::new(2)).unwrap();
             assert!(
-                serial.max_abs_diff(&threaded).unwrap() < 1e-5,
+                bits(&serial) == bits(&threaded),
                 "{app}: threaded forward diverged"
             );
         }

@@ -5,8 +5,8 @@
 //! paper's batching optimization exploits): the input is unrolled into a
 //! column matrix and the kernel bank becomes the left GEMM operand.
 
-use crate::gemm::{packed_driver, sgemm_sums_in_packed_order, PackedA, PackedB};
-use crate::{partition, sgemm, GemmOptions, Result, Shape, Tensor, TensorError, Threading};
+use crate::gemm::{packed_driver, PackedA, PackedB};
+use crate::{partition, Result, Shape, Tensor, TensorError, Threading};
 
 /// Geometry of a 2-D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -185,7 +185,6 @@ fn im2col_matrix(
 /// batch shares.
 struct ConvCall<'a> {
     input: &'a [f32],
-    weights: &'a [f32],
     bias: &'a [f32],
     /// One group's geometry: `og` output channels over `cg` input channels.
     group: Conv2dParams,
@@ -196,8 +195,7 @@ struct ConvCall<'a> {
     oh: usize,
     ow: usize,
     /// Each group's `og x wk` weight bank in the GEMM's panel layout,
-    /// packed once for the whole batch. Empty for the one shape class
-    /// whose bits `sgemm` sums in another order (see `run_images`).
+    /// packed once for the whole batch.
     packed_weights: Vec<PackedA>,
     gemm_threads: usize,
 }
@@ -275,18 +273,13 @@ pub fn conv2d_with(
     let mut out = Tensor::zeros(Shape::nchw(n, p.out_channels, oh, ow));
 
     let img_workers = threading.workers_for(n);
-    let packed_weights = if sgemm_sums_in_packed_order(og, oh * ow, wk) {
-        weights
-            .data()
-            .chunks_exact(og * wk)
-            .map(|bank| PackedA::pack(og, wk, bank))
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let packed_weights = weights
+        .data()
+        .chunks_exact(og * wk)
+        .map(|bank| PackedA::pack(og, wk, bank))
+        .collect();
     let call = ConvCall {
         input: input.data(),
-        weights: weights.data(),
         bias,
         group: Conv2dParams {
             out_channels: og,
@@ -303,35 +296,27 @@ pub fn conv2d_with(
         gemm_threads: (threading.threads / img_workers.max(1)).max(1),
     };
     if img_workers <= 1 {
-        call.run_images(0..n, out.data_mut())?;
+        call.run_images(0..n, out.data_mut());
         return Ok(out);
     }
 
     let per_out = p.out_channels * oh * ow;
-    let results = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(img_workers);
+    std::thread::scope(|scope| {
         let mut rest = out.data_mut();
         for (img0, img1) in partition(n, img_workers) {
             let (chunk, tail) = rest.split_at_mut((img1 - img0) * per_out);
             rest = tail;
             let call = &call;
-            handles.push(scope.spawn(move || call.run_images(img0..img1, chunk)));
+            scope.spawn(move || call.run_images(img0..img1, chunk));
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("conv2d worker panicked"))
-            .collect::<Vec<Result<()>>>()
     });
-    for r in results {
-        r?;
-    }
     Ok(out)
 }
 
 impl ConvCall<'_> {
     /// Convolves images `imgs.start..imgs.end`; `out` (zeroed) covers
     /// exactly those images' output volumes.
-    fn run_images(&self, imgs: std::ops::Range<usize>, out: &mut [f32]) -> Result<()> {
+    fn run_images(&self, imgs: std::ops::Range<usize>, out: &mut [f32]) {
         let (og, cols) = (self.group.out_channels, self.oh * self.ow);
         let chw = (self.cg, self.h, self.w);
         let group_in = self.cg * self.h * self.w;
@@ -343,32 +328,6 @@ impl ConvCall<'_> {
             .zip(out.chunks_exact_mut(og * cols))
             .enumerate()
             .map(|(i, (image, out))| (i % self.groups, image, out));
-
-        if self.packed_weights.is_empty() {
-            // Below `sgemm`'s packing volume with more than one depth
-            // block, its small-problem kernel associates the sum another
-            // way; such a call is a few hundred outputs, so it keeps the
-            // unfused lowering and with it those bits.
-            for (g, image, out) in blocks {
-                let columns = im2col_matrix(image, chw, (self.oh, self.ow), &self.group);
-                let bank = &self.weights[g * og * wk..(g + 1) * og * wk];
-                sgemm(
-                    og,
-                    cols,
-                    wk,
-                    1.0,
-                    bank,
-                    &columns,
-                    0.0,
-                    out,
-                    GemmOptions::default(),
-                )?;
-                for (plane, bv) in out.chunks_exact_mut(cols).zip(&self.bias[g * og..]) {
-                    plane.iter_mut().for_each(|v| *v += bv);
-                }
-            }
-            return Ok(());
-        }
 
         // One column buffer for every image and group of this worker:
         // the geometry fixes which elements are padding, those are never
@@ -391,7 +350,6 @@ impl ConvCall<'_> {
                 self.gemm_threads,
             );
         }
-        Ok(())
     }
 }
 
@@ -505,6 +463,7 @@ pub fn conv2d_direct(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{sgemm, GemmOptions};
     use proptest::prelude::*;
 
     #[test]
@@ -783,22 +742,22 @@ mod tests {
         );
     }
 
-    /// Which path of `sgemm` the unfused lowering takes for a geometry.
+    /// Which tier of `sgemm` the unfused lowering takes for a geometry.
     fn tier(g: &Geometry) -> &'static str {
-        use crate::gemm::{KC, PACK_MIN_VOLUME, SKINNY_MAX_M};
+        use crate::gemm::{PACK_MIN_VOLUME, SKINNY_MAX_M};
         let (m, n, k) = g.gemm_shape();
-        match (m * n * k < PACK_MIN_VOLUME, k > KC, m <= SKINNY_MAX_M) {
-            (true, false, _) => "blocked",
-            (true, true, _) => "blocked, two depth blocks",
-            (false, _, true) => "skinny",
-            (false, _, false) => "packed",
+        if m <= SKINNY_MAX_M || m * n * k < PACK_MIN_VOLUME {
+            "skinny"
+        } else {
+            "packed"
         }
     }
 
-    /// Named geometries, one or more per tier of the unfused lowering:
-    /// the two `dig` layers, `tiny-mnist`, AlexNet's grouped and padded
-    /// conv2 and its 11x11 stride-4 conv1 in miniature, a skinny bank
-    /// deeper than `KC`, and the one class that must stay unfused.
+    /// Named geometries, several per tier of the unfused lowering: the
+    /// two `dig` layers, `tiny-mnist`, AlexNet's grouped and padded conv2
+    /// and its 11x11 stride-4 conv1 in miniature, a skinny bank deeper
+    /// than `KC`, and calls below the packing volume — one of them two
+    /// depth blocks deep, one taller than `SKINNY_MAX_M`.
     #[test]
     fn fused_conv_is_bitwise_im2col_sgemm_bias_on_every_tier() {
         let geometry = |n, groups, cg, og, hw: (usize, usize), kernel, stride, pad| Geometry {
@@ -815,15 +774,13 @@ mod tests {
         let cases = [
             (geometry(3, 1, 1, 10, (28, 28), 5, 1, 0), "packed"),
             (geometry(3, 1, 10, 20, (12, 12), 5, 1, 0), "packed"),
-            (geometry(2, 1, 1, 4, (12, 12), 3, 1, 0), "blocked"),
+            (geometry(2, 1, 1, 4, (12, 12), 3, 1, 0), "skinny"),
             (geometry(2, 2, 6, 16, (13, 11), 5, 1, 2), "packed"),
             (geometry(1, 1, 3, 12, (39, 43), 11, 4, 0), "packed"),
             (geometry(2, 3, 12, 5, (11, 14), 5, 2, 1), "skinny"),
-            (
-                geometry(2, 1, 3, 2, (12, 11), 11, 1, 1),
-                "blocked, two depth blocks",
-            ),
-            (geometry(4, 2, 2, 3, (5, 7), 4, 4, 2), "blocked"),
+            (geometry(2, 1, 3, 2, (12, 11), 11, 1, 1), "skinny"),
+            (geometry(4, 2, 2, 3, (5, 7), 4, 4, 2), "skinny"),
+            (geometry(2, 1, 1, 12, (4, 4), 3, 1, 0), "skinny"),
         ];
         for (g, want_tier) in &cases {
             assert_eq!(tier(g), *want_tier, "{g:?}");

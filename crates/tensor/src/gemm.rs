@@ -1,10 +1,10 @@
 //! Single-precision general matrix multiply.
 //!
 //! Structured like a tuned BLAS: a naive triple loop (correctness
-//! oracle) and three tiers [`sgemm`] picks between by shape — a
-//! cache-blocked kernel for small problems, a no-pack kernel for calls of
-//! at most `SKINNY_MAX_M` rows, and a BLIS-style packed kernel for
-//! everything else. The packed kernel lays A out in `MR`-row column-major
+//! oracle) and two tiers [`sgemm`] picks between by shape — a no-pack
+//! kernel for calls of at most `SKINNY_MAX_M` rows or below
+//! `PACK_MIN_VOLUME`, and a BLIS-style packed kernel for everything
+//! else. The packed kernel lays A out in `MR`-row column-major
 //! micro-panels and B in `NR`-column row-major micro-panels so the
 //! register-blocked `MR x NR` micro-kernel streams both operands at unit
 //! stride. Both operands are packed once per call and shared read-only;
@@ -15,8 +15,8 @@
 //! packs a group's weights as A once per call and writes each image's
 //! im2col columns straight into B's panel layout (`crate::conv`).
 //!
-//! The skinny and packed tiers share one **reduction-order contract**,
-//! which is what makes them interchangeable bit for bit: for each
+//! The two tiers share one **reduction-order contract**, which is what
+//! makes them interchangeable bit for bit: for each
 //! element of C and each `KC`-deep block of the inner dimension, blocks
 //! in ascending order, a fresh `0.0` accumulator takes `a[i][p] * b[p][j]`
 //! in ascending `p` (no fused multiply-add, no reassociation), and then
@@ -32,7 +32,7 @@ const NR: usize = 8;
 /// Row-dimension block size; an `MC x KC` packed A block stays in L2.
 const MC: usize = 64;
 /// Depth block size; a `KC x NR` packed B micro-panel stays in L1.
-pub(crate) const KC: usize = 256;
+const KC: usize = 256;
 /// Column-dimension block size (must be a multiple of `NR`).
 const NC: usize = 256;
 /// Problems below this `m * n * k` volume skip packing: the O(mk + kn)
@@ -196,9 +196,7 @@ pub fn sgemm(
         }
     }
 
-    if m * n * k < PACK_MIN_VOLUME {
-        gemm_blocked(m, n, k, alpha, a_rm, b_rm, c);
-    } else if m <= SKINNY_MAX_M {
+    if m <= SKINNY_MAX_M || m * n * k < PACK_MIN_VOLUME {
         gemm_skinny(m, n, k, alpha, a_rm, b_rm, c);
     } else {
         gemm_packed(m, n, k, alpha, a_rm, b_rm, c, opts.threads);
@@ -231,71 +229,6 @@ pub fn gemm_naive(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32]
     }
 }
 
-/// Cache-blocked kernel for small problems: loops over `NC`/`KC`/`MC`
-/// panels with a 2-row micro-kernel, no packing. Below
-/// `PACK_MIN_VOLUME` the packing copies would dominate, so this is the
-/// fast path for tiny matrices. Public (like [`gemm_naive`]) as an
-/// ablation tier for the GEMM benchmarks; `C += alpha * A B` with no
-/// transposes or beta scaling — use [`sgemm`] for real work.
-pub fn gemm_blocked(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32], c: &mut [f32]) {
-    for jc in (0..n).step_by(NC) {
-        let nb = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kb = KC.min(k - pc);
-            for ic in (0..m).step_by(MC) {
-                let mb = MC.min(m - ic);
-                inner_block(ic, jc, pc, mb, nb, kb, n, k, alpha, a, b, c);
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn inner_block(
-    ic: usize,
-    jc: usize,
-    pc: usize,
-    mb: usize,
-    nb: usize,
-    kb: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-) {
-    let mut i = ic;
-    // 2-row micro-kernel: amortizes each streamed B row over two C rows.
-    while i + 1 < ic + mb {
-        for p in pc..pc + kb {
-            let a0 = alpha * a[i * k + p];
-            let a1 = alpha * a[(i + 1) * k + p];
-            let brow = &b[p * n + jc..p * n + jc + nb];
-            // Split borrows of the two C rows.
-            let (c_head, c_tail) = c.split_at_mut((i + 1) * n);
-            let c0 = &mut c_head[i * n + jc..i * n + jc + nb];
-            let c1 = &mut c_tail[jc..jc + nb];
-            for ((cv0, cv1), bv) in c0.iter_mut().zip(c1.iter_mut()).zip(brow) {
-                *cv0 += a0 * bv;
-                *cv1 += a1 * bv;
-            }
-        }
-        i += 2;
-    }
-    if i < ic + mb {
-        for p in pc..pc + kb {
-            let av = alpha * a[i * k + p];
-            let brow = &b[p * n + jc..p * n + jc + nb];
-            let crow = &mut c[i * n + jc..i * n + jc + nb];
-            for (cv, bv) in crow.iter_mut().zip(brow) {
-                *cv += av * bv;
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Skinny kernel
 // ---------------------------------------------------------------------------
@@ -309,9 +242,11 @@ fn inner_block(
 ///
 /// Correct for any `m`: within each `KC x NC` block of B rows are walked
 /// `MR` at a time, so the block is streamed from memory once and re-read
-/// from cache. [`sgemm`] sends it `m <= SKINNY_MAX_M`, two groups.
-/// Public as an ablation tier for the GEMM benchmarks, like
-/// [`gemm_blocked`]: `C += alpha * A B`, no transposes or beta.
+/// from cache. [`sgemm`] sends it `m <= SKINNY_MAX_M` (two groups), and
+/// any call below `PACK_MIN_VOLUME`, where the packing copies would cost
+/// more than they save. Public as an ablation tier for the GEMM
+/// benchmarks, like [`gemm_naive`]: `C += alpha * A B`, no transposes or
+/// beta.
 pub fn gemm_skinny(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32], c: &mut [f32]) {
     let mut acc = [[0.0f32; NC]; MR];
     for jc in (0..n).step_by(NC) {
@@ -622,7 +557,7 @@ pub(crate) fn packed_driver(
 
 /// Packed tier: packs A and B once each (shared read-only by every
 /// worker), then hands them to the packed driver. Public as an ablation
-/// tier for the GEMM benchmarks, like [`gemm_blocked`]:
+/// tier for the GEMM benchmarks, like [`gemm_skinny`]:
 /// `C += alpha * A B`, no transposes or beta.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_packed(
@@ -637,14 +572,6 @@ pub fn gemm_packed(
 ) {
     let (a, b) = (PackedA::pack(m, k, a), PackedB::pack(k, n, b));
     packed_driver(alpha, &a, &b, c, None, threads);
-}
-
-/// Whether [`sgemm`] with `alpha == 1`, `beta == 0` gives this shape the
-/// packed tier's bits. The skinny tier always does; the blocked one sums
-/// straight into a zeroed C in ascending depth, which is the packed
-/// order as long as there is a single depth block.
-pub(crate) fn sgemm_sums_in_packed_order(m: usize, n: usize, k: usize) -> bool {
-    m * n * k >= PACK_MIN_VOLUME || k <= KC
 }
 
 /// Cache-blocked out-of-place transpose of a row-major `rows x cols`
@@ -772,7 +699,7 @@ mod tests {
     /// it held — NaN and infinity included — must not reach the result.
     #[test]
     fn beta_zero_overwrites_a_poisoned_c_on_every_tier() {
-        // (m, n, k): blocked, skinny, packed.
+        // (m, n, k): skinny below the packing volume, skinny, packed.
         let shapes = [(3usize, 5usize, 7usize), (2, 64, 512), (9, 64, 64)];
         assert!(shapes[1..]
             .iter()
@@ -866,9 +793,9 @@ mod tests {
 
     /// The issue's acceptance grid: every thread count in {1, 2, 4, 7}
     /// against every shape with m, n, k drawn from {1, 3, 64, 257} must
-    /// match the naive oracle within 1e-5 relative error. Covers both the
-    /// small-matrix blocked path and the packed path (257 crosses KC/NC
-    /// panel boundaries; 1 and 3 exercise ragged MR/NR edges).
+    /// match the naive oracle within 1e-5 relative error. Covers both
+    /// tiers (257 crosses KC/NC panel boundaries; 1 and 3 exercise ragged
+    /// MR/NR edges).
     #[test]
     fn parallel_packed_matches_naive_across_thread_and_shape_grid() {
         const DIMS: [usize; 4] = [1, 3, 64, 257];
@@ -908,7 +835,7 @@ mod tests {
 
     proptest! {
         #[test]
-        fn blocked_matches_naive(
+        fn small_sgemm_matches_naive(
             m in 1usize..24,
             n in 1usize..24,
             k in 1usize..40,
@@ -979,9 +906,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The reduction-order contract: the skinny tier gives the packed
-        /// tier's bits for every shape, `alpha` and `beta` — on both
-        /// sides of `SKINNY_MAX_M`, with n ragged against `NR`/`NC` and
+        /// The reduction-order contract: the skinny tier, and `sgemm`
+        /// whichever tier it picks, give the packed tier's bits for every
+        /// shape, `alpha` and `beta` — on both sides of `SKINNY_MAX_M`
+        /// and of `PACK_MIN_VOLUME`, with n ragged against `NR`/`NC` and
         /// k against `KC` (up to three depth blocks).
         #[test]
         fn skinny_is_bitwise_equal_to_packed(
@@ -1003,11 +931,9 @@ mod tests {
             gemm_skinny(m, n, k, alpha, &a, &b, &mut skinny);
             prop_assert!(bits(&packed) == bits(&skinny), "m={m} n={n} k={k} alpha={alpha} beta={beta}");
             // And through the front door, whichever of the two it picks.
-            if m * n * k >= PACK_MIN_VOLUME {
-                let mut front = c0;
-                sgemm(m, n, k, alpha, &a, &b, beta, &mut front, GemmOptions::default()).unwrap();
-                prop_assert!(bits(&packed) == bits(&front), "sgemm m={m} n={n} k={k} alpha={alpha} beta={beta}");
-            }
+            let mut front = c0;
+            sgemm(m, n, k, alpha, &a, &b, beta, &mut front, GemmOptions::default()).unwrap();
+            prop_assert!(bits(&packed) == bits(&front), "sgemm m={m} n={n} k={k} alpha={alpha} beta={beta}");
         }
     }
 }

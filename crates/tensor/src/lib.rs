@@ -2,8 +2,10 @@
 //!
 //! This crate is the stand-in for the ATLAS/OpenBLAS layer the paper's CPU
 //! baseline uses: a small, self-contained library of dense `f32` tensor
-//! operations — blocked and parallel SGEMM, im2col-based convolution,
-//! pooling, and the pointwise activations needed by the Tonic networks.
+//! operations — SGEMM (a no-pack kernel for few-row and small calls, a
+//! packed parallel one for the rest, bit-identical to each other),
+//! im2col-based convolution fused into the packed kernel, pooling, and
+//! the pointwise activations needed by the Tonic networks.
 //!
 //! # Quickstart
 //!
@@ -31,8 +33,7 @@ mod threading;
 pub use conv::{col2im, conv2d, conv2d_direct, conv2d_with, im2col, Conv2dParams};
 pub use error::TensorError;
 pub use gemm::{
-    gemm_blocked, gemm_naive, gemm_packed, gemm_skinny, matmul, matmul_with, sgemm, transpose,
-    GemmOptions,
+    gemm_naive, gemm_packed, gemm_skinny, matmul, matmul_with, sgemm, transpose, GemmOptions,
 };
 pub use ops::{
     add_bias_rows, hardtanh, lrn_cross_channel, relu, sigmoid, softmax_rows, tanh, LrnParams,

@@ -84,10 +84,9 @@ fn layer_rows(net: &Network, input: &Tensor, r: usize) -> Vec<Vec<u32>> {
         .collect()
 }
 
-/// One row through `def`, in a 2-row batch and as row 17 of 33: every
-/// layer's output must agree. Alone, the row must agree on the first
-/// `alone_depth` layers.
-fn assert_forward_is_row_independent(def: NetDef, alone_depth: usize) {
+/// One row through `def`, alone, in a 2-row batch and as row 17 of 33:
+/// every layer's output must agree.
+fn assert_forward_is_row_independent(def: NetDef) {
     let name = def.name().to_string();
     let width = def.input_shape().as_matrix().1;
     let net = Network::with_random_weights(def, 0xC0FFEE).unwrap();
@@ -96,11 +95,7 @@ fn assert_forward_is_row_independent(def: NetDef, alone_depth: usize) {
     let pair = layer_rows(&net, &batch_around(row.data(), 2, 1, 8), 1);
     let tall = layer_rows(&net, &batch_around(row.data(), TALL, ROW, 9), ROW);
     assert_eq!(pair, tall, "{name}: row 1 of 2 vs row {ROW} of {TALL}");
-    assert_eq!(
-        alone[..alone_depth],
-        pair[..alone_depth],
-        "{name}: 1 vs 2 rows"
-    );
+    assert_eq!(alone, pair, "{name}: 1 vs 2 rows");
     // `forward` is the same computation as `forward_all`'s last entry.
     let out = net.forward(&row).unwrap();
     assert_eq!(&bits(out.data()), alone.last().unwrap(), "{name}");
@@ -108,28 +103,27 @@ fn assert_forward_is_row_independent(def: NetDef, alone_depth: usize) {
 
 #[test]
 fn textgen_forward_is_row_independent() {
-    let def = zoo::textgen();
-    let depth = def.depth();
-    assert_forward_is_row_independent(def, depth);
+    assert_forward_is_row_independent(zoo::textgen());
 }
 
-/// SENNA's tag layer is 450 x 45: one row of it is below the volume
-/// where `sgemm` packs at all, and the small-problem kernel sums a depth
-/// past one `KC` block in a different association (DESIGN.md §6 keeps
-/// that caveat). So a lone row is held to the embedding prefix — the two
-/// layers `forward_embed_cached` memoizes row by row, which is what makes
-/// a cache hit equal the miss that stored it — and every taller call to
-/// the whole network.
+/// SENNA's tag layer is 450 deep — two `KC` blocks — and 45 wide: one row
+/// of it is below the volume where `sgemm` packs at all, so this holds
+/// the small-call path to the packed order across depth blocks.
 #[test]
 fn pos_forward_is_row_independent() {
-    assert_forward_is_row_independent(zoo::netdef(zoo::App::Pos), 2);
+    assert_forward_is_row_independent(zoo::netdef(zoo::App::Pos));
+}
+
+/// The same for `chk`'s 23-tag layer, which stays below the packing
+/// volume at up to three rows.
+#[test]
+fn chk_forward_is_row_independent() {
+    assert_forward_is_row_independent(zoo::netdef(zoo::App::Chk));
 }
 
 #[test]
 fn tiny_lm_forward_is_row_independent() {
-    let def = zoo::tiny_lm();
-    let depth = def.depth();
-    assert_forward_is_row_independent(def, depth);
+    assert_forward_is_row_independent(zoo::tiny_lm());
 }
 
 /// Where the probed image sits in the batch, and how many ride along —
