@@ -22,8 +22,19 @@
 //! in ascending `p` (no fused multiply-add, no reassociation), and then
 //! `c[i][j] += alpha * acc`. A row therefore gets the same bits whether
 //! it is sent alone or inside a large batch.
+//!
+//! Each tier's loop nest is compiled twice: for baseline x86-64 (SSE2,
+//! four lanes), and with AVX2 enabled (eight lanes; the packed tier's
+//! micro-kernel in `std::arch` intrinsics). A CPU check picks the second
+//! where the CPU has AVX2 (`avx2`, the module that holds the crate's
+//! `unsafe_code`); both keep the contract, so which one ran never shows
+//! in an output bit.
 
 use crate::{Result, Shape, Tensor, TensorError};
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod avx2;
 
 /// Micro-kernel rows: each micro-tile updates `MR` rows of C.
 const MR: usize = 4;
@@ -41,9 +52,10 @@ pub(crate) const PACK_MIN_VOLUME: usize = 32 * 32 * 32;
 /// Calls of at most this many rows take the no-pack kernel. Packing B
 /// reads and writes all of it once before the first multiply, and with
 /// at most two A micro-panels each packed panel is then used at most
-/// twice — the copy cannot pay for itself. Measured, the no-pack kernel
-/// is 5-8x faster at one row and 1.1-1.6x at 8, and still 1.1-1.5x ahead
-/// at 16 and 28 (`results/gemm_skinny.txt`); the limit stays at two
+/// twice — the copy cannot pay for itself. Measured on the AVX2 path,
+/// the no-pack kernel is 7-10x faster at one row and 1.5-2.1x at 8, and
+/// still 1.04-1.5x ahead at 16 and 28 (`results/gemm_skinny.txt`, which
+/// also keeps the portable path's table); the limit stays at two
 /// micro-panels because that last margin is the size of the measuring
 /// host's noise and the no-pack kernel is single-threaded — a taller
 /// call has row strips for `GemmOptions::threads` to spread over cores.
@@ -248,6 +260,18 @@ pub fn gemm_naive(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32]
 /// benchmarks, like [`gemm_naive`]: `C += alpha * A B`, no transposes or
 /// beta.
 pub fn gemm_skinny(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32], c: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(isa) = avx2::Avx2::detect() {
+        return isa.gemm_skinny(m, n, k, alpha, a, b, c);
+    }
+    gemm_skinny_body(m, n, k, alpha, a, b, c);
+}
+
+/// [`gemm_skinny`]'s loop nest, compiled once for baseline x86-64 and
+/// once more with AVX2 enabled (`avx2`), so both vector widths run the
+/// same source and sum in the same order.
+#[inline(always)]
+fn gemm_skinny_body(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32], c: &mut [f32]) {
     let mut acc = [[0.0f32; NC]; MR];
     for jc in (0..n).step_by(NC) {
         let nb = NC.min(n - jc);
@@ -447,8 +471,11 @@ impl PackedB {
 
 /// Register-blocked `MR x NR` micro-kernel: accumulates `kb` rank-1
 /// updates from packed panels into `acc` (row-major `MR x NR`). Both
-/// operands stream at unit stride; the 32 accumulators fit the SIMD
-/// register file so the inner loop is pure FMA work.
+/// operands stream at unit stride and the 32 accumulators fit the SIMD
+/// register file. Each step is a multiply, then an add — the
+/// reduction-order contract rules out a fused multiply-add. The AVX2
+/// instantiation of the packed tier uses an intrinsics twin of this
+/// kernel (`avx2::microkernel`) with the same per-lane arithmetic.
 #[inline]
 fn microkernel(kb: usize, pa: &[f32], pb: &[f32], acc: &mut [f32; MR * NR]) {
     // `chunks_exact` + fixed-size array views give the compiler exact
@@ -471,8 +498,29 @@ fn microkernel(kb: usize, pa: &[f32], pb: &[f32], acc: &mut [f32; MR * NR]) {
 /// `r0`) takes `alpha * A B` block by block as the reduction-order
 /// contract says, and `bias[i]`, if given, is added to row `i` after its
 /// last depth block — the same bits as a separate pass over the finished
-/// product.
+/// product. Runs on AVX2 where the CPU has it, portably elsewhere.
 fn packed_strip(
+    r0: usize,
+    r1: usize,
+    alpha: f32,
+    a: &PackedA,
+    b: &PackedB,
+    c_strip: &mut [f32],
+    bias: Option<&[f32]>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(isa) = avx2::Avx2::detect() {
+        return isa.packed_strip(r0, r1, alpha, a, b, c_strip, bias);
+    }
+    packed_strip_body(microkernel, r0, r1, alpha, a, b, c_strip, bias);
+}
+
+/// [`packed_strip`]'s loop nest around a given micro-kernel: the portable
+/// [`microkernel`] here, the intrinsics one in the AVX2 instantiation.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn packed_strip_body(
+    kernel: impl Fn(usize, &[f32], &[f32], &mut [f32; MR * NR]),
     r0: usize,
     r1: usize,
     alpha: f32,
@@ -495,7 +543,7 @@ fn packed_strip(
                     let pb = b.panel(pc, kb, jp);
                     for rp in ic / MR..(ic + mb).div_ceil(MR) {
                         let mut acc = [0.0f32; MR * NR];
-                        microkernel(kb, a.panel(pc, kb, rp), pb, &mut acc);
+                        kernel(kb, a.panel(pc, kb, rp), pb, &mut acc);
                         let i0 = rp * MR;
                         for (r, acc_row) in acc.chunks_exact(NR).take(r1 - i0).enumerate() {
                             let crow = &mut c_strip[(i0 - r0 + r) * n + j0..][..nb];
@@ -600,6 +648,7 @@ pub fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{conv2d_with, Conv2dParams, Threading};
     use proptest::prelude::*;
 
     fn bits(v: &[f32]) -> Vec<u32> {
@@ -934,6 +983,118 @@ mod tests {
             let mut front = c0;
             sgemm(m, n, k, alpha, &a, &b, beta, &mut front, GemmOptions::default()).unwrap();
             prop_assert!(bits(&packed) == bits(&front), "sgemm m={m} n={n} k={k} alpha={alpha} beta={beta}");
+        }
+    }
+
+    /// Whether this CPU has AVX2; says why the portable ≡ AVX2 checks
+    /// skip when it has not (both of their runs would be portable).
+    #[cfg(target_arch = "x86_64")]
+    fn have_avx2() -> bool {
+        let found = avx2::Avx2::detect().is_some();
+        if !found {
+            eprintln!(
+                "skipped: this CPU has no AVX2, so there is no second instantiation to compare"
+            );
+        }
+        found
+    }
+
+    /// `f` on the portable kernels, then as dispatched (AVX2 here), as bits.
+    #[cfg(target_arch = "x86_64")]
+    fn portable_and_avx2(f: impl Fn() -> Vec<f32>) -> (Vec<u32>, Vec<u32>) {
+        (bits(&avx2::portable(&f)), bits(&f()))
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The two instantiations of each kernel give the same bits: the
+        /// packed driver with and without a bias, the no-pack tier, and
+        /// `sgemm` (either tier) for every `alpha` and `beta` — m ragged
+        /// against `MR` and past one `MC` block, n against `NR`/`NC`, k
+        /// against `KC`.
+        #[test]
+        fn portable_is_bitwise_equal_to_avx2(
+            m in prop::sample::select([ragged(MR, 3), vec![63, 65, 130]].concat()),
+            n in prop::sample::select([ragged(NR, 3), ragged(NC, 2)].concat()),
+            k in prop::sample::select(ragged(KC, 2)),
+            alpha in prop::sample::select(vec![1.0f32, -0.75, 3.1]),
+            beta in prop::sample::select(vec![0.0f32, 1.0, 0.5]),
+            seed in 0u64..1000,
+        ) {
+            if !have_avx2() {
+                return Ok(());
+            }
+            let a = Tensor::random_uniform(Shape::mat(m, k), 1.0, seed).into_vec();
+            let b = Tensor::random_uniform(Shape::mat(k, n), 1.0, seed + 1).into_vec();
+            let c0 = Tensor::random_uniform(Shape::mat(m, n), 1.0, seed + 2).into_vec();
+            let bias = Tensor::random_uniform(Shape::mat(1, m), 1.0, seed + 3).into_vec();
+            let (pa, pb) = (PackedA::pack(m, k, &a), PackedB::pack(k, n, &b));
+            for bias in [None, Some(&bias[..])] {
+                let (portable, avx2) = portable_and_avx2(|| {
+                    let mut c = c0.clone();
+                    packed_driver(alpha, &pa, &pb, &mut c, bias, 1);
+                    c
+                });
+                prop_assert!(portable == avx2, "packed_driver m={m} n={n} k={k} bias={}", bias.is_some());
+            }
+            let (portable, avx2) = portable_and_avx2(|| {
+                let mut c = c0.clone();
+                gemm_skinny(m, n, k, alpha, &a, &b, &mut c);
+                c
+            });
+            prop_assert!(portable == avx2, "gemm_skinny m={m} n={n} k={k}");
+            let (portable, avx2) = portable_and_avx2(|| {
+                let mut c = c0.clone();
+                sgemm(m, n, k, alpha, &a, &b, beta, &mut c, GemmOptions::default()).unwrap();
+                c
+            });
+            prop_assert!(portable == avx2, "sgemm m={m} n={n} k={k} alpha={alpha} beta={beta}");
+        }
+    }
+
+    /// The fused convolution on both instantiations, on one geometry per
+    /// tier `sgemm` would pick for its `og x oh·ow x wk` product: `dig`'s
+    /// conv2 (packed, 500 deep), and a grouped, padded, strided bank of
+    /// five outputs per group (skinny, 300 deep).
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn fused_conv_portable_is_bitwise_equal_to_avx2() {
+        if !have_avx2() {
+            return;
+        }
+        // (n, c, (h, w), params)
+        let cases = [
+            (2, 20, (12, 12), Conv2dParams::new(50, 5, 1, 0)),
+            (
+                2,
+                36,
+                (11, 14),
+                Conv2dParams {
+                    out_channels: 15,
+                    kernel: 5,
+                    stride: 2,
+                    pad: 1,
+                    groups: 3,
+                },
+            ),
+        ];
+        for (i, (n, c, (h, w), p)) in cases.into_iter().enumerate() {
+            let seed = 50 + 10 * i as u64;
+            let input = Tensor::random_uniform(Shape::nchw(n, c, h, w), 1.0, seed);
+            let weights = Tensor::random_uniform(
+                Shape::nchw(p.out_channels, c / p.groups, p.kernel, p.kernel),
+                1.0,
+                seed + 1,
+            );
+            let bias = Tensor::random_uniform(Shape::mat(1, p.out_channels), 1.0, seed + 2);
+            let (portable, avx2) = portable_and_avx2(|| {
+                conv2d_with(&input, &weights, bias.data(), &p, Threading::SINGLE)
+                    .unwrap()
+                    .into_vec()
+            });
+            assert_eq!(portable, avx2, "{p:?} on {n}x{c}x{h}x{w}");
         }
     }
 }

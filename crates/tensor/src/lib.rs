@@ -7,6 +7,13 @@
 //! im2col-based convolution fused into the packed kernel, pooling, and
 //! the pointwise activations needed by the Tonic networks.
 //!
+//! The build targets baseline x86-64. The GEMM tiers, and with them the
+//! convolution, run an AVX2 instantiation of the same loop nests where
+//! the CPU reports AVX2 at run time — a multiply then an add, never a
+//! fused multiply-add — so an output has the same bits on every CPU.
+//! No option selects it. The crate denies `unsafe_code` except in that
+//! one module, `gemm::avx2`.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -19,6 +26,8 @@
 //! assert_eq!(c.data()[0], 58.0);
 //! # Ok::<(), tensor::TensorError>(())
 //! ```
+
+#![deny(unsafe_code)]
 
 mod conv;
 mod error;

@@ -174,3 +174,74 @@ fn dig_forward_is_image_independent() {
 fn tiny_mnist_forward_is_image_independent() {
     assert_forward_is_image_independent(zoo::tiny_mnist());
 }
+
+/// FNV-1a (64-bit) over the little-endian bytes of every value's bits.
+fn fnv1a(values: &[f32]) -> u64 {
+    values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// `sgemm` outputs on both tiers, then a `dig` batch of 20 and a `pos`
+/// batch of 28 through the whole network, all from fixed seeds.
+fn golden_outputs() -> Vec<(&'static str, Vec<f32>)> {
+    // (m, n, k, alpha, beta): below the packing volume; one row and the
+    // last skinny height on SENNA's first layer and textgen's hidden one;
+    // packed just past the limit, ragged against MR, NR and three KC
+    // blocks; `pos` b28 and the m = 224 bench shape.
+    let shapes = [
+        (5usize, 7usize, 3usize, 1.0f32, 0.0f32),
+        (1, 450, 350, 1.0, 0.0),
+        (8, 512, 512, -0.75, 0.5),
+        (9, 301, 600, 3.1, 1.0),
+        (33, 257, 257, 1.0, 0.5),
+        (28, 450, 350, 1.0, 0.0),
+        (224, 450, 350, -0.75, 1.0),
+    ];
+    let mut outs = Vec::new();
+    for (i, &(m, n, k, alpha, beta)) in shapes.iter().enumerate() {
+        let seed = 900 + 10 * i as u64;
+        let a = Tensor::random_uniform(Shape::mat(m, k), 1.0, seed).into_vec();
+        let b = Tensor::random_uniform(Shape::mat(k, n), 1.0, seed + 1).into_vec();
+        let mut c = Tensor::random_uniform(Shape::mat(m, n), 1.0, seed + 2).into_vec();
+        sgemm(m, n, k, alpha, &a, &b, beta, &mut c, GemmOptions::default()).unwrap();
+        outs.push(("sgemm", c));
+    }
+    for (name, app, batch) in [
+        ("dig b20", zoo::App::Dig, 20),
+        ("pos b28", zoo::App::Pos, 28),
+    ] {
+        let def = zoo::netdef(app);
+        let shape = def.input_shape().with_batch(batch);
+        let net = Network::with_random_weights(def, 0xC0FFEE).unwrap();
+        let input = Tensor::random_uniform(shape, 1.0, 7);
+        outs.push((name, net.forward(&input).unwrap().into_vec()));
+    }
+    outs
+}
+
+/// A golden against an earlier program, not against itself: every other
+/// bitwise test here compares one run of the kernels with another, so a
+/// change that moved *every* path the same way — a fused multiply-add, a
+/// reassociated sum — would pass them all. The constant was recorded on
+/// the portable kernels alone (baseline x86-64, no run-time dispatch);
+/// any kernel that keeps the reduction-order contract reproduces it.
+#[test]
+fn outputs_match_the_recorded_golden() {
+    let outs = golden_outputs();
+    let all: Vec<f32> = outs.iter().flat_map(|(_, v)| v.iter().copied()).collect();
+    for (name, v) in &outs {
+        assert!(v.iter().all(|x| x.is_finite()), "{name}: non-finite output");
+    }
+    assert_eq!(
+        fnv1a(&all),
+        GOLDEN,
+        "outputs moved: got {:#018x}",
+        fnv1a(&all)
+    );
+}
+
+const GOLDEN: u64 = 0x9655_2efe_9237_9f35;
