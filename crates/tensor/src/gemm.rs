@@ -26,20 +26,20 @@
 //! Each tier's loop nest is compiled twice: for baseline x86-64 (SSE2,
 //! four lanes), and with AVX2 enabled (eight lanes; the packed tier's
 //! micro-kernel in `std::arch` intrinsics). A CPU check picks the second
-//! where the CPU has AVX2 (`avx2`, the module that holds the crate's
-//! `unsafe_code`); both keep the contract, so which one ran never shows
-//! in an output bit.
+//! where the CPU has AVX2 (`crate::isa`, the crate's one CPU check; the
+//! intrinsics micro-kernel is `avx2`); both keep the contract, so which
+//! one ran never shows in an output bit.
 
 use crate::{Result, Shape, Tensor, TensorError};
 
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
-mod avx2;
+pub(crate) mod avx2;
 
 /// Micro-kernel rows: each micro-tile updates `MR` rows of C.
-const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 /// Micro-kernel columns: each micro-tile updates `NR` columns of C.
-const NR: usize = 8;
+pub(crate) const NR: usize = 8;
 /// Row-dimension block size; an `MC x KC` packed A block stays in L2.
 const MC: usize = 64;
 /// Depth block size; a `KC x NR` packed B micro-panel stays in L1.
@@ -261,17 +261,25 @@ pub fn gemm_naive(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32]
 /// beta.
 pub fn gemm_skinny(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32], c: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if let Some(isa) = avx2::Avx2::detect() {
+    if let Some(isa) = crate::isa::Avx2::detect() {
         return isa.gemm_skinny(m, n, k, alpha, a, b, c);
     }
     gemm_skinny_body(m, n, k, alpha, a, b, c);
 }
 
 /// [`gemm_skinny`]'s loop nest, compiled once for baseline x86-64 and
-/// once more with AVX2 enabled (`avx2`), so both vector widths run the
+/// once more with AVX2 enabled (`crate::isa`), so both vector widths run the
 /// same source and sum in the same order.
 #[inline(always)]
-fn gemm_skinny_body(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32], c: &mut [f32]) {
+pub(crate) fn gemm_skinny_body(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
     let mut acc = [[0.0f32; NC]; MR];
     for jc in (0..n).step_by(NC) {
         let nb = NC.min(n - jc);
@@ -509,7 +517,7 @@ fn packed_strip(
     bias: Option<&[f32]>,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if let Some(isa) = avx2::Avx2::detect() {
+    if let Some(isa) = crate::isa::Avx2::detect() {
         return isa.packed_strip(r0, r1, alpha, a, b, c_strip, bias);
     }
     packed_strip_body(microkernel, r0, r1, alpha, a, b, c_strip, bias);
@@ -519,7 +527,7 @@ fn packed_strip(
 /// [`microkernel`] here, the intrinsics one in the AVX2 instantiation.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn packed_strip_body(
+pub(crate) fn packed_strip_body(
     kernel: impl Fn(usize, &[f32], &[f32], &mut [f32; MR * NR]),
     r0: usize,
     r1: usize,
@@ -986,24 +994,8 @@ mod tests {
         }
     }
 
-    /// Whether this CPU has AVX2; says why the portable ≡ AVX2 checks
-    /// skip when it has not (both of their runs would be portable).
     #[cfg(target_arch = "x86_64")]
-    fn have_avx2() -> bool {
-        let found = avx2::Avx2::detect().is_some();
-        if !found {
-            eprintln!(
-                "skipped: this CPU has no AVX2, so there is no second instantiation to compare"
-            );
-        }
-        found
-    }
-
-    /// `f` on the portable kernels, then as dispatched (AVX2 here), as bits.
-    #[cfg(target_arch = "x86_64")]
-    fn portable_and_avx2(f: impl Fn() -> Vec<f32>) -> (Vec<u32>, Vec<u32>) {
-        (bits(&avx2::portable(&f)), bits(&f()))
-    }
+    use crate::isa::{have_avx2, portable_and_avx2};
 
     #[cfg(target_arch = "x86_64")]
     proptest! {

@@ -10,9 +10,11 @@
 //! The build targets baseline x86-64. The GEMM tiers, and with them the
 //! convolution, run an AVX2 instantiation of the same loop nests where
 //! the CPU reports AVX2 at run time — a multiply then an add, never a
-//! fused multiply-add — so an output has the same bits on every CPU.
-//! No option selects it. The crate denies `unsafe_code` except in that
-//! one module, `gemm::avx2`.
+//! fused multiply-add — and so does pooling, each window's taps folded
+//! in the same order, so an output has the same bits on every CPU.
+//! No option selects it. The crate denies `unsafe_code` except in
+//! `isa`, which holds the one CPU check and those instantiations, and in
+//! `gemm::avx2`, the packed tier's intrinsics micro-kernel.
 //!
 //! # Quickstart
 //!
@@ -32,6 +34,9 @@
 mod conv;
 mod error;
 mod gemm;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod isa;
 mod ops;
 mod pool;
 mod shape;

@@ -11,7 +11,9 @@
 //! one column buffer per worker, and neither may leak between images.
 
 use djinn_tonic::dnn::{zoo, NetDef, Network};
-use djinn_tonic::tensor::{sgemm, GemmOptions, Shape, Tensor, Threading};
+use djinn_tonic::tensor::{
+    avg_pool2d, max_pool2d, sgemm, GemmOptions, Pool2dParams, Shape, Tensor, Threading,
+};
 
 /// Where the probed row sits in the tall call, and how tall that is.
 const ROW: usize = 17;
@@ -245,3 +247,75 @@ fn outputs_match_the_recorded_golden() {
 }
 
 const GOLDEN: u64 = 0x9655_2efe_9237_9f35;
+
+/// `shape` filled from a fixed seed and salted, by a hash of each index,
+/// with the values a pooling fold can disagree on: NaN, ±inf, and +0 and
+/// -0 among negative neighbours, so ties at zero occur in both orders.
+fn salted(shape: Shape, seed: u64) -> Tensor {
+    let noise = Tensor::random_uniform(shape.clone(), 1.0, seed).into_vec();
+    let data = noise
+        .iter()
+        .enumerate()
+        .map(
+            |(i, &v)| match ((i as u64 ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15)) >> 60 {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                3 => 0.0,
+                4 => -0.0,
+                5..=9 => -v.abs(),
+                _ => v,
+            },
+        )
+        .collect();
+    Tensor::from_vec(shape, data).unwrap()
+}
+
+/// Max and average pooling on the zoo's geometries, salted inputs, then
+/// one row of hand-placed windows: a ±0 tie each way, all NaN, NaN at
+/// both ends, +inf beside -inf, and all -inf.
+fn pool_golden_outputs() -> Vec<f32> {
+    // (n, c, h, w, kernel, stride, pad)
+    let cases = [
+        (2usize, 3usize, 24usize, 24usize, 2usize, 2usize, 0usize), // dig pool1
+        (2, 3, 8, 8, 2, 2, 0),                                      // dig pool2
+        (1, 2, 55, 55, 3, 2, 0),                                    // alexnet pool1
+        (1, 2, 27, 27, 3, 2, 0),                                    // alexnet pool2
+        (1, 2, 13, 13, 3, 2, 0),                                    // alexnet pool5
+        (1, 2, 142, 142, 3, 2, 0), // deepface m2: the last window overhangs
+        (1, 2, 13, 11, 3, 2, 1),   // padded
+    ];
+    let mut outs = Vec::new();
+    for (i, &(n, c, h, w, kernel, stride, pad)) in cases.iter().enumerate() {
+        let input = salted(Shape::nchw(n, c, h, w), 300 + i as u64);
+        let p = Pool2dParams::new(kernel, stride, pad);
+        outs.extend(max_pool2d(&input, &p).unwrap().into_vec());
+        outs.extend(avg_pool2d(&input, &p).unwrap().into_vec());
+    }
+    let (nan, inf) = (f32::NAN, f32::INFINITY);
+    #[rustfmt::skip]
+    let windows = Tensor::from_vec(Shape::nchw(1, 1, 2, 12), vec![
+        0.0, -0.0, -0.0, 0.0, nan, nan, nan, 1.0, inf, -inf, -inf, -inf,
+        -1.0, -1.0, -1.0, -1.0, nan, nan, 2.0, nan, 0.0, 1.0, -inf, -inf,
+    ]).unwrap();
+    let p = Pool2dParams::new(2, 2, 0);
+    outs.extend(max_pool2d(&windows, &p).unwrap().into_vec());
+    outs.extend(avg_pool2d(&windows, &p).unwrap().into_vec());
+    outs
+}
+
+/// Pooling's golden, recorded before pooling had a vector path: each
+/// output's bits, NaN payloads and the sign of a zero included, are the
+/// ones a fold of the window's taps in ascending `(ky, kx)` order gives.
+#[test]
+fn pool_outputs_match_the_recorded_golden() {
+    let outs = pool_golden_outputs();
+    assert_eq!(
+        fnv1a(&outs),
+        POOL_GOLDEN,
+        "pooling outputs moved: got {:#018x}",
+        fnv1a(&outs)
+    );
+}
+
+const POOL_GOLDEN: u64 = 0x5faf_e8e1_11c2_8a67;
