@@ -127,6 +127,9 @@ impl LayerSpec {
                 if d.len() != 4 {
                     return Err(fail(format!("conv needs NCHW input, got {input}")));
                 }
+                if p.out_channels == 0 {
+                    return Err(fail("convolution with zero output channels".into()));
+                }
                 if !d[1].is_multiple_of(p.groups) || p.out_channels % p.groups != 0 {
                     return Err(fail(format!(
                         "channels {} / out {} not divisible by groups {}",
@@ -141,6 +144,11 @@ impl LayerSpec {
                 let d = input.dims();
                 if d.len() != 4 {
                     return Err(fail(format!("local needs NCHW input, got {input}")));
+                }
+                if p.out_channels == 0 {
+                    return Err(fail(
+                        "locally-connected layer with zero output channels".into(),
+                    ));
                 }
                 let oh = p.out_dim(d[2]).map_err(|e| fail(e.to_string()))?;
                 let ow = p.out_dim(d[3]).map_err(|e| fail(e.to_string()))?;

@@ -63,16 +63,15 @@ pub fn parse_netdef(text: &str) -> Result<NetDef> {
                 .map(|t| t.parse::<usize>())
                 .collect::<std::result::Result<_, _>>()
                 .map_err(|e| err(format!("bad input dims: {e}")))?;
-            input = Some(match dims.as_slice() {
-                [features] => Shape::mat(1, *features),
-                [c, h, w] => Shape::nchw(1, *c, *h, *w),
-                other => {
-                    return Err(err(format!(
-                        "input expects 1 (features) or 3 (c h w) dims, got {}",
-                        other.len()
-                    )))
-                }
-            });
+            if !matches!(dims.len(), 1 | 3) {
+                return Err(err(format!(
+                    "input expects 1 (features) or 3 (c h w) dims, got {}",
+                    dims.len()
+                )));
+            }
+            let shape = Shape::new(&[&[1], &dims[..]].concat())
+                .map_err(|_| err(format!("input dims {dims:?} must be non-zero")))?;
+            input = Some(shape);
         } else if let Some(rest) = line.strip_prefix("layer ") {
             layers.push(parse_layer(rest, lineno)?);
         } else {
@@ -238,6 +237,27 @@ mod tests {
     fn missing_directives_are_reported() {
         assert!(parse_netdef("input: 4\nlayer a fc out=1\n").is_err());
         assert!(parse_netdef("name: x\nlayer a fc out=1\n").is_err());
+    }
+
+    /// A zero dimension is an error — a parse error on the `input:` line,
+    /// a bad layer for a layer's output count — not a panic in the shape
+    /// it would have built.
+    #[test]
+    fn zero_dimensions_are_errors_not_panics() {
+        let net = |input: &str, layer: &str| format!("name: x\ninput: {input}\nlayer {layer}\n");
+        for (text, parse_line) in [
+            (net("1 8 8", "c conv out=0 kernel=3"), None),
+            (net("1 8 8", "c local out=0 kernel=3"), None),
+            (net("0 8 8", "c conv out=2 kernel=3"), Some(2)),
+            (net("1 0 8", "c conv out=2 kernel=3"), Some(2)),
+            (net("0", "f fc out=2"), Some(2)),
+        ] {
+            match (parse_netdef(&text), parse_line) {
+                (Err(DnnError::Parse { line, .. }), Some(want)) => assert_eq!(line, want, "{text}"),
+                (Err(DnnError::BadLayer { .. }), None) => {}
+                (other, _) => panic!("{text}: {other:?}"),
+            }
+        }
     }
 
     #[test]

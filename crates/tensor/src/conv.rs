@@ -5,7 +5,7 @@
 //! paper's batching optimization exploits): the input is unrolled into a
 //! column matrix and the kernel bank becomes the left GEMM operand.
 
-use crate::gemm::{packed_driver, PackedA, PackedB};
+use crate::gemm::{packed_driver, PackedA, PackedB, NR};
 use crate::{partition, Result, Shape, Tensor, TensorError, Threading};
 
 /// Geometry of a 2-D convolution.
@@ -57,6 +57,12 @@ impl Conv2dParams {
 
     /// `(input, output)` channels per group for an input of `c` channels.
     fn split_channels(&self, c: usize, op: &'static str) -> Result<(usize, usize)> {
+        if self.out_channels == 0 {
+            return Err(TensorError::InvalidParams {
+                op,
+                reason: "zero output channels".into(),
+            });
+        }
         if self.groups == 0
             || !c.is_multiple_of(self.groups)
             || !self.out_channels.is_multiple_of(self.groups)
@@ -73,60 +79,173 @@ impl Conv2dParams {
     }
 }
 
-/// Output positions `o` in `0..out` whose tap `o * stride + tap - pad`
-/// lands inside `0..dim`; everything outside the range reads padding.
-fn valid_outputs(
-    tap: usize,
-    dim: usize,
-    out: usize,
-    stride: usize,
+/// Where each element of one call's column matrix comes from, worked out
+/// once from the geometry and shared by every image, group and worker of
+/// the call. The matrix has a depth row per kernel tap `(ch, ky, kx)` and
+/// a column per output pixel, and is walked in the GEMM's B layout:
+/// columns in `NR`-lane panels, each panel depth row after depth row.
+///
+/// The offsets index the *source* ([`ColumnPlan::source`]): the image
+/// itself, or for a padded geometry the image inside a zero ring `pad`
+/// wide. Every tap of every output pixel lies inside the source, so no
+/// lane tests a bound: a tap on the padding reads the ring's 0.
+struct ColumnPlan {
+    /// Each depth row's source offset, `ch·hs·ws + ky·ws + kx` on the
+    /// `hs x ws` source planes.
+    rows: Vec<usize>,
+    /// How each column panel's lanes read a depth row.
+    panels: Vec<Panel>,
+    cols: usize,
+    /// One image's `(c, h, w)`.
+    chw: (usize, usize, usize),
     pad: usize,
-) -> std::ops::Range<usize> {
-    let lo = pad.saturating_sub(tap).div_ceil(stride);
-    let hi = if dim + pad > tap {
-        ((dim + pad - tap - 1) / stride + 1).min(out)
-    } else {
-        0
-    };
-    lo.min(hi)..hi
 }
 
-/// Walks the im2col matrix of one `c x h x w` image a row segment at a
-/// time: `emit(row, col, src, count)` says that columns
-/// `col..col + count` of matrix row `row` are `src[0], src[stride], ...`.
-/// Every element it does not mention is zero (a tap on the padding). The
-/// valid `oy` and `ox` ranges are worked out once per kernel row and
-/// column, so a segment is a whole output row's worth of in-image taps.
-fn im2col_segments(
-    image: &[f32],
-    (c, h, w): (usize, usize, usize),
-    (oh, ow): (usize, usize),
-    p: &Conv2dParams,
-    mut emit: impl FnMut(usize, usize, &[f32], usize),
-) {
-    let Conv2dParams {
-        kernel,
-        stride,
-        pad,
-        ..
-    } = *p;
-    for ch in 0..c {
-        let plane = &image[ch * h * w..(ch + 1) * h * w];
-        for ky in 0..kernel {
-            let oys = valid_outputs(ky, h, oh, stride, pad);
-            for kx in 0..kernel {
-                let oxs = valid_outputs(kx, w, ow, stride, pad);
-                if oxs.is_empty() {
-                    continue;
+/// How the lanes of one column panel read the depth row whose source
+/// offset is `off`.
+enum Panel {
+    /// Stride 1, all `NR` lanes in one output row: the row is
+    /// `source[off + base..][..NR]`.
+    Contiguous(usize),
+    /// Any other panel (strided, or straddling output rows, or the last
+    /// and ragged one): lane `l < lanes` is `source[off + at[l]]`, and the
+    /// lanes past the last column are 0.
+    Gather { at: [usize; NR], lanes: usize },
+}
+
+impl ColumnPlan {
+    fn new(chw: (usize, usize, usize), (oh, ow): (usize, usize), p: &Conv2dParams) -> Self {
+        let Conv2dParams {
+            kernel,
+            stride,
+            pad,
+            ..
+        } = *p;
+        let (c, h, w) = chw;
+        let (hs, ws) = (h + 2 * pad, w + 2 * pad);
+        let rows = (0..c * kernel * kernel)
+            .map(|row| {
+                let (ch, tap) = (row / (kernel * kernel), row % (kernel * kernel));
+                ch * hs * ws + tap / kernel * ws + tap % kernel
+            })
+            .collect();
+        let cols = oh * ow;
+        let panels = (0..cols).step_by(NR).map(|j0| {
+            let lanes = NR.min(cols - j0);
+            // Column `j`'s window has its top-left tap here on the source.
+            let at = |j: usize| j / ow * stride * ws + j % ow * stride;
+            if lanes == NR && stride == 1 && j0 / ow == (j0 + NR - 1) / ow {
+                Panel::Contiguous(at(j0))
+            } else {
+                Panel::Gather {
+                    at: std::array::from_fn(|l| at(j0 + l)),
+                    lanes,
                 }
-                let row = (ch * kernel + ky) * kernel + kx;
-                let ix = oxs.start * stride + kx - pad;
-                for oy in oys.clone() {
-                    let iy = oy * stride + ky - pad;
-                    emit(row, oy * ow + oxs.start, &plane[iy * w + ix..], oxs.len());
+            }
+        });
+        ColumnPlan {
+            rows,
+            panels: panels.collect(),
+            cols,
+            chw,
+            pad,
+        }
+    }
+
+    /// Depth rows `depth` of column panel `jp`, read from `source`, handed
+    /// to `put` one row of `NR` lanes at a time, in order.
+    #[inline(always)]
+    fn panel(
+        &self,
+        source: &[f32],
+        jp: usize,
+        depth: std::ops::Range<usize>,
+        mut put: impl FnMut([f32; NR]),
+    ) {
+        let offs = &self.rows[depth];
+        match self.panels[jp] {
+            Panel::Contiguous(base) => {
+                for &off in offs {
+                    put(source[off + base..][..NR].try_into().expect("NR lanes"));
+                }
+            }
+            Panel::Gather { at, lanes } => {
+                for &off in offs {
+                    put(std::array::from_fn(|l| {
+                        if l < lanes {
+                            source[off + at[l]]
+                        } else {
+                            0.0
+                        }
+                    }));
                 }
             }
         }
+    }
+
+    /// A zeroed buffer for [`ColumnPlan::source`]: one image with its
+    /// zero ring, or nothing for an unpadded geometry.
+    fn ring(&self) -> Vec<f32> {
+        let ((c, h, w), pad) = (self.chw, self.pad);
+        match pad {
+            0 => Vec::new(),
+            _ => vec![0.0; c * (h + 2 * pad) * (w + 2 * pad)],
+        }
+    }
+
+    /// What the offsets index for `image`: the image itself, or for a
+    /// padded geometry `ring` with `image` copied inside its zero border.
+    /// Each image overwrites the inside; nothing ever writes the border.
+    fn source<'a>(&self, image: &'a [f32], ring: &'a mut [f32]) -> &'a [f32] {
+        let ((_, h, w), pad) = (self.chw, self.pad);
+        if pad == 0 {
+            return image;
+        }
+        let ws = w + 2 * pad;
+        for (plane, ring) in image
+            .chunks_exact(h * w)
+            .zip(ring.chunks_exact_mut((h + 2 * pad) * ws))
+        {
+            for (row, dst) in plane.chunks_exact(w).zip(ring[pad * ws..].chunks_mut(ws)) {
+                dst[pad..pad + w].copy_from_slice(row);
+            }
+        }
+        ring
+    }
+
+    /// Writes `image`'s column matrix into `columns` in the buffer's own
+    /// order: every element of it, each once, panel padding as 0.
+    fn fill(&self, image: &[f32], columns: &mut PackedB, ring: &mut [f32]) {
+        let source = self.source(image, ring);
+        for (depth, jp, dst) in columns.panels_mut() {
+            let mut rows = dst.chunks_exact_mut(NR);
+            self.panel(source, jp, depth, |lanes| {
+                rows.next()
+                    .expect("a row per depth")
+                    .copy_from_slice(&lanes);
+            });
+        }
+    }
+
+    /// `image`'s column matrix, row-major, appended row by row: no
+    /// zeroing pass, each element written once, in order.
+    fn matrix(&self, image: &[f32]) -> Vec<f32> {
+        let mut ring = self.ring();
+        let source = self.source(image, &mut ring);
+        let mut out = Vec::with_capacity(self.rows.len() * self.cols);
+        for p in 0..self.rows.len() {
+            for jp in 0..self.panels.len() {
+                let len = NR.min(self.cols - jp * NR);
+                self.panel(source, jp, p..p + 1, |lanes| {
+                    if len == NR {
+                        out.extend_from_slice(&lanes); // fixed-size: no `memcpy` call
+                    } else {
+                        out.extend_from_slice(&lanes[..len]);
+                    }
+                });
+            }
+        }
+        out
     }
 }
 
@@ -136,8 +255,8 @@ fn im2col_segments(
 /// element `(ckk, xy)` is the input pixel that kernel position `ckk` covers
 /// at output location `xy` (zero where the kernel overhangs the padding).
 /// The forward convolution never builds this matrix ([`conv2d_with`]
-/// writes the same values straight into GEMM panels); training and the
-/// tests' oracle do.
+/// writes the same values straight into GEMM panels, from the same
+/// walker); training and the tests' oracle do.
 ///
 /// # Errors
 ///
@@ -152,33 +271,11 @@ pub fn im2col(image: &Tensor, c: usize, h: usize, w: usize, p: &Conv2dParams) ->
     }
     let oh = p.out_dim(h)?;
     let ow = p.out_dim(w)?;
-    let rows = c * p.kernel * p.kernel;
+    let plan = ColumnPlan::new((c, h, w), (oh, ow), p);
     Tensor::from_vec(
-        Shape::mat(rows, oh * ow),
-        im2col_matrix(image.data(), (c, h, w), (oh, ow), p),
+        Shape::mat(c * p.kernel * p.kernel, oh * ow),
+        plan.matrix(image.data()),
     )
-}
-
-/// [`im2col`] on a checked geometry: the row-major column matrix.
-fn im2col_matrix(
-    image: &[f32],
-    chw: (usize, usize, usize),
-    (oh, ow): (usize, usize),
-    p: &Conv2dParams,
-) -> Vec<f32> {
-    let cols = oh * ow;
-    let mut out = vec![0.0f32; chw.0 * p.kernel * p.kernel * cols];
-    im2col_segments(image, chw, (oh, ow), p, |row, col, src, count| {
-        let dst = &mut out[row * cols + col..][..count];
-        if p.stride == 1 {
-            dst.copy_from_slice(&src[..count]);
-        } else {
-            for (d, &v) in dst.iter_mut().zip(src.iter().step_by(p.stride)) {
-                *d = v;
-            }
-        }
-    });
-    out
 }
 
 /// One [`conv2d_with`] call after validation: what every image of the
@@ -186,14 +283,13 @@ fn im2col_matrix(
 struct ConvCall<'a> {
     input: &'a [f32],
     bias: &'a [f32],
-    /// One group's geometry: `og` output channels over `cg` input channels.
-    group: Conv2dParams,
+    /// Output channels per group.
+    og: usize,
     groups: usize,
-    cg: usize,
-    h: usize,
-    w: usize,
-    oh: usize,
-    ow: usize,
+    /// One group's input volume, `cg·h·w`.
+    group_in: usize,
+    /// One group's column matrix: `cg·k·k` deep, `oh·ow` wide.
+    plan: ColumnPlan,
     /// Each group's `og x wk` weight bank in the GEMM's panel layout,
     /// packed once for the whole batch.
     packed_weights: Vec<PackedA>,
@@ -217,10 +313,10 @@ pub fn conv2d(input: &Tensor, weights: &Tensor, bias: &[f32], p: &Conv2dParams) 
 /// This is Caffe's im2col + GEMM lowering with the column matrix fused
 /// away: each group's weight bank is packed into the GEMM's A panels once
 /// per call, and each image's im2col columns are written directly in the
-/// GEMM's B panel layout, into one buffer per worker that every image of
-/// that worker reuses. The sums follow `sgemm`'s reduction-order
-/// contract, so the output is bit for bit what `im2col` → `sgemm` → add
-/// bias gives.
+/// GEMM's B panel layout, panel by panel, into one buffer per worker that
+/// every image of that worker reuses. The sums follow `sgemm`'s
+/// reduction-order contract, so the output is bit for bit what `im2col`
+/// → `sgemm` → add bias gives.
 ///
 /// The batch dimension is split into contiguous image ranges, one scoped
 /// worker per range; each image is independent, so the result is bitwise
@@ -281,17 +377,10 @@ pub fn conv2d_with(
     let call = ConvCall {
         input: input.data(),
         bias,
-        group: Conv2dParams {
-            out_channels: og,
-            groups: 1,
-            ..*p
-        },
+        og,
         groups: p.groups,
-        cg,
-        h,
-        w,
-        oh,
-        ow,
+        group_in: cg * h * w,
+        plan: ColumnPlan::new((cg, h, w), (oh, ow), p),
         packed_weights,
         gemm_threads: (threading.threads / img_workers.max(1)).max(1),
     };
@@ -317,30 +406,22 @@ impl ConvCall<'_> {
     /// Convolves images `imgs.start..imgs.end`; `out` (zeroed) covers
     /// exactly those images' output volumes.
     fn run_images(&self, imgs: std::ops::Range<usize>, out: &mut [f32]) {
-        let (og, cols) = (self.group.out_channels, self.oh * self.ow);
-        let chw = (self.cg, self.h, self.w);
-        let group_in = self.cg * self.h * self.w;
-        let wk = self.cg * self.group.kernel * self.group.kernel;
+        let (og, group_in) = (self.og, self.group_in);
         // The batch is a run of (image, group) blocks, in and out alike.
         let first = imgs.start * self.groups * group_in;
         let blocks = self.input[first..imgs.end * self.groups * group_in]
             .chunks_exact(group_in)
-            .zip(out.chunks_exact_mut(og * cols))
+            .zip(out.chunks_exact_mut(og * self.plan.cols))
             .enumerate()
             .map(|(i, (image, out))| (i % self.groups, image, out));
 
-        // One column buffer for every image and group of this worker:
-        // the geometry fixes which elements are padding, those are never
-        // written, and the rest is overwritten each time.
-        let mut columns = PackedB::zeroed(wk, cols);
+        // One column buffer (and padded image) for every image and group
+        // of this worker: each fill overwrites all of the columns and the
+        // inside of the ring.
+        let mut columns = PackedB::zeroed(self.plan.rows.len(), self.plan.cols);
+        let mut ring = self.plan.ring();
         for (g, image, out) in blocks {
-            im2col_segments(
-                image,
-                chw,
-                (self.oh, self.ow),
-                &self.group,
-                |row, col, src, count| columns.put_row(row, col, src, self.group.stride, count),
-            );
+            self.plan.fill(image, &mut columns, &mut ring);
             packed_driver(
                 1.0,
                 &self.packed_weights[g],
@@ -597,25 +678,17 @@ mod tests {
         }
     }
 
+    /// So is `out_channels == 0`, not a panic in the output's shape.
     #[test]
-    fn valid_outputs_are_exactly_the_taps_inside_the_image() {
-        for (dim, kernel, stride, pad) in [
-            (5usize, 3usize, 1usize, 1usize),
-            (7, 4, 2, 2),
-            (2, 4, 1, 1),
-            (9, 11, 4, 2),
+    fn zero_out_channels_is_an_error_not_a_panic() {
+        let input = Tensor::zeros(Shape::nchw(1, 2, 4, 4));
+        let weights = Tensor::zeros(Shape::nchw(2, 2, 3, 3));
+        let p = Conv2dParams::new(0, 3, 1, 0);
+        for result in [
+            conv2d(&input, &weights, &[], &p),
+            conv2d_direct(&input, &weights, &[], &p),
         ] {
-            let out = (dim + 2 * pad - kernel) / stride + 1;
-            for tap in 0..kernel {
-                let want: Vec<usize> = (0..out)
-                    .filter(|o| (pad..dim + pad).contains(&(o * stride + tap)))
-                    .collect();
-                let got: Vec<usize> = valid_outputs(tap, dim, out, stride, pad).collect();
-                assert_eq!(
-                    want, got,
-                    "dim={dim} kernel={kernel} stride={stride} pad={pad} tap={tap}"
-                );
-            }
+            assert!(matches!(result, Err(TensorError::InvalidParams { .. })));
         }
     }
 
@@ -817,14 +890,16 @@ mod tests {
             assert_fused_equals_unfused(&g, threads, seed);
         }
 
+        /// The public row-major matrix, over the ranges of the fill test
+        /// below.
         #[test]
         fn im2col_matches_its_definition(
-            c in 1usize..=3,
-            kernel in 1usize..=6,
+            c in 1usize..=4,
+            kernel in 1usize..=11,
             stride in prop::sample::select(vec![1usize, 2, 4]),
             pad in 0usize..=3,
-            extra_h in 0usize..9,
-            extra_w in 0usize..9,
+            extra_h in 0usize..14,
+            extra_w in 0usize..14,
             seed in 0u64..1000,
         ) {
             let side = |extra: usize| (kernel + extra).saturating_sub(2 * pad).max(1);
@@ -833,6 +908,37 @@ mod tests {
             let image = Tensor::random_uniform(Shape::nchw(1, c, h, w), 1.0, seed);
             let got = im2col(&image, c, h, w, &p).unwrap();
             prop_assert!(bits(got.data()) == bits(&im2col_by_element(image.data(), c, h, w, &p)));
+        }
+
+        /// The panel-order fill, twice into one column buffer and padded
+        /// image: an all-NaN image, then a drawn one. The buffer must then
+        /// be the drawn image's column matrix packed, element for element,
+        /// panel padding included, so nothing of the first image survives
+        /// and no tap or lane lands anywhere else. Kernels 1-11, strides
+        /// 1/2/4, pads 0-3, `oh * ow` ragged against `NR`, and depths
+        /// (`c * kernel^2`, up to 726) across `KC`.
+        #[test]
+        fn filled_columns_are_their_definition(
+            c in 1usize..=6,
+            kernel in 1usize..=11,
+            stride in prop::sample::select(vec![1usize, 2, 4]),
+            pad in 0usize..=3,
+            extra_h in 0usize..14,
+            extra_w in 0usize..14,
+            seed in 0u64..1000,
+        ) {
+            let side = |extra: usize| (kernel + extra).saturating_sub(2 * pad).max(1);
+            let (h, w) = (side(extra_h), side(extra_w));
+            let p = Conv2dParams::new(1, kernel, stride, pad);
+            let (oh, ow) = (p.out_dim(h).unwrap(), p.out_dim(w).unwrap());
+            let (depth, cols) = (c * kernel * kernel, oh * ow);
+            let plan = ColumnPlan::new((c, h, w), (oh, ow), &p);
+            let (mut columns, mut ring) = (PackedB::zeroed(depth, cols), plan.ring());
+            plan.fill(&vec![f32::NAN; c * h * w], &mut columns, &mut ring);
+            let image = Tensor::random_uniform(Shape::nchw(1, c, h, w), 1.0, seed).into_vec();
+            plan.fill(&image, &mut columns, &mut ring);
+            let want = PackedB::pack(depth, cols, &im2col_by_element(&image, c, h, w, &p));
+            prop_assert!(bits(columns.as_slice()) == bits(want.as_slice()));
         }
     }
 

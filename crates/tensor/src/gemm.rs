@@ -13,7 +13,8 @@
 //! same order regardless of the split, parallel results are bitwise
 //! identical to sequential. The convolution runs on the same driver: it
 //! packs a group's weights as A once per call and writes each image's
-//! im2col columns straight into B's panel layout (`crate::conv`).
+//! im2col columns into B's panels in the layout's own order, each panel
+//! row once (`crate::conv`).
 //!
 //! The two tiers share one **reduction-order contract**, which is what
 //! makes them interchangeable bit for bit: for each
@@ -384,9 +385,10 @@ impl PackedA {
 /// row `pc`, then row `pc + 1`, ...).
 ///
 /// Two fillers produce it: [`PackedB::pack`] copies a row-major matrix,
-/// and the convolution writes im2col rows straight into a
-/// [`PackedB::zeroed`] buffer with [`PackedB::put_row`], so the column
-/// matrix never exists in row-major form.
+/// and the convolution writes an image's im2col columns into a
+/// [`PackedB::zeroed`] buffer through [`PackedB::panels_mut`], in the
+/// layout's own order, so the column matrix never exists in row-major
+/// form.
 pub(crate) struct PackedB {
     data: Vec<f32>,
     k: usize,
@@ -397,7 +399,7 @@ pub(crate) struct PackedB {
 impl PackedB {
     /// Every element of the packed buffer is written exactly once, in
     /// layout order, so there is no zero-fill pass to overwrite.
-    fn pack(k: usize, n: usize, b: &[f32]) -> PackedB {
+    pub(crate) fn pack(k: usize, n: usize, b: &[f32]) -> PackedB {
         let full = n / NR;
         let ragged = n % NR;
         let padded_n = n.div_ceil(NR) * NR;
@@ -425,10 +427,8 @@ impl PackedB {
         }
     }
 
-    /// An all-zero `k x n` matrix, to be filled with [`PackedB::put_row`].
-    /// What is never written — panel padding, and for a convolution the
-    /// taps that fall on the border — stays zero however often the rest
-    /// is overwritten.
+    /// An all-zero `k x n` matrix, for a filler that writes it through
+    /// [`PackedB::panels_mut`].
     pub(crate) fn zeroed(k: usize, n: usize) -> PackedB {
         let padded_n = n.div_ceil(NR) * NR;
         PackedB {
@@ -439,34 +439,29 @@ impl PackedB {
         }
     }
 
-    /// Sets `count` consecutive elements of row `p`, from column `j0`, to
-    /// `src[0], src[step], src[2 * step], ...`.
-    #[inline]
-    pub(crate) fn put_row(&mut self, p: usize, j0: usize, src: &[f32], step: usize, count: usize) {
-        debug_assert!(p < self.k && j0 + count <= self.n);
-        let pc = p - p % KC;
-        let kb = KC.min(self.k - pc);
-        // Column `j` of this row sits at `row + (j / NR) * NR * kb + j % NR`.
-        let row = pc * self.padded_n + (p - pc) * NR;
-        let (mut j, end, mut at) = (j0, j0 + count, 0);
-        while j < end {
-            let lane = j % NR;
-            let len = (NR - lane).min(end - j);
-            let dst = &mut self.data[row + (j - lane) * kb + lane..][..len];
-            if step != 1 {
-                for (d, &v) in dst.iter_mut().zip(src[at..].iter().step_by(step)) {
-                    *d = v;
-                }
-            } else if len == NR {
-                // A fixed-size copy: two vector moves, not a `memcpy` call.
-                let whole: &mut [f32; NR] = dst.try_into().expect("len == NR");
-                *whole = src[at..at + NR].try_into().expect("NR elements");
-            } else {
-                dst.copy_from_slice(&src[at..at + len]);
-            }
-            j += len;
-            at += len * step;
-        }
+    /// The buffer in its own order, for a filler that writes it panel
+    /// by panel: each depth block in turn, and in it each column panel
+    /// `jp` as `(depth rows, jp, its kb * NR floats)`.
+    pub(crate) fn panels_mut(
+        &mut self,
+    ) -> impl Iterator<Item = (std::ops::Range<usize>, usize, &mut [f32])> {
+        let k = self.k;
+        self.data
+            .chunks_mut(KC * self.padded_n)
+            .zip((0..k).step_by(KC))
+            .flat_map(move |(block, pc)| {
+                let kb = KC.min(k - pc);
+                block
+                    .chunks_exact_mut(kb * NR)
+                    .enumerate()
+                    .map(move |(jp, panel)| (pc..pc + kb, jp, panel))
+            })
+    }
+
+    /// The whole buffer, in its layout order.
+    #[cfg(test)]
+    pub(crate) fn as_slice(&self) -> &[f32] {
+        &self.data
     }
 
     /// The `kb * NR` micro-panel for depth block `pc` and column panel `jp`.

@@ -4,8 +4,10 @@
 //! baseline uses: a small, self-contained library of dense `f32` tensor
 //! operations — SGEMM (a no-pack kernel for few-row and small calls, a
 //! packed parallel one for the rest, bit-identical to each other),
-//! im2col-based convolution fused into the packed kernel, pooling, and
-//! the pointwise activations needed by the Tonic networks.
+//! im2col-based convolution fused into the packed kernel (each image's
+//! columns copied straight into its B panels, in panel order, from a
+//! plan made once per call), pooling, and the pointwise activations
+//! needed by the Tonic networks.
 //!
 //! The build targets baseline x86-64. The GEMM tiers, and with them the
 //! convolution, run an AVX2 instantiation of the same loop nests where

@@ -12,7 +12,8 @@
 
 use djinn_tonic::dnn::{zoo, NetDef, Network};
 use djinn_tonic::tensor::{
-    avg_pool2d, max_pool2d, sgemm, GemmOptions, Pool2dParams, Shape, Tensor, Threading,
+    avg_pool2d, conv2d_with, max_pool2d, sgemm, Conv2dParams, GemmOptions, Pool2dParams, Shape,
+    Tensor, Threading,
 };
 
 /// Where the probed row sits in the tall call, and how tall that is.
@@ -319,3 +320,94 @@ fn pool_outputs_match_the_recorded_golden() {
 }
 
 const POOL_GOLDEN: u64 = 0x5faf_e8e1_11c2_8a67;
+
+/// `shape` from a fixed seed, with NaN, ±inf and -0 salted, by a hash of
+/// each index, onto the pixels of every plane's border: the taps a
+/// column fill can misplace at an edge or a panel boundary.
+fn salted_border(shape: Shape, seed: u64) -> Tensor {
+    let (h, w) = (shape.dims()[2], shape.dims()[3]);
+    let mut data = Tensor::random_uniform(shape.clone(), 1.0, seed).into_vec();
+    for (i, v) in data.iter_mut().enumerate() {
+        let (y, x) = (i / w % h, i % w);
+        if y != 0 && y != h - 1 && x != 0 && x != w - 1 {
+            continue;
+        }
+        *v = match ((i as u64 ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15)) >> 61 {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            3 => -0.0,
+            _ => *v,
+        };
+    }
+    Tensor::from_vec(shape, data).unwrap()
+}
+
+/// The zoo's convolutions, output channels cut where a layer is wide but
+/// each with its spatial geometry and depth, on salted inputs, at 1 and 3
+/// threads; then a strided, padded case whose panels straddle output rows.
+fn conv_golden_outputs() -> Vec<f32> {
+    let grouped = |out_channels, kernel, stride, pad, groups| Conv2dParams {
+        out_channels,
+        kernel,
+        stride,
+        pad,
+        groups,
+    };
+    // (n, c, h, w, params)
+    let cases = [
+        (
+            20usize,
+            1usize,
+            28usize,
+            28usize,
+            Conv2dParams::new(10, 5, 1, 0),
+        ), // dig conv1
+        (20, 10, 12, 12, Conv2dParams::new(20, 5, 1, 0)), // dig conv2
+        (2, 1, 12, 12, Conv2dParams::new(4, 3, 1, 0)),    // tiny-mnist conv1
+        (1, 3, 227, 227, Conv2dParams::new(8, 11, 4, 0)), // alexnet conv1
+        (1, 96, 27, 27, grouped(8, 5, 1, 2, 2)),          // alexnet conv2
+        (1, 256, 13, 13, Conv2dParams::new(8, 3, 1, 1)),  // alexnet conv3
+        (1, 3, 152, 152, Conv2dParams::new(8, 11, 1, 0)), // deepface c1
+        (1, 32, 71, 71, Conv2dParams::new(8, 9, 1, 0)),   // deepface c3
+        (2, 3, 13, 11, Conv2dParams::new(5, 3, 2, 1)),    // straddling
+    ];
+    let mut outs = Vec::new();
+    for (i, &(n, c, h, w, p)) in cases.iter().enumerate() {
+        let seed = 500 + 10 * i as u64;
+        let input = salted_border(Shape::nchw(n, c, h, w), seed);
+        let weights = Tensor::random_uniform(
+            Shape::nchw(p.out_channels, c / p.groups, p.kernel, p.kernel),
+            1.0,
+            seed + 1,
+        );
+        let bias = Tensor::random_uniform(Shape::mat(1, p.out_channels), 1.0, seed + 2);
+        for threads in [1usize, 3] {
+            let out = conv2d_with(&input, &weights, bias.data(), &p, Threading::new(threads));
+            outs.extend(out.unwrap().into_vec());
+        }
+    }
+    outs
+}
+
+/// The convolution's golden, recorded while the column fill was a walk
+/// of im2col row segments: the fill is a copy, so any fill must give
+/// these bits, where the NaNs and infinities land included. Every NaN is
+/// hashed as one value: which of two NaNs an add returns follows the
+/// operand order the compiler picks, and that differs between
+/// optimisation levels; where a NaN lands is the fill's business.
+#[test]
+fn conv_outputs_match_the_recorded_golden() {
+    let outs: Vec<f32> = conv_golden_outputs()
+        .into_iter()
+        .map(|v| if v.is_nan() { f32::NAN } else { v })
+        .collect();
+    assert_eq!(
+        fnv1a(&outs),
+        CONV_GOLDEN,
+        "convolution outputs moved: got {:#018x}",
+        fnv1a(&outs)
+    );
+}
+
+const CONV_GOLDEN: u64 = 0x79da_d389_eb2c_65f5;
