@@ -5,7 +5,7 @@
 //! paper's batching optimization exploits): the input is unrolled into a
 //! column matrix and the kernel bank becomes the left GEMM operand.
 
-use crate::gemm::{packed_driver, PackedA, PackedB, NR};
+use crate::gemm::{packed_driver, Kernels, PackedA, PackedB, NR};
 use crate::{partition, Result, Shape, Tensor, TensorError, Threading};
 
 /// Geometry of a 2-D convolution.
@@ -293,6 +293,8 @@ struct ConvCall<'a> {
     /// Each group's `og x wk` weight bank in the GEMM's panel layout,
     /// packed once for the whole batch.
     packed_weights: Vec<PackedA>,
+    /// Chosen on the calling thread, for every worker.
+    kernels: Kernels,
     gemm_threads: usize,
 }
 
@@ -382,6 +384,7 @@ pub fn conv2d_with(
         group_in: cg * h * w,
         plan: ColumnPlan::new((cg, h, w), (oh, ow), p),
         packed_weights,
+        kernels: Kernels::detect(),
         gemm_threads: (threading.threads / img_workers.max(1)).max(1),
     };
     if img_workers <= 1 {
@@ -423,6 +426,7 @@ impl ConvCall<'_> {
         for (g, image, out) in blocks {
             self.plan.fill(image, &mut columns, &mut ring);
             packed_driver(
+                self.kernels,
                 1.0,
                 &self.packed_weights[g],
                 &columns,

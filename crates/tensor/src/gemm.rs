@@ -26,16 +26,22 @@
 //!
 //! Each tier's loop nest is compiled twice: for baseline x86-64 (SSE2,
 //! four lanes), and with AVX2 enabled (eight lanes; the packed tier's
-//! micro-kernel in `std::arch` intrinsics). A CPU check picks the second
-//! where the CPU has AVX2 (`crate::isa`, the crate's one CPU check; the
-//! intrinsics micro-kernel is `avx2`); both keep the contract, so which
-//! one ran never shows in an output bit.
+//! micro-kernel in `std::arch` intrinsics, `avx2`). The packed nest is
+//! compiled a third time with AVX-512F, around a kernel that computes a
+//! `MR x 4·NR` tile from four adjacent B panels per call (`avx512`; the
+//! one to three panels left at the end of an `NC` block take the AVX2
+//! kernel). A CPU check picks the best the CPU has (`crate::isa`, the
+//! crate's one CPU check), once per call; every instantiation keeps the
+//! contract, so which one ran never shows in an output bit.
 
 use crate::{Result, Shape, Tensor, TensorError};
 
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub(crate) mod avx2;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+pub(crate) mod avx512;
 
 /// Micro-kernel rows: each micro-tile updates `MR` rows of C.
 pub(crate) const MR: usize = 4;
@@ -61,6 +67,25 @@ pub(crate) const PACK_MIN_VOLUME: usize = 32 * 32 * 32;
 /// host's noise and the no-pack kernel is single-threaded — a taller
 /// call has row strips for `GemmOptions::threads` to spread over cores.
 pub(crate) const SKINNY_MAX_M: usize = 2 * MR;
+
+/// Which instantiation of the packed tier one call runs: chosen once, on
+/// the calling thread (`crate::isa` holds the CPU check), and handed to
+/// every worker of the call, so all of its strips run the same kernels.
+#[derive(Clone, Copy)]
+pub(crate) struct Kernels {
+    #[cfg(target_arch = "x86_64")]
+    isa: Option<crate::isa::Avx2>,
+}
+
+impl Kernels {
+    /// The best this CPU runs.
+    pub(crate) fn detect() -> Kernels {
+        Kernels {
+            #[cfg(target_arch = "x86_64")]
+            isa: crate::isa::Avx2::detect(),
+        }
+    }
+}
 
 /// Tuning options for [`sgemm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -464,11 +489,12 @@ impl PackedB {
         &self.data
     }
 
-    /// The `kb * NR` micro-panel for depth block `pc` and column panel `jp`.
+    /// The `count` micro-panels of `kb * NR` floats each, back to back,
+    /// for depth block `pc` and column panels `jp..jp + count`.
     #[inline]
-    fn panel(&self, pc: usize, kb: usize, jp: usize) -> &[f32] {
+    fn panels(&self, pc: usize, kb: usize, jp: usize, count: usize) -> &[f32] {
         let base = pc * self.padded_n + jp * NR * kb;
-        &self.data[base..base + NR * kb]
+        &self.data[base..base + count * NR * kb]
     }
 }
 
@@ -476,11 +502,12 @@ impl PackedB {
 /// updates from packed panels into `acc` (row-major `MR x NR`). Both
 /// operands stream at unit stride and the 32 accumulators fit the SIMD
 /// register file. Each step is a multiply, then an add — the
-/// reduction-order contract rules out a fused multiply-add. The AVX2
-/// instantiation of the packed tier uses an intrinsics twin of this
-/// kernel (`avx2::microkernel`) with the same per-lane arithmetic.
+/// reduction-order contract rules out a fused multiply-add. The vector
+/// instantiations of the packed tier use intrinsics twins of this kernel
+/// (`avx2::microkernel`, and `avx512::microkernel` over four panels)
+/// with the same per-lane arithmetic.
 #[inline]
-fn microkernel(kb: usize, pa: &[f32], pb: &[f32], acc: &mut [f32; MR * NR]) {
+fn microkernel(kb: usize, pa: &[f32], pb: &[f32], acc: &mut [[f32; NR]; MR]) {
     // `chunks_exact` + fixed-size array views give the compiler exact
     // extents, so the fully unrolled `MR x NR` update runs without bounds
     // checks and vectorizes across each accumulator row.
@@ -490,7 +517,7 @@ fn microkernel(kb: usize, pa: &[f32], pb: &[f32], acc: &mut [f32; MR * NR]) {
         for r in 0..MR {
             let ar = av[r];
             for j in 0..NR {
-                acc[r * NR + j] += ar * bv[j];
+                acc[r][j] += ar * bv[j];
             }
         }
     }
@@ -501,8 +528,11 @@ fn microkernel(kb: usize, pa: &[f32], pb: &[f32], acc: &mut [f32; MR * NR]) {
 /// `r0`) takes `alpha * A B` block by block as the reduction-order
 /// contract says, and `bias[i]`, if given, is added to row `i` after its
 /// last depth block — the same bits as a separate pass over the finished
-/// product. Runs on AVX2 where the CPU has it, portably elsewhere.
+/// product. Runs on AVX-512 or AVX2 where `kernels` found it, portably
+/// elsewhere.
+#[allow(clippy::too_many_arguments)]
 fn packed_strip(
+    kernels: Kernels,
     r0: usize,
     r1: usize,
     alpha: f32,
@@ -512,18 +542,24 @@ fn packed_strip(
     bias: Option<&[f32]>,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if let Some(isa) = crate::isa::Avx2::detect() {
+    if let Some(isa) = kernels.isa {
         return isa.packed_strip(r0, r1, alpha, a, b, c_strip, bias);
     }
-    packed_strip_body(microkernel, r0, r1, alpha, a, b, c_strip, bias);
+    packed_strip_body::<NR>(microkernel, microkernel, r0, r1, alpha, a, b, c_strip, bias);
 }
 
-/// [`packed_strip`]'s loop nest around a given micro-kernel: the portable
-/// [`microkernel`] here, the intrinsics one in the AVX2 instantiation.
+/// [`packed_strip`]'s loop nest around two micro-kernels: `group`, whose
+/// tile is `W` columns wide (`W / NR` adjacent B panels, which the layout
+/// keeps contiguous), and `single`, one panel wide, for the panels at the
+/// end of a column block that do not fill a group. The portable and AVX2
+/// instantiations pass `W = NR`, a group of one, so every panel goes
+/// through `group`; the AVX-512 one passes its four-panel kernel and the
+/// AVX2 kernel. Which kernel computes a tile never changes its bits.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn packed_strip_body(
-    kernel: impl Fn(usize, &[f32], &[f32], &mut [f32; MR * NR]),
+pub(crate) fn packed_strip_body<const W: usize>(
+    group: impl Fn(usize, &[f32], &[f32], &mut [[f32; W]; MR]),
+    single: impl Fn(usize, &[f32], &[f32], &mut [[f32; NR]; MR]),
     r0: usize,
     r1: usize,
     alpha: f32,
@@ -532,38 +568,78 @@ pub(crate) fn packed_strip_body(
     c_strip: &mut [f32],
     bias: Option<&[f32]>,
 ) {
+    const { assert!(W.is_multiple_of(NR) && W >= NR) };
     let (n, k) = (b.n, b.k);
+    let per = W / NR;
     for jc in (0..n).step_by(NC) {
         let ncb = NC.min(n - jc);
+        let panels = jc / NR..(jc + ncb).div_ceil(NR);
+        // Whole groups first, then the panels left over, one at a time.
+        let tail = panels.end - panels.len() % per;
         for pc in (0..k).step_by(KC) {
             let kb = KC.min(k - pc);
-            let bias = bias.filter(|_| pc + kb == k);
+            let tile = Tile {
+                r0,
+                r1,
+                n,
+                alpha,
+                bias: bias.filter(|_| pc + kb == k),
+            };
             for ic in (r0..r1).step_by(MC) {
                 let mb = MC.min(r1 - ic);
-                for jp in jc / NR..(jc + ncb).div_ceil(NR) {
-                    let j0 = jp * NR;
-                    let nb = NR.min(n - j0);
-                    let pb = b.panel(pc, kb, jp);
-                    for rp in ic / MR..(ic + mb).div_ceil(MR) {
-                        let mut acc = [0.0f32; MR * NR];
-                        kernel(kb, a.panel(pc, kb, rp), pb, &mut acc);
-                        let i0 = rp * MR;
-                        for (r, acc_row) in acc.chunks_exact(NR).take(r1 - i0).enumerate() {
-                            let crow = &mut c_strip[(i0 - r0 + r) * n + j0..][..nb];
-                            match bias {
-                                None => {
-                                    for (cv, &av) in crow.iter_mut().zip(acc_row) {
-                                        *cv += alpha * av;
-                                    }
-                                }
-                                Some(bias) => {
-                                    let bv = bias[i0 + r];
-                                    for (cv, &av) in crow.iter_mut().zip(acc_row) {
-                                        *cv = (*cv + alpha * av) + bv;
-                                    }
-                                }
-                            }
-                        }
+                let row_panels = ic / MR..(ic + mb).div_ceil(MR);
+                for jp in (panels.start..tail).step_by(per) {
+                    let pb = b.panels(pc, kb, jp, per);
+                    for rp in row_panels.clone() {
+                        let mut acc = [[0.0f32; W]; MR];
+                        group(kb, a.panel(pc, kb, rp), pb, &mut acc);
+                        tile.add(&acc, rp * MR, jp * NR, c_strip);
+                    }
+                }
+                for jp in tail..panels.end {
+                    let pb = b.panels(pc, kb, jp, 1);
+                    for rp in row_panels.clone() {
+                        let mut acc = [[0.0f32; NR]; MR];
+                        single(kb, a.panel(pc, kb, rp), pb, &mut acc);
+                        tile.add(&acc, rp * MR, jp * NR, c_strip);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// What adding a finished tile to C needs besides the tile: the strip's
+/// rows, C's width, `alpha`, and the bias when this is the last depth
+/// block.
+struct Tile<'a> {
+    r0: usize,
+    r1: usize,
+    n: usize,
+    alpha: f32,
+    bias: Option<&'a [f32]>,
+}
+
+impl Tile<'_> {
+    /// `c += alpha * acc`, then `+ bias[i]` if given, for the tile whose
+    /// top-left element is C's `(i0, j0)`; rows past the strip and
+    /// columns past `n` (the zero padding of the packed panels) are
+    /// dropped.
+    #[inline(always)]
+    fn add<const W: usize>(&self, acc: &[[f32; W]; MR], i0: usize, j0: usize, c_strip: &mut [f32]) {
+        let nb = W.min(self.n - j0);
+        for (r, acc_row) in acc.iter().take(self.r1 - i0).enumerate() {
+            let crow = &mut c_strip[(i0 - self.r0 + r) * self.n + j0..][..nb];
+            match self.bias {
+                None => {
+                    for (cv, &av) in crow.iter_mut().zip(acc_row) {
+                        *cv += self.alpha * av;
+                    }
+                }
+                Some(bias) => {
+                    let bv = bias[i0 + r];
+                    for (cv, &av) in crow.iter_mut().zip(acc_row) {
+                        *cv = (*cv + self.alpha * av) + bv;
                     }
                 }
             }
@@ -577,6 +653,7 @@ pub(crate) fn packed_strip_body(
 /// row is produced by exactly the same instruction sequence in both
 /// modes — thread count never changes the result.
 pub(crate) fn packed_driver(
+    kernels: Kernels,
     alpha: f32,
     a: &PackedA,
     b: &PackedB,
@@ -587,7 +664,7 @@ pub(crate) fn packed_driver(
     let (m, n) = (a.m, b.n);
     let threads = threads.max(1).min(m.div_ceil(MR));
     if threads <= 1 {
-        packed_strip(0, m, alpha, a, b, c, bias);
+        packed_strip(kernels, 0, m, alpha, a, b, c, bias);
         return;
     }
 
@@ -600,7 +677,7 @@ pub(crate) fn packed_driver(
             let rows = rows_per.min(m - r0);
             let (strip, tail) = rest.split_at_mut(rows * n);
             rest = tail;
-            scope.spawn(move || packed_strip(r0, r0 + rows, alpha, a, b, strip, bias));
+            scope.spawn(move || packed_strip(kernels, r0, r0 + rows, alpha, a, b, strip, bias));
             r0 += rows;
         }
     });
@@ -622,7 +699,7 @@ pub fn gemm_packed(
     threads: usize,
 ) {
     let (a, b) = (PackedA::pack(m, k, a), PackedB::pack(k, n, b));
-    packed_driver(alpha, &a, &b, c, None, threads);
+    packed_driver(Kernels::detect(), alpha, &a, &b, c, None, threads);
 }
 
 /// Cache-blocked out-of-place transpose of a row-major `rows x cols`
@@ -990,67 +1067,69 @@ mod tests {
     }
 
     #[cfg(target_arch = "x86_64")]
-    use crate::isa::{have_avx2, portable_and_avx2};
+    use crate::isa::same_bits_at_each_level;
 
     #[cfg(target_arch = "x86_64")]
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The two instantiations of each kernel give the same bits: the
-        /// packed driver with and without a bias, the no-pack tier, and
-        /// `sgemm` (either tier) for every `alpha` and `beta` — m ragged
-        /// against `MR` and past one `MC` block, n against `NR`/`NC`, k
-        /// against `KC`.
+        /// The kernels give the same bits at every level this CPU runs —
+        /// portable, AVX2, and AVX-512 for the packed tier: the packed
+        /// driver with and without a bias on 1 and 3 threads, the no-pack
+        /// tier, and `sgemm` (either tier) for every `alpha` and `beta`.
+        /// m is ragged against `MR` and past one `MC` block; n against
+        /// `NR` up to nine panels, so every tail of zero to three panels
+        /// follows zero, one and two four-panel groups, and against `NC`;
+        /// k against `KC`.
         #[test]
         fn portable_is_bitwise_equal_to_avx2(
             m in prop::sample::select([ragged(MR, 3), vec![63, 65, 130]].concat()),
-            n in prop::sample::select([ragged(NR, 3), ragged(NC, 2)].concat()),
+            n in prop::sample::select([ragged(NR, 9), ragged(NC, 2)].concat()),
             k in prop::sample::select(ragged(KC, 2)),
             alpha in prop::sample::select(vec![1.0f32, -0.75, 3.1]),
             beta in prop::sample::select(vec![0.0f32, 1.0, 0.5]),
             seed in 0u64..1000,
         ) {
-            if !have_avx2() {
-                return Ok(());
-            }
             let a = Tensor::random_uniform(Shape::mat(m, k), 1.0, seed).into_vec();
             let b = Tensor::random_uniform(Shape::mat(k, n), 1.0, seed + 1).into_vec();
             let c0 = Tensor::random_uniform(Shape::mat(m, n), 1.0, seed + 2).into_vec();
             let bias = Tensor::random_uniform(Shape::mat(1, m), 1.0, seed + 3).into_vec();
             let (pa, pb) = (PackedA::pack(m, k, &a), PackedB::pack(k, n, &b));
             for bias in [None, Some(&bias[..])] {
-                let (portable, avx2) = portable_and_avx2(|| {
-                    let mut c = c0.clone();
-                    packed_driver(alpha, &pa, &pb, &mut c, bias, 1);
-                    c
-                });
-                prop_assert!(portable == avx2, "packed_driver m={m} n={n} k={k} bias={}", bias.is_some());
+                for threads in [1, 3] {
+                    let same = same_bits_at_each_level(|| {
+                        let mut c = c0.clone();
+                        packed_driver(Kernels::detect(), alpha, &pa, &pb, &mut c, bias, threads);
+                        c
+                    });
+                    prop_assert!(same.is_ok(), "packed_driver m={m} n={n} k={k} bias={} threads={threads}: {same:?}", bias.is_some());
+                }
             }
-            let (portable, avx2) = portable_and_avx2(|| {
+            let same = same_bits_at_each_level(|| {
                 let mut c = c0.clone();
                 gemm_skinny(m, n, k, alpha, &a, &b, &mut c);
                 c
             });
-            prop_assert!(portable == avx2, "gemm_skinny m={m} n={n} k={k}");
-            let (portable, avx2) = portable_and_avx2(|| {
+            prop_assert!(same.is_ok(), "gemm_skinny m={m} n={n} k={k}: {same:?}");
+            let same = same_bits_at_each_level(|| {
                 let mut c = c0.clone();
                 sgemm(m, n, k, alpha, &a, &b, beta, &mut c, GemmOptions::default()).unwrap();
                 c
             });
-            prop_assert!(portable == avx2, "sgemm m={m} n={n} k={k} alpha={alpha} beta={beta}");
+            prop_assert!(same.is_ok(), "sgemm m={m} n={n} k={k} alpha={alpha} beta={beta}: {same:?}");
         }
     }
 
-    /// The fused convolution on both instantiations, on one geometry per
-    /// tier `sgemm` would pick for its `og x oh·ow x wk` product: `dig`'s
-    /// conv2 (packed, 500 deep), and a grouped, padded, strided bank of
-    /// five outputs per group (skinny, 300 deep).
+    /// The fused convolution at every level this CPU runs, on one
+    /// threaded and one sequential call, for geometries of both tiers
+    /// `sgemm` would pick for its `og x oh·ow x wk` product: a LeNet
+    /// conv2 (packed, 500 deep, 64 columns: two four-panel groups), a
+    /// grouped, padded, strided bank of five outputs per group (skinny,
+    /// 300 deep), and `dig`'s conv1 (packed, 25 deep, 576 columns: 18
+    /// groups over three column blocks).
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn fused_conv_portable_is_bitwise_equal_to_avx2() {
-        if !have_avx2() {
-            return;
-        }
         // (n, c, (h, w), params)
         let cases = [
             (2, 20, (12, 12), Conv2dParams::new(50, 5, 1, 0)),
@@ -1066,6 +1145,7 @@ mod tests {
                     groups: 3,
                 },
             ),
+            (2, 1, (28, 28), Conv2dParams::new(10, 5, 1, 0)),
         ];
         for (i, (n, c, (h, w), p)) in cases.into_iter().enumerate() {
             let seed = 50 + 10 * i as u64;
@@ -1076,12 +1156,14 @@ mod tests {
                 seed + 1,
             );
             let bias = Tensor::random_uniform(Shape::mat(1, p.out_channels), 1.0, seed + 2);
-            let (portable, avx2) = portable_and_avx2(|| {
-                conv2d_with(&input, &weights, bias.data(), &p, Threading::SINGLE)
-                    .unwrap()
-                    .into_vec()
-            });
-            assert_eq!(portable, avx2, "{p:?} on {n}x{c}x{h}x{w}");
+            for threads in [Threading::SINGLE, Threading::new(3)] {
+                let same = same_bits_at_each_level(|| {
+                    conv2d_with(&input, &weights, bias.data(), &p, threads)
+                        .unwrap()
+                        .into_vec()
+                });
+                assert_eq!(same, Ok(()), "{p:?} on {n}x{c}x{h}x{w}, {threads:?}");
+            }
         }
     }
 }

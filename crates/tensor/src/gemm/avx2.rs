@@ -1,11 +1,15 @@
 //! The packed GEMM tier's micro-kernel in AVX2 intrinsics, for the
 //! tier's AVX2 instantiation (`crate::isa`, which holds the CPU check).
+//! The AVX-512 instantiation runs it too, on the one to three panels at
+//! the end of a column block that do not fill its four-panel kernel
+//! (`super::avx512`).
 //!
 //! The bits are the portable kernel's. The micro-kernel does, per lane
 //! and in ascending `p`, what [`super::microkernel`] does per element: a
-//! multiply, then an add. Only `avx2` is enabled, never `fma`, so the
-//! compiler has no fused instruction to reach for, and Rust does not
-//! contract `a * b + c` into one.
+//! multiply, then an add, as `_mm256_mul_ps` and `_mm256_add_ps`. In the
+//! AVX2 instantiation only `avx2` is enabled, never `fma`, so the
+//! compiler has no fused instruction to reach for; in either, Rust does
+//! not contract `a * b + c` into one.
 //!
 //! Its `unsafe` is the unaligned 8-lane loads and stores.
 
@@ -21,9 +25,9 @@ use super::{MR, NR};
 /// `_mm256_add_ps` — the portable kernel's arithmetic, 8 lanes at a time.
 #[target_feature(enable = "avx2")]
 #[inline]
-pub(crate) fn microkernel(kb: usize, pa: &[f32], pb: &[f32], acc: &mut [f32; MR * NR]) {
+pub(crate) fn microkernel(kb: usize, pa: &[f32], pb: &[f32], acc: &mut [[f32; NR]; MR]) {
     let mut rows: [__m256; MR] = [_mm256_set1_ps(0.0); MR];
-    for (row, from) in rows.iter_mut().zip(acc.chunks_exact(NR)) {
+    for (row, from) in rows.iter_mut().zip(acc.iter()) {
         // SAFETY: `from` is `NR` = 8 contiguous `f32`s; the load is unaligned.
         *row = unsafe { _mm256_loadu_ps(from.as_ptr()) };
     }
@@ -36,7 +40,7 @@ pub(crate) fn microkernel(kb: usize, pa: &[f32], pb: &[f32], acc: &mut [f32; MR 
             *row = _mm256_add_ps(*row, _mm256_mul_ps(_mm256_set1_ps(ar), b));
         }
     }
-    for (row, to) in rows.iter().zip(acc.chunks_exact_mut(NR)) {
+    for (row, to) in rows.iter().zip(acc.iter_mut()) {
         // SAFETY: `to` is `NR` = 8 contiguous `f32`s; the store is unaligned.
         unsafe { _mm256_storeu_ps(to.as_mut_ptr(), *row) };
     }

@@ -11,12 +11,14 @@
 //!
 //! The build targets baseline x86-64. The GEMM tiers, and with them the
 //! convolution, run an AVX2 instantiation of the same loop nests where
-//! the CPU reports AVX2 at run time — a multiply then an add, never a
-//! fused multiply-add — and so does pooling, each window's taps folded
+//! the CPU reports AVX2 at run time, and the packed tier an AVX-512 one
+//! where it reports AVX-512F — a multiply then an add, never a fused
+//! multiply-add — and pooling runs on AVX2 too, each window's taps folded
 //! in the same order, so an output has the same bits on every CPU.
 //! No option selects it. The crate denies `unsafe_code` except in
 //! `isa`, which holds the one CPU check and those instantiations, and in
-//! `gemm::avx2`, the packed tier's intrinsics micro-kernel.
+//! `gemm::avx2` and `gemm::avx512`, the packed tier's intrinsics
+//! micro-kernels.
 //!
 //! # Quickstart
 //!
