@@ -583,10 +583,15 @@ impl InferenceEngine {
                 let policy = config.policy;
                 std::thread::Builder::new()
                     .name(format!("djinn-engine-{model}-{i}"))
-                    .spawn(move || match policy {
-                        DispatchPolicy::Immediate => immediate_loop(&inner, &network, &*executor),
-                        DispatchPolicy::Batched(bc) => {
-                            batched_loop(&inner, &network, &*executor, bc)
+                    .spawn(move || {
+                        crate::io::yield_to_io_loop();
+                        match policy {
+                            DispatchPolicy::Immediate => {
+                                immediate_loop(&inner, &network, &*executor)
+                            }
+                            DispatchPolicy::Batched(bc) => {
+                                batched_loop(&inner, &network, &*executor, bc)
+                            }
                         }
                     })
                     .expect("spawning engine worker")

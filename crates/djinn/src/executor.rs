@@ -189,8 +189,8 @@ impl Executor for CpuExecutor {
         let Some(cache) = embed else {
             return self.infer_budgeted(network, input, budget);
         };
-        // The row-at-a-time prefix does its own (cached) work; the
-        // remaining layers still honor the lease budget.
+        // The prefix runs only the request's cold rows, as one batch;
+        // every layer honors the lease budget.
         let start = Instant::now();
         let output = network.forward_embed_cached(input, cache, self.threading.min(budget))?;
         Ok(InferenceOutcome {

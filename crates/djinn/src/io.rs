@@ -1,8 +1,8 @@
 //! The I/O core both network tiers run on: one thread sleeps in `poll(2)`
 //! until a socket is ready, a timer is due or another thread wakes it.
-//! `sys` — declarations of `poll`, `socket` and `connect` (the standard
-//! library links the C library) — is the crate's only unsafe code; the
-//! crate root denies it everywhere else.
+//! `sys` — declarations of `poll`, `socket`, `connect` and `nice`
+//! (the standard library links the C library) — is the crate's only
+//! unsafe code; the crate root denies it everywhere else.
 //!
 //! A peer that falls behind is slowed, not cut off: past [`HIGH_WATER`]
 //! unsent bytes its connection is not read, so nothing more is admitted
@@ -59,6 +59,17 @@ mod sys {
         fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
         fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
         fn connect(fd: c_int, addr: *const c_void, len: u32) -> c_int;
+        fn nice(inc: c_int) -> c_int;
+    }
+
+    /// `nice(3)`: adds `inc` to the calling thread's nice value, which the
+    /// kernel clamps to 19. The C library reads the value and sets it back
+    /// with `getpriority`/`setpriority(2)` on process id 0, and Linux keeps
+    /// a nice value per thread, so only the caller moves.
+    pub(super) fn add_own_nice(inc: c_int) {
+        // SAFETY: a library call taking a plain integer. Its result is
+        // not read: -1 is both a valid nice value and the error return.
+        unsafe { nice(inc) };
     }
 
     /// `poll(2)`; a negative `timeout_ms` waits without limit.
@@ -498,6 +509,25 @@ impl Read for OnePass<'_> {
             None => Err(io::ErrorKind::WouldBlock.into()),
         }
     }
+}
+
+/// How many nice steps the threads that run forward passes sit below the
+/// thread that spawns them: a hit the poll loop can answer from cache, or
+/// a reply it can write, should not wait for the scheduler to take the
+/// CPU from a forward pass. Ten steps below the loop, a busy compute
+/// thread gets about a tenth of a contended CPU's share against it. Nice
+/// ranks the thread below every other task on the host as well, a
+/// client on the same CPU included.
+const COMPUTE_NICE_STEPS: i32 = 10;
+
+/// Raises the calling thread's nice value by [`COMPUTE_NICE_STEPS`],
+/// relative to what it inherited, so the steps hold whatever nice the
+/// process was started at; threads it spawns afterwards inherit the
+/// result. Raising one's own nice needs no privilege. The kernel caps
+/// nice at 19, so a process started at 10 or more gets fewer steps, and
+/// one started at 19 none.
+pub(crate) fn yield_to_io_loop() {
+    sys::add_own_nice(COMPUTE_NICE_STEPS);
 }
 
 /// Starts a TCP connect without blocking; a refused or unreachable peer

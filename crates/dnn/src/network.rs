@@ -200,13 +200,18 @@ impl Network {
     /// per input row in `cache` (see [`EmbedCache`]).
     ///
     /// Rows whose bit pattern was seen before reuse the cached prefix
-    /// output; cold rows are computed **one row at a time** and
-    /// inserted. Row-at-a-time execution is what makes a later hit
-    /// bitwise-identical to the miss that populated it: each row's
-    /// prefix output is independent of its batch neighbors by
-    /// construction, and single-row GEMMs have one reduction order.
-    /// The layers after the prefix run batched under `threading` as
-    /// usual.
+    /// output. The request's cold rows go through the prefix together,
+    /// as one batch under `threading`, and are inserted. A row sent twice
+    /// in one request is computed twice, and its second insert replaces
+    /// the first with the same bits; repeats within a request are rare
+    /// (none of the 256 sentences in the `zipf_cache_pos` benchmark's
+    /// pool has one), so the batch does not search for them. A later
+    /// hit is bitwise-identical to the miss that populated it because a
+    /// row's output does not depend on its batch: every
+    /// GEMM tier, at every thread count, sums each row in the same order
+    /// (`tensor::gemm`'s reduction-order contract), and the prefix's
+    /// activation works element by element. The layers after the prefix
+    /// run batched under `threading` as usual.
     ///
     /// For networks with no embedding prefix this is exactly
     /// [`Network::forward_with`].
@@ -234,21 +239,43 @@ impl Network {
         if rows == 0 {
             return self.forward_with(input, threading);
         }
+        /// Where a row's prefix output comes from.
+        enum Source {
+            Hit(std::sync::Arc<[f32]>),
+            Cold(usize),
+        }
+        let mut cold: Vec<&[f32]> = Vec::new();
+        let sources: Vec<Source> = input
+            .data()
+            .chunks_exact(width)
+            .map(|row| match cache.get_row(row) {
+                Some(hit) => Source::Hit(hit),
+                None => {
+                    cold.push(row);
+                    Source::Cold(cold.len() - 1)
+                }
+            })
+            .collect();
+        let (cold_out, cold_width) = if cold.is_empty() {
+            (Vec::new(), 0)
+        } else {
+            let batch = Tensor::from_vec(Shape::mat(cold.len(), width), cold.concat())?;
+            let out = self.run_layers(0..prefix, &batch, threading)?;
+            let (_, out_width) = out.shape().as_matrix();
+            for (row, out_row) in cold.iter().zip(out.data().chunks_exact(out_width)) {
+                cache.insert_row(row, out_row);
+            }
+            (out.into_vec(), out_width)
+        };
         let mut mid_data: Vec<f32> = Vec::new();
         let mut out_width = 0usize;
-        for r in 0..rows {
-            let row = &input.data()[r * width..(r + 1) * width];
-            let out_row: std::sync::Arc<[f32]> = match cache.get_row(row) {
-                Some(hit) => hit,
-                None => {
-                    let one = Tensor::from_vec(Shape::mat(1, width), row.to_vec())?;
-                    let computed = self.run_layers(0..prefix, &one, Threading::SINGLE)?;
-                    cache.insert_row(row, computed.data());
-                    std::sync::Arc::from(computed.data())
-                }
+        for source in &sources {
+            let out_row = match source {
+                Source::Hit(hit) => &hit[..],
+                Source::Cold(i) => &cold_out[i * cold_width..][..cold_width],
             };
             out_width = out_row.len();
-            mid_data.extend_from_slice(&out_row);
+            mid_data.extend_from_slice(out_row);
         }
         let mid = Tensor::from_vec(Shape::mat(rows, out_width), mid_data)?;
         self.run_layers(prefix..self.def.depth(), &mid, threading)
@@ -427,7 +454,7 @@ mod tests {
         assert_eq!(
             bits(&cold),
             bits(&plain),
-            "row-at-a-time prefix must match batched forward bitwise for fc layers"
+            "the cold rows' prefix batch must match forward() bitwise"
         );
         let s = cache.stats();
         assert_eq!((s.misses, s.hits), (4, 4), "4 cold rows then 4 warm rows");

@@ -821,9 +821,8 @@ mod tests {
 
     /// Which tier of `sgemm` the unfused lowering takes for a geometry.
     fn tier(g: &Geometry) -> &'static str {
-        use crate::gemm::{PACK_MIN_VOLUME, SKINNY_MAX_M};
         let (m, n, k) = g.gemm_shape();
-        if m <= SKINNY_MAX_M || m * n * k < PACK_MIN_VOLUME {
+        if crate::gemm::takes_no_pack(m, n, k, 1) {
             "skinny"
         } else {
             "packed"
@@ -849,15 +848,15 @@ mod tests {
             pad,
         };
         let cases = [
-            (geometry(3, 1, 1, 10, (28, 28), 5, 1, 0), "packed"),
-            (geometry(3, 1, 10, 20, (12, 12), 5, 1, 0), "packed"),
+            (geometry(3, 1, 1, 10, (28, 28), 5, 1, 0), "skinny"),
+            (geometry(3, 1, 10, 20, (12, 12), 5, 1, 0), "skinny"),
             (geometry(2, 1, 1, 4, (12, 12), 3, 1, 0), "skinny"),
-            (geometry(2, 2, 6, 16, (13, 11), 5, 1, 2), "packed"),
-            (geometry(1, 1, 3, 12, (39, 43), 11, 4, 0), "packed"),
+            (geometry(2, 2, 6, 40, (13, 11), 5, 1, 2), "packed"),
+            (geometry(1, 1, 3, 36, (39, 43), 11, 4, 0), "packed"),
             (geometry(2, 3, 12, 5, (11, 14), 5, 2, 1), "skinny"),
             (geometry(2, 1, 3, 2, (12, 11), 11, 1, 1), "skinny"),
             (geometry(4, 2, 2, 3, (5, 7), 4, 4, 2), "skinny"),
-            (geometry(2, 1, 1, 12, (4, 4), 3, 1, 0), "skinny"),
+            (geometry(2, 1, 1, 36, (4, 4), 3, 1, 0), "skinny"),
         ];
         for (g, want_tier) in &cases {
             assert_eq!(tier(g), *want_tier, "{g:?}");

@@ -2,9 +2,9 @@
 //!
 //! Structured like a tuned BLAS: a naive triple loop (correctness
 //! oracle) and two tiers [`sgemm`] picks between by shape — a no-pack
-//! kernel for calls of at most `SKINNY_MAX_M` rows or below
-//! `PACK_MIN_VOLUME`, and a BLIS-style packed kernel for everything
-//! else. The packed kernel lays A out in `MR`-row column-major
+//! kernel for calls of at most `SKINNY_MAX_M` rows (fewer when the call
+//! is threaded) or below `PACK_MIN_VOLUME`, and a BLIS-style packed
+//! kernel for everything else. The packed kernel lays A out in `MR`-row column-major
 //! micro-panels and B in `NR`-column row-major micro-panels so the
 //! register-blocked `MR x NR` micro-kernel streams both operands at unit
 //! stride. Both operands are packed once per call and shared read-only;
@@ -26,13 +26,16 @@
 //!
 //! Each tier's loop nest is compiled twice: for baseline x86-64 (SSE2,
 //! four lanes), and with AVX2 enabled (eight lanes; the packed tier's
-//! micro-kernel in `std::arch` intrinsics, `avx2`). The packed nest is
-//! compiled a third time with AVX-512F, around a kernel that computes a
-//! `MR x 4·NR` tile from four adjacent B panels per call (`avx512`; the
-//! one to three panels left at the end of an `NC` block take the AVX2
-//! kernel). A CPU check picks the best the CPU has (`crate::isa`, the
-//! crate's one CPU check), once per call; every instantiation keeps the
-//! contract, so which one ran never shows in an output bit.
+//! micro-kernel in `std::arch` intrinsics, `avx2`). Where the CPU has
+//! AVX-512F both tiers take a third kernel, in `avx512`: the packed nest
+//! runs around one that computes a `MR x 4·NR` tile from four adjacent B
+//! panels per call (the one to three panels left at the end of an `NC`
+//! block take the AVX2 kernel), and the no-pack tier runs a nest of its
+//! own, which keeps up to eight rows' accumulators in zmm registers while
+//! it reads B in place. A CPU check picks the best the CPU has
+//! (`crate::isa`, the crate's one CPU check), once per call; every
+//! instantiation keeps the contract, so which one ran never shows in an
+//! output bit.
 
 use crate::{Result, Shape, Tensor, TensorError};
 
@@ -57,16 +60,32 @@ const NC: usize = 256;
 /// copy costs more than it saves on matrices this small.
 pub(crate) const PACK_MIN_VOLUME: usize = 32 * 32 * 32;
 /// Calls of at most this many rows take the no-pack kernel. Packing B
-/// reads and writes all of it once before the first multiply, and with
-/// at most two A micro-panels each packed panel is then used at most
-/// twice — the copy cannot pay for itself. Measured on the AVX2 path,
-/// the no-pack kernel is 7-10x faster at one row and 1.5-2.1x at 8, and
-/// still 1.04-1.5x ahead at 16 and 28 (`results/gemm_skinny.txt`, which
-/// also keeps the portable path's table); the limit stays at two
-/// micro-panels because that last margin is the size of the measuring
-/// host's noise and the no-pack kernel is single-threaded — a taller
-/// call has row strips for `GemmOptions::threads` to spread over cores.
-pub(crate) const SKINNY_MAX_M: usize = 2 * MR;
+/// reads and writes all of it once before the first multiply, and a
+/// fully-connected layer's weights are constant, so the packed tier pays
+/// that copy on every call. With AVX-512 the no-pack kernel keeps a row
+/// group's accumulators in registers and reads each B row once per eight
+/// rows; against the packed tier it is 1.4-1.7x ahead at 28 rows and
+/// 1.2-1.7x at 32, and at 64 the two are within the host's noise
+/// (`results/gemm_skinny.txt`). On AVX2 and portably the no-pack nest was
+/// 1.04-1.5x ahead at 16 and 28 rows as well. So the limit is eight `MR`
+/// panels, for calls on one thread: see [`THREADED_SKINNY_MAX_M`].
+pub(crate) const SKINNY_MAX_M: usize = 8 * MR;
+/// The row limit of the no-pack tier for calls with `threads > 1`. That
+/// tier runs on one thread, while the packed tier splits C's `MR`-row
+/// strips across the workers, so a threaded call taller than two panels
+/// keeps the packed tier and its parallelism.
+const THREADED_SKINNY_MAX_M: usize = 2 * MR;
+
+/// Whether [`sgemm`] sends an `m x n x k` call on `threads` workers to
+/// the no-pack tier rather than the packed one.
+pub(crate) fn takes_no_pack(m: usize, n: usize, k: usize, threads: usize) -> bool {
+    let max_m = if threads > 1 {
+        THREADED_SKINNY_MAX_M
+    } else {
+        SKINNY_MAX_M
+    };
+    m <= max_m || m * n * k < PACK_MIN_VOLUME
+}
 
 /// Which instantiation of the packed tier one call runs: chosen once, on
 /// the calling thread (`crate::isa` holds the CPU check), and handed to
@@ -234,7 +253,7 @@ pub fn sgemm(
         }
     }
 
-    if m <= SKINNY_MAX_M || m * n * k < PACK_MIN_VOLUME {
+    if takes_no_pack(m, n, k, opts.threads) {
         gemm_skinny(m, n, k, alpha, a_rm, b_rm, c);
     } else {
         gemm_packed(m, n, k, alpha, a_rm, b_rm, c, opts.threads);
@@ -272,19 +291,18 @@ pub fn gemm_naive(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32]
 // ---------------------------------------------------------------------------
 
 /// No-pack kernel for calls of a few rows: streams B in place, row-major,
-/// with an `MR x NC` accumulator on the stack and no O(k·n) scratch. At
-/// this height a fully-connected layer is bound by moving its weights
-/// once, and packing would move them twice more. Follows the module's
-/// reduction-order contract, so the result is bitwise identical to
-/// [`gemm_packed`]'s for every shape and `alpha`.
+/// with no O(k·n) scratch. At this height a fully-connected layer is
+/// bound by moving its weights once, and packing would move them twice
+/// more. Follows the module's reduction-order contract, so the result is
+/// bitwise identical to [`gemm_packed`]'s for every shape and `alpha`.
 ///
-/// Correct for any `m`: within each `KC x NC` block of B rows are walked
-/// `MR` at a time, so the block is streamed from memory once and re-read
-/// from cache. [`sgemm`] sends it `m <= SKINNY_MAX_M` (two groups), and
-/// any call below `PACK_MIN_VOLUME`, where the packing copies would cost
-/// more than they save. Public as an ablation tier for the GEMM
-/// benchmarks, like [`gemm_naive`]: `C += alpha * A B`, no transposes or
-/// beta.
+/// Correct for any `m`. [`sgemm`] sends it `m <= SKINNY_MAX_M` on one
+/// thread, `m <= THREADED_SKINNY_MAX_M` on more, and any call below
+/// `PACK_MIN_VOLUME`, where the packing copies would cost more than they
+/// save. On AVX-512 it runs its own nest (`avx512::skinny`, the
+/// accumulators in registers), otherwise [`gemm_skinny_body`] on AVX2 or
+/// portably. Public as an ablation tier for the GEMM benchmarks, like
+/// [`gemm_naive`]: `C += alpha * A B`, no transposes or beta, one thread.
 pub fn gemm_skinny(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32], c: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if let Some(isa) = crate::isa::Avx2::detect() {
@@ -293,9 +311,12 @@ pub fn gemm_skinny(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32
     gemm_skinny_body(m, n, k, alpha, a, b, c);
 }
 
-/// [`gemm_skinny`]'s loop nest, compiled once for baseline x86-64 and
-/// once more with AVX2 enabled (`crate::isa`), so both vector widths run the
-/// same source and sum in the same order.
+/// [`gemm_skinny`]'s portable loop nest, compiled once for baseline
+/// x86-64 and once more with AVX2 enabled (`crate::isa`), so both vector
+/// widths run the same source and sum in the same order: within each
+/// `KC x NC` block of B, rows are walked `MR` at a time against an
+/// `MR x NC` accumulator on the stack, so the block is streamed from
+/// memory once and re-read from cache.
 #[inline(always)]
 pub(crate) fn gemm_skinny_body(
     m: usize,
@@ -829,7 +850,7 @@ mod tests {
     #[test]
     fn beta_zero_overwrites_a_poisoned_c_on_every_tier() {
         // (m, n, k): skinny below the packing volume, skinny, packed.
-        let shapes = [(3usize, 5usize, 7usize), (2, 64, 512), (9, 64, 64)];
+        let shapes = [(3usize, 5usize, 7usize), (2, 64, 512), (33, 64, 64)];
         assert!(shapes[1..]
             .iter()
             .all(|(m, n, k)| m * n * k >= PACK_MIN_VOLUME));
@@ -1022,6 +1043,10 @@ mod tests {
         }
     }
 
+    /// Widths on either side of one and two 16-lane vectors and of a
+    /// 128-column strip: the AVX-512 no-pack tier's masked tails.
+    const STRIP_EDGES: [usize; 6] = [15, 17, 31, 33, 127, 129];
+
     /// Sizes on and around the multiples of `block` up to `blocks` of
     /// them, plus the smallest ones: the ragged edges of a blocked loop.
     fn ragged(block: usize, blocks: usize) -> Vec<usize> {
@@ -1036,14 +1061,17 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The reduction-order contract: the skinny tier, and `sgemm`
-        /// whichever tier it picks, give the packed tier's bits for every
-        /// shape, `alpha` and `beta` — on both sides of `SKINNY_MAX_M`
-        /// and of `PACK_MIN_VOLUME`, with n ragged against `NR`/`NC` and
-        /// k against `KC` (up to three depth blocks).
+        /// whichever tier it picks on one or three threads (which send 9
+        /// to 32 rows to different tiers), give the packed tier's bits
+        /// for every shape, `alpha` and `beta` — on
+        /// both sides of `SKINNY_MAX_M` and of `PACK_MIN_VOLUME`, with n
+        /// ragged against `NR`/`NC` and the AVX-512 no-pack tier's 16-lane
+        /// vectors and 32- to 128-column strips, and k against `KC` (up
+        /// to three depth blocks).
         #[test]
         fn skinny_is_bitwise_equal_to_packed(
-            m in 1usize..=2 * MR + 1,
-            n in prop::sample::select([ragged(NR, 3), ragged(NC, 2)].concat()),
+            m in 1usize..=SKINNY_MAX_M + 1,
+            n in prop::sample::select([ragged(NR, 3), ragged(NC, 2), STRIP_EDGES.to_vec()].concat()),
             k in prop::sample::select(ragged(KC, 3)),
             alpha in prop::sample::select(vec![1.0f32, -0.75, 3.1]),
             beta in prop::sample::select(vec![0.0f32, 1.0, 0.5]),
@@ -1060,9 +1088,11 @@ mod tests {
             gemm_skinny(m, n, k, alpha, &a, &b, &mut skinny);
             prop_assert!(bits(&packed) == bits(&skinny), "m={m} n={n} k={k} alpha={alpha} beta={beta}");
             // And through the front door, whichever of the two it picks.
-            let mut front = c0;
-            sgemm(m, n, k, alpha, &a, &b, beta, &mut front, GemmOptions::default()).unwrap();
-            prop_assert!(bits(&packed) == bits(&front), "sgemm m={m} n={n} k={k} alpha={alpha} beta={beta}");
+            for threads in [1, 3] {
+                let mut front = c0.clone();
+                sgemm(m, n, k, alpha, &a, &b, beta, &mut front, GemmOptions::with_threads(threads)).unwrap();
+                prop_assert!(bits(&packed) == bits(&front), "sgemm m={m} n={n} k={k} alpha={alpha} beta={beta} threads={threads}");
+            }
         }
     }
 
@@ -1074,17 +1104,19 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The kernels give the same bits at every level this CPU runs —
-        /// portable, AVX2, and AVX-512 for the packed tier: the packed
-        /// driver with and without a bias on 1 and 3 threads, the no-pack
-        /// tier, and `sgemm` (either tier) for every `alpha` and `beta`.
-        /// m is ragged against `MR` and past one `MC` block; n against
-        /// `NR` up to nine panels, so every tail of zero to three panels
-        /// follows zero, one and two four-panel groups, and against `NC`;
-        /// k against `KC`.
+        /// portable, AVX2 and AVX-512: the packed driver with and without
+        /// a bias on 1 and 3 threads, the no-pack tier, and `sgemm`
+        /// (either tier) for every `alpha` and `beta`. m is every height
+        /// up to one past `SKINNY_MAX_M`, so every row group of the
+        /// AVX-512 no-pack tier, and past one `MC` block; n against `NR`
+        /// up to nine panels, so every tail of zero to three panels
+        /// follows zero, one and two four-panel groups, against the
+        /// no-pack tier's vectors and strips, and against `NC`; k against
+        /// `KC`.
         #[test]
         fn portable_is_bitwise_equal_to_avx2(
-            m in prop::sample::select([ragged(MR, 3), vec![63, 65, 130]].concat()),
-            n in prop::sample::select([ragged(NR, 9), ragged(NC, 2)].concat()),
+            m in prop::sample::select([(1..=SKINNY_MAX_M + 1).collect(), vec![63, 65, 130]].concat()),
+            n in prop::sample::select([ragged(NR, 9), ragged(NC, 2), STRIP_EDGES.to_vec()].concat()),
             k in prop::sample::select(ragged(KC, 2)),
             alpha in prop::sample::select(vec![1.0f32, -0.75, 3.1]),
             beta in prop::sample::select(vec![0.0f32, 1.0, 0.5]),
@@ -1117,6 +1149,32 @@ mod tests {
                 c
             });
             prop_assert!(same.is_ok(), "sgemm m={m} n={n} k={k} alpha={alpha} beta={beta}: {same:?}");
+        }
+    }
+
+    /// The no-pack tier at every level this CPU runs, for every height up
+    /// to one past `SKINNY_MAX_M` (so every row group of the AVX-512 nest
+    /// and every group count up to five), against every strip tail and
+    /// one and two depth blocks: the proptest above draws its heights, so
+    /// this one walks them all.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn no_pack_tier_is_bitwise_equal_at_every_level_for_every_height() {
+        for m in 1..=SKINNY_MAX_M + 1 {
+            for n in STRIP_EDGES.into_iter().chain([300]) {
+                for k in [5, 300] {
+                    let seed = (m * 1000 + n + k) as u64;
+                    let a = Tensor::random_uniform(Shape::mat(m, k), 1.0, seed).into_vec();
+                    let b = Tensor::random_uniform(Shape::mat(k, n), 1.0, seed + 1).into_vec();
+                    let c0 = Tensor::random_uniform(Shape::mat(m, n), 1.0, seed + 2).into_vec();
+                    let same = same_bits_at_each_level(|| {
+                        let mut c = c0.clone();
+                        gemm_skinny(m, n, k, -0.75, &a, &b, &mut c);
+                        c
+                    });
+                    assert_eq!(same, Ok(()), "gemm_skinny m={m} n={n} k={k}");
+                }
+            }
         }
     }
 

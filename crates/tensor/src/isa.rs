@@ -10,10 +10,11 @@
 //! micro-kernel in `gemm::avx2`), the no-pack tier's
 //! ([`crate::gemm::gemm_skinny_body`]) and pooling's
 //! ([`crate::pool::pool_body`]), the last two as they are, vectorised 8
-//! wide by the compiler. The packed nest is compiled a third time, with
-//! `avx512f`, around the four-panel kernel in `gemm::avx512`; the token
-//! takes it where the CPU has AVX-512F. The no-pack tier and pooling stay
-//! on AVX2 there.
+//! wide by the compiler. Where the CPU has AVX-512F the token takes two
+//! more instantiations, both with `avx512f`: the packed nest around the
+//! four-panel kernel in `gemm::avx512`, and that file's own no-pack nest,
+//! which keeps a group of up to eight rows' accumulators in zmm registers
+//! and reads B in place. Pooling stays on AVX2 there.
 //!
 //! The bits are the portable nests'. The AVX2 instantiations enable only
 //! `avx2`, never `fma`, so the compiler has no fused instruction to reach
@@ -35,7 +36,7 @@ use crate::gemm::{PackedA, PackedB, MR, NR};
 use crate::pool::{Plan, Pooling};
 
 /// What the kernels may use, lowest first: the portable nests, their
-/// AVX2 instantiations, and AVX-512 for the packed tier.
+/// AVX2 instantiations, and AVX-512 for both GEMM tiers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Level {
     Portable,
@@ -98,7 +99,8 @@ impl Avx2 {
         }
     }
 
-    /// [`crate::gemm::gemm_skinny`] on AVX2.
+    /// [`crate::gemm::gemm_skinny`] on AVX-512 where the CPU has it (its
+    /// own register-blocked nest), on AVX2 elsewhere.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn gemm_skinny(
         self,
@@ -110,8 +112,13 @@ impl Avx2 {
         b: &[f32],
         c: &mut [f32],
     ) {
-        // SAFETY: `self` exists only where `detect` found AVX2 on this CPU.
-        unsafe { gemm_skinny(m, n, k, alpha, a, b, c) }
+        if self.avx512 {
+            // SAFETY: `avx512` is set only where `detect` found AVX-512F.
+            unsafe { gemm_skinny_avx512(m, n, k, alpha, a, b, c) }
+        } else {
+            // SAFETY: `self` exists only where `detect` found AVX2.
+            unsafe { gemm_skinny(m, n, k, alpha, a, b, c) }
+        }
     }
 
     /// [`crate::pool::pool_body`] on AVX2.
@@ -162,6 +169,19 @@ fn packed_strip_avx512(
 #[target_feature(enable = "avx2")]
 fn gemm_skinny(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32], c: &mut [f32]) {
     crate::gemm::gemm_skinny_body(m, n, k, alpha, a, b, c);
+}
+
+#[target_feature(enable = "avx512f")]
+fn gemm_skinny_avx512(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    crate::gemm::avx512::skinny(m, n, k, alpha, a, b, c);
 }
 
 #[target_feature(enable = "avx2")]

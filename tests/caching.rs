@@ -203,6 +203,68 @@ fn concurrent_hits_race_safely_through_the_engine() {
     Arc::try_unwrap(engine).ok().unwrap().shutdown();
 }
 
+/// The embed cache's miss path at `pos`'s serving height: one 28-row
+/// request mixes warm rows, cold rows and one cold row sent twice. Its
+/// cold rows go through the prefix as one batch, so this is where a
+/// row's bits must not depend on what it is batched with: the output
+/// equals `forward()`'s bit for bit, each distinct cold row adds one
+/// entry (the repeat's second insert replaces its first), the same
+/// request warm equals it again, and a threaded call equals a serial
+/// one.
+#[test]
+fn embed_cache_batched_cold_rows_equal_forward_bitwise() {
+    use djinn_tonic::dnn::cache::EmbedCache;
+    use djinn_tonic::tensor::Threading;
+    let net = zoo::network(zoo::App::Pos).unwrap();
+    let width = net.def().input_shape().dims()[1];
+    let pool = Tensor::random_uniform(Shape::mat(40, width), 1.0, 0xC01D);
+    let row = |i: usize| &pool.data()[i * width..][..width];
+    // Rows 0..10 are warmed first; the request repeats cold row 20.
+    let picks: Vec<usize> = (0..10).chain(10..27).chain([20]).collect();
+    let input = Tensor::from_vec(
+        Shape::mat(picks.len(), width),
+        picks.iter().flat_map(|&i| row(i)).copied().collect(),
+    )
+    .unwrap();
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    let want = bits(&net.forward(&input).unwrap());
+    for threading in [Threading::SINGLE, Threading::new(3)] {
+        let cache = EmbedCache::new(64 << 20);
+        let warm =
+            Tensor::from_vec(Shape::mat(10, width), pool.data()[..10 * width].to_vec()).unwrap();
+        net.forward_embed_cached(&warm, &cache, threading).unwrap();
+        let before = cache.stats();
+        let got = net.forward_embed_cached(&input, &cache, threading).unwrap();
+        assert_eq!(
+            bits(&got),
+            want,
+            "{threading:?}: mixed request differs from forward()"
+        );
+        let after = cache.stats();
+        assert_eq!(
+            after.hits - before.hits,
+            10,
+            "{threading:?}: the ten warm rows hit"
+        );
+        assert_eq!(
+            after.insertions - before.insertions,
+            17,
+            "{threading:?}: 18 cold rows, 17 of them distinct, one new entry each"
+        );
+        let again = net.forward_embed_cached(&input, &cache, threading).unwrap();
+        assert_eq!(
+            bits(&again),
+            want,
+            "{threading:?}: all-warm request differs from forward()"
+        );
+        assert_eq!(
+            cache.stats().insertions,
+            after.insertions,
+            "a warm request inserts nothing"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

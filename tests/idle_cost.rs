@@ -3,8 +3,10 @@
 //! these tests check something only on Linux.
 //!
 //! The counts cover the whole process, so this binary holds nothing but
-//! these tests, and they take turns. Every name starts `idle_` so CI can
-//! run the group by name.
+//! these tests, and they take turns. The idle checks' names start `idle_`
+//! so CI can run the group by name. One more reads what the service's
+//! threads look like to the scheduler: the compute threads' nice against
+//! the poll loop's.
 
 use std::net::SocketAddr;
 use std::sync::Mutex;
@@ -25,34 +27,43 @@ fn on_linux() -> bool {
     std::path::Path::new("/proc/self/task").exists()
 }
 
-/// Threads in this process, less the router test's own thread. The test
-/// harness names a test's thread after the test (cut to 15 bytes, as
-/// Linux keeps it); when the router test has just had its turn, that
-/// thread can still be exiting while the server test counts, and would
-/// read as a thread the idle connections took away.
-fn threads() -> usize {
+/// This process's threads whose name starts with `prefix`: each one's
+/// name and `/proc` directory.
+fn tasks(prefix: &str) -> Vec<(String, std::path::PathBuf)> {
     let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
-        return 0;
-    };
-    tasks
-        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
-        .filter(|comm| !"idle_router_wakes_only_for_its_stats_ticks".starts_with(comm.trim_end()))
-        .count()
-}
-
-/// Voluntary context switches — times a thread blocked — summed over
-/// this process's threads whose name starts with `prefix`.
-fn switches(prefix: &str) -> u64 {
-    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
-        return 0;
+        return Vec::new();
     };
     tasks
         .filter_map(|t| {
             let dir = t.ok()?.path();
             let comm = std::fs::read_to_string(dir.join("comm")).ok()?;
-            if !comm.starts_with(prefix) {
-                return None;
-            }
+            comm.starts_with(prefix)
+                .then(|| (comm.trim_end().to_string(), dir))
+        })
+        .collect()
+}
+
+/// The service's own threads in this process: every one it starts is
+/// named `djinn-...`, so a test harness thread that exits between two
+/// counts does not move them. A new thread takes its name only once it
+/// first runs, and until then shows its parent's, so this first waits
+/// (up to five seconds) until no thread but the caller shows the
+/// caller's name.
+fn threads() -> usize {
+    let me = std::fs::read_to_string("/proc/thread-self/comm").unwrap_or_default();
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while tasks(me.trim_end()).len() > 1 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    tasks("djinn-").len()
+}
+
+/// Voluntary context switches — times a thread blocked — summed over
+/// this process's threads whose name starts with `prefix`.
+fn switches(prefix: &str) -> u64 {
+    tasks(prefix)
+        .iter()
+        .filter_map(|(_, dir)| {
             let status = std::fs::read_to_string(dir.join("status")).ok()?;
             let line = status
                 .lines()
@@ -60,6 +71,14 @@ fn switches(prefix: &str) -> u64 {
             line.split_whitespace().nth(1)?.parse::<u64>().ok()
         })
         .sum()
+}
+
+/// A thread's nice value: field 19 of its `stat`, counted after the
+/// parenthesised name, which may itself hold spaces.
+fn nice(dir: &std::path::Path) -> Option<i64> {
+    let stat = std::fs::read_to_string(dir.join("stat")).ok()?;
+    let after_name = &stat[stat.rfind(')')? + 1..];
+    after_name.split_whitespace().nth(19 - 3)?.parse().ok()
 }
 
 /// Opens `IDLE` connections to `addr`, each answered once and then left
@@ -100,7 +119,9 @@ fn idle_server_connections_cost_no_threads_and_no_wakeups() {
     .unwrap();
     let before = threads();
     let idle = idle_clients(server.local_addr());
-    let added = threads() - before;
+    // Signed: a thread of an earlier test's server can still be leaving
+    // `/proc` while this one counts.
+    let added = threads() as i64 - before as i64;
     let woke = switches_while_idle("djinn-");
     assert_eq!(
         added, 0,
@@ -111,6 +132,51 @@ fn idle_server_connections_cost_no_threads_and_no_wakeups() {
         "the idle server's threads blocked {woke} times in {WATCH:?}"
     );
     drop(idle);
+    server.shutdown();
+}
+
+/// Every engine worker runs below the server's poll loop: a cache hit or
+/// a ready reply on the loop should not wait behind a forward pass for
+/// the CPU. The workers lower their own nice as they start, so the test
+/// waits until each has.
+#[test]
+fn compute_threads_yield_to_the_io_loop() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    if !on_linux() {
+        return;
+    }
+    let server = DjinnServer::start(
+        ModelRegistry::with_tiny_test_zoo().unwrap(),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let niceness = |prefix: &str| -> Vec<(String, i64)> {
+        tasks(prefix)
+            .into_iter()
+            .filter_map(|(name, dir)| Some((name, nice(&dir)?)))
+            .collect()
+    };
+    assert!(threads() > 1, "the server and its engines are named");
+    let poll = niceness("djinn-server");
+    assert_eq!(poll.len(), 1, "one poll thread: {poll:?}");
+    // A worker is named before it runs a line of its own, so it may not
+    // have lowered its nice yet.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let engines = loop {
+        let engines = niceness("djinn-engine-");
+        if engines.iter().all(|(_, n)| *n > poll[0].1) || std::time::Instant::now() > deadline {
+            break engines;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(!engines.is_empty(), "the tiny zoo starts engine workers");
+    for (name, n) in &engines {
+        assert!(
+            *n > poll[0].1,
+            "{name} runs at nice {n}, not below the poll thread's {}",
+            poll[0].1
+        );
+    }
     server.shutdown();
 }
 
