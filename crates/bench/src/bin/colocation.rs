@@ -18,12 +18,13 @@
 //! `always-batch` waits out the full coalescing window, so interactive
 //! requests eat the window on top of service and blow the SLA.
 //! `always-colocate` is DjiNN's original shape: no batching at all —
-//! immediate dispatch workers co-locate requests on the shared device
+//! each engine dispatches one request per forward pass (a batch cap of
+//! one, no window), and the two engines co-locate on the shared device
 //! — so every request pays the full dispatch cost, the device
 //! saturates far below the batched capacity, and the overload surfaces
-//! as admission sheds and lease waits. The `dynamic` policy batches
-//! adaptively per dispatch from queue depth, device idleness, and SLA
-//! headroom — the claim this table checks is that it beats both
+//! as admission sheds and queue and lease waits. The `dynamic` policy
+//! batches adaptively per dispatch from queue depth, device idleness,
+//! and SLA headroom — the claim this table checks is that it beats both
 //! static extremes on SLA attainment and goodput at every swept
 //! point. (The engine's zero-window continuous-batching mode,
 //! [`ColocationPolicy::AlwaysColocate`], is a much stronger baseline —
@@ -81,7 +82,8 @@ struct Cell {
 enum Arm {
     /// Batched engine, full coalescing window.
     AlwaysBatch,
-    /// No batching: immediate dispatch workers share the device.
+    /// No batching: one request per dispatch, both engines sharing the
+    /// device.
     AlwaysColocate,
     /// Batched engine, zero window — continuous batching of whatever
     /// backlog exists at dispatch time.
@@ -277,16 +279,19 @@ fn run_cell(cell: &Cell, arm: Arm, duration: Duration) -> Result<RunResult, Stri
         max_batch: MAX_BATCH,
         max_delay: MAX_DELAY,
     });
+    let alone = DispatchPolicy::Batched(BatchConfig {
+        max_batch: 1,
+        max_delay: Duration::ZERO,
+    });
     let (dispatch, colocation) = match arm {
         Arm::AlwaysBatch => (batched, ColocationPolicy::AlwaysBatch),
-        Arm::AlwaysColocate => (DispatchPolicy::Immediate, ColocationPolicy::AlwaysColocate),
+        Arm::AlwaysColocate => (alone, ColocationPolicy::AlwaysColocate),
         Arm::ColocateCb => (batched, ColocationPolicy::AlwaysColocate),
         Arm::Dynamic => (batched, ColocationPolicy::Dynamic { sla: cell.sla }),
     };
     let config = EngineConfig {
         policy: dispatch,
         queue_capacity: QUEUE_CAPACITY,
-        workers: 4,
         colocation,
     };
     let names = ["tiny-mnist", "tiny-senna"];

@@ -2,16 +2,20 @@
 //!
 //! ```text
 //! djinn-server [--addr HOST:PORT] [--backend cpu|sim-gpu]
-//!              [--batch N] [--threads N] [--queue N] [--workers N]
+//!              [--batch N] [--threads N] [--queue N]
 //!              [--device-threads N] [--policy batch|colocate|dynamic]
 //!              [--sla-ms N] [--models DIR] [--tiny-zoo] [--lm] [--only NAME,NAME]
 //!              [--service-delay-us N] [--cache off|exact|embed|both]
 //!              [--cache-mb N] [--export DIR]
 //! ```
 //!
-//! `--queue` bounds each model's admission queue (requests beyond it are
-//! shed with a `Busy` reply); `--workers` sets the per-model dispatch
-//! workers for unbatched serving.
+//! Each model has one dispatch thread. Without `--batch` it dispatches
+//! at once whatever is queued when it is free; `--batch N` caps a batch
+//! at `N` queries and lets it wait up to 2 ms for company. `--threads`
+//! is what a forward pass may spend (batch sharding or in-layer GEMM
+//! strips), and how one model uses more than one core. `--queue` bounds
+//! each model's admission queue (requests beyond it are shed with a
+//! `Busy` reply).
 //!
 //! With `--models DIR`, every `*.djnm` model file in the directory is
 //! served under its file stem; otherwise the seven built-in Tonic models
@@ -60,7 +64,6 @@ struct Args {
     batch: Option<usize>,
     threads: usize,
     queue: usize,
-    workers: usize,
     models: Option<PathBuf>,
     tiny_zoo: bool,
     lm: bool,
@@ -82,7 +85,6 @@ fn parse_args() -> Result<Args, String> {
         batch: None,
         threads: 1,
         queue: defaults.queue_capacity,
-        workers: defaults.engine_workers,
         models: None,
         tiny_zoo: false,
         lm: false,
@@ -128,14 +130,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("bad --queue: {e}"))?;
                 if args.queue == 0 {
                     return Err("--queue must be at least 1".into());
-                }
-            }
-            "--workers" => {
-                args.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("bad --workers: {e}"))?;
-                if args.workers == 0 {
-                    return Err("--workers must be at least 1".into());
                 }
             }
             "--models" => args.models = Some(PathBuf::from(value("--models")?)),
@@ -200,7 +194,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: djinn-server [--addr HOST:PORT] [--backend cpu|sim-gpu] \
-                            [--batch N] [--threads N] [--queue N] [--workers N] \
+                            [--batch N] [--threads N] [--queue N] \
                             [--device-threads N] [--policy batch|colocate|dynamic] \
                             [--sla-ms N] [--models DIR] [--tiny-zoo] [--lm] [--only NAME,NAME] \
                             [--service-delay-us N] [--cache off|exact|embed|both] \
@@ -292,7 +286,6 @@ fn main() -> ExitCode {
         }),
         threads: args.threads,
         queue_capacity: args.queue,
-        engine_workers: args.workers,
         service_delay: args.service_delay,
         device_capacity: args.device_threads,
         colocation: match args.policy.as_str() {

@@ -11,9 +11,9 @@
 //!   or an MPS-style slot count on the simulated GPU (the fluid-rate
 //!   sharing model in `gpusim::engine::mps_slowdown`, where co-resident
 //!   kernels divide the device by their summed demand);
-//! * [`DeviceScheduler`] grants bounded [`ComputeLease`]s to engine
-//!   workers. A lease carries the thread budget the holder may spend;
-//!   dropping it returns the capacity and wakes waiters. The time spent
+//! * [`DeviceScheduler`] grants bounded [`ComputeLease`]s to engines'
+//!   dispatch threads. A lease carries the thread budget the holder may
+//!   spend; dropping it returns the capacity and wakes waiters. The time spent
 //!   blocked in [`DeviceScheduler::acquire`] is the *lease wait* — a
 //!   visible stage in traces and stats, the co-location analogue of
 //!   queueing delay;

@@ -2,31 +2,34 @@
 //! compute.
 //!
 //! Every registered model gets one [`InferenceEngine`] owning a bounded
-//! admission queue, one or more dispatch workers, and the shared
-//! executor. Both serving modes of the paper are dispatch policies of the
-//! same engine — [`DispatchPolicy::Immediate`] executes each admitted job
-//! on its own, [`DispatchPolicy::Batched`] runs the §5.1 coalescing loop
-//! (stack co-batched queries, one forward pass, scatter the output rows)
-//! — so batched and unbatched requests share admission, telemetry, error
-//! handling, and shutdown semantics.
+//! admission queue, one dispatch thread, and the shared executor. The
+//! thread runs the §5.1 coalescing loop — stack the queued queries, one
+//! forward pass, scatter the output rows — and both serving modes of the
+//! paper are settings of it: [`DispatchPolicy::Immediate`] dispatches
+//! whatever is queued the moment the thread is free, and
+//! [`DispatchPolicy::Batched`] may also wait out a window for company.
+//! Since a row's bits do not depend on what it is batched with, the two
+//! compute the same outputs; parallelism inside one forward pass comes
+//! from the executor's thread budget, not from more dispatch threads.
 //!
 //! Admission is **non-blocking with explicit backpressure**: when the
 //! queue holds `queue_capacity` jobs, [`InferenceEngine::submit`] returns
 //! [`DjinnError::Busy`] immediately instead of blocking the caller. The
 //! server's connection loop therefore never waits on the engine at all:
 //! it admits, and each admitted job's reply — guaranteed to arrive,
-//! because dispatch workers answer every job they pop and shutdown drains
-//! the queue before joining — comes back through a [`ReplyTo`] that wakes
-//! the loop.
+//! because the dispatch thread answers every job it pops and shutdown
+//! drains the queue before joining — comes back through a [`ReplyTo`]
+//! that wakes the loop.
 //!
 //! A **stream** is a job in the same queue. It is admitted once, through
 //! the same capacity check, and the queue entry is always its *next
-//! step*: a worker that dequeues a step takes every other queued step
-//! with it (one decode tick — continuous batching), runs one forward
-//! pass over the stacked rows, emits each stream's chunk and puts the
-//! unfinished streams back. At most one tick is in flight per engine, so
-//! streams that become ready meanwhile join the next tick instead of
-//! forming a second, smaller one.
+//! step*. The steps the dispatch thread takes together, with any one-shot
+//! jobs queued among them, are one decode tick (continuous batching): one
+//! forward pass over the stacked rows, each stream's chunk emitted, the
+//! unfinished streams put back. A batch that carries a step never waits
+//! out a window. With one dispatch thread, one tick is in flight at a
+//! time, so streams that become ready meanwhile join the next tick
+//! instead of forming a second, smaller one.
 //!
 //! Telemetry: queue depth, in-flight jobs, shed count, and log-bucketed
 //! queue-wait / service-time histograms (from [`gpusim::queueing`], the
@@ -69,16 +72,20 @@ impl Default for BatchConfig {
     }
 }
 
-/// How admitted jobs reach the executor.
+/// How admitted jobs reach the executor. Under either policy the engine's
+/// one dispatch thread takes queued jobs in arrival order, up to
+/// `max_batch` stacked queries (a wider job still runs, alone), and runs
+/// them as one forward pass; the policies differ in how long it waits for
+/// company.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchPolicy {
-    /// Each job runs alone, as soon as a worker is free. A pool of
-    /// [`EngineConfig::workers`] dispatch workers preserves concurrent
-    /// execution for independent requests.
+    /// Never wait: whatever is queued when the thread is free, up to
+    /// [`BatchConfig::default`]'s `max_batch`, goes at once — `Batched`
+    /// with a zero `max_delay`. A lone request runs alone; a backlog is
+    /// batched rather than run side by side.
     Immediate,
     /// Jobs are coalesced into one forward pass up to `max_batch` stacked
-    /// queries or `max_delay` of waiting, whichever comes first. One
-    /// worker runs the coalescing loop so batch assembly is predictable.
+    /// queries or `max_delay` of waiting, whichever comes first.
     Batched(BatchConfig),
 }
 
@@ -91,9 +98,6 @@ pub struct EngineConfig {
     /// [`DjinnError::Busy`]. Bounds both memory and worst-case queueing
     /// delay under overload.
     pub queue_capacity: usize,
-    /// Dispatch workers for [`DispatchPolicy::Immediate`] (ignored by
-    /// `Batched`, which always runs exactly one coalescing worker).
-    pub workers: usize,
     /// Batch-more vs. co-locate-more choice for the batched coalescing
     /// loop on a shared device. [`ColocationPolicy::AlwaysBatch`] (the
     /// default) reproduces the pre-scheduler behavior of always waiting
@@ -106,7 +110,6 @@ impl Default for EngineConfig {
         EngineConfig {
             policy: DispatchPolicy::Immediate,
             queue_capacity: 128,
-            workers: 4,
             colocation: ColocationPolicy::AlwaysBatch,
         }
     }
@@ -118,7 +121,7 @@ impl Default for EngineConfig {
 /// compute, and no deployment here needs a different bound.
 pub const MAX_STREAM_TOKENS: u32 = 1024;
 
-/// How long a dispatch worker holds a tick whose every stream is waiting
+/// How long the dispatch thread holds a tick whose every stream is waiting
 /// on a full receiver before it looks again (a new arrival ends the wait
 /// early).
 const STALL_BACKOFF: Duration = Duration::from_millis(1);
@@ -393,10 +396,8 @@ struct Job {
     /// Admission for a one-shot job; for a stream, when this step was
     /// queued.
     enqueued: Instant,
-    /// The queue-exit span mark, stamped by the batched worker when it
-    /// takes the job off the queue. Immediate dispatch has no coalescing
-    /// phase and leaves it to `dispatch`, so its batch span is ~0 and
-    /// time blocked acquiring the device is lease wait, not batching.
+    /// The queue-exit span mark, stamped by the dispatch loop when it
+    /// takes the job off the queue (`None` while queued).
     dequeued: Option<Instant>,
 }
 
@@ -412,12 +413,11 @@ impl Job {
 
 struct State {
     queue: BoundedQueue<Job>,
-    /// `false` once shutdown starts: no new admissions, workers drain
-    /// what is queued and exit.
+    /// `false` once shutdown starts: no new admissions; the dispatch
+    /// thread drains what is queued and exits.
     open: bool,
-    /// Stream steps out of the queue with the decode tick now in flight
-    /// (0: no tick). They come back, so they keep counting against the
-    /// queue's capacity, and while they are out no second tick starts.
+    /// Stream steps out of the queue with the batch now in flight. They
+    /// come back, so they keep counting against the queue's capacity.
     stepping: usize,
 }
 
@@ -467,7 +467,7 @@ impl Ticket {
     /// # Errors
     ///
     /// Returns the job's inference error, or [`DjinnError::Shutdown`] if
-    /// the engine died without answering (worker panic).
+    /// the engine died without answering (dispatch thread panic).
     pub fn wait(self) -> Result<Tensor> {
         self.wait_traced().map(|(output, _)| output)
     }
@@ -483,11 +483,12 @@ impl Ticket {
     }
 }
 
-/// A per-model execution engine: bounded admission queue + dispatch
-/// workers + executor.
+/// A per-model execution engine: bounded admission queue + one dispatch
+/// thread + executor.
 pub struct InferenceEngine {
     inner: Arc<Inner>,
-    workers: Vec<JoinHandle<()>>,
+    /// `None` once stopped.
+    dispatcher: Option<JoinHandle<()>>,
     /// What a stream's input is checked against at admission.
     input_shape: Shape,
 }
@@ -496,7 +497,6 @@ impl std::fmt::Debug for InferenceEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InferenceEngine")
             .field("model", &self.inner.model)
-            .field("workers", &self.workers.len())
             .finish()
     }
 }
@@ -571,36 +571,28 @@ impl InferenceEngine {
             colocation: config.colocation,
             cache,
         });
-        let worker_count = match config.policy {
-            DispatchPolicy::Immediate => config.workers.max(1),
-            DispatchPolicy::Batched(_) => 1,
+        let input_shape = network.def().input_shape().clone();
+        let batch = match config.policy {
+            DispatchPolicy::Immediate => BatchConfig {
+                max_delay: Duration::ZERO,
+                ..BatchConfig::default()
+            },
+            DispatchPolicy::Batched(bc) => bc,
         };
-        let workers = (0..worker_count)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                let network = Arc::clone(&network);
-                let executor = Arc::clone(&executor);
-                let policy = config.policy;
-                std::thread::Builder::new()
-                    .name(format!("djinn-engine-{model}-{i}"))
-                    .spawn(move || {
-                        crate::io::yield_to_io_loop();
-                        match policy {
-                            DispatchPolicy::Immediate => {
-                                immediate_loop(&inner, &network, &*executor)
-                            }
-                            DispatchPolicy::Batched(bc) => {
-                                batched_loop(&inner, &network, &*executor, bc)
-                            }
-                        }
-                    })
-                    .expect("spawning engine worker")
-            })
-            .collect();
+        let dispatcher = {
+            let inner = Arc::clone(&inner);
+            std::thread::Builder::new()
+                .name(format!("djinn-engine-{model}"))
+                .spawn(move || {
+                    crate::io::yield_to_io_loop();
+                    dispatch_loop(&inner, &network, &*executor, batch)
+                })
+                .expect("spawning engine dispatch thread")
+        };
         InferenceEngine {
             inner,
-            workers,
-            input_shape: network.def().input_shape().clone(),
+            dispatcher: Some(dispatcher),
+            input_shape,
         }
     }
 
@@ -644,7 +636,7 @@ impl InferenceEngine {
         // queue, the device lease, and the forward pass entirely, and is
         // stamped with the `cache` disposition (all spans ~0). A miss
         // falls through to the normal bounded-queue path and is inserted
-        // by the dispatch worker that computes it.
+        // by the dispatch thread once computed.
         if let Some(exact) = self.inner.cache.as_deref().and_then(InferenceCache::exact) {
             if let Some(output) = exact.get(&input) {
                 self.inner.completed.fetch_add(1, Ordering::Relaxed);
@@ -848,7 +840,8 @@ impl InferenceEngine {
     }
 
     /// Stops admissions, drains every queued job (each gets a real
-    /// reply; a live stream its terminal one), and joins the workers.
+    /// reply; a live stream its terminal one), and joins the dispatch
+    /// thread.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -861,7 +854,7 @@ impl InferenceEngine {
         self.inner.cv.notify_all();
         // A live stream ends with a terminal `Shutdown` reply at the end
         // of the tick it is in, so the join is bounded by one tick.
-        for h in self.workers.drain(..) {
+        if let Some(h) = self.dispatcher.take() {
             let _ = h.join();
         }
         self.inner.scheduler.unregister_sharer();
@@ -871,36 +864,10 @@ impl InferenceEngine {
 impl Drop for InferenceEngine {
     fn drop(&mut self) {
         // Dropping drains and joins so no admitted job is left without a
-        // reply and no worker outlives the engine.
-        if !self.workers.is_empty() {
+        // reply and no dispatch thread outlives the engine.
+        if self.dispatcher.is_some() {
             self.stop();
         }
-    }
-}
-
-/// Blocks until an immediate-policy worker has work, and pops it: one
-/// one-shot job, alone — or, when the first job it may run is a stream
-/// step, that step with every other step queued: one decode tick. While
-/// a tick is in flight its steps are out of the queue; steps that arrive
-/// meanwhile are passed over (one-shot jobs behind them still run on the
-/// other workers) and join the next tick. `None` once the engine is
-/// closed *and* drained.
-fn next_jobs(inner: &Inner) -> Option<Vec<Job>> {
-    let mut st = inner.lock();
-    loop {
-        let ticking = st.stepping > 0;
-        if let Some(job) = st.queue.pop_first(|j| !(ticking && j.is_step())) {
-            let mut jobs = vec![job];
-            if jobs[0].is_step() {
-                jobs.extend(st.queue.take_all(Job::is_step));
-                st.stepping = jobs.len();
-            }
-            return Some(jobs);
-        }
-        if !st.open && st.queue.is_empty() {
-            return None;
-        }
-        st = inner.cv.wait(st).unwrap_or_else(|e| e.into_inner());
     }
 }
 
@@ -949,13 +916,10 @@ fn one_hot_like(row: &Tensor) -> Tensor {
     Tensor::from_vec(row.shape().clone(), next).expect("one-hot row matches the source shape")
 }
 
-fn immediate_loop(inner: &Inner, network: &Arc<Network>, executor: &dyn Executor) {
-    while let Some(jobs) = next_jobs(inner) {
-        dispatch(inner, network, executor, jobs);
-    }
-}
-
-fn batched_loop(
+/// The dispatch thread: until the engine is closed and drained, takes
+/// what is queued, coalesces more for as long as the policy's budget
+/// allows, and dispatches it as one batch.
+fn dispatch_loop(
     inner: &Inner,
     network: &Arc<Network>,
     executor: &dyn Executor,
@@ -993,8 +957,9 @@ fn batched_loop(
         // device availability. A draining engine skips the wait —
         // queued jobs are answered as fast as possible — and so does a
         // batch that carries a stream step: a token waits for the tick
-        // before it, never for a window.
-        let budget = if draining || jobs.iter().any(Job::is_step) {
+        // before it, never for a window. A zero window has no budget to
+        // weigh.
+        let budget = if draining || config.max_delay.is_zero() || jobs.iter().any(Job::is_step) {
             Duration::ZERO
         } else {
             let queries: usize = jobs.iter().map(Job::queries).sum();
@@ -1087,8 +1052,7 @@ fn settle(inner: &Inner, jobs: Vec<Job>) -> (Vec<Job>, Vec<Job>) {
 /// closed, get their terminal `Shutdown` reply instead. `idle` is a tick
 /// that ran nothing because every stream in it is waiting on its
 /// receiver: it keeps the steps out of the queue a little longer (or
-/// until the next arrival), so the other workers go on serving one-shot
-/// jobs instead of spinning on them.
+/// until the next arrival), so the dispatch thread does not spin on them.
 fn requeue(inner: &Inner, lent: usize, next: Vec<Job>, idle: bool) {
     let mut st = inner.lock();
     if idle && st.open {
@@ -1106,9 +1070,6 @@ fn requeue(inner: &Inner, lent: usize, next: Vec<Job>, idle: bool) {
         return;
     }
     drop(st);
-    // Workers that passed over queued steps while this tick ran must
-    // look again, or they would sleep through the drain.
-    inner.cv.notify_all();
     for job in next {
         if let ReplySlot::Stream(stream) = job.reply {
             // A last offer: what a full receiver cannot take (this, and
@@ -1367,7 +1328,7 @@ mod tests {
         // The error arrives as the real typed DNN failure, not a
         // pre-stringified remote message.
         assert!(matches!(eng.infer(wrong), Err(DjinnError::Dnn(_))));
-        // The worker survives a failed batch.
+        // The dispatch thread survives a failed batch.
         let ok = Tensor::zeros(Shape::nchw(1, 1, 28, 28));
         assert!(eng.infer(ok).is_ok());
     }
@@ -1431,7 +1392,6 @@ mod tests {
             EngineConfig {
                 policy: DispatchPolicy::Immediate,
                 queue_capacity: 2,
-                workers: 1,
                 ..EngineConfig::default()
             },
         ));
@@ -1450,7 +1410,7 @@ mod tests {
                 Err(other) => panic!("unexpected admission error: {other}"),
             }
         }
-        // 10 offers against bound 2 + 1 worker: admission returned
+        // 10 offers against bound 2 + 1 dispatch thread: admission returned
         // immediately for all of them (the executor alone would need
         // 400 ms for 10 jobs).
         assert!(
@@ -1480,7 +1440,6 @@ mod tests {
                 Arc::new(CpuExecutor::default()),
                 EngineConfig {
                     policy: DispatchPolicy::Immediate,
-                    workers: 1,
                     ..EngineConfig::default()
                 },
             );
@@ -1510,7 +1469,6 @@ mod tests {
             EngineConfig {
                 policy: DispatchPolicy::Immediate,
                 queue_capacity: 16,
-                workers: 1,
                 ..EngineConfig::default()
             },
         );
@@ -1559,7 +1517,6 @@ mod tests {
             EngineConfig {
                 policy: DispatchPolicy::Immediate,
                 queue_capacity: 32,
-                workers: 4,
                 ..EngineConfig::default()
             },
         );
@@ -1570,8 +1527,8 @@ mod tests {
             want.insert(token, net.forward(&input).unwrap());
             eng.submit_routed(input, token, tx.clone()).unwrap();
         }
-        // With 4 workers completions may arrive in any order; each token
-        // must show up exactly once with its own output.
+        // Routed completions carry no order guarantee; each token must
+        // show up exactly once with its own output.
         let mut seen = std::collections::BTreeMap::new();
         for _ in 0..8 {
             let RoutedReply {
@@ -1610,7 +1567,6 @@ mod tests {
             EngineConfig {
                 policy: DispatchPolicy::Immediate,
                 queue_capacity: 16,
-                workers: 1,
                 ..EngineConfig::default()
             },
         );
@@ -1644,7 +1600,6 @@ mod tests {
             EngineConfig {
                 policy: DispatchPolicy::Immediate,
                 queue_capacity: 8,
-                workers: 2,
                 ..EngineConfig::default()
             },
         );
@@ -1670,7 +1625,6 @@ mod tests {
             EngineConfig {
                 policy: DispatchPolicy::Immediate,
                 queue_capacity: 8,
-                workers: 1,
                 ..EngineConfig::default()
             },
         );
@@ -1770,7 +1724,6 @@ mod tests {
                 EngineConfig {
                     policy: DispatchPolicy::Immediate,
                     queue_capacity: 64,
-                    workers: 2,
                     colocation: crate::ColocationPolicy::AlwaysColocate,
                 },
                 Arc::clone(&sched),
@@ -1821,7 +1774,6 @@ mod tests {
                 EngineConfig {
                     policy: DispatchPolicy::Immediate,
                     queue_capacity: 32,
-                    workers: 1,
                     colocation: crate::ColocationPolicy::AlwaysColocate,
                 },
                 Arc::clone(&sched),
@@ -1870,7 +1822,6 @@ mod tests {
             EngineConfig {
                 policy: DispatchPolicy::Immediate,
                 queue_capacity: 16,
-                workers: 1,
                 ..EngineConfig::default()
             },
         )
@@ -1937,7 +1888,6 @@ mod tests {
             EngineConfig {
                 policy: DispatchPolicy::Immediate,
                 queue_capacity: 16,
-                workers: 1,
                 ..EngineConfig::default()
             },
         );
@@ -2080,32 +2030,30 @@ mod tests {
 
     #[test]
     fn a_tick_stacks_every_ready_stream_and_only_one_tick_is_in_flight() {
-        let (eng, entered, open) = gated_lm_engine(EngineConfig::default()); // 4 workers
+        let (eng, entered, open) = gated_lm_engine(EngineConfig::default());
         let (tx, rx) = bounded(64);
         let tokens = StreamMode::Generative { max_tokens: 3 };
         eng.submit_stream_routed(lm_prompt(0), 0, tokens, tx.clone())
             .unwrap();
         let first = entered.recv_timeout(Duration::from_secs(10)).unwrap();
         assert_eq!(first, 1, "the lone stream's first step runs at once");
-        // Three more arrive while that tick is held at the gate. Three
-        // workers are idle, and none of them may start a second tick.
+        // Three more streams and a one-shot job arrive while that tick is
+        // held at the gate: no second tick starts beside it.
         for token in 1..4 {
             eng.submit_stream_routed(lm_prompt(token as usize), token, tokens, tx.clone())
                 .unwrap();
         }
+        let one_shot = eng.submit(lm_prompt(9)).unwrap();
         assert!(
             entered.recv_timeout(Duration::from_millis(100)).is_err(),
             "a second decode tick started beside the one in flight"
         );
-        // A one-shot job is not held up behind the queued steps: another
-        // worker passes them over and takes it to the executor.
-        let one_shot = eng.submit(lm_prompt(9)).unwrap();
-        assert_eq!(entered.recv_timeout(Duration::from_secs(10)).unwrap(), 1);
         drop(open);
         one_shot.wait().unwrap();
-        // The next tick carries all four streams in one forward pass.
+        // The next tick carries all four streams, and the one-shot queued
+        // among them, in one forward pass.
         let widths: Vec<usize> = entered.iter().take(3).collect();
-        assert_eq!(widths, vec![4, 4, 3], "ticks after the first: {widths:?}");
+        assert_eq!(widths, vec![5, 4, 3], "ticks after the first: {widths:?}");
         drop(tx);
         let net = lm_net();
         let mut seen = vec![0usize; 4];
@@ -2127,7 +2075,6 @@ mod tests {
     fn stream_is_shed_busy_when_the_queue_is_full() {
         let (eng, entered, open) = gated_lm_engine(EngineConfig {
             queue_capacity: 1,
-            workers: 1,
             ..EngineConfig::default()
         });
         let (tx, rx) = bounded(64);
@@ -2159,7 +2106,7 @@ mod tests {
     #[test]
     fn a_full_receiver_sits_ticks_out_and_never_blocks_the_engine() {
         let net = lm_net();
-        let eng = lm_engine(); // one worker: a blocked send would stop everything
+        let eng = lm_engine(); // one dispatch thread: a blocked send would stop everything
         let (slow_tx, slow_rx) = bounded(1);
         let (tx, rx) = bounded(64);
         eng.submit_stream_routed(
@@ -2281,7 +2228,6 @@ mod tests {
             EngineConfig {
                 policy: DispatchPolicy::Immediate,
                 queue_capacity: 8,
-                workers: 1,
                 ..EngineConfig::default()
             },
         );
@@ -2309,7 +2255,6 @@ mod tests {
             EngineConfig {
                 policy: DispatchPolicy::Immediate,
                 queue_capacity: 8,
-                workers: 1,
                 ..EngineConfig::default()
             },
         );

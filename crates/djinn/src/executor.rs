@@ -31,8 +31,9 @@ pub struct InferenceOutcome {
 
 /// A compute backend executing forward passes.
 ///
-/// Implementations must be thread-safe: DjiNN worker threads call
-/// [`Executor::infer`] concurrently against shared read-only models.
+/// Implementations must be thread-safe: the engines' dispatch threads,
+/// one per model, call [`Executor::infer`] concurrently against shared
+/// read-only models.
 pub trait Executor: Send + Sync {
     /// Runs the forward pass of `network` on `input`.
     ///
@@ -271,9 +272,10 @@ impl Executor for SimGpuExecutor {
 /// contend for the same cycles and adding replicas cannot raise
 /// aggregate throughput, which says something about the host, not about
 /// the serving tier under test. A sleep-bound service time makes each
-/// replica's capacity `workers / delay` regardless of colocated
-/// neighbors, so router experiments measure tier behavior (balancing,
-/// queueing, shedding) rather than host contention. The sleep is added
+/// replica's capacity one dispatch per `delay` per model, each carrying
+/// what was queued, regardless of colocated neighbors, so router
+/// experiments measure tier behavior (balancing, queueing, shedding)
+/// rather than host contention. The sleep is added
 /// to the reported device latency, keeping traces consistent with the
 /// modeled device.
 ///

@@ -480,22 +480,27 @@ impl Conn {
     }
 
     /// Writes what it can; `Err` when the socket fails or the peer has
-    /// taken none of its output for [`STALL_LIMIT`].
+    /// taken none of its output for [`STALL_LIMIT`]. The limit is judged
+    /// before writing: whatever the kernel takes at the due time is room
+    /// it found on its own (a receive buffer growing, say), not proof the
+    /// peer reads. A peer that reads frees room, `POLLOUT` brings the loop
+    /// back to write into it, and any write restarts the clock.
     pub(crate) fn flush(&mut self) -> io::Result<()> {
+        if self.stalled.is_some_and(|t| t.elapsed() >= STALL_LIMIT) {
+            let unread = self.out.pending();
+            let reason =
+                format!("stalled reader: {unread} bytes unread, none taken in {STALL_LIMIT:?}");
+            return Err(io::Error::other(reason));
+        }
         let queued = self.out.pending();
         self.out.flush(&self.stream)?;
         let unread = self.out.pending();
         if unread == 0 || unread < queued {
             self.stalled = None;
-            return Ok(());
+        } else {
+            self.stalled.get_or_insert_with(Instant::now);
         }
-        let since = *self.stalled.get_or_insert_with(Instant::now);
-        if since.elapsed() < STALL_LIMIT {
-            return Ok(());
-        }
-        let reason =
-            format!("stalled reader: {unread} bytes unread, none taken in {STALL_LIMIT:?}");
-        Err(io::Error::other(reason))
+        Ok(())
     }
 }
 
@@ -702,6 +707,24 @@ mod tests {
         while conn.stalled.is_none() {
             conn.flush().unwrap();
         }
+        conn.stalled = Some(Instant::now() - STALL_LIMIT);
+        let err = conn.flush().unwrap_err();
+        assert!(err.to_string().contains("stalled reader"), "{err}");
+    }
+
+    #[test]
+    fn at_the_due_time_the_limit_is_judged_before_writing() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut conn = dial(listener.local_addr().unwrap()).unwrap();
+        let mut peer = listener.accept().unwrap().0;
+        conn.out.push_frame(&vec![7u8; 16 << 20]);
+        while conn.stalled.is_none() {
+            conn.flush().unwrap();
+        }
+        // Room in the socket at the due time, with no write since the
+        // clock started: the kernel would take bytes now (a receive
+        // buffer that grew does the same for a peer that reads nothing).
+        peer.read_exact(&mut vec![0u8; 1 << 20]).unwrap();
         conn.stalled = Some(Instant::now() - STALL_LIMIT);
         let err = conn.flush().unwrap_err();
         assert!(err.to_string().contains("stalled reader"), "{err}");

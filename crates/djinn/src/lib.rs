@@ -2,7 +2,7 @@
 //!
 //! This crate is the paper's primary artifact: a standalone service that
 //! accepts inference requests over a custom socket protocol on TCP/IP,
-//! holds every registered model in memory once (worker threads share them
+//! holds every registered model in memory once (engine threads share them
 //! read-only), executes the DNN forward pass, and returns the prediction.
 //!
 //! Components:

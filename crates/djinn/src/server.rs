@@ -50,7 +50,10 @@ pub struct ServerConfig {
     pub bind_addr: String,
     /// Compute backend.
     pub backend: Backend,
-    /// Per-model batching; `None` executes each request alone.
+    /// Per-model batching window; `None` dispatches at once
+    /// ([`DispatchPolicy::Immediate`]): whatever is queued when a model's
+    /// dispatch thread is free runs as one forward pass, so a lone
+    /// request runs alone and a backlog never waits for company.
     pub batching: Option<BatchConfig>,
     /// Per-model `max_batch` overrides on top of `batching` — how the
     /// Table 3 per-application batch sizes are deployed (e.g. 64 for the
@@ -63,10 +66,6 @@ pub struct ServerConfig {
     /// Per-model admission bound: requests beyond this many queued are
     /// answered with `Busy` instead of queued (load shedding).
     pub queue_capacity: usize,
-    /// Dispatch workers per model when requests run unbatched
-    /// (`batching: None`); a batching engine always uses one coalescing
-    /// worker.
-    pub engine_workers: usize,
     /// Extra per-call service time, modeling a device-bound backend (see
     /// [`crate::DelayExecutor`]). `None` runs the backend as-is. Used by
     /// scale-out experiments so colocated replicas on a small host don't
@@ -102,7 +101,6 @@ impl Default for ServerConfig {
             batch_overrides: BTreeMap::new(),
             threads: 1,
             queue_capacity: 128,
-            engine_workers: 4,
             service_delay: None,
             device_capacity: None,
             colocation: ColocationPolicy::AlwaysBatch,
@@ -192,7 +190,10 @@ struct PendingInfer {
 /// What a connection is owed, by token. A client that reuses a request ID
 /// can tell those replies apart only by order (`tests/framing.rs` sends
 /// two Infers under one ID and expects them in turn), so a reply whose
-/// request is behind one still owed is held until that one is done.
+/// request is behind one still owed is held until that one is done. Each
+/// engine dispatches in arrival order, but that alone does not keep the
+/// order: an exact-cache hit is answered during admission, ahead of a
+/// miss admitted before it, and different models' engines race.
 #[derive(Default)]
 struct Pending {
     by_token: HashMap<u64, PendingInfer>,
@@ -278,7 +279,6 @@ impl DjinnServer {
             let engine_config = EngineConfig {
                 policy,
                 queue_capacity: config.queue_capacity,
-                workers: config.engine_workers,
                 colocation: config.colocation,
             };
             let cache = InferenceCache::new(config.cache_mode, per_model_cache_bytes).map(Arc::new);
@@ -871,11 +871,10 @@ mod tests {
 
     #[test]
     fn overloaded_engine_answers_busy_not_error() {
-        // Capacity 1 and one worker held 100 ms per job: of four requests
+        // Capacity 1 and a dispatch held 100 ms per pass: of four requests
         // pipelined at once, one runs, at most one waits, the rest shed.
         let config = ServerConfig {
             queue_capacity: 1,
-            engine_workers: 1,
             service_delay: Some(Duration::from_millis(100)),
             ..ServerConfig::default()
         };

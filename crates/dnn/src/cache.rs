@@ -272,8 +272,9 @@ pub struct ShardedLru<V> {
     insertions: AtomicU64,
 }
 
-/// Shards per cache: enough to keep concurrent engine workers off each
-/// other's locks, few enough that tiny budgets still hold real entries.
+/// Shards per cache: enough to keep concurrent readers and writers (a
+/// serving loop probing, a dispatch thread inserting) off each other's
+/// locks, few enough that tiny budgets still hold real entries.
 const SHARDS: usize = 8;
 
 impl<V: Clone> ShardedLru<V> {

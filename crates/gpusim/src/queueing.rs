@@ -94,29 +94,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Removes and returns the first job `pred` accepts, passing over the
-    /// ones it does not (they keep their order).
-    pub fn pop_first(&mut self, pred: impl FnMut(&T) -> bool) -> Option<T> {
-        let at = self.jobs.iter().position(pred)?;
-        self.jobs.remove(at)
-    }
-
-    /// Removes every job `pred` accepts, in queue order; the rest stay.
-    pub fn take_all(&mut self, mut pred: impl FnMut(&T) -> bool) -> Vec<T> {
-        let mut taken = Vec::new();
-        for _ in 0..self.jobs.len() {
-            let Some(job) = self.jobs.pop_front() else {
-                break;
-            };
-            if pred(&job) {
-                taken.push(job);
-            } else {
-                self.jobs.push_back(job);
-            }
-        }
-        taken
-    }
-
     /// Greedily assembles a batch from the head of the queue.
     ///
     /// The head job is always taken (a single job wider than `max_batch`
@@ -329,20 +306,6 @@ mod tests {
         q.readmit(step);
         assert_eq!(q.len(), 2);
         assert_eq!(q.admitted_count(), 2);
-    }
-
-    #[test]
-    fn pop_first_and_take_all_pass_over_the_rest_in_order() {
-        let mut q = BoundedQueue::new(8);
-        for v in [1u32, 2, 3, 4, 6] {
-            q.offer(v).unwrap();
-        }
-        assert_eq!(q.pop_first(|v| v % 2 == 0), Some(2));
-        assert_eq!(q.pop_first(|v| *v > 9), None);
-        assert_eq!(q.take_all(|v| v % 2 == 0), vec![4, 6]);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(3));
-        assert!(q.is_empty());
     }
 
     #[test]

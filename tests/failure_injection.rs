@@ -518,8 +518,11 @@ mod stalled {
     /// 1 600 requests, 210 MB of replies. A server whose connections each
     /// had a writer thread blocked that writer on A's full socket, then
     /// every engine worker on A's full 1 024-deep reply channel: B waited
-    /// for the 5 s write bound. This one reads no more of A once A is
-    /// 1 MiB behind, so it admits a few dozen of A's requests, not all.
+    /// for the 5 s write bound. This one reads A's whole flood before the
+    /// first replies back up, and answers all 1 600 requests in well under
+    /// a second: what A asked for waits in A's own write buffer, where it
+    /// holds up no one else. (Bounding what one connection may have
+    /// admitted is a separate question.)
     #[test]
     fn stalled_reader_is_dropped_without_stalling_others_direct() {
         let server = wide_server();

@@ -18,7 +18,7 @@ use djinn_tonic::djinn::protocol::{
     peek_request, read_frame, response_id_slot, write_frame, Request, Response, StreamMode, VERSION,
 };
 use djinn_tonic::djinn::{
-    DjinnClient, DjinnError, DjinnServer, ModelRegistry, ServerConfig, ServerTrace,
+    CacheMode, DjinnClient, DjinnError, DjinnServer, ModelRegistry, ServerConfig, ServerTrace,
 };
 use djinn_tonic::dnn::{parser, Network};
 use djinn_tonic::tensor::{Shape, Tensor};
@@ -135,6 +135,43 @@ fn two_requests_in_one_write_get_two_responses() {
     expect_output(&first, &a);
     let second = read_frame(&mut stream).unwrap();
     expect_output(&second, &b);
+    server.shutdown();
+}
+
+/// Two requests under one ID are answered in the order they came, even
+/// when the second is a cache hit: a hit is answered during admission,
+/// while the miss before it still waits for its forward pass (held here
+/// by a service delay), so only the server's per-ID order keeps the hit
+/// from overtaking it.
+#[test]
+fn a_cache_hit_under_a_reused_id_waits_for_the_miss_before_it() {
+    let def = parser::parse_netdef(TINY_DEF).unwrap();
+    let mut reg = ModelRegistry::new();
+    reg.register("tiny", Network::with_random_weights(def, 1).unwrap());
+    let config = ServerConfig {
+        cache_mode: CacheMode::Exact,
+        service_delay: Some(Duration::from_millis(50)),
+        ..ServerConfig::default()
+    };
+    let server = DjinnServer::start(reg, config).unwrap();
+    let hit = Tensor::random_uniform(Shape::mat(1, 8), 1.0, 3);
+    let miss = Tensor::random_uniform(Shape::mat(1, 8), 1.0, 4);
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    // Warm the cache with the input that will hit.
+    stream.write_all(&infer_wire_bytes(&hit)).unwrap();
+    expect_output(&read_frame(&mut stream).unwrap(), &hit);
+
+    let mut wire = infer_wire_bytes(&miss);
+    wire.extend_from_slice(&infer_wire_bytes(&hit));
+    stream.write_all(&wire).unwrap();
+    let first = read_frame(&mut stream).unwrap();
+    let second = read_frame(&mut stream).unwrap();
+    expect_output(&first, &miss);
+    expect_output(&second, &hit);
+    match Response::decode(&second).unwrap() {
+        Response::Output { trace, .. } => assert!(trace.cache_hit, "the second is a hit"),
+        other => panic!("expected Output, got {other:?}"),
+    }
     server.shutdown();
 }
 

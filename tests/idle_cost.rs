@@ -135,10 +135,10 @@ fn idle_server_connections_cost_no_threads_and_no_wakeups() {
     server.shutdown();
 }
 
-/// Every engine worker runs below the server's poll loop: a cache hit or
-/// a ready reply on the loop should not wait behind a forward pass for
-/// the CPU. The workers lower their own nice as they start, so the test
-/// waits until each has.
+/// Every engine's dispatch thread runs below the server's poll loop: a
+/// cache hit or a ready reply on the loop should not wait behind a
+/// forward pass for the CPU. The dispatch threads lower their own nice as
+/// they start, so the test waits until each has.
 #[test]
 fn compute_threads_yield_to_the_io_loop() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
@@ -159,8 +159,8 @@ fn compute_threads_yield_to_the_io_loop() {
     assert!(threads() > 1, "the server and its engines are named");
     let poll = niceness("djinn-server");
     assert_eq!(poll.len(), 1, "one poll thread: {poll:?}");
-    // A worker is named before it runs a line of its own, so it may not
-    // have lowered its nice yet.
+    // A dispatch thread is named before it runs a line of its own, so it
+    // may not have lowered its nice yet.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     let engines = loop {
         let engines = niceness("djinn-engine-");
@@ -169,7 +169,7 @@ fn compute_threads_yield_to_the_io_loop() {
         }
         std::thread::sleep(Duration::from_millis(10));
     };
-    assert!(!engines.is_empty(), "the tiny zoo starts engine workers");
+    assert!(!engines.is_empty(), "the tiny zoo starts engine threads");
     for (name, n) in &engines {
         assert!(
             *n > poll[0].1,

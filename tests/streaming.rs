@@ -602,7 +602,6 @@ fn streaming_full_queue_sheds_a_stream_with_busy() {
         "zz-lm",
         ServerConfig {
             queue_capacity: 1,
-            engine_workers: 1,
             service_delay: Some(Duration::from_millis(50)),
             ..ServerConfig::default()
         },
@@ -648,8 +647,9 @@ fn threads_named(prefix: &str) -> usize {
 /// when `shutdown` returns.
 #[test]
 fn streaming_server_shutdown_ends_every_live_stream() {
-    // Engine workers are named after their model (the kernel keeps 15
-    // bytes: "djinn-engine-yy"), and only this test serves "yy-lm".
+    // An engine's one dispatch thread is named after its model (the
+    // kernel keeps 15 bytes: "djinn-engine-yy"), and only this test
+    // serves "yy-lm".
     let server = lm_server(
         "yy-lm",
         ServerConfig {
@@ -694,7 +694,7 @@ fn streaming_server_shutdown_ends_every_live_stream() {
             .expect("all streams live");
     }
     let on_linux = std::path::Path::new("/proc/self/task").exists();
-    assert!(!on_linux || threads_named("djinn-engine-yy") == 4);
+    assert!(!on_linux || threads_named("djinn-engine-yy") == 1);
     let t0 = Instant::now();
     server.shutdown();
     assert!(t0.elapsed() < Duration::from_secs(10), "{:?}", t0.elapsed());
@@ -704,6 +704,6 @@ fn streaming_server_shutdown_ends_every_live_stream() {
     assert_eq!(
         threads_named("djinn-engine-yy"),
         0,
-        "an engine worker outlived shutdown"
+        "an engine's dispatch thread outlived shutdown"
     );
 }
