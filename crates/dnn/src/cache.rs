@@ -1,7 +1,7 @@
 //! Content-keyed inference caching: memoization at layer boundaries.
 //!
 //! WSC inference traffic is redundant in two ways the forward pass can
-//! exploit (ROADMAP item 4; see DESIGN.md §14):
+//! exploit (see DESIGN.md §14):
 //!
 //! * **Exact duplicates** — IMC/DIG style services see the same input
 //!   tensor again and again (retries, hot content, identical thumbnails).

@@ -4,9 +4,9 @@
 //! oracle) and two tiers [`sgemm`] picks between by shape — a no-pack
 //! kernel for calls of at most `SKINNY_MAX_M` rows (fewer when the call
 //! is threaded) or below `PACK_MIN_VOLUME`, and a BLIS-style packed
-//! kernel for everything else. The packed kernel lays A out in `MR`-row column-major
-//! micro-panels and B in `NR`-column row-major micro-panels so the
-//! register-blocked `MR x NR` micro-kernel streams both operands at unit
+//! kernel for everything else. The packed kernel lays A out in `MR`-row
+//! column-major micro-panels and B in `NR`-column row-major micro-panels
+//! so the register-blocked micro-kernel streams both operands at unit
 //! stride. Both operands are packed once per call and shared read-only;
 //! the driver splits C's rows into `MR`-aligned strips across
 //! `std::thread::scope` workers. Because every C row is computed in the
@@ -24,27 +24,20 @@
 //! `c[i][j] += alpha * acc`. A row therefore gets the same bits whether
 //! it is sent alone or inside a large batch.
 //!
-//! Each tier's loop nest is compiled twice: for baseline x86-64 (SSE2,
-//! four lanes), and with AVX2 enabled (eight lanes; the packed tier's
-//! micro-kernel in `std::arch` intrinsics, `avx2`). Where the CPU has
-//! AVX-512F both tiers take a third kernel, in `avx512`: the packed nest
-//! runs around one that computes a `MR x 4·NR` tile from four adjacent B
-//! panels per call (the one to three panels left at the end of an `NC`
-//! block take the AVX2 kernel), and the no-pack tier runs a nest of its
-//! own, which keeps up to eight rows' accumulators in zmm registers while
-//! it reads B in place. A CPU check picks the best the CPU has
-//! (`crate::isa`, the crate's one CPU check), once per call; every
-//! instantiation keeps the contract, so which one ran never shows in an
-//! output bit.
+//! The kernels are safe Rust that the compiler vectorises; there are no
+//! intrinsics. Each tier's loop nest is compiled for baseline x86-64
+//! (SSE2, four lanes) and again inside `#[target_feature]` functions
+//! (`crate::isa`, the crate's one CPU check, picks the best the CPU has,
+//! once per call). The packed tier runs one const-generic micro-kernel,
+//! [`microkernel`], whose tile is `W` columns: one `NR` panel portably,
+//! two adjacent panels under AVX2 and four under AVX-512F. The no-pack
+//! tier runs [`gemm_skinny_body`] portably and under AVX2, and under
+//! AVX-512F a register-blocked nest of its own, [`gemm_skinny_blocked`],
+//! which keeps up to eight rows' accumulators in registers while it reads
+//! B in place. Every instantiation keeps the contract, so which one ran
+//! never shows in an output bit.
 
 use crate::{Result, Shape, Tensor, TensorError};
-
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-pub(crate) mod avx2;
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-pub(crate) mod avx512;
 
 /// Micro-kernel rows: each micro-tile updates `MR` rows of C.
 pub(crate) const MR: usize = 4;
@@ -299,10 +292,10 @@ pub fn gemm_naive(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32]
 /// Correct for any `m`. [`sgemm`] sends it `m <= SKINNY_MAX_M` on one
 /// thread, `m <= THREADED_SKINNY_MAX_M` on more, and any call below
 /// `PACK_MIN_VOLUME`, where the packing copies would cost more than they
-/// save. On AVX-512 it runs its own nest (`avx512::skinny`, the
-/// accumulators in registers), otherwise [`gemm_skinny_body`] on AVX2 or
-/// portably. Public as an ablation tier for the GEMM benchmarks, like
-/// [`gemm_naive`]: `C += alpha * A B`, no transposes or beta, one thread.
+/// save. On AVX-512 it runs `gemm_skinny_blocked` (the accumulators in
+/// registers), otherwise `gemm_skinny_body` on AVX2 or portably. Public
+/// as an ablation tier for the GEMM benchmarks, like [`gemm_naive`]:
+/// `C += alpha * A B`, no transposes or beta, one thread.
 pub fn gemm_skinny(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32], c: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if let Some(isa) = crate::isa::Avx2::detect() {
@@ -375,6 +368,179 @@ pub(crate) fn gemm_skinny_body(
                     }
                 }
             }
+        }
+    }
+}
+
+/// Rows of C one pass of [`gemm_skinny_blocked`] computes.
+const GROUP: usize = 2 * MR;
+/// Lanes of one 512-bit vector register.
+const LANES: usize = 16;
+
+/// [`gemm_skinny_body`]'s contract as a register-blocked nest, for the
+/// no-pack tier's AVX-512 instantiation (`crate::isa`), where the
+/// compiler's rendering of the stack accumulator reloads and stores it
+/// for every four B rows: `C += alpha * A B`, with B read in place.
+///
+/// Within each `NC` column block and `KC` depth block, rows go `GROUP` at
+/// a time, and a group walks its columns in strips: 128 columns for one
+/// or two rows, 64 for three or four, 32 for five to eight, so a group
+/// never holds more than 16 vectors of accumulators. Each accumulator
+/// starts at zero, takes `a * b` for every depth of the block in
+/// ascending order, a multiply then an add, and is then added to C as
+/// `c + alpha * acc`: exactly what the portable nest does per element.
+/// Whole 16-lane vectors past the last whole strip go two, then one at a
+/// time. The columns past the last whole vector come from `tail`, one
+/// vector's worth per row copied once per depth block and shared by every
+/// row group, so no row end needs a mask: a strip reads whole vectors and
+/// stores only the block's columns.
+#[inline(always)]
+pub(crate) fn gemm_skinny_blocked(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    let mut tail = [[0.0f32; LANES]; KC];
+    for jc in (0..n).step_by(NC) {
+        let nb = NC.min(n - jc);
+        let whole = nb - nb % LANES;
+        for pc in (0..k).step_by(KC) {
+            let kb = KC.min(k - pc);
+            let b = &b[pc * n + jc..];
+            if whole < nb {
+                fill_tail(&mut tail[..kb], b, n, whole);
+            }
+            let block = Block {
+                b,
+                ldb: n,
+                kb,
+                whole,
+                nb,
+                tail: tail[..kb].as_flattened(),
+                alpha,
+            };
+            for i0 in (0..m).step_by(GROUP) {
+                let a = &a[i0 * k + pc..];
+                let c = &mut c[i0 * n + jc..];
+                match GROUP.min(m - i0) {
+                    1 => group::<1, 128>(&block, a, k, c),
+                    2 => group::<2, 128>(&block, a, k, c),
+                    3 => group::<3, 64>(&block, a, k, c),
+                    4 => group::<4, 64>(&block, a, k, c),
+                    5 => group::<5, 32>(&block, a, k, c),
+                    6 => group::<6, 32>(&block, a, k, c),
+                    7 => group::<7, 32>(&block, a, k, c),
+                    _ => group::<8, 32>(&block, a, k, c),
+                }
+            }
+        }
+    }
+}
+
+/// One vector's worth of each row of `b` (rows `ldb` apart) from column
+/// `from` on, into `tail`: the columns a block has past its last whole
+/// vector, then whatever follows them in `b`, and zeros where `b` ends.
+/// Only the block's own columns of a tail strip reach C.
+#[inline(always)]
+fn fill_tail(tail: &mut [[f32; LANES]], b: &[f32], ldb: usize, from: usize) {
+    for (p, to) in tail.iter_mut().enumerate() {
+        let at = p * ldb + from;
+        match b.get(at..at + LANES) {
+            Some(row) => to.copy_from_slice(row),
+            None => {
+                let row = &b[at..];
+                *to = [0.0; LANES];
+                to[..row.len()].copy_from_slice(row);
+            }
+        }
+    }
+}
+
+/// One `KC` depth block of [`gemm_skinny_blocked`] within one column
+/// block: `b` starts at its first row and first column, rows `ldb` apart
+/// (C's rows are as far apart); columns `whole..nb` are in `tail`, rows
+/// `LANES` apart.
+struct Block<'a> {
+    b: &'a [f32],
+    ldb: usize,
+    kb: usize,
+    whole: usize,
+    nb: usize,
+    tail: &'a [f32],
+    alpha: f32,
+}
+
+/// `R` rows over the column block: whole strips `W` columns wide, then
+/// strips of two vectors and of one, the last of them from the tail copy. `a` starts at
+/// the first row's first depth of the block, rows `lda` apart; `c` at
+/// its first column.
+///
+/// A's rows are read in place, one slice per row. Copying a group's A
+/// values side by side per depth instead lets the compiler vectorise a
+/// group across its rows, with gathers and scatters: 8- and 28-row calls
+/// ran 1.4-1.8x slower that way.
+#[inline(always)]
+fn group<const R: usize, const W: usize>(block: &Block, a: &[f32], lda: usize, c: &mut [f32]) {
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * lda..][..block.kb]);
+    let mut j = 0;
+    while j + W <= block.whole {
+        strip::<R, W>(block, &rows, (block.b, block.ldb, j), &mut c[j..], W);
+        j += W;
+    }
+    while j + 2 * LANES <= block.whole {
+        strip::<R, { 2 * LANES }>(
+            block,
+            &rows,
+            (block.b, block.ldb, j),
+            &mut c[j..],
+            2 * LANES,
+        );
+        j += 2 * LANES;
+    }
+    while j < block.nb {
+        let from = if j < block.whole {
+            (block.b, block.ldb, j)
+        } else {
+            (block.tail, LANES, 0)
+        };
+        let width = LANES.min(block.nb - j);
+        strip::<R, LANES>(block, &rows, from, &mut c[j..], width);
+        j += width;
+    }
+}
+
+/// `R x W` accumulators over the depth block against B's rows from
+/// `(b, ldb, j)`: row `p` is `b[p * ldb + j..][..W]`. The first `width`
+/// columns are added to C.
+#[inline(always)]
+fn strip<const R: usize, const W: usize>(
+    block: &Block,
+    rows: &[&[f32]; R],
+    (b, ldb, j): (&[f32], usize, usize),
+    c: &mut [f32],
+    width: usize,
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for p in 0..block.kb {
+        let bv: &[f32; W] = b[p * ldb + j..][..W].try_into().expect("W columns");
+        for (acc, row) in acc.iter_mut().zip(rows) {
+            let ar = row[p];
+            for (x, &v) in acc.iter_mut().zip(bv) {
+                *x += ar * v;
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        // `alpha * acc` over the whole row first: a loop of `width` over
+        // the accumulators themselves would keep them out of registers.
+        let scaled: [f32; W] = std::array::from_fn(|l| block.alpha * acc[l]);
+        let crow = &mut c[r * block.ldb..][..width];
+        for (cv, &x) in crow.iter_mut().zip(&scaled) {
+            *cv += x;
         }
     }
 }
@@ -519,29 +685,49 @@ impl PackedB {
     }
 }
 
-/// Register-blocked `MR x NR` micro-kernel: accumulates `kb` rank-1
-/// updates from packed panels into `acc` (row-major `MR x NR`). Both
-/// operands stream at unit stride and the 32 accumulators fit the SIMD
-/// register file. Each step is a multiply, then an add — the
-/// reduction-order contract rules out a fused multiply-add. The vector
-/// instantiations of the packed tier use intrinsics twins of this kernel
-/// (`avx2::microkernel`, and `avx512::microkernel` over four panels)
-/// with the same per-lane arithmetic.
-#[inline]
-fn microkernel(kb: usize, pa: &[f32], pb: &[f32], acc: &mut [[f32; NR]; MR]) {
-    // `chunks_exact` + fixed-size array views give the compiler exact
-    // extents, so the fully unrolled `MR x NR` update runs without bounds
-    // checks and vectorizes across each accumulator row.
-    for (av, bv) in pa.chunks_exact(MR).zip(pb.chunks_exact(NR)).take(kb) {
-        let av: &[f32; MR] = av.try_into().unwrap();
-        let bv: &[f32; NR] = bv.try_into().unwrap();
-        for r in 0..MR {
-            let ar = av[r];
-            for j in 0..NR {
-                acc[r][j] += ar * bv[j];
+/// Register-blocked `MR x W` micro-kernel: the tile of `kb` rank-1
+/// updates from one packed A panel and `W / NR` adjacent B panels, which
+/// the layout keeps back to back (`pb`). Both operands stream at unit
+/// stride. Each step is a multiply, then an add — the reduction-order
+/// contract rules out a fused multiply-add, and Rust never contracts one.
+///
+/// It is safe Rust that the compiler vectorises at whatever width the
+/// instantiation enables (`crate::isa`): `W` = `NR` portably, `2·NR`
+/// under AVX2 and `4·NR` under AVX-512, one or two vector registers per
+/// accumulator row. Per depth step the panels' rows are first copied
+/// side by side into one `[f32; W]` row, so the update reads whole
+/// vectors, and it goes into local accumulators, which stay in
+/// registers. A kernel that updated the accumulators straight from each
+/// panel's 8 lanes, with no joined row, ran the 4×32 tile at half speed
+/// in a probe before this loop was written; in this loop's shape the
+/// compiler joins the lanes either way.
+#[inline(always)]
+fn microkernel<const W: usize>(kb: usize, pa: &[f32], pb: &[f32]) -> [[f32; W]; MR] {
+    // The panels' rows zipped with A's, each sliced to `kb` first, so the
+    // depth loop runs without bounds checks. A tile is at most four
+    // panels; the slots past `W / NR` repeat the last panel and are not
+    // read.
+    const { assert!(W <= 4 * NR) };
+    let a_rows = &pa.as_chunks::<MR>().0[..kb];
+    let b_rows = pb.as_chunks::<NR>().0;
+    let panel = |q: usize| &b_rows[q.min(W / NR - 1) * kb..][..kb];
+    let b_steps = panel(0)
+        .iter()
+        .zip(panel(1))
+        .zip(panel(2).iter().zip(panel(3)));
+    let mut acc = [[0.0f32; W]; MR];
+    for (av, ((r0, r1), (r2, r3))) in a_rows.iter().zip(b_steps) {
+        let mut bv = [0.0f32; W];
+        for (to, row) in bv.as_chunks_mut::<NR>().0.iter_mut().zip([r0, r1, r2, r3]) {
+            *to = *row;
+        }
+        for (row, &ar) in acc.iter_mut().zip(av) {
+            for (x, &v) in row.iter_mut().zip(&bv) {
+                *x += ar * v;
             }
         }
     }
+    acc
 }
 
 /// The packed tier's one loop nest, over the `MR`-aligned row strip
@@ -566,21 +752,17 @@ fn packed_strip(
     if let Some(isa) = kernels.isa {
         return isa.packed_strip(r0, r1, alpha, a, b, c_strip, bias);
     }
-    packed_strip_body::<NR>(microkernel, microkernel, r0, r1, alpha, a, b, c_strip, bias);
+    packed_strip_body::<NR>(r0, r1, alpha, a, b, c_strip, bias);
 }
 
-/// [`packed_strip`]'s loop nest around two micro-kernels: `group`, whose
-/// tile is `W` columns wide (`W / NR` adjacent B panels, which the layout
-/// keeps contiguous), and `single`, one panel wide, for the panels at the
-/// end of a column block that do not fill a group. The portable and AVX2
-/// instantiations pass `W = NR`, a group of one, so every panel goes
-/// through `group`; the AVX-512 one passes its four-panel kernel and the
-/// AVX2 kernel. Which kernel computes a tile never changes its bits.
+/// [`packed_strip`]'s loop nest around [`microkernel`] at two widths:
+/// tiles `W` columns wide (`W / NR` adjacent B panels) over each column
+/// block's whole panel groups, then `NR`-wide tiles over the panels left
+/// at its end. The portable instantiation passes `W = NR`, a group of
+/// one, so every panel goes through the first loop. Which width computes
+/// a tile never changes its bits.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn packed_strip_body<const W: usize>(
-    group: impl Fn(usize, &[f32], &[f32], &mut [[f32; W]; MR]),
-    single: impl Fn(usize, &[f32], &[f32], &mut [[f32; NR]; MR]),
     r0: usize,
     r1: usize,
     alpha: f32,
@@ -612,16 +794,14 @@ pub(crate) fn packed_strip_body<const W: usize>(
                 for jp in (panels.start..tail).step_by(per) {
                     let pb = b.panels(pc, kb, jp, per);
                     for rp in row_panels.clone() {
-                        let mut acc = [[0.0f32; W]; MR];
-                        group(kb, a.panel(pc, kb, rp), pb, &mut acc);
+                        let acc = microkernel::<W>(kb, a.panel(pc, kb, rp), pb);
                         tile.add(&acc, rp * MR, jp * NR, c_strip);
                     }
                 }
                 for jp in tail..panels.end {
                     let pb = b.panels(pc, kb, jp, 1);
                     for rp in row_panels.clone() {
-                        let mut acc = [[0.0f32; NR]; MR];
-                        single(kb, a.panel(pc, kb, rp), pb, &mut acc);
+                        let acc = microkernel::<NR>(kb, a.panel(pc, kb, rp), pb);
                         tile.add(&acc, rp * MR, jp * NR, c_strip);
                     }
                 }
@@ -1044,7 +1224,7 @@ mod tests {
     }
 
     /// Widths on either side of one and two 16-lane vectors and of a
-    /// 128-column strip: the AVX-512 no-pack tier's masked tails.
+    /// 128-column strip: the AVX-512 no-pack tier's ragged ends.
     const STRIP_EDGES: [usize; 6] = [15, 17, 31, 33, 127, 129];
 
     /// Sizes on and around the multiples of `block` up to `blocks` of
@@ -1156,12 +1336,18 @@ mod tests {
     /// to one past `SKINNY_MAX_M` (so every row group of the AVX-512 nest
     /// and every group count up to five), against every strip tail and
     /// one and two depth blocks: the proptest above draws its heights, so
-    /// this one walks them all.
+    /// this one walks them all. The widths add blocks narrower than one
+    /// vector (1, and the zoo's 9- and 10-wide outputs), `pos`'s 45-wide
+    /// one, and a ragged end in a second column block (`NC + 13`): at
+    /// k = 300 each takes its tail copy from two depth blocks.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn no_pack_tier_is_bitwise_equal_at_every_level_for_every_height() {
         for m in 1..=SKINNY_MAX_M + 1 {
-            for n in STRIP_EDGES.into_iter().chain([300]) {
+            for n in STRIP_EDGES
+                .into_iter()
+                .chain([1, 9, 10, 13, 45, 300, NC + 13])
+            {
                 for k in [5, 300] {
                     let seed = (m * 1000 + n + k) as u64;
                     let a = Tensor::random_uniform(Shape::mat(m, k), 1.0, seed).into_vec();

@@ -4,35 +4,33 @@
 //! [`Avx2::detect`] asks the CPU (the standard library runs `cpuid` once
 //! and caches the answer) and hands out a token only where AVX2 is
 //! present; the token also records whether AVX-512F is, and its methods
-//! are the only way in. Behind them three `#[inline(always)]` loop nests
-//! are compiled a second time with `avx2` enabled: the packed GEMM
-//! tier's ([`crate::gemm::packed_strip_body`], around the intrinsics
-//! micro-kernel in `gemm::avx2`), the no-pack tier's
+//! are the only way in. Behind them, `#[inline(always)]` loop nests in
+//! safe Rust are compiled again inside `#[target_feature]` functions, and
+//! the compiler vectorises them at the width the feature gives. With
+//! `avx2`: the packed GEMM tier's ([`crate::gemm::packed_strip_body`],
+//! around a micro-kernel two 8-lane panels wide), the no-pack tier's
 //! ([`crate::gemm::gemm_skinny_body`]) and pooling's
-//! ([`crate::pool::pool_body`]), the last two as they are, vectorised 8
-//! wide by the compiler. Where the CPU has AVX-512F the token takes two
-//! more instantiations, both with `avx512f`: the packed nest around the
-//! four-panel kernel in `gemm::avx512`, and that file's own no-pack nest,
+//! ([`crate::pool::pool_body`]). With `avx512f`, where the CPU has it: the
+//! packed nest around a micro-kernel four panels wide, and the no-pack
+//! tier's register-blocked nest ([`crate::gemm::gemm_skinny_blocked`]),
 //! which keeps a group of up to eight rows' accumulators in zmm registers
 //! and reads B in place. Pooling stays on AVX2 there.
 //!
 //! The bits are the portable nests'. The AVX2 instantiations enable only
 //! `avx2`, never `fma`, so the compiler has no fused instruction to reach
 //! for. `avx512f` brings `fma` with it in rustc's feature set; there, as
-//! everywhere, what keeps the bits is that Rust never contracts
-//! `a * b + c` into one instruction and the kernels' intrinsics are a
-//! multiply and then an add. A pooling lane folds exactly the taps the
-//! portable code folds, in the same order; the max fold
-//! `v > acc ? v : acc` becomes `vmaxps`, whose lane rule is that select's:
-//! a NaN tap or a tie keeps `acc`.
+//! everywhere, what keeps the bits is that the source is a multiply and
+//! then an add, and Rust never contracts `a * b + c` into one
+//! instruction. A pooling lane folds exactly the taps the portable code
+//! folds, in the same order; the max fold `v > acc ? v : acc` becomes
+//! `vmaxps`, whose lane rule is that select's: a NaN tap or a tie keeps
+//! `acc`.
 //!
-//! The calls into the `#[target_feature]` functions are this module's
-//! `unsafe`, sound once the token exists. With the micro-kernels'
-//! unaligned loads and stores in `gemm::avx2` and `gemm::avx512`, that is
-//! all of the crate's `unsafe` code.
+//! The five calls into the `#[target_feature]` functions are this
+//! module's `unsafe`, sound once the token exists, and all of the crate's
+//! `unsafe` code.
 
-use crate::gemm::avx512::WIDE;
-use crate::gemm::{PackedA, PackedB, MR, NR};
+use crate::gemm::{PackedA, PackedB, NR};
 use crate::pool::{Plan, Pooling};
 
 /// What the kernels may use, lowest first: the portable nests, their
@@ -138,12 +136,8 @@ fn packed_strip(
     c_strip: &mut [f32],
     bias: Option<&[f32]>,
 ) {
-    // The closure inherits this function's `avx2`, so the call is safe
-    // and inlines.
-    let kernel = |kb, pa: &[f32], pb: &[f32], acc: &mut [[f32; NR]; MR]| {
-        crate::gemm::avx2::microkernel(kb, pa, pb, acc)
-    };
-    crate::gemm::packed_strip_body::<NR>(kernel, kernel, r0, r1, alpha, a, b, c_strip, bias);
+    // Two 8-lane panels per tile: two ymm registers per accumulator row.
+    crate::gemm::packed_strip_body::<{ 2 * NR }>(r0, r1, alpha, a, b, c_strip, bias);
 }
 
 #[target_feature(enable = "avx512f")]
@@ -156,14 +150,8 @@ fn packed_strip_avx512(
     c_strip: &mut [f32],
     bias: Option<&[f32]>,
 ) {
-    // `avx512f` implies `avx2`, so both kernels inline here.
-    let wide = |kb, pa: &[f32], pb: &[f32], acc: &mut [[f32; WIDE]; MR]| {
-        crate::gemm::avx512::microkernel(kb, pa, pb, acc)
-    };
-    let single = |kb, pa: &[f32], pb: &[f32], acc: &mut [[f32; NR]; MR]| {
-        crate::gemm::avx2::microkernel(kb, pa, pb, acc)
-    };
-    crate::gemm::packed_strip_body(wide, single, r0, r1, alpha, a, b, c_strip, bias);
+    // Four 8-lane panels per tile: two zmm registers per accumulator row.
+    crate::gemm::packed_strip_body::<{ 4 * NR }>(r0, r1, alpha, a, b, c_strip, bias);
 }
 
 #[target_feature(enable = "avx2")]
@@ -181,7 +169,7 @@ fn gemm_skinny_avx512(
     b: &[f32],
     c: &mut [f32],
 ) {
-    crate::gemm::avx512::skinny(m, n, k, alpha, a, b, c);
+    crate::gemm::gemm_skinny_blocked(m, n, k, alpha, a, b, c);
 }
 
 #[target_feature(enable = "avx2")]
