@@ -1,13 +1,12 @@
 //! The layer vocabulary: shape inference, parameter counting and
 //! functional forward execution for each layer type used by Tonic Suite.
 
-use serde::{Deserialize, Serialize};
 use tensor::{Conv2dParams, LrnParams, Pool2dParams, Shape, Tensor, Threading};
 
 use crate::{DnnError, LayerWeights, Result};
 
 /// Pointwise nonlinearity selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActivationKind {
     /// Rectified linear unit (AlexNet, MNIST).
     Relu,
@@ -42,7 +41,7 @@ impl ActivationKind {
 }
 
 /// Pooling flavor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PoolKind {
     /// Maximum over the window.
     Max,
@@ -54,7 +53,7 @@ pub enum PoolKind {
 /// convolution except the kernel weights are *untied* — every output
 /// location has its own kernel. This is what makes DeepFace's parameter
 /// count enormous (120M) relative to its depth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LocalParams {
     /// Number of output feature maps.
     pub out_channels: usize,
@@ -85,7 +84,7 @@ impl LocalParams {
 /// [`LayerWeights`]) and can infer its output shape from any compatible
 /// input shape, which is how the whole network validates itself at load
 /// time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LayerSpec {
     /// 2-D convolution (shared kernels).
     Conv(Conv2dParams),

@@ -1,12 +1,11 @@
 //! Declarative network descriptions with whole-network shape validation.
 
-use serde::{Deserialize, Serialize};
 use tensor::Shape;
 
 use crate::{DnnError, LayerSpec, Result};
 
 /// A named layer within a network definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerDef {
     /// Unique layer name (e.g. `conv1`).
     pub name: String,
@@ -17,7 +16,7 @@ pub struct LayerDef {
 /// A complete network description: an input shape (with batch size 1) and
 /// an ordered list of layers. `NetDef` is pure configuration; pair it with
 /// weights via [`crate::Network`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetDef {
     name: String,
     input_shape: Shape,

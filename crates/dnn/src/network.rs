@@ -1,6 +1,5 @@
 //! A network definition paired with weights: the executable model.
 
-use serde::{Deserialize, Serialize};
 use tensor::{partition, Shape, Tensor, Threading};
 
 use crate::cache::EmbedCache;
@@ -11,7 +10,7 @@ use crate::{DnnError, LayerSpec, LayerWeights, NetDef, Result};
 /// This is what DjiNN loads into memory once per application at service
 /// start-up; worker threads share it read-only (it is `Sync` because all
 /// state is immutable after construction).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     def: NetDef,
     weights: Vec<LayerWeights>,

@@ -6,8 +6,6 @@
 //! math — it consumes the [`WorkloadProfile`] that describes exactly the
 //! kernels Caffe+cuDNN would launch for the same network and batch size.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{LayerSpec, NetDef, Result};
 
 /// Threads per block for elementwise/stencil kernels (CUDA convention).
@@ -20,7 +18,7 @@ const GEMM_WARPS_PER_BLOCK: usize = 8;
 const WARP: usize = 32;
 
 /// How a kernel maps onto the GPU grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KernelClass {
     /// Dense matrix multiply with the given `(m, n, k)`, launched `count`
     /// times within one fused kernel (grouped convolutions use `count > 1`).
@@ -51,7 +49,7 @@ pub enum KernelClass {
 }
 
 /// One GPU kernel launch within a forward pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelSpec {
     /// Diagnostic name, e.g. `conv1.gemm`.
     pub name: String,
@@ -103,7 +101,7 @@ impl KernelSpec {
 }
 
 /// The complete kernel trace of one forward pass at a given batch size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Network name.
     pub network: String,

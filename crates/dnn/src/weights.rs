@@ -1,6 +1,5 @@
 //! Weight storage and initialization.
 
-use serde::{Deserialize, Serialize};
 use tensor::{Shape, Tensor};
 
 use crate::LayerSpec;
@@ -9,7 +8,7 @@ use crate::LayerSpec;
 ///
 /// Parameter-free layers use [`LayerWeights::none`], which owns a 1-element
 /// placeholder (shapes cannot be empty) and an empty bias.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerWeights {
     weights: Tensor,
     bias: Vec<f32>,

@@ -7,13 +7,12 @@
 //! architecture actually implies (e.g. DeepFace retargeted to 83 PubFig
 //! identities), the count lands within ±20% of the table value.
 
-use serde::{Deserialize, Serialize};
 use tensor::{Conv2dParams, LrnParams, Pool2dParams, Shape};
 
 use crate::{ActivationKind, LayerDef, LayerSpec, LocalParams, NetDef, Network, PoolKind, Result};
 
 /// The seven Tonic Suite applications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum App {
     /// Image classification (AlexNet over ImageNet classes).
     Imc,
@@ -171,7 +170,7 @@ impl std::fmt::Display for App {
 }
 
 /// Paper Table 3 metadata for one application's service interface.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceMeta {
     /// Which application.
     pub app: App,

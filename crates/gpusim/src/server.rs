@@ -2,13 +2,12 @@
 
 use dnn::zoo::App;
 use perf::GpuSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::{simulate, SimResult};
 use crate::workload::ServiceWorkload;
 
 /// How concurrent CUDA processes share a GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConcurrencyMode {
     /// NVIDIA Multi-Process Service: kernels from different processes
     /// co-run from a shared resource pool (§5.2).
@@ -20,7 +19,7 @@ pub enum ConcurrencyMode {
 
 /// A GPU server: one host with `num_gpus` devices, a finite host I/O
 /// bandwidth, and a process concurrency mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
     /// GPU model installed in every slot.
     pub gpu: GpuSpec,
@@ -53,13 +52,6 @@ impl ServerConfig {
     /// Returns the config with a different concurrency mode.
     pub fn with_mode(mut self, mode: ConcurrencyMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Returns the config with a different host I/O bandwidth (used by the
-    /// Fig 16 interconnect upgrades).
-    pub fn with_host_io_gbps(mut self, gbps: f64) -> Self {
-        self.host_io_gbps = gbps;
         self
     }
 }

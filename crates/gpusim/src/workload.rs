@@ -3,7 +3,6 @@
 use dnn::profile::WorkloadProfile;
 use dnn::zoo::{self, App};
 use perf::{gpu_forward, GpuSpec, KernelTiming};
-use serde::{Deserialize, Serialize};
 
 /// Host-side fixed overhead per batch (request handling, batch assembly,
 /// staging buffers) — seconds.
@@ -13,7 +12,7 @@ const HOST_STAGING_GBPS: f64 = 20.0;
 
 /// Everything a simulated service instance does per batch: host-side prep,
 /// an H2D transfer, a fixed kernel sequence, and a D2H transfer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceWorkload {
     /// Display name (e.g. `POS@64`).
     pub name: String,

@@ -1,14 +1,12 @@
 //! Device specifications, defaulting to the paper's platform (Table 2).
 
-use serde::{Deserialize, Serialize};
-
 /// A GPU's architectural constants, defaulting to the NVIDIA Tesla K40
 /// used throughout the paper.
 ///
 /// The K40 values come from NVIDIA's published specifications: 15 SMX
 /// units, 64 resident warps per SMX, 4.29 TFLOPS single-precision peak
 /// (boost clock), 288 GB/s GDDR5 bandwidth, PCIe 3.0 ×16.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name, e.g. `Tesla K40`.
     pub name: String,
@@ -120,7 +118,7 @@ impl Default for GpuSpec {
 /// A CPU core's constants, defaulting to one core of the paper's Intel
 /// Xeon E5-2620 v2 (Ivy Bridge EP, 2.10 GHz) running single-threaded
 /// Caffe linked against ATLAS.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuSpec {
     /// Marketing name.
     pub name: String,

@@ -2,12 +2,11 @@
 //! cuBLAS-style tile quantization.
 
 use dnn::profile::{KernelClass, KernelSpec, WorkloadProfile};
-use serde::{Deserialize, Serialize};
 
 use crate::GpuSpec;
 
 /// What bounds a kernel's execution time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Limiter {
     /// Arithmetic throughput (possibly derated by low occupancy).
     Compute,
@@ -18,7 +17,7 @@ pub enum Limiter {
 }
 
 /// The timing and resource profile of one kernel running alone on a GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelTiming {
     /// Wall-clock execution time in seconds, including launch overhead.
     pub seconds: f64,
@@ -38,7 +37,7 @@ pub struct KernelTiming {
 
 /// Aggregate timing of a full forward pass (kernels run back to back on
 /// one exclusive GPU — no MPS, no co-runners).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForwardTiming {
     /// Per-kernel results, in launch order.
     pub kernels: Vec<KernelTiming>,

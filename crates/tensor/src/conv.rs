@@ -9,7 +9,7 @@ use crate::gemm::{packed_driver, Kernels, PackedA, PackedB, NR};
 use crate::{partition, Result, Shape, Tensor, TensorError, Threading};
 
 /// Geometry of a 2-D convolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Conv2dParams {
     /// Number of output feature maps.
     pub out_channels: usize,

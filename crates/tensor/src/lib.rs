@@ -58,7 +58,7 @@ pub use ops::{
 };
 pub use pool::{avg_pool2d, max_pool2d, Pool2dParams};
 pub use shape::Shape;
-pub use tensor::Tensor;
+pub use tensor::{splitmix64_unit, Tensor};
 pub use threading::{partition, Threading};
 
 /// Result alias used across this crate.

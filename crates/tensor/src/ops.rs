@@ -69,7 +69,7 @@ pub fn softmax_rows(t: &mut Tensor) {
 
 /// Parameters for cross-channel local response normalization (AlexNet's
 /// LRN layers).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LrnParams {
     /// Number of adjacent channels included in each normalization window.
     pub local_size: usize,

@@ -23,7 +23,7 @@ use std::ops::Range;
 use crate::{Result, Shape, Tensor, TensorError};
 
 /// Geometry of a 2-D pooling window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool2dParams {
     /// Square window side length.
     pub kernel: usize,

@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::TensorError;
@@ -15,7 +14,7 @@ use crate::TensorError;
 /// assert_eq!(s.volume(), 16 * 3 * 227 * 227);
 /// assert_eq!(s.dims().len(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Vec<usize>,
 }

@@ -1,10 +1,22 @@
-use rand::distributions::Distribution;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::{Result, Shape, TensorError};
+
+/// The next draw of a SplitMix64 stream, as a uniform `f64` in `[0, 1)`.
+///
+/// Advances `state` by one step and maps the 53 high bits of the output
+/// to `[0, 1)`. Seed a stream by setting `state` to the seed. This is
+/// the workspace's one random source: [`Tensor::random_uniform`] draws
+/// weights and synthetic inputs from it, and the GPU simulator its
+/// Poisson arrivals.
+pub fn splitmix64_unit(state: &mut u64) -> f64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^= z >> 31;
+    (z >> 11) as f64 / (1u64 << 53) as f64
+}
 
 /// An owned, dense, row-major `f32` tensor.
 ///
@@ -17,7 +29,7 @@ use crate::{Result, Shape, TensorError};
 /// let t = Tensor::zeros(Shape::mat(2, 2));
 /// assert_eq!(t.data(), &[0.0; 4]);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
@@ -71,14 +83,19 @@ impl Tensor {
     ///
     /// Used for synthetic inputs and for the architecturally-exact but
     /// untrained Tonic model weights (see DESIGN.md §2: the paper evaluates
-    /// performance, not accuracy, so weight values are immaterial).
+    /// performance, not accuracy, so weight values are immaterial). The
+    /// values are the [`splitmix64_unit`] stream seeded with `seed`, each
+    /// mapped to `-scale + 2·scale·u` in `f32`. The recorded goldens pin
+    /// this stream: a different generator or mapping fails them.
     pub fn random_uniform(shape: Shape, scale: f32, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let dist = rand::distributions::Uniform::new_inclusive(-scale, scale);
+        let mut state = seed;
+        let (low, high) = (-scale, scale);
         let n = shape.volume();
         Tensor {
             shape,
-            data: (0..n).map(|_| dist.sample(&mut rng)).collect(),
+            data: (0..n)
+                .map(|_| low + (high - low) * splitmix64_unit(&mut state) as f32)
+                .collect(),
         }
     }
 
@@ -366,6 +383,35 @@ mod tests {
         let c = Tensor::random_uniform(Shape::vec(64), 1.0, 8);
         assert_eq!(a, b);
         assert_ne!(a, c);
+        // The head of the stream the zoo's weights are drawn from, as
+        // bits: the recorded goldens depend on every value of it.
+        let recorded: [(u64, f32, [u32; 8]); 2] = [
+            (
+                7,
+                1.0,
+                [
+                    0xbe61a0f0, 0xbf776786, 0x3f4d3082, 0x3e29d758, 0xbdc2cc48, 0xbf004a83,
+                    0xbd8343b8, 0xbeb00ca6,
+                ],
+            ),
+            (
+                0x7E47,
+                0.05,
+                [
+                    0xbd0e4f0e, 0x3ab49a00, 0x3d007627, 0x3d4bea51, 0xbc8f7b80, 0x3cac8272,
+                    0x3d0fa0b1, 0x3d1a7987,
+                ],
+            ),
+        ];
+        for (seed, scale, head) in recorded {
+            let t = Tensor::random_uniform(Shape::vec(4096), scale, seed);
+            let bits: Vec<u32> = t.data()[..8].iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, head, "seed {seed:#x}, scale {scale}");
+            assert!(
+                t.data().iter().all(|v| (-scale..=scale).contains(v)),
+                "a value outside [-{scale}, {scale}]"
+            );
+        }
     }
 
     #[test]

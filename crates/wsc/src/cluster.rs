@@ -16,12 +16,10 @@
 //! no DNN math), and every box gets a 10GbE NIC with its share of the
 //! switch folded in.
 
-use serde::{Deserialize, Serialize};
-
 use crate::tco::{CostBreakdown, TcoParams};
 
 /// Measured single-process throughput of the two serving-tier roles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServingTierMeasurement {
     /// Saturated throughput of one replica, requests/second.
     pub replica_rps: f64,
@@ -31,7 +29,7 @@ pub struct ServingTierMeasurement {
 
 /// A provisioned serving tier: how many replicas and routers a target
 /// load needs, and what the fleet costs over the TCO lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServingTierPlan {
     /// Aggregate load the tier is provisioned for, requests/second.
     pub target_rps: f64,

@@ -24,7 +24,6 @@
 //! compresses the TCO gains.
 
 use dnn::zoo::App;
-use serde::{Deserialize, Serialize};
 
 use crate::{AppPerfDb, CostBreakdown, NetworkTech, TcoParams};
 
@@ -36,7 +35,7 @@ pub const GPUS_PER_INTEGRATED: f64 = 12.0;
 pub const GPUS_PER_BOX: f64 = 12.0;
 
 /// The three WSC designs of Fig 14.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WscDesign {
     /// Homogeneous beefy CPU servers only.
     CpuOnly,
@@ -58,7 +57,7 @@ impl WscDesign {
 }
 
 /// DNN service workload mixes (paper Table 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mix {
     /// All seven services.
     Mixed,

@@ -1,14 +1,12 @@
 //! Interconnect and network technology configurations (paper Table 6).
 
-use serde::{Deserialize, Serialize};
-
 /// One CPU↔GPU interconnect + server-network design point.
 ///
 /// `internal_gbps` is the aggregate bandwidth available to feed a server's
 /// GPUs (the PCIe complex or QPI links); `external_gbps` is the server's
 /// network attachment, already derated by the paper's 20% ethernet
 /// protocol overhead assumption.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkTech {
     /// Display name.
     pub name: String,

@@ -2,10 +2,8 @@
 //! Barroso et al. methodology: hardware + facility capital expenditures
 //! with financing, plus power and operations over the server lifetime.
 
-use serde::{Deserialize, Serialize};
-
 /// Cost factors (paper Table 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TcoParams {
     /// 300 W GPU-capable (beefy) server, dollars.
     pub beefy_server_cost: f64,
@@ -80,7 +78,7 @@ impl Default for TcoParams {
 }
 
 /// A WSC bill of materials and its lifetime cost decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostBreakdown {
     /// Server chassis capex (beefy + wimpy), dollars.
     pub servers: f64,
