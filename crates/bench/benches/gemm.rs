@@ -54,10 +54,7 @@ fn bench_gemm(c: &mut Criterion) {
                         &b,
                         0.0,
                         &mut cbuf,
-                        GemmOptions {
-                            threads: 4,
-                            ..GemmOptions::default()
-                        },
+                        GemmOptions::with_threads(4),
                     )
                     .unwrap();
                     black_box(cbuf)

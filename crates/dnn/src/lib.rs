@@ -37,7 +37,6 @@ mod netdef;
 mod network;
 pub mod parser;
 pub mod profile;
-pub mod train;
 mod weights;
 pub mod zoo;
 

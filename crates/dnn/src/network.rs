@@ -79,11 +79,6 @@ impl Network {
         &self.weights
     }
 
-    /// Mutable per-layer weights (used by [`crate::train::Trainer`]).
-    pub fn weights_mut(&mut self) -> &mut [LayerWeights] {
-        &mut self.weights
-    }
-
     /// Total learned parameters.
     pub fn param_count(&self) -> usize {
         self.weights.iter().map(LayerWeights::param_count).sum()

@@ -83,24 +83,15 @@ impl LayerWeights {
         &self.bias
     }
 
-    /// Mutable access to the weight tensor (used by the trainer's update
-    /// step; parameter-free placeholders should not be mutated).
-    pub fn weights_mut(&mut self) -> &mut Tensor {
+    /// Mutable access to the weight tensor (parameter-free placeholders
+    /// should not be mutated).
+    pub(crate) fn weights_mut(&mut self) -> &mut Tensor {
         &mut self.weights
     }
 
     /// Mutable access to the bias vector.
-    pub fn bias_mut(&mut self) -> &mut [f32] {
+    pub(crate) fn bias_mut(&mut self) -> &mut [f32] {
         &mut self.bias
-    }
-
-    /// A zero-valued gradient/velocity buffer with this entry's shapes.
-    pub fn zeros_like(&self) -> Self {
-        LayerWeights {
-            weights: Tensor::zeros(self.weights.shape().clone()),
-            bias: vec![0.0; self.bias.len()],
-            empty: self.empty,
-        }
     }
 
     /// Whether this is the parameter-free placeholder.

@@ -256,7 +256,7 @@ impl ColumnPlan {
 /// at output location `xy` (zero where the kernel overhangs the padding).
 /// The forward convolution never builds this matrix ([`conv2d_with`]
 /// writes the same values straight into GEMM panels, from the same
-/// walker); training and the tests' oracle do.
+/// walker); the tests' oracle does.
 ///
 /// # Errors
 ///
@@ -438,55 +438,6 @@ impl ConvCall<'_> {
     }
 }
 
-/// The adjoint of [`im2col`]: scatters a column matrix back into image
-/// space, summing contributions of overlapping kernel positions. This is
-/// the core of the convolution *backward* pass (gradient w.r.t. the
-/// input).
-///
-/// `cols` must be the `(c*k*k) x (oh*ow)` matrix layout produced by
-/// [`im2col`] for an image of `c x h x w` under `p`.
-///
-/// # Errors
-///
-/// Returns an error if `cols` has the wrong volume for the geometry.
-pub fn col2im(cols: &Tensor, c: usize, h: usize, w: usize, p: &Conv2dParams) -> Result<Tensor> {
-    let oh = p.out_dim(h)?;
-    let ow = p.out_dim(w)?;
-    let rows = c * p.kernel * p.kernel;
-    let ncols = oh * ow;
-    if cols.len() != rows * ncols {
-        return Err(TensorError::InvalidParams {
-            op: "col2im",
-            reason: format!("cols len {} != {}x{}", cols.len(), rows, ncols),
-        });
-    }
-    let mut out = Tensor::zeros(Shape::nchw(1, c, h, w));
-    let data = cols.data();
-    let img = out.data_mut();
-    for ch in 0..c {
-        for ky in 0..p.kernel {
-            for kx in 0..p.kernel {
-                let row = (ch * p.kernel + ky) * p.kernel + kx;
-                for oy in 0..oh {
-                    let iy = (oy * p.stride + ky) as isize - p.pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * p.stride + kx) as isize - p.pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        img[(ch * h + iy as usize) * w + ix as usize] +=
-                            data[row * ncols + oy * ow + ox];
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Direct (sliding-window) convolution used as the correctness oracle for
 /// [`conv2d`] in tests. O(n·c·k²·oh·ow) with no GEMM restructuring.
 ///
@@ -641,27 +592,6 @@ mod tests {
             let par = conv2d_with(&input, &weights, &bias, &p, Threading::new(threads)).unwrap();
             assert_eq!(serial.data(), par.data(), "threads={threads}");
         }
-    }
-
-    #[test]
-    fn col2im_is_adjoint_of_im2col() {
-        // <im2col(x), c> == <x, col2im(c)> for all x, c — the defining
-        // property of the backward operator.
-        let p = Conv2dParams::new(1, 3, 2, 1);
-        let (c, h, w) = (2usize, 5usize, 6usize);
-        let x = Tensor::random_uniform(Shape::nchw(1, c, h, w), 1.0, 11);
-        let cols_shape_rows = c * 9;
-        let oh = p.out_dim(h).unwrap();
-        let ow = p.out_dim(w).unwrap();
-        let cmat = Tensor::random_uniform(Shape::mat(cols_shape_rows, oh * ow), 1.0, 12);
-        let ax = im2col(&x, c, h, w, &p).unwrap();
-        let aty = col2im(&cmat, c, h, w, &p).unwrap();
-        let lhs: f32 = ax.data().iter().zip(cmat.data()).map(|(a, b)| a * b).sum();
-        let rhs: f32 = x.data().iter().zip(aty.data()).map(|(a, b)| a * b).sum();
-        assert!(
-            (lhs - rhs).abs() < 1e-2 * lhs.abs().max(1.0),
-            "{lhs} vs {rhs}"
-        );
     }
 
     /// `groups == 0` is a geometry error like any other, not a division

@@ -102,10 +102,6 @@ impl Kernels {
 /// Tuning options for [`sgemm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GemmOptions {
-    /// Interpret `a` as transposed (`a` is stored `k x m`).
-    pub trans_a: bool,
-    /// Interpret `b` as transposed (`b` is stored `n x k`).
-    pub trans_b: bool,
     /// Number of worker threads; 1 = sequential. Thread count is capped at
     /// the number of `MR` row panels, so oversubscription is harmless.
     pub threads: usize,
@@ -113,20 +109,15 @@ pub struct GemmOptions {
 
 impl Default for GemmOptions {
     fn default() -> Self {
-        GemmOptions {
-            trans_a: false,
-            trans_b: false,
-            threads: 1,
-        }
+        GemmOptions { threads: 1 }
     }
 }
 
 impl GemmOptions {
-    /// Options running `threads` workers with untransposed operands.
+    /// Options running `threads` workers (at least one).
     pub fn with_threads(threads: usize) -> Self {
         GemmOptions {
             threads: threads.max(1),
-            ..GemmOptions::default()
         }
     }
 }
@@ -180,10 +171,9 @@ pub fn matmul_with(a: &Tensor, b: &Tensor, threads: usize) -> Result<Tensor> {
     Ok(c)
 }
 
-/// `C = alpha * op(A) * op(B) + beta * C` over raw row-major slices.
+/// `C = alpha * A * B + beta * C` over raw row-major slices.
 ///
-/// `a` is `m x k` (or `k x m` when `opts.trans_a`), `b` is `k x n` (or
-/// `n x k`), `c` is `m x n`.
+/// `a` is `m x k`, `b` is `k x n`, `c` is `m x n`.
 ///
 /// # Errors
 ///
@@ -219,23 +209,6 @@ pub fn sgemm(
         });
     }
 
-    // Normalize transposes up front: materializing the transposed operand
-    // costs O(mk)/O(kn) but lets the hot loop always stream unit-stride.
-    let a_owned;
-    let a_rm: &[f32] = if opts.trans_a {
-        a_owned = transpose(a, k, m);
-        &a_owned
-    } else {
-        a
-    };
-    let b_owned;
-    let b_rm: &[f32] = if opts.trans_b {
-        b_owned = transpose(b, n, k);
-        &b_owned
-    } else {
-        b
-    };
-
     if beta == 0.0 {
         // BLAS semantics: beta 0 means C is not read, so a NaN or infinity
         // already there must not survive (`NaN * 0.0` is NaN).
@@ -247,9 +220,9 @@ pub fn sgemm(
     }
 
     if takes_no_pack(m, n, k, opts.threads) {
-        gemm_skinny(m, n, k, alpha, a_rm, b_rm, c);
+        gemm_skinny(m, n, k, alpha, a, b, c);
     } else {
-        gemm_packed(m, n, k, alpha, a_rm, b_rm, c, opts.threads);
+        gemm_packed(m, n, k, alpha, a, b, c, opts.threads);
     }
     Ok(())
 }
@@ -295,7 +268,7 @@ pub fn gemm_naive(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32]
 /// save. On AVX-512 it runs `gemm_skinny_blocked` (the accumulators in
 /// registers), otherwise `gemm_skinny_body` on AVX2 or portably. Public
 /// as an ablation tier for the GEMM benchmarks, like [`gemm_naive`]:
-/// `C += alpha * A B`, no transposes or beta, one thread.
+/// `C += alpha * A B` (no beta), one thread.
 pub fn gemm_skinny(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32], c: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if let Some(isa) = crate::isa::Avx2::detect() {
@@ -887,7 +860,7 @@ pub(crate) fn packed_driver(
 /// Packed tier: packs A and B once each (shared read-only by every
 /// worker), then hands them to the packed driver. Public as an ablation
 /// tier for the GEMM benchmarks, like [`gemm_skinny`]:
-/// `C += alpha * A B`, no transposes or beta.
+/// `C += alpha * A B` (no beta).
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_packed(
     m: usize,
@@ -901,29 +874,6 @@ pub fn gemm_packed(
 ) {
     let (a, b) = (PackedA::pack(m, k, a), PackedB::pack(k, n, b));
     packed_driver(Kernels::detect(), alpha, &a, &b, c, None, threads);
-}
-
-/// Cache-blocked out-of-place transpose of a row-major `rows x cols`
-/// matrix. Works in `TB x TB` tiles so both the gather and the scatter
-/// side touch whole cache lines instead of striding a full row apart.
-pub fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
-    /// Tile edge: a 32x32 f32 tile is 4 KiB, comfortably in L1 twice over.
-    const TB: usize = 32;
-    assert_eq!(src.len(), rows * cols, "transpose: bad slice length");
-    let mut dst = vec![0.0f32; src.len()];
-    for rt in (0..rows).step_by(TB) {
-        let rb = TB.min(rows - rt);
-        for ct in (0..cols).step_by(TB) {
-            let cb = TB.min(cols - ct);
-            for r in rt..rt + rb {
-                let srow = &src[r * cols + ct..r * cols + ct + cb];
-                for (c, &v) in srow.iter().enumerate() {
-                    dst[(ct + c) * rows + r] = v;
-                }
-            }
-        }
-    }
-    dst
 }
 
 #[cfg(test)]
@@ -1045,52 +995,6 @@ mod tests {
                 .collect();
             sgemm(m, n, k, 1.5, &a, &b, 0.0, &mut got, GemmOptions::default()).unwrap();
             assert_eq!(bits(&want), bits(&got), "m={m} n={n} k={k}");
-        }
-    }
-
-    #[test]
-    fn transposed_operands_match_naive() {
-        let m = 5;
-        let n = 7;
-        let k = 3;
-        let a = Tensor::random_uniform(Shape::mat(m, k), 1.0, 1).into_vec();
-        let b = Tensor::random_uniform(Shape::mat(k, n), 1.0, 2).into_vec();
-        let at = transpose(&a, m, k); // stored k x m
-        let bt = transpose(&b, k, n); // stored n x k
-        let mut want = vec![0.0; m * n];
-        gemm_naive(m, n, k, 1.0, &a, &b, &mut want);
-
-        let mut got = vec![0.0; m * n];
-        sgemm(
-            m,
-            n,
-            k,
-            1.0,
-            &at,
-            &bt,
-            0.0,
-            &mut got,
-            GemmOptions {
-                trans_a: true,
-                trans_b: true,
-                threads: 1,
-            },
-        )
-        .unwrap();
-        assert!(approx_eq(&want, &got, 1e-4));
-    }
-
-    #[test]
-    fn transpose_round_trips_on_awkward_shapes() {
-        for &(r, c) in &[(1usize, 1usize), (3, 5), (32, 32), (33, 65), (100, 7)] {
-            let src: Vec<f32> = (0..r * c).map(|i| i as f32).collect();
-            let t = transpose(&src, r, c);
-            for i in 0..r {
-                for j in 0..c {
-                    assert_eq!(t[j * r + i], src[i * c + j]);
-                }
-            }
-            assert_eq!(transpose(&t, c, r), src);
         }
     }
 
