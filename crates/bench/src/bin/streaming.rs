@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 use bench::render::{num, Table};
 use djinn::{
     CpuExecutor, DjinnClient, DjinnRouter, DjinnServer, EngineConfig, InferenceEngine,
-    ModelRegistry, RoutePolicy, RouterConfig, ServerConfig, StreamMode,
+    ModelRegistry, RouterConfig, ServerConfig, StreamMode,
 };
 use tensor::{Shape, Tensor};
 
@@ -216,7 +216,6 @@ fn main() -> ExitCode {
     let replica_b = start_replica();
     let router = match DjinnRouter::start(RouterConfig {
         replicas: vec![replica_a.local_addr(), replica_b.local_addr()],
-        policy: RoutePolicy::LoadAware,
         stats_interval: Duration::from_millis(10),
         ..RouterConfig::default()
     }) {

@@ -47,8 +47,8 @@
 //! per-thread deterministic PRNG. This is the multi-replica router
 //! scenario — point `--addr` at a `djinn-router` and the mix exercises
 //! model-affinity routing across a sharded fleet with a skewed
-//! popularity distribution, the shape that separates load-aware from
-//! round-robin replica selection.
+//! popularity distribution, the shape that shows whether replica
+//! selection keeps traffic off the weak or shedding box.
 //!
 //! `--vocab N` draws each request's input from a pool of N distinct,
 //! deterministically seeded tensors shared by every worker thread, so

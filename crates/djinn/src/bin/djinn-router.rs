@@ -2,25 +2,23 @@
 //!
 //! ```text
 //! djinn-router [--addr HOST:PORT] --replica HOST:PORT [--replica ...]
-//!              [--policy load-aware|round-robin]
 //!              [--stats-interval-ms N] [--max-clients N]
 //! ```
 //!
 //! Clients connect to the router exactly as they would to a single
 //! `djinn-server`; each infer frame is forwarded to a backing replica
-//! chosen by model affinity and load (see the `djinn::router` module
-//! docs). `--replica` repeats once per replica and also accepts a
+//! chosen by model affinity and by the requests it owes and the `Busy`
+//! replies it has just returned (see the `djinn::router` module docs). `--replica` repeats once per replica and also accepts a
 //! comma-separated list. All replicas must be up at startup.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
-use djinn::{DjinnRouter, RoutePolicy, RouterConfig};
+use djinn::{DjinnRouter, RouterConfig};
 
 struct Args {
     addr: String,
     replicas: Vec<std::net::SocketAddr>,
-    policy: RoutePolicy,
     stats_interval: Duration,
     max_clients: usize,
 }
@@ -30,7 +28,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:7500".into(),
         replicas: Vec::new(),
-        policy: defaults.policy,
         stats_interval: defaults.stats_interval,
         max_clients: defaults.max_clients,
     };
@@ -51,7 +48,6 @@ fn parse_args() -> Result<Args, String> {
                     );
                 }
             }
-            "--policy" => args.policy = value("--policy")?.parse()?,
             "--stats-interval-ms" => {
                 let ms: u64 = value("--stats-interval-ms")?
                     .parse()
@@ -72,7 +68,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: djinn-router [--addr HOST:PORT] --replica HOST:PORT [--replica ...] \
-                     [--policy load-aware|round-robin] [--stats-interval-ms N] [--max-clients N]"
+                     [--stats-interval-ms N] [--max-clients N]"
                         .into(),
                 )
             }
@@ -96,7 +92,6 @@ fn main() -> ExitCode {
     let config = RouterConfig {
         bind_addr: args.addr,
         replicas: args.replicas.clone(),
-        policy: args.policy,
         stats_interval: args.stats_interval,
         max_clients: args.max_clients,
     };
@@ -108,10 +103,9 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "DjiNN router on {} -> {} replicas ({:?})",
+        "DjiNN router on {} -> {} replicas",
         router.local_addr(),
         args.replicas.len(),
-        args.policy,
     );
     // Route until the process is killed.
     loop {

@@ -190,11 +190,6 @@ impl DeviceScheduler {
         self.inner.device
     }
 
-    /// Whether this is the unbounded engine-private scheduler.
-    pub fn is_dedicated(&self) -> bool {
-        self.inner.dedicated
-    }
-
     /// Registers one more engine sharing the device (affects fair share).
     pub fn register_sharer(&self) {
         self.inner.sharers.fetch_add(1, Ordering::Relaxed);
@@ -249,26 +244,6 @@ impl DeviceScheduler {
             granted: grant,
             waited: start.elapsed(),
         }
-    }
-
-    /// Like [`DeviceScheduler::acquire`] but returns `None` instead of
-    /// blocking when no unit is free.
-    pub fn try_acquire(&self, want: usize) -> Option<ComputeLease> {
-        if self.inner.dedicated {
-            return Some(self.acquire(want));
-        }
-        let units = self.inner.device.units_for(want);
-        let mut free = self.inner.free.lock().unwrap();
-        if *free == 0 {
-            return None;
-        }
-        let grant = units.min(self.fair_share()).min(*free).max(1);
-        *free -= grant;
-        Some(ComputeLease {
-            scheduler: Arc::clone(&self.inner),
-            granted: grant,
-            waited: Duration::ZERO,
-        })
     }
 }
 
@@ -361,7 +336,7 @@ mod tests {
     #[test]
     fn dedicated_scheduler_grants_in_full_with_zero_wait() {
         let sched = DeviceScheduler::dedicated();
-        assert!(sched.is_dedicated());
+        assert!(sched.inner.dedicated);
         let a = sched.acquire(8);
         let b = sched.acquire(16); // never blocks, even while `a` is held
         assert_eq!(a.granted(), 8);
@@ -403,8 +378,7 @@ mod tests {
         let sched = Arc::new(DeviceScheduler::new(Device::Cpu { threads: 2 }));
         sched.register_sharer();
         let held = sched.acquire(2);
-        assert_eq!(sched.free_units(), 0);
-        assert!(sched.try_acquire(1).is_none(), "device exhausted");
+        assert_eq!(sched.free_units(), 0, "device exhausted");
 
         let blocked = Arc::new(AtomicBool::new(true));
         let waiter = {
@@ -451,7 +425,7 @@ mod tests {
         assert_eq!(a.threading(), Threading::SINGLE);
         let b = sched.acquire(8);
         assert_eq!(b.granted(), 1);
-        assert!(sched.try_acquire(1).is_none(), "both slots occupied");
+        assert_eq!(sched.free_units(), 0, "both slots occupied");
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use error::DjinnError;
 pub use executor::{CpuExecutor, DelayExecutor, Executor, InferenceOutcome, SimGpuExecutor};
 pub use protocol::{ModelStats, StreamMode};
 pub use registry::ModelRegistry;
-pub use router::{DjinnRouter, RoutePolicy, RouterConfig};
+pub use router::{DjinnRouter, RouterConfig};
 pub use server::{Backend, DjinnServer, ServerConfig};
 pub use trace::{EngineSpans, ServerTrace, TraceRecord};
 

@@ -266,17 +266,6 @@ impl ModelStats {
             self.total_latency_us as f64 / self.requests as f64
         }
     }
-
-    /// Cache hits over cache lookups, 0.0 when nothing was looked up
-    /// (caching off).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let lookups = self.cache_hits + self.cache_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / lookups as f64
-        }
-    }
 }
 
 /// A server→client message. Every variant carries the ID of the request
@@ -1640,18 +1629,6 @@ mod tests {
         assert!(!is_partial_chunk(&output));
         assert!(!is_partial_chunk(b"DJNN"));
         assert!(!is_partial_chunk(&[]));
-    }
-
-    #[test]
-    fn cache_hit_rate_is_hits_over_lookups() {
-        let s = stats_entry("pos"); // 18 hits, 24 misses
-        assert!((s.cache_hit_rate() - 18.0 / 42.0).abs() < 1e-12);
-        let unused = ModelStats {
-            cache_hits: 0,
-            cache_misses: 0,
-            ..s
-        };
-        assert_eq!(unused.cache_hit_rate(), 0.0);
     }
 
     #[test]

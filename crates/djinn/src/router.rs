@@ -37,17 +37,19 @@
 //! The model map (which replicas serve which model) is learned from
 //! `ListModels` at bootstrap, so models can be sharded across replicas
 //! and hot models replicated. Among the live replicas serving the
-//! requested model:
+//! requested model the router picks the lowest score, ties going to
+//! the replica listed first. The score is built only from what the
+//! router itself sees:
 //!
-//! * [`RoutePolicy::RoundRobin`] rotates blindly (the baseline);
-//! * [`RoutePolicy::LoadAware`] polls each replica's `Stats`
-//!   telemetry on a short interval and scores each candidate as
-//!   `polled backlog (queue depth + in flight) + recent sheds ×
-//!   penalty + frames forwarded since the poll − replies returned
-//!   since the poll`; between polls the send/done deltas keep the
-//!   score live. Small candidate sets are scanned outright; larger
-//!   ones use power-of-two-choices sampling, which is within a
-//!   constant of the full scan at a fraction of the cost.
+//! `requests outstanding on the replica + SHED_PENALTY × Busy replies
+//! it returned this stats tick and the last`
+//!
+//! The outstanding count is exact — every request the router forwarded
+//! and has not yet seen answered — so a replica that answers faster
+//! holds fewer and draws more. The `Busy` term is what keeps traffic off
+//! a shedding replica: it answers at once, so by outstanding count alone
+//! it looks idle and would be flooded. Load that other clients put
+//! directly on a replica is not seen.
 //!
 //! `ListModels` and `Stats` from clients are answered locally: the model
 //! list is the union across replicas, and stats are merged per model —
@@ -85,31 +87,6 @@ use crate::protocol::{
 };
 use crate::{DjinnError, Result};
 
-/// How the router picks among the live replicas serving a model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutePolicy {
-    /// Stats-driven least-loaded selection (the default).
-    #[default]
-    LoadAware,
-    /// Blind rotation — the baseline the load-aware policy is measured
-    /// against.
-    RoundRobin,
-}
-
-impl std::str::FromStr for RoutePolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, String> {
-        match s {
-            "load-aware" => Ok(RoutePolicy::LoadAware),
-            "round-robin" => Ok(RoutePolicy::RoundRobin),
-            other => Err(format!(
-                "unknown policy `{other}` (expected load-aware or round-robin)"
-            )),
-        }
-    }
-}
-
 /// Router configuration.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
@@ -118,10 +95,9 @@ pub struct RouterConfig {
     /// Backing replica addresses. All must be reachable at startup —
     /// a misconfigured fleet should fail loudly, not serve a subset.
     pub replicas: Vec<SocketAddr>,
-    /// Replica selection policy.
-    pub policy: RoutePolicy,
-    /// How often the router polls each replica's `Stats` telemetry (and
-    /// retries dead replicas).
+    /// How often the router polls each replica's `Stats` (the snapshot
+    /// it answers clients' `Stats` from), retries dead replicas, and
+    /// ages the `Busy` counts in the replica score.
     pub stats_interval: Duration,
     /// Maximum concurrent client connections; further accepts are
     /// closed immediately.
@@ -133,7 +109,6 @@ impl Default for RouterConfig {
         RouterConfig {
             bind_addr: "127.0.0.1:0".into(),
             replicas: Vec::new(),
-            policy: RoutePolicy::LoadAware,
             stats_interval: Duration::from_millis(50),
             max_clients: 1024,
         }
@@ -152,9 +127,9 @@ pub struct DjinnRouter {
     thread: LoopThread,
 }
 
-/// Score penalty per shed observed between the last two stats polls: a
-/// replica actively shedding load is in a worse state than its queue
-/// depth alone admits, so recent sheds weigh extra against it.
+/// Score penalty per `Busy` reply a replica returned this stats tick or
+/// the last: a shedding replica answers at once, so its outstanding
+/// count alone would make it look idle.
 const SHED_PENALTY: u64 = 4;
 
 /// Bound on a replica's connect and `ListModels` handshake.
@@ -183,14 +158,10 @@ impl DjinnRouter {
                 conn: Some(conn),
                 hello: None,
                 models,
-                polled_backlog: 0,
-                polled_shed: 0,
-                shed_delta: 0,
                 sent_total: 0,
                 done_total: 0,
-                sent_mark: 0,
-                done_mark: 0,
-                shed_live: 0,
+                busy_now: 0,
+                busy_prev: 0,
                 last_stats: Vec::new(),
                 last_unknown: 0,
             });
@@ -203,12 +174,6 @@ impl DjinnRouter {
             next_id: 1,
             next_client: 1,
             models: HashMap::new(),
-            policy: config.policy,
-            rr: 0,
-            // Fixed xorshift seed: tie-breaking among equally-loaded
-            // replicas gains nothing from entropy, and determinism makes
-            // routing decisions reproducible in tests.
-            rng: 0x9E37_79B9_7F4A_7C15,
         };
         rebuild_model_map(&mut core, &upstreams);
         let (stats_interval, max_clients) = (config.stats_interval, config.max_clients);
@@ -235,7 +200,7 @@ impl DjinnRouter {
 type Clients = HashMap<u64, Conn>;
 
 /// One replica: its (possibly down) connection, its model list, and the
-/// telemetry behind the load-aware score.
+/// counts behind its score.
 #[derive(Debug)]
 struct Upstream {
     addr: SocketAddr,
@@ -247,49 +212,26 @@ struct Upstream {
     /// reconnect, and retained while down so "unknown model" stays
     /// distinguishable from "no live replica serves it".
     models: Vec<String>,
-    /// Σ(queue_depth + in_flight) across models at the last stats poll.
-    polled_backlog: u64,
-    /// Cumulative shed count at the last poll.
-    polled_shed: u64,
-    /// Sheds between the last two polls — the "actively shedding now"
-    /// signal in the score.
-    shed_delta: u64,
     /// Lifetime frames forwarded to this replica (never reset).
     sent_total: u64,
     /// Lifetime replies received from this replica, plus requests
     /// orphaned when its connection died (never reset): `sent_total -
     /// done_total` is what it still owes.
     done_total: u64,
-    /// `sent_total` at the moment the answered stats poll was *sent*:
-    /// every request forwarded before that point is either inside the
-    /// server's snapshot or already answered, so the live correction is
-    /// only what was forwarded after the mark. Resetting a since-poll
-    /// counter here instead would erase the requests forwarded while
-    /// the poll was in flight and transiently underestimate load —
-    /// flooding the weakest replica right after every poll.
-    sent_mark: u64,
-    /// `done_total` when the stats reply arrived: replies received
-    /// after the snapshot complete requests the snapshot still counts.
-    done_mark: u64,
-    /// `Busy` replies seen since the last stats reply. A shedding
-    /// replica completes requests instantly, so by outstanding count it
-    /// looks idle; this live signal keeps its score up between polls,
-    /// breaking the flood-the-shedder feedback loop.
-    shed_live: u64,
+    /// `Busy` replies forwarded since the last stats tick.
+    busy_now: u64,
+    /// `Busy` replies forwarded in the tick before that.
+    busy_prev: u64,
     /// Last full stats snapshot, for locally-answered `Stats` requests.
     last_stats: Vec<ModelStats>,
     last_unknown: u64,
 }
 
 impl Upstream {
-    /// Load estimate: polled backlog, corrected by what the router has
-    /// itself sent since the poll was issued minus what came back since
-    /// the snapshot, with recent sheds weighed extra. Lower is better.
+    /// Load estimate: requests outstanding here, with recent `Busy`
+    /// replies weighed extra. Lower is better.
     fn score(&self) -> u64 {
-        let sent_delta = self.sent_total - self.sent_mark;
-        let done_delta = self.done_total - self.done_mark;
-        (self.polled_backlog + (self.shed_delta + self.shed_live) * SHED_PENALTY + sent_delta)
-            .saturating_sub(done_delta)
+        self.sent_total - self.done_total + (self.busy_now + self.busy_prev) * SHED_PENALTY
     }
 
     /// Connected and past its handshake: requests may be routed here.
@@ -315,16 +257,12 @@ struct InFlight {
 struct Core {
     /// Router-scoped upstream ID → originating request.
     in_flight: HashMap<u64, InFlight>,
-    /// Router-issued stats poll → (upstream index, the upstream's
-    /// `sent_total` when the poll was sent).
-    control: HashMap<u64, (usize, u64)>,
+    /// Router-issued stats poll → upstream index.
+    control: HashMap<u64, usize>,
     next_id: u64,
     next_client: u64,
     /// Model name → replicas serving it (indices into `upstreams`).
     models: HashMap<String, Vec<usize>>,
-    policy: RoutePolicy,
-    rr: u64,
-    rng: u64,
 }
 
 impl Core {
@@ -332,13 +270,6 @@ impl Core {
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);
         id
-    }
-
-    fn xorshift(&mut self) -> u64 {
-        self.rng ^= self.rng << 13;
-        self.rng ^= self.rng >> 7;
-        self.rng ^= self.rng << 17;
-        self.rng
     }
 }
 
@@ -373,49 +304,16 @@ fn rebuild_model_map(core: &mut Core, upstreams: &[Upstream]) {
     }
 }
 
-/// Picks a live replica for `model`, or `None` when the model is
-/// unknown or every replica serving it is down.
-fn pick_replica(core: &mut Core, upstreams: &[Upstream], model: &str) -> Option<usize> {
-    let cands = core.models.get(model)?;
-    let live: Vec<usize> = cands
+/// Picks the live replica for `model` with the lowest score, the first
+/// listed on a tie; `None` when the model is unknown or every replica
+/// serving it is down.
+fn pick_replica(core: &Core, upstreams: &[Upstream], model: &str) -> Option<usize> {
+    core.models
+        .get(model)?
         .iter()
         .copied()
         .filter(|&i| upstreams[i].is_live())
-        .collect();
-    if live.is_empty() {
-        return None;
-    }
-    match core.policy {
-        RoutePolicy::RoundRobin => {
-            core.rr = core.rr.wrapping_add(1);
-            Some(live[(core.rr % live.len() as u64) as usize])
-        }
-        RoutePolicy::LoadAware => {
-            if live.len() <= 3 {
-                // Tiny candidate set: the full scan costs less than the
-                // sampling it would replace.
-                live.iter()
-                    .copied()
-                    .min_by_key(|&i| upstreams[i].score())
-                    .or(Some(live[0]))
-            } else {
-                // Power of two choices: sample two distinct candidates,
-                // keep the less loaded — near-optimal balance without
-                // scanning the fleet per request.
-                let a = (core.xorshift() % live.len() as u64) as usize;
-                let mut b = (core.xorshift() % (live.len() as u64 - 1)) as usize;
-                if b >= a {
-                    b += 1;
-                }
-                let (a, b) = (live[a], live[b]);
-                Some(if upstreams[a].score() <= upstreams[b].score() {
-                    a
-                } else {
-                    b
-                })
-            }
-        }
-    }
+        .min_by_key(|&i| upstreams[i].score())
 }
 
 /// Sorted union of every upstream's model list.
@@ -503,11 +401,9 @@ fn kill_upstream(
         false
     });
     // Router-issued stats polls on the dead connection just vanish.
-    core.control.retain(|_, &mut (uu, _)| uu != u);
-    // Load telemetry is stale once the connection is gone.
-    up.sent_mark = up.sent_total;
-    up.done_mark = up.done_total;
-    (up.polled_backlog, up.shed_delta, up.shed_live) = (0, 0, 0);
+    core.control.retain(|_, &mut uu| uu != u);
+    // A redialled replica starts with a clean score.
+    (up.busy_now, up.busy_prev) = (0, 0);
 }
 
 /// Copies a reply to its client under the client's ID, unless the client
@@ -552,22 +448,15 @@ fn pump_upstream(u: usize, upstreams: &mut [Upstream], clients: &mut Clients, co
             deliver(clients, &f, frame, id_at);
             up.done_total += 1;
             if is_busy_response(frame) {
-                up.shed_live += 1;
+                up.busy_now += 1;
             }
-        } else if let Some((_, sent_at_send)) = core.control.remove(&rid) {
+        } else if core.control.remove(&rid).is_some() {
             if let Ok(Response::Stats {
                 unknown_model_requests,
                 stats,
                 ..
             }) = Response::decode(frame)
             {
-                let shed: u64 = stats.iter().map(|m| m.shed).sum();
-                up.polled_backlog = stats.iter().map(|m| m.queue_depth + m.in_flight).sum();
-                up.shed_delta = shed.saturating_sub(up.polled_shed);
-                up.polled_shed = shed;
-                up.sent_mark = sent_at_send;
-                up.done_mark = up.done_total;
-                up.shed_live = 0;
                 up.last_stats = stats;
                 up.last_unknown = unknown_model_requests;
             }
@@ -690,12 +579,14 @@ fn flush_all(upstreams: &mut [Upstream], clients: &mut Clients, core: &mut Core)
     clients.retain(|_, client| client.flush().is_ok());
 }
 
-/// Per replica: reads what it sent since the last tick, then polls a
-/// live one for `Stats`, dials a dead one, or drops a stale redial.
+/// Per replica: reads what it sent since the last tick, ages its `Busy`
+/// counts by one tick, then polls a live one for `Stats`, dials a dead
+/// one, or drops a stale redial.
 fn stats_tick(upstreams: &mut [Upstream], clients: &mut Clients, core: &mut Core) {
     for u in 0..upstreams.len() {
         pump_upstream(u, upstreams, clients, core);
         let up = &mut upstreams[u];
+        (up.busy_prev, up.busy_now) = (up.busy_now, 0);
         match (up.conn.as_mut(), up.hello) {
             (None, _) => {
                 if let Ok(mut conn) = dial(up.addr) {
@@ -713,7 +604,7 @@ fn stats_tick(upstreams: &mut [Upstream], clients: &mut Clients, core: &mut Core
             (Some(conn), None) => {
                 let rid = core.alloc_id();
                 conn.out.push_control(&Request::Stats { request_id: rid });
-                core.control.insert(rid, (u, up.sent_total));
+                core.control.insert(rid, u);
             }
         }
     }
@@ -735,8 +626,8 @@ fn event_loop(
     (stats_interval, max_clients): (Duration, usize),
 ) {
     let mut clients = Clients::new();
-    // The first tick fires at once, so load-aware routing has telemetry
-    // before the first client arrives.
+    // The first tick fires at once, so every replica's `Stats` is asked
+    // for before the first client arrives.
     let mut next_tick = Instant::now();
     while !stop.load(Ordering::SeqCst) {
         if Instant::now() >= next_tick {
@@ -805,29 +696,22 @@ mod tests {
             conn: None,
             hello: None,
             models: models.iter().map(|s| s.to_string()).collect(),
-            polled_backlog: 0,
-            polled_shed: 0,
-            shed_delta: 0,
             sent_total: 0,
             done_total: 0,
-            sent_mark: 0,
-            done_mark: 0,
-            shed_live: 0,
+            busy_now: 0,
+            busy_prev: 0,
             last_stats: Vec::new(),
             last_unknown: 0,
         }
     }
 
-    fn mk_core(policy: RoutePolicy, upstreams: &[Upstream]) -> Core {
+    fn mk_core(upstreams: &[Upstream]) -> Core {
         let mut core = Core {
             in_flight: HashMap::new(),
             control: HashMap::new(),
             next_id: 1,
             next_client: 1,
             models: HashMap::new(),
-            policy,
-            rr: 0,
-            rng: 0x9E37_79B9_7F4A_7C15,
         };
         rebuild_model_map(&mut core, upstreams);
         core
@@ -851,63 +735,40 @@ mod tests {
         // Connected again but not yet past its handshake.
         let (mut redialled, _l3) = live(&["d"]);
         redialled.hello = Some((7, Instant::now()));
-        let ups = vec![up0, up1, dead, redialled];
-        let mut core = mk_core(RoutePolicy::RoundRobin, &ups);
-        assert_eq!(pick_replica(&mut core, &ups, "d"), None);
+        let mut ups = vec![up0, up1, dead, redialled];
+        let core = mk_core(&ups);
+        assert_eq!(pick_replica(&core, &ups, "d"), None);
         // `a` only on replica 0; `b` on both; `c` only on the dead one.
-        for _ in 0..4 {
-            assert_eq!(pick_replica(&mut core, &ups, "a"), Some(0));
-        }
-        let picks: Vec<_> = (0..4)
-            .filter_map(|_| pick_replica(&mut core, &ups, "b"))
-            .collect();
-        assert!(picks.contains(&0) && picks.contains(&1), "{picks:?}");
-        assert_eq!(pick_replica(&mut core, &ups, "c"), None);
+        assert_eq!(pick_replica(&core, &ups, "a"), Some(0));
+        assert_eq!(pick_replica(&core, &ups, "b"), Some(0), "ties go first");
+        ups[0].sent_total = 1;
+        assert_eq!(pick_replica(&core, &ups, "a"), Some(0));
+        assert_eq!(pick_replica(&core, &ups, "b"), Some(1));
+        assert_eq!(pick_replica(&core, &ups, "c"), None);
         assert!(core.models.contains_key("c"), "dead models stay mapped");
-        assert_eq!(pick_replica(&mut core, &ups, "nope"), None);
+        assert_eq!(pick_replica(&core, &ups, "nope"), None);
     }
 
     #[test]
     fn load_aware_prefers_the_less_loaded_replica() {
+        // 38 requests outstanding against 2.
         let (mut up0, _l0) = live(&["m"]);
         let (mut up1, _l1) = live(&["m"]);
-        up0.polled_backlog = 40;
-        up1.polled_backlog = 2;
-        let ups = vec![up0, up1];
-        let mut core = mk_core(RoutePolicy::LoadAware, &ups);
-        for _ in 0..8 {
-            assert_eq!(pick_replica(&mut core, &ups, "m"), Some(1));
-        }
-        // Recent sheds penalize beyond raw backlog.
-        let (mut up0, _l0) = live(&["m"]);
-        let (mut up1, _l1) = live(&["m"]);
-        up0.polled_backlog = 10;
-        up1.polled_backlog = 8;
-        up1.shed_delta = 5; // 8 + 5*4 = 28 > 10
-        let ups = vec![up0, up1];
-        let mut core = mk_core(RoutePolicy::LoadAware, &ups);
-        assert_eq!(pick_replica(&mut core, &ups, "m"), Some(0));
-    }
-
-    #[test]
-    fn score_freshens_between_polls_with_send_and_done_deltas() {
-        let mut up = upstream(&["m"]);
-        up.polled_backlog = 10;
-        up.sent_total = 7;
-        up.done_total = 3;
-        assert_eq!(up.score(), 14);
-        // Requests forwarded while the poll was in flight stay counted:
-        // the marks, not a reset, define "since the poll".
-        up.sent_mark = 2;
-        up.done_mark = 3;
-        assert_eq!(up.score(), 15);
-        // More replies than sends since the marks saturates at zero
-        // rather than underflowing.
-        up.sent_total = 8;
-        up.done_total = 30;
-        up.sent_mark = 8;
-        up.done_mark = 3;
-        assert_eq!(up.score(), 0);
+        (up0.sent_total, up0.done_total) = (40, 2);
+        (up1.sent_total, up1.done_total) = (5, 3);
+        let mut ups = vec![up0, up1];
+        let core = mk_core(&ups);
+        assert_eq!(pick_replica(&core, &ups, "m"), Some(1));
+        // Recent `Busy` replies weigh extra against a replica that owes
+        // fewer: 10 owed against 2 + (1 + 2) × 4 = 14.
+        (ups[0].sent_total, ups[0].done_total) = (10, 0);
+        (ups[1].sent_total, ups[1].done_total) = (2, 0);
+        (ups[1].busy_now, ups[1].busy_prev) = (1, 2);
+        assert_eq!(ups[1].score(), 14);
+        assert_eq!(pick_replica(&core, &ups, "m"), Some(0));
+        // Two ticks later the sheds are forgotten.
+        (ups[1].busy_now, ups[1].busy_prev) = (0, 0);
+        assert_eq!(pick_replica(&core, &ups, "m"), Some(1));
     }
 
     #[test]

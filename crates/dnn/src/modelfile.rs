@@ -16,6 +16,7 @@ use std::io::{Read, Write};
 
 use tensor::Tensor;
 
+use crate::weights::param_shapes;
 use crate::{DnnError, LayerWeights, Network, Result};
 
 /// File magic.
@@ -97,14 +98,11 @@ pub fn load<R: Read>(mut r: R) -> Result<Network> {
     let mut weights = Vec::with_capacity(def.layers().len());
     let mut f32_buf = Vec::new();
     for (l, s) in def.layers().iter().zip(&shapes) {
-        if !l.spec.has_params() {
+        let Some((wshape, blen, _)) = param_shapes(&l.spec, s) else {
             weights.push(LayerWeights::none());
             continue;
-        }
-        // Recover the canonical weight/bias shapes from a fresh init.
-        let template = LayerWeights::init(&l.spec, s, 0);
-        let wlen = template.weights().len();
-        let blen = template.bias().len();
+        };
+        let wlen = wshape.volume();
         f32_buf.clear();
         f32_buf.resize((wlen + blen) * 4, 0u8);
         r.read_exact(&mut f32_buf).map_err(io_err)?;
@@ -113,11 +111,10 @@ pub fn load<R: Read>(mut r: R) -> Result<Network> {
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
         let wdata: Vec<f32> = values.by_ref().take(wlen).collect();
         let bias: Vec<f32> = values.collect();
-        let wt = Tensor::from_vec(template.weights().shape().clone(), wdata)?;
-        let mut lw = template;
-        *lw.weights_mut() = wt;
-        lw.bias_mut().copy_from_slice(&bias);
-        weights.push(lw);
+        weights.push(LayerWeights::from_parts(
+            Tensor::from_vec(wshape, wdata)?,
+            bias,
+        ));
     }
     // Reject trailing garbage.
     let mut extra = [0u8; 1];

@@ -30,45 +30,24 @@ impl LayerWeights {
     /// Xavier init — sufficient because only the architecture, not the
     /// values, matters for the paper's performance results).
     pub fn init(layer: &LayerSpec, input: &Shape, seed: u64) -> Self {
-        match layer {
-            LayerSpec::Conv(p) => {
-                let cg = input.dims()[1] / p.groups;
-                let fan_in = cg * p.kernel * p.kernel;
+        match param_shapes(layer, input) {
+            Some((shape, bias_len, fan_in)) => {
                 let scale = (1.0 / fan_in as f32).sqrt();
-                LayerWeights {
-                    weights: Tensor::random_uniform(
-                        Shape::nchw(p.out_channels, cg, p.kernel, p.kernel),
-                        scale,
-                        seed,
-                    ),
-                    bias: vec![0.0; p.out_channels],
-                    empty: false,
-                }
+                LayerWeights::from_parts(
+                    Tensor::random_uniform(shape, scale, seed),
+                    vec![0.0; bias_len],
+                )
             }
-            LayerSpec::Local(p) => {
-                let d = input.dims();
-                let oh = p.out_dim(d[2]).expect("validated by shape inference");
-                let ow = p.out_dim(d[3]).expect("validated by shape inference");
-                let ksz = d[1] * p.kernel * p.kernel;
-                let fan_in = ksz;
-                let scale = (1.0 / fan_in as f32).sqrt();
-                let count = oh * ow * p.out_channels;
-                LayerWeights {
-                    weights: Tensor::random_uniform(Shape::mat(count, ksz), scale, seed),
-                    bias: vec![0.0; count],
-                    empty: false,
-                }
-            }
-            LayerSpec::InnerProduct { out } => {
-                let (_, cols) = input.as_matrix();
-                let scale = (1.0 / cols as f32).sqrt();
-                LayerWeights {
-                    weights: Tensor::random_uniform(Shape::mat(cols, *out), scale, seed),
-                    bias: vec![0.0; *out],
-                    empty: false,
-                }
-            }
-            _ => LayerWeights::none(),
+            None => LayerWeights::none(),
+        }
+    }
+
+    /// A parameterised layer's weights from a tensor and a bias vector.
+    pub(crate) fn from_parts(weights: Tensor, bias: Vec<f32>) -> Self {
+        LayerWeights {
+            weights,
+            bias,
+            empty: false,
         }
     }
 
@@ -81,17 +60,6 @@ impl LayerWeights {
     /// The bias vector (empty for parameter-free layers).
     pub fn bias(&self) -> &[f32] {
         &self.bias
-    }
-
-    /// Mutable access to the weight tensor (parameter-free placeholders
-    /// should not be mutated).
-    pub(crate) fn weights_mut(&mut self) -> &mut Tensor {
-        &mut self.weights
-    }
-
-    /// Mutable access to the bias vector.
-    pub(crate) fn bias_mut(&mut self) -> &mut [f32] {
-        &mut self.bias
     }
 
     /// Whether this is the parameter-free placeholder.
@@ -119,6 +87,31 @@ impl LayerWeights {
         for b in &mut self.bias {
             *b = bias;
         }
+    }
+}
+
+/// `layer`'s weight shape, bias length and fan-in given its input shape;
+/// `None` for parameter-free layers.
+pub(crate) fn param_shapes(layer: &LayerSpec, input: &Shape) -> Option<(Shape, usize, usize)> {
+    match layer {
+        LayerSpec::Conv(p) => {
+            let cg = input.dims()[1] / p.groups;
+            let shape = Shape::nchw(p.out_channels, cg, p.kernel, p.kernel);
+            Some((shape, p.out_channels, cg * p.kernel * p.kernel))
+        }
+        LayerSpec::Local(p) => {
+            let d = input.dims();
+            let oh = p.out_dim(d[2]).expect("validated by shape inference");
+            let ow = p.out_dim(d[3]).expect("validated by shape inference");
+            let ksz = d[1] * p.kernel * p.kernel;
+            let count = oh * ow * p.out_channels;
+            Some((Shape::mat(count, ksz), count, ksz))
+        }
+        LayerSpec::InnerProduct { out } => {
+            let (_, cols) = input.as_matrix();
+            Some((Shape::mat(cols, *out), *out, cols))
+        }
+        _ => None,
     }
 }
 

@@ -138,11 +138,6 @@ impl<T> BoundedQueue<T> {
     pub fn shed_count(&self) -> u64 {
         self.shed
     }
-
-    /// Jobs admitted over the queue's lifetime.
-    pub fn admitted_count(&self) -> u64 {
-        self.admitted
-    }
 }
 
 /// Sub-bucket resolution: 2^3 = 8 linear sub-buckets per octave bounds
@@ -287,7 +282,7 @@ mod tests {
         assert_eq!(q.offer("b"), Ok(2));
         assert_eq!(q.offer("c"), Err("c"));
         assert_eq!(q.shed_count(), 1);
-        assert_eq!(q.admitted_count(), 2);
+        assert_eq!(q.admitted, 2);
         assert_eq!(q.pop(), Some("a"));
         assert_eq!(q.offer("d"), Ok(2));
     }
@@ -305,7 +300,7 @@ mod tests {
         // and is not a second admission.
         q.readmit(step);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.admitted_count(), 2);
+        assert_eq!(q.admitted, 2);
     }
 
     #[test]

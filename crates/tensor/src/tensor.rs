@@ -134,36 +134,6 @@ impl Tensor {
         self.data.len() * std::mem::size_of::<f32>()
     }
 
-    /// Reinterprets the buffer under a new shape of identical volume.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if volumes differ.
-    pub fn reshape(self, shape: Shape) -> Result<Self> {
-        if shape.volume() != self.data.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.volume(),
-                actual: self.data.len(),
-            });
-        }
-        Ok(Tensor {
-            shape,
-            data: self.data,
-        })
-    }
-
-    /// Element at a 2-D `(row, col)` position; the shape is interpreted as a
-    /// matrix via [`Shape::as_matrix`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    pub fn at2(&self, row: usize, col: usize) -> f32 {
-        let (r, c) = self.shape.as_matrix();
-        assert!(row < r && col < c, "index ({row},{col}) out of ({r},{c})");
-        self.data[row * c + col]
-    }
-
     /// Applies `f` to every element in place.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
         for v in &mut self.data {
@@ -469,14 +439,6 @@ mod tests {
         let t = Tensor::from_vec(Shape::mat(2, 3), vec![0.1, 0.9, 0.3, 5.0, -1.0, 2.0]).unwrap();
         assert_eq!(t.row_argmax(0), 1);
         assert_eq!(t.row_argmax(1), 0);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_fn(Shape::mat(2, 6), |i| i as f32);
-        let r = t.clone().reshape(Shape::nchw(2, 1, 2, 3)).unwrap();
-        assert_eq!(r.data(), t.data());
-        assert!(t.reshape(Shape::mat(5, 5)).is_err());
     }
 
     #[test]

@@ -9,25 +9,27 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 use djinn_tonic::djinn::{
-    DjinnClient, DjinnError, DjinnRouter, DjinnServer, ModelRegistry, RoutePolicy, RouterConfig,
-    ServerConfig,
+    DjinnClient, DjinnError, DjinnRouter, DjinnServer, ModelRegistry, RouterConfig, ServerConfig,
 };
 use djinn_tonic::tensor::Tensor;
 
 /// Starts a tiny-zoo replica serving only the named models (all of the
 /// zoo when `only` is empty).
 fn start_replica(only: &[&str]) -> DjinnServer {
+    start_replica_with(only, ServerConfig::default())
+}
+
+fn start_replica_with(only: &[&str], config: ServerConfig) -> DjinnServer {
     let mut registry = ModelRegistry::with_tiny_test_zoo().expect("tiny zoo");
     if !only.is_empty() {
         registry.retain_only(only).expect("retain");
     }
-    DjinnServer::start(registry, ServerConfig::default()).expect("replica start")
+    DjinnServer::start(registry, config).expect("replica start")
 }
 
-fn start_router(replicas: &[&DjinnServer], policy: RoutePolicy) -> DjinnRouter {
+fn start_router(replicas: &[&DjinnServer]) -> DjinnRouter {
     let config = RouterConfig {
         replicas: replicas.iter().map(|s| s.local_addr()).collect(),
-        policy,
         stats_interval: Duration::from_millis(10),
         ..RouterConfig::default()
     };
@@ -53,7 +55,7 @@ fn input_for(model: &str) -> Tensor {
 fn router_end_to_end_matches_direct_inference() {
     let replica_a = start_replica(&[]);
     let replica_b = start_replica(&[]);
-    let router = start_router(&[&replica_a, &replica_b], RoutePolicy::LoadAware);
+    let router = start_router(&[&replica_a, &replica_b]);
 
     let mut via_router = connect(router.local_addr());
     let mut direct = connect(replica_a.local_addr());
@@ -78,7 +80,7 @@ fn router_routes_by_model_affinity_across_shards() {
     // model map, not spray blindly.
     let mnist_only = start_replica(&["tiny-mnist"]);
     let senna_only = start_replica(&["tiny-senna"]);
-    let router = start_router(&[&mnist_only, &senna_only], RoutePolicy::RoundRobin);
+    let router = start_router(&[&mnist_only, &senna_only]);
 
     let mut client = connect(router.local_addr());
     // The router's model list is the union of the shards.
@@ -102,7 +104,7 @@ fn router_routes_by_model_affinity_across_shards() {
 fn router_correlates_pipelined_requests_across_replicas() {
     let replica_a = start_replica(&[]);
     let replica_b = start_replica(&[]);
-    let router = start_router(&[&replica_a, &replica_b], RoutePolicy::LoadAware);
+    let router = start_router(&[&replica_a, &replica_b]);
 
     // Reference outputs, computed directly against one replica.
     let inputs: Vec<(String, Tensor)> = (0..32)
@@ -149,7 +151,7 @@ fn router_correlates_pipelined_requests_across_replicas() {
 #[test]
 fn router_reports_unknown_models_with_the_callers_id() {
     let replica = start_replica(&[]);
-    let router = start_router(&[&replica], RoutePolicy::LoadAware);
+    let router = start_router(&[&replica]);
 
     let mut client = connect(router.local_addr());
     let input = input_for("tiny-mnist");
@@ -172,7 +174,7 @@ fn router_reports_unknown_models_with_the_callers_id() {
 fn router_holds_256_concurrent_client_connections() {
     let replica_a = start_replica(&[]);
     let replica_b = start_replica(&[]);
-    let router = start_router(&[&replica_a, &replica_b], RoutePolicy::LoadAware);
+    let router = start_router(&[&replica_a, &replica_b]);
 
     // All 256 connections open at once in one router process — the
     // thread-per-connection design this replaces would need 256 threads.
@@ -201,7 +203,7 @@ fn router_survives_replica_loss_and_reroutes() {
     // absorb everything.
     let replica_a = start_replica(&[]);
     let replica_b = start_replica(&[]);
-    let router = start_router(&[&replica_a, &replica_b], RoutePolicy::LoadAware);
+    let router = start_router(&[&replica_a, &replica_b]);
 
     let mut client = connect(router.local_addr());
     let input = input_for("tiny-mnist");
@@ -230,7 +232,7 @@ fn router_survives_replica_loss_and_reroutes() {
 fn router_aggregates_stats_across_the_fleet() {
     let mnist_only = start_replica(&["tiny-mnist"]);
     let senna_only = start_replica(&["tiny-senna"]);
-    let router = start_router(&[&mnist_only, &senna_only], RoutePolicy::LoadAware);
+    let router = start_router(&[&mnist_only, &senna_only]);
 
     let mut client = connect(router.local_addr());
     for model in ["tiny-mnist", "tiny-senna"] {
@@ -254,4 +256,92 @@ fn router_aggregates_stats_across_the_fleet() {
     router.shutdown();
     mnist_only.shutdown();
     senna_only.shutdown();
+}
+
+/// Sends `n` `tiny-mnist` requests through the router on one connection,
+/// `window` in flight at a time; returns how many came back `Busy`.
+fn pipeline_through(router: &DjinnRouter, n: usize, window: usize) -> usize {
+    let mut client = connect(router.local_addr());
+    let input = input_for("tiny-mnist");
+    let (mut sent, mut busy) = (0, 0);
+    while sent < n || client.in_flight() > 0 {
+        while sent < n && client.in_flight() < window {
+            client.submit("tiny-mnist", &input).expect("submit");
+            sent += 1;
+        }
+        match client.recv_next().expect("recv").result {
+            Ok(_) => {}
+            Err(DjinnError::Busy { .. }) => busy += 1,
+            Err(e) => panic!("routed infer: {e}"),
+        }
+    }
+    busy
+}
+
+/// `tiny-mnist` requests served and shed, by the replica's own `Stats`.
+fn served_and_shed(replica: &DjinnServer) -> (u64, u64) {
+    let stats = connect(replica.local_addr()).stats().expect("stats");
+    let m = stats
+        .iter()
+        .find(|s| s.model == "tiny-mnist")
+        .expect("tiny-mnist in stats");
+    (m.requests, m.shed)
+}
+
+#[test]
+fn router_favours_the_replica_that_answers_faster() {
+    // The slow replica is listed first, so ties go to it: only the
+    // fast one's shorter backlog can draw the traffic away.
+    let with_delay = |ms| ServerConfig {
+        service_delay: Some(Duration::from_millis(ms)),
+        ..ServerConfig::default()
+    };
+    let slow = start_replica_with(&["tiny-mnist"], with_delay(8));
+    let fast = start_replica_with(&["tiny-mnist"], with_delay(1));
+    let router = start_router(&[&slow, &fast]);
+
+    let n = 120;
+    assert_eq!(pipeline_through(&router, n, 4), 0, "nothing is shed");
+    let (on_slow, on_fast) = (served_and_shed(&slow).0, served_and_shed(&fast).0);
+    assert_eq!(on_slow + on_fast, n as u64);
+    assert!(
+        on_fast * 3 >= n as u64 * 2,
+        "the fast replica served {on_fast} of {n} (slow: {on_slow})"
+    );
+
+    router.shutdown();
+    slow.shutdown();
+    fast.shutdown();
+}
+
+#[test]
+fn router_steers_away_from_a_shedding_replica() {
+    // The shedding replica answers `Busy` at once, so by outstanding
+    // count alone it looks idle; listed first, it would win every tie.
+    let config = |queue_capacity| ServerConfig {
+        queue_capacity,
+        service_delay: Some(Duration::from_millis(3)),
+        ..ServerConfig::default()
+    };
+    let shedding = start_replica_with(&["tiny-mnist"], config(1));
+    let roomy = start_replica_with(
+        &["tiny-mnist"],
+        config(ServerConfig::default().queue_capacity),
+    );
+    let router = start_router(&[&shedding, &roomy]);
+
+    let n = 400;
+    let busy = pipeline_through(&router, n, 16);
+    let (served_a, shed) = served_and_shed(&shedding);
+    let served_b = served_and_shed(&roomy).0;
+    assert_eq!(shed, busy as u64, "the client saw each shed as Busy");
+    assert_eq!(served_a + served_b + shed, n as u64);
+    assert!(
+        busy * 5 < n,
+        "{busy} of {n} shed (served {served_a} on the shedding replica, {served_b} on the other)"
+    );
+
+    router.shutdown();
+    shedding.shutdown();
+    roomy.shutdown();
 }

@@ -13,8 +13,8 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use djinn_tonic::djinn::{
     BatchConfig, CpuExecutor, DispatchPolicy, DjinnClient, DjinnError, DjinnRouter, DjinnServer,
-    EngineConfig, Executor, InferenceEngine, InferenceOutcome, ModelRegistry, RoutePolicy,
-    RoutedReply, RouterConfig, ServerConfig, StreamChunk, StreamMode, MAX_STREAM_TOKENS,
+    EngineConfig, Executor, InferenceEngine, InferenceOutcome, ModelRegistry, RoutedReply,
+    RouterConfig, ServerConfig, StreamChunk, StreamMode, MAX_STREAM_TOKENS,
 };
 use djinn_tonic::dnn::{zoo, Network};
 use djinn_tonic::tensor::{Shape, Tensor};
@@ -223,7 +223,6 @@ fn streaming_through_router_stays_ordered_and_correlated() {
     let replica_b = start_server();
     let router = DjinnRouter::start(RouterConfig {
         replicas: vec![replica_a.local_addr(), replica_b.local_addr()],
-        policy: RoutePolicy::LoadAware,
         stats_interval: Duration::from_millis(10),
         ..RouterConfig::default()
     })
