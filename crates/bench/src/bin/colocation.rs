@@ -15,9 +15,9 @@
 //! open-loop Poisson: an `interactive` model whose rate never fills a
 //! batch inside the window, and a `bulk` model whose rate does.
 //!
-//! `always-batch` waits out the full coalescing window, so interactive
+//! `batch` waits out the full coalescing window, so interactive
 //! requests eat the window on top of service and blow the SLA.
-//! `always-colocate` is DjiNN's original shape: no batching at all —
+//! `colocate` is DjiNN's original shape: no batching at all —
 //! each engine dispatches one request per forward pass (a batch cap of
 //! one, no window), and the two engines co-locate on the shared device
 //! — so every request pays the full dispatch cost, the device
@@ -26,11 +26,11 @@
 //! batches adaptively per dispatch from queue depth, device idleness,
 //! and SLA headroom — the claim this table checks is that it beats both
 //! static extremes on SLA attainment and goodput at every swept
-//! point. (The engine's zero-window continuous-batching mode,
-//! [`ColocationPolicy::AlwaysColocate`], is a much stronger baseline —
-//! backlog-driven batching self-corrects — and is reported as a
-//! fourth arm, `colocate+cb`, rather than standing in for
-//! no-batching.)
+//! point. (The batched engine with a zero coalescing window —
+//! continuous batching of whatever backlog exists at dispatch time —
+//! is a much stronger baseline, since backlog-driven batching
+//! self-corrects; it is reported as a fourth arm, `colocate+cb`,
+//! rather than standing in for no-batching.)
 //!
 //! Output: one summary table over (mix × SLA × policy) plus a
 //! per-stage latency breakdown (queue/batch/lease/service) for the
@@ -47,7 +47,8 @@ use crossbeam::channel::bounded;
 use djinn::trace::{ServerTrace, TraceAggregator};
 use djinn::{
     BatchConfig, ColocationPolicy, CpuExecutor, DelayExecutor, Device, DeviceScheduler,
-    DispatchPolicy, EngineConfig, InferenceEngine, ModelRegistry, RoutedReply, TraceRecord,
+    DispatchPolicy, EngineConfig, Executor, InferenceEngine, ModelRegistry, RoutedReply,
+    TraceRecord,
 };
 use tensor::{Tensor, Threading};
 
@@ -84,7 +85,7 @@ enum Arm {
     AlwaysBatch,
     /// No batching: one request per dispatch, both engines sharing the
     /// device.
-    AlwaysColocate,
+    Colocate,
     /// Batched engine, zero window — continuous batching of whatever
     /// backlog exists at dispatch time.
     ColocateCb,
@@ -96,7 +97,7 @@ impl Arm {
     fn name(self) -> &'static str {
         match self {
             Arm::AlwaysBatch => "batch",
-            Arm::AlwaysColocate => "colocate",
+            Arm::Colocate => "colocate",
             Arm::ColocateCb => "colocate+cb",
             Arm::Dynamic => "dynamic",
         }
@@ -168,7 +169,7 @@ fn main() -> ExitCode {
     for cell in &cells {
         let arms = [
             Arm::AlwaysBatch,
-            Arm::AlwaysColocate,
+            Arm::Colocate,
             Arm::ColocateCb,
             Arm::Dynamic,
         ];
@@ -275,24 +276,27 @@ fn run_cell(cell: &Cell, arm: Arm, duration: Duration) -> Result<RunResult, Stri
         BASE_COST,
         PER_ITEM_COST,
     ));
-    let batched = DispatchPolicy::Batched(BatchConfig {
-        max_batch: MAX_BATCH,
-        max_delay: MAX_DELAY,
-    });
-    let alone = DispatchPolicy::Batched(BatchConfig {
-        max_batch: 1,
-        max_delay: Duration::ZERO,
-    });
-    let (dispatch, colocation) = match arm {
-        Arm::AlwaysBatch => (batched, ColocationPolicy::AlwaysBatch),
-        Arm::AlwaysColocate => (alone, ColocationPolicy::AlwaysColocate),
-        Arm::ColocateCb => (batched, ColocationPolicy::AlwaysColocate),
-        Arm::Dynamic => (batched, ColocationPolicy::Dynamic { sla: cell.sla }),
+    // The two co-locate arms are the batched engine with a zero window:
+    // one of at most one query, one of up to `MAX_BATCH`.
+    let (max_batch, max_delay, colocation) = match arm {
+        Arm::AlwaysBatch => (MAX_BATCH, MAX_DELAY, ColocationPolicy::AlwaysBatch),
+        Arm::Colocate => (1, Duration::ZERO, ColocationPolicy::AlwaysBatch),
+        Arm::ColocateCb => (MAX_BATCH, Duration::ZERO, ColocationPolicy::AlwaysBatch),
+        Arm::Dynamic => (
+            MAX_BATCH,
+            MAX_DELAY,
+            ColocationPolicy::Dynamic { sla: cell.sla },
+        ),
     };
     let config = EngineConfig {
-        policy: dispatch,
+        policy: DispatchPolicy::Batched(BatchConfig {
+            max_batch,
+            max_delay,
+        }),
         queue_capacity: QUEUE_CAPACITY,
         colocation,
+        device: Some(scheduler),
+        cache: None,
     };
     let names = ["tiny-mnist", "tiny-senna"];
     let rates = [cell.interactive_rps, cell.bulk_rps];
@@ -302,12 +306,11 @@ fn run_cell(cell: &Cell, arm: Arm, duration: Duration) -> Result<RunResult, Stri
         let net = registry.get(name).map_err(|e| e.to_string())?;
         let shape = net.def().input_shape().with_batch(1);
         inputs.push(Tensor::random_uniform(shape, 0.5, 7));
-        engines.push(InferenceEngine::start_shared(
+        engines.push(InferenceEngine::start(
             name,
             net,
-            executor.clone() as Arc<dyn djinn::Executor>,
-            config,
-            Arc::clone(&scheduler),
+            executor.clone() as Arc<dyn Executor>,
+            config.clone(),
         ));
     }
 

@@ -73,6 +73,7 @@
 //! test zoo) by name; for other models, pass nothing and the tool
 //! reports the server's model list.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -711,8 +712,8 @@ fn main() -> ExitCode {
             // No model: just show what the server offers.
             match DjinnClient::connect(addr).and_then(|mut c| c.list_models()) {
                 Ok(names) => {
-                    println!("models: {}", names.join(", "));
-                    return ExitCode::SUCCESS;
+                    let listed = writeln!(io::stdout().lock(), "models: {}", names.join(", "));
+                    return finish(listed.map(|()| ExitCode::SUCCESS));
                 }
                 Err(e) => {
                     eprintln!("cannot reach server: {e}");
@@ -832,101 +833,120 @@ fn main() -> ExitCode {
     }
     let elapsed = started.elapsed().as_secs_f64();
     let sent = (args.threads * args.requests) as u64;
+    let report = |out: &mut io::StdoutLock| -> io::Result<ExitCode> {
+        if args.stream {
+            // Streaming report: token throughput and the per-token latency
+            // class (TTFT + inter-token gaps), all client-observed.
+            let recs = std::mem::take(&mut *streams.lock().unwrap_or_else(|e| e.into_inner()));
+            let ok = recs.len() as u64;
+            let total_tokens: u64 = recs.iter().map(|r| r.tokens).sum();
+            let mut ttft_ms: Vec<f64> = recs.iter().map(|r| r.ttft_ms).collect();
+            let mut total_ms: Vec<f64> = recs.iter().map(|r| r.total_ms).collect();
+            let mut gaps_ms: Vec<f64> = recs
+                .iter()
+                .flat_map(|r| r.gaps_ms.iter().copied())
+                .collect();
+            ttft_ms.sort_by(f64::total_cmp);
+            total_ms.sort_by(f64::total_cmp);
+            gaps_ms.sort_by(f64::total_cmp);
+            writeln!(
+                out,
+                "{label} [stream x{} tokens]: {ok}/{sent} streams ok in {elapsed:.2}s  ->  \
+                 {:.1} tokens/s, TTFT p50 {} p99 {}, inter-token p50 {} p99 {}, \
+                 stream total p50 {} p99 {}, {} shed (busy), {} errors, {} reconnects",
+                args.tokens,
+                total_tokens as f64 / elapsed,
+                fmt_ms(percentile(&ttft_ms, 0.50)),
+                fmt_ms(percentile(&ttft_ms, 0.99)),
+                fmt_ms(percentile(&gaps_ms, 0.50)),
+                fmt_ms(percentile(&gaps_ms, 0.99)),
+                fmt_ms(percentile(&total_ms, 0.50)),
+                fmt_ms(percentile(&total_ms, 0.99)),
+                sheds.load(Ordering::Relaxed),
+                errors.load(Ordering::Relaxed),
+                reconnects.load(Ordering::Relaxed),
+            )?;
+            return Ok(ExitCode::SUCCESS);
+        }
 
-    if args.stream {
-        // Streaming report: token throughput and the per-token latency
-        // class (TTFT + inter-token gaps), all client-observed.
-        let recs = std::mem::take(&mut *streams.lock().unwrap_or_else(|e| e.into_inner()));
-        let ok = recs.len() as u64;
-        let total_tokens: u64 = recs.iter().map(|r| r.tokens).sum();
-        let mut ttft_ms: Vec<f64> = recs.iter().map(|r| r.ttft_ms).collect();
-        let mut total_ms: Vec<f64> = recs.iter().map(|r| r.total_ms).collect();
-        let mut gaps_ms: Vec<f64> = recs
-            .iter()
-            .flat_map(|r| r.gaps_ms.iter().copied())
-            .collect();
-        ttft_ms.sort_by(f64::total_cmp);
-        total_ms.sort_by(f64::total_cmp);
-        gaps_ms.sort_by(f64::total_cmp);
-        println!(
-            "{label} [stream x{} tokens]: {ok}/{sent} streams ok in {elapsed:.2}s  ->  \
-             {:.1} tokens/s, TTFT p50 {} p99 {}, inter-token p50 {} p99 {}, \
-             stream total p50 {} p99 {}, {} shed (busy), {} errors, {} reconnects",
-            args.tokens,
-            total_tokens as f64 / elapsed,
-            fmt_ms(percentile(&ttft_ms, 0.50)),
-            fmt_ms(percentile(&ttft_ms, 0.99)),
-            fmt_ms(percentile(&gaps_ms, 0.50)),
-            fmt_ms(percentile(&gaps_ms, 0.99)),
-            fmt_ms(percentile(&total_ms, 0.50)),
-            fmt_ms(percentile(&total_ms, 0.99)),
+        let records = std::mem::take(&mut *records.lock().unwrap_or_else(|e| e.into_inner()));
+        let mut lat_ms: Vec<f64> = records.iter().map(|r| r.e2e_us as f64 / 1e3).collect();
+        lat_ms.sort_by(f64::total_cmp);
+        let ok = lat_ms.len() as u64;
+        // `percentile` returns None on an empty sample set (every request
+        // shed or failed): the report says `n/a` instead of panicking on an
+        // empty index or printing a fake 0 ms.
+        let mean = (ok > 0).then(|| lat_ms.iter().sum::<f64>() / ok as f64);
+        // Whole requests answered by the server's *exact* cache layer (the
+        // trace flag is per request). Embed-layer row hits are a different
+        // unit — rows, not requests — and live in the server's stats
+        // (`cache_hits` there counts rows under `--cache embed`); they are
+        // deliberately not folded into this per-request count.
+        let cache_hits = records.iter().filter(|r| r.cache_hit).count();
+        writeln!(
+            out,
+            "{label}: {ok}/{sent} ok in {elapsed:.2}s  ->  {:.1} req/s ({:.1} q/s), \
+             mean {}, p50 {}, p95 {}, p99 {}, \
+             max {}, {} shed (busy), {} errors, {} reconnects, {} cache-hit requests",
+            ok as f64 / elapsed,
+            ok as f64 * args.queries as f64 / elapsed,
+            fmt_ms(mean),
+            fmt_ms(percentile(&lat_ms, 0.50)),
+            fmt_ms(percentile(&lat_ms, 0.95)),
+            fmt_ms(percentile(&lat_ms, 0.99)),
+            fmt_ms(lat_ms.last().copied()),
             sheds.load(Ordering::Relaxed),
             errors.load(Ordering::Relaxed),
             reconnects.load(Ordering::Relaxed),
-        );
-        return ExitCode::SUCCESS;
-    }
+            cache_hits,
+        )?;
 
-    let records = std::mem::take(&mut *records.lock().unwrap_or_else(|e| e.into_inner()));
-    let mut lat_ms: Vec<f64> = records.iter().map(|r| r.e2e_us as f64 / 1e3).collect();
-    lat_ms.sort_by(f64::total_cmp);
-    let ok = lat_ms.len() as u64;
-    // `percentile` returns None on an empty sample set (every request
-    // shed or failed): the report says `n/a` instead of panicking on an
-    // empty index or printing a fake 0 ms.
-    let mean = (ok > 0).then(|| lat_ms.iter().sum::<f64>() / ok as f64);
-    // Whole requests answered by the server's *exact* cache layer (the
-    // trace flag is per request). Embed-layer row hits are a different
-    // unit — rows, not requests — and live in the server's stats
-    // (`cache_hits` there counts rows under `--cache embed`); they are
-    // deliberately not folded into this per-request count.
-    let cache_hits = records.iter().filter(|r| r.cache_hit).count();
-    println!(
-        "{label}: {ok}/{sent} ok in {elapsed:.2}s  ->  {:.1} req/s ({:.1} q/s), \
-         mean {}, p50 {}, p95 {}, p99 {}, \
-         max {}, {} shed (busy), {} errors, {} reconnects, {} cache-hit requests",
-        ok as f64 / elapsed,
-        ok as f64 * args.queries as f64 / elapsed,
-        fmt_ms(mean),
-        fmt_ms(percentile(&lat_ms, 0.50)),
-        fmt_ms(percentile(&lat_ms, 0.95)),
-        fmt_ms(percentile(&lat_ms, 0.99)),
-        fmt_ms(lat_ms.last().copied()),
-        sheds.load(Ordering::Relaxed),
-        errors.load(Ordering::Relaxed),
-        reconnects.load(Ordering::Relaxed),
-        cache_hits,
-    );
-
-    // Per-stage latency breakdown from the server's echoed trace blocks.
-    let mut agg = TraceAggregator::new();
-    for r in &records {
-        agg.record(r);
-    }
-    print!("{}", agg.table().render());
-
-    // Payload efficiency: what the measured throughput cost on the wire,
-    // from the actual frame sizes (length prefixes included).
-    let wire_bytes: u64 = records.iter().map(|r| r.wire_bytes).sum();
-    if ok > 0 && wire_bytes > 0 {
-        println!(
-            "wire bytes: {:.0} per request, {:.2} MB/s on the wire",
-            wire_bytes as f64 / ok as f64,
-            wire_bytes as f64 / 1e6 / elapsed,
-        );
-    }
-
-    if let Some(path) = args.trace_out {
-        let mut jsonl = String::with_capacity(records.len() * 160);
+        // Per-stage latency breakdown from the server's echoed trace blocks.
+        let mut agg = TraceAggregator::new();
         for r in &records {
-            jsonl.push_str(&r.to_json());
-            jsonl.push('\n');
+            agg.record(r);
         }
-        if let Err(e) = std::fs::write(&path, jsonl) {
-            eprintln!("cannot write --trace-out {path}: {e}");
-            return ExitCode::FAILURE;
+        write!(out, "{}", agg.table().render())?;
+
+        // Payload efficiency: what the measured throughput cost on the wire,
+        // from the actual frame sizes (length prefixes included).
+        let wire_bytes: u64 = records.iter().map(|r| r.wire_bytes).sum();
+        if ok > 0 && wire_bytes > 0 {
+            writeln!(
+                out,
+                "wire bytes: {:.0} per request, {:.2} MB/s on the wire",
+                wire_bytes as f64 / ok as f64,
+                wire_bytes as f64 / 1e6 / elapsed,
+            )?;
         }
-        println!("wrote {} trace records to {path}", records.len());
+
+        if let Some(path) = args.trace_out {
+            let mut jsonl = String::with_capacity(records.len() * 160);
+            for r in &records {
+                jsonl.push_str(&r.to_json());
+                jsonl.push('\n');
+            }
+            if let Err(e) = std::fs::write(&path, jsonl) {
+                eprintln!("cannot write --trace-out {path}: {e}");
+                return Ok(ExitCode::FAILURE);
+            }
+            writeln!(out, "wrote {} trace records to {path}", records.len())?;
+        }
+        Ok(ExitCode::SUCCESS)
+    };
+    finish(report(&mut io::stdout().lock()))
+}
+
+/// The exit status for a finished run whose report went to stdout. A
+/// reader that stopped reading (`| head -1`) already has what it wanted,
+/// so a broken pipe exits quietly and successfully.
+fn finish(report: io::Result<ExitCode>) -> ExitCode {
+    match report {
+        Ok(code) => code,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("cannot write the report: {e}");
+            ExitCode::FAILURE
+        }
     }
-    ExitCode::SUCCESS
 }

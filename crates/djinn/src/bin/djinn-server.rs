@@ -3,8 +3,8 @@
 //! ```text
 //! djinn-server [--addr HOST:PORT] [--backend cpu|sim-gpu]
 //!              [--batch N] [--threads N] [--queue N]
-//!              [--device-threads N] [--policy batch|colocate|dynamic]
-//!              [--sla-ms N] [--models DIR] [--tiny-zoo] [--lm] [--only NAME,NAME]
+//!              [--device-threads N] [--sla-ms N] [--models DIR]
+//!              [--tiny-zoo] [--lm] [--only NAME,NAME]
 //!              [--service-delay-us N] [--cache off|exact|embed|both]
 //!              [--cache-mb N] [--export DIR]
 //! ```
@@ -39,10 +39,10 @@
 //! compute units (CPU threads, or MPS kernel slots under `sim-gpu`):
 //! engines then acquire bounded leases from a single scheduler before
 //! running inference, and lease waits show up as the `lease` trace
-//! stage. `--policy` picks how batched engines trade batching against
-//! co-location (`batch` coalesces up to the full window, `colocate`
-//! dispatches immediately, `dynamic` splits the difference from queue
-//! depth and the `--sla-ms` latency budget; defaults to `batch`).
+//! stage. `--sla-ms N` gives batched engines an `N` ms latency budget:
+//! each dispatch then sizes its coalescing window from queue depth,
+//! device idleness and the budget's headroom (the dynamic policy)
+//! instead of always waiting out the full window. It needs `--batch`.
 //!
 //! `--cache` turns on content-keyed inference caching (`exact` memoizes
 //! whole outputs by input bytes, `embed` caches per-row embedding-layer
@@ -58,6 +58,7 @@ use djinn::{
     Backend, BatchConfig, CacheMode, ColocationPolicy, DjinnServer, ModelRegistry, ServerConfig,
 };
 
+#[derive(Debug)]
 struct Args {
     addr: String,
     backend: Backend,
@@ -70,14 +71,13 @@ struct Args {
     only: Vec<String>,
     service_delay: Option<Duration>,
     device_threads: Option<usize>,
-    policy: String,
-    sla: Duration,
+    colocation: ColocationPolicy,
     cache: CacheMode,
     cache_mb: usize,
     export: Option<PathBuf>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let defaults = ServerConfig::default();
     let mut args = Args {
         addr: "127.0.0.1:7400".into(),
@@ -91,13 +91,13 @@ fn parse_args() -> Result<Args, String> {
         only: Vec::new(),
         service_delay: None,
         device_threads: None,
-        policy: "batch".into(),
-        sla: Duration::from_millis(50),
+        colocation: ColocationPolicy::AlwaysBatch,
         cache: CacheMode::Off,
         cache_mb: 64,
         export: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut sla = None;
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
         match flag.as_str() {
@@ -153,15 +153,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.device_threads = Some(n);
             }
-            "--policy" => {
-                args.policy = value("--policy")?;
-                if !matches!(args.policy.as_str(), "batch" | "colocate" | "dynamic") {
-                    return Err(format!(
-                        "unknown policy `{}` (want batch|colocate|dynamic)",
-                        args.policy
-                    ));
-                }
-            }
             "--sla-ms" => {
                 let ms: u64 = value("--sla-ms")?
                     .parse()
@@ -169,7 +160,7 @@ fn parse_args() -> Result<Args, String> {
                 if ms == 0 {
                     return Err("--sla-ms must be at least 1".into());
                 }
-                args.sla = Duration::from_millis(ms);
+                sla = Some(Duration::from_millis(ms));
             }
             "--service-delay-us" => {
                 let us: u64 = value("--service-delay-us")?
@@ -195,8 +186,8 @@ fn parse_args() -> Result<Args, String> {
                 return Err(
                     "usage: djinn-server [--addr HOST:PORT] [--backend cpu|sim-gpu] \
                             [--batch N] [--threads N] [--queue N] \
-                            [--device-threads N] [--policy batch|colocate|dynamic] \
-                            [--sla-ms N] [--models DIR] [--tiny-zoo] [--lm] [--only NAME,NAME] \
+                            [--device-threads N] [--sla-ms N] [--models DIR] \
+                            [--tiny-zoo] [--lm] [--only NAME,NAME] \
                             [--service-delay-us N] [--cache off|exact|embed|both] \
                             [--cache-mb N] [--export DIR]"
                         .into(),
@@ -205,11 +196,17 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
+    if let Some(sla) = sla {
+        if args.batch.is_none() {
+            return Err("--sla-ms needs --batch: it budgets the batching window".into());
+        }
+        args.colocation = ColocationPolicy::Dynamic { sla };
+    }
     Ok(args)
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
@@ -288,14 +285,9 @@ fn main() -> ExitCode {
         queue_capacity: args.queue,
         service_delay: args.service_delay,
         device_capacity: args.device_threads,
-        colocation: match args.policy.as_str() {
-            "colocate" => ColocationPolicy::AlwaysColocate,
-            "dynamic" => ColocationPolicy::Dynamic { sla: args.sla },
-            _ => ColocationPolicy::AlwaysBatch,
-        },
+        colocation: args.colocation,
         cache_mode: args.cache,
         cache_bytes: args.cache_mb * 1024 * 1024,
-        ..ServerConfig::default()
     };
     let server = match DjinnServer::start(registry, config) {
         Ok(s) => s,
@@ -339,4 +331,38 @@ fn export_models(dir: &std::path::Path) -> ExitCode {
         eprintln!("wrote {}", path.display());
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn sla_with_batch_selects_the_dynamic_policy() {
+        let args = parse(&["--batch", "8", "--sla-ms", "30"]).unwrap();
+        let sla = Duration::from_millis(30);
+        assert_eq!(args.colocation, ColocationPolicy::Dynamic { sla });
+    }
+
+    #[test]
+    fn batch_alone_always_batches() {
+        let args = parse(&["--batch", "8"]).unwrap();
+        assert_eq!(args.colocation, ColocationPolicy::AlwaysBatch);
+    }
+
+    #[test]
+    fn policy_is_an_unknown_flag() {
+        let err = parse(&["--batch", "8", "--policy", "dynamic"]).unwrap_err();
+        assert_eq!(err, "unknown flag `--policy`");
+    }
+
+    #[test]
+    fn sla_without_batch_is_refused() {
+        let err = parse(&["--sla-ms", "30"]).unwrap_err();
+        assert!(err.contains("--sla-ms needs --batch"), "{err}");
+    }
 }

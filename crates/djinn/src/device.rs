@@ -17,12 +17,14 @@
 //!   blocked in [`DeviceScheduler::acquire`] is the *lease wait* — a
 //!   visible stage in traces and stats, the co-location analogue of
 //!   queueing delay;
-//! * [`ColocationPolicy`] decides, per dispatch, between the two static
-//!   extremes studied in "Throughput Maximization of DNN Inference:
-//!   Batching or Multi-Tenancy?": wait to fill the batch (amortize
-//!   per-dispatch cost) or run now on a partial device slice (cut
-//!   latency). The dynamic policy picks per model from queue depth,
-//!   batch fill, SLA headroom, and current device availability.
+//! * [`ColocationPolicy`] sizes, per dispatch, the one knob between the
+//!   two extremes studied in "Throughput Maximization of DNN Inference:
+//!   Batching or Multi-Tenancy?": the coalescing window. A full window
+//!   waits to fill the batch (amortize per-dispatch cost); a zero
+//!   window — a zero [`crate::BatchConfig::max_delay`] — runs now on a
+//!   partial device slice (cut latency). The dynamic policy picks per
+//!   model from queue depth, batch fill, SLA headroom, and current
+//!   device availability.
 //!
 //! Grants are *fair-share bounded*: with `s` engines sharing a
 //! `c`-thread device, no single lease exceeds `max(1, c / s)` threads
@@ -252,17 +254,15 @@ impl DeviceScheduler {
 /// The batched dispatch loop asks the policy, each time it holds a
 /// partial batch, how much longer to keep coalescing. `AlwaysBatch`
 /// answers "the full [`crate::BatchConfig::max_delay`]" (the pre-device
-/// behavior); `AlwaysColocate` answers "zero — run now on whatever slice
-/// is free"; `Dynamic` splits the difference from SLA headroom, batch
-/// fill, queue state, and device availability.
+/// behavior); `Dynamic` splits the difference from SLA headroom, batch
+/// fill, queue state, and device availability. Never waiting — running
+/// now on whatever slice is free — is a zero `max_delay`, which the loop
+/// dispatches without asking.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ColocationPolicy {
     /// Always wait out the coalescing window to maximize batch fill.
     #[default]
     AlwaysBatch,
-    /// Never wait: dispatch partial batches immediately and rely on
-    /// co-location for throughput.
-    AlwaysColocate,
     /// Batch when there is SLA headroom and the device is busy anyway;
     /// co-locate when the SLA is tight or waiting cannot improve fill.
     Dynamic {
@@ -293,7 +293,6 @@ impl ColocationPolicy {
     ) -> Duration {
         match *self {
             ColocationPolicy::AlwaysBatch => max_delay,
-            ColocationPolicy::AlwaysColocate => Duration::ZERO,
             ColocationPolicy::Dynamic { sla } => {
                 if assembled >= max_batch {
                     return Duration::ZERO; // full: nothing to wait for
@@ -314,15 +313,6 @@ impl ColocationPolicy {
                 // half the remaining headroom, never past the window.
                 max_delay.min(headroom / 2)
             }
-        }
-    }
-
-    /// Short stable name for tables and flags.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ColocationPolicy::AlwaysBatch => "batch",
-            ColocationPolicy::AlwaysColocate => "colocate",
-            ColocationPolicy::Dynamic { .. } => "dynamic",
         }
     }
 }
@@ -432,15 +422,20 @@ mod tests {
     fn policy_extremes_answer_the_window_and_zero() {
         let window = Duration::from_millis(4);
         let b = ColocationPolicy::AlwaysBatch;
-        let c = ColocationPolicy::AlwaysColocate;
         assert_eq!(
             b.coalesce_budget(window, Duration::ZERO, 1, 8, true, true),
             window
         );
-        assert_eq!(
-            c.coalesce_budget(window, Duration::ZERO, 1, 8, true, true),
-            Duration::ZERO
-        );
+        // A zero window is "never wait" under every policy.
+        let d = ColocationPolicy::Dynamic {
+            sla: Duration::from_secs(1),
+        };
+        for p in [b, d] {
+            assert_eq!(
+                p.coalesce_budget(Duration::ZERO, Duration::ZERO, 1, 8, false, false),
+                Duration::ZERO
+            );
+        }
     }
 
     #[test]

@@ -7,10 +7,17 @@
 //! forward pass, scatter the output rows — and both serving modes of the
 //! paper are settings of it: [`DispatchPolicy::Immediate`] dispatches
 //! whatever is queued the moment the thread is free, and
-//! [`DispatchPolicy::Batched`] may also wait out a window for company.
-//! Since a row's bits do not depend on what it is batched with, the two
-//! compute the same outputs; parallelism inside one forward pass comes
-//! from the executor's thread budget, not from more dispatch threads.
+//! [`DispatchPolicy::Batched`] may also wait out a window for company
+//! (a zero `max_delay` never waits). Since a row's bits do not depend on
+//! what it is batched with, the two compute the same outputs;
+//! parallelism inside one forward pass comes from the executor's thread
+//! budget, not from more dispatch threads.
+//!
+//! [`InferenceEngine::start`] is the one constructor. Everything an
+//! engine shares with others rides in its [`EngineConfig`]: the
+//! [`DeviceScheduler`] it leases compute from (a dedicated one when
+//! unset), the [`ColocationPolicy`] that sizes a batched window on that
+//! device, and the [`InferenceCache`] probed at admission.
 //!
 //! Admission is **non-blocking with explicit backpressure**: when the
 //! queue holds `queue_capacity` jobs, [`InferenceEngine::submit`] returns
@@ -90,7 +97,7 @@ pub enum DispatchPolicy {
 }
 
 /// Configuration of one model's engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Dispatch policy.
     pub policy: DispatchPolicy,
@@ -98,11 +105,21 @@ pub struct EngineConfig {
     /// [`DjinnError::Busy`]. Bounds both memory and worst-case queueing
     /// delay under overload.
     pub queue_capacity: usize,
-    /// Batch-more vs. co-locate-more choice for the batched coalescing
-    /// loop on a shared device. [`ColocationPolicy::AlwaysBatch`] (the
-    /// default) reproduces the pre-scheduler behavior of always waiting
-    /// out [`BatchConfig::max_delay`].
+    /// How long a batched engine keeps coalescing a partial batch.
+    /// [`ColocationPolicy::AlwaysBatch`] (the default) waits out
+    /// [`BatchConfig::max_delay`]; a zero window never asks.
     pub colocation: ColocationPolicy,
+    /// The device this engine leases compute from. Pass the same
+    /// scheduler to every engine placed on a shared device: each
+    /// dispatch then acquires a bounded [`crate::ComputeLease`] and runs
+    /// under the granted thread budget. `None` is a dedicated scheduler:
+    /// acquisition never blocks and grants never shrink.
+    pub device: Option<Arc<DeviceScheduler>>,
+    /// Content-keyed inference cache. The exact layer is probed at
+    /// admission (a hit never touches the queue, the lease or the
+    /// executor); the embedding layer is consulted row by row inside the
+    /// forward pass. `None` is the uncached engine.
+    pub cache: Option<Arc<InferenceCache>>,
 }
 
 impl Default for EngineConfig {
@@ -111,6 +128,8 @@ impl Default for EngineConfig {
             policy: DispatchPolicy::Immediate,
             queue_capacity: 128,
             colocation: ColocationPolicy::AlwaysBatch,
+            device: None,
+            cache: None,
         }
     }
 }
@@ -436,9 +455,8 @@ struct Inner {
     /// Gap between consecutive chunk emissions of a stream; the first
     /// sample of each stream is admission → first chunk (TTFT).
     token_gap: Mutex<LatencyHistogram>,
-    /// The device this engine leases compute from. Engines started
-    /// without an explicit scheduler get a dedicated (unbounded) one, so
-    /// acquisition never blocks and grants never shrink.
+    /// The device this engine leases compute from: `config.device`, or
+    /// a dedicated (unbounded) one.
     scheduler: Arc<DeviceScheduler>,
     colocation: ColocationPolicy,
     /// Content-keyed inference cache, when enabled. The exact layer is
@@ -502,54 +520,19 @@ impl std::fmt::Debug for InferenceEngine {
 }
 
 impl InferenceEngine {
-    /// Spawns the engine for one model on a dedicated (engine-private)
-    /// device: lease acquisition never blocks and grants never shrink,
-    /// so behavior is identical to the pre-scheduler engine.
+    /// Spawns the engine for one model: its admission queue and its
+    /// dispatch thread, leasing compute from `config.device` and
+    /// answering from `config.cache` where they are set.
     pub fn start(
         model: impl Into<String>,
         network: Arc<Network>,
         executor: Arc<dyn Executor>,
         config: EngineConfig,
     ) -> Self {
-        Self::start_shared(
-            model,
-            network,
-            executor,
-            config,
-            Arc::new(DeviceScheduler::dedicated()),
-        )
-    }
-
-    /// Spawns the engine for one model on a *shared* device: every
-    /// dispatch acquires a bounded [`crate::ComputeLease`] from
-    /// `scheduler` before touching the executor, and the executor runs
-    /// under the granted thread budget. Pass the same scheduler to every
-    /// engine placed on the device.
-    pub fn start_shared(
-        model: impl Into<String>,
-        network: Arc<Network>,
-        executor: Arc<dyn Executor>,
-        config: EngineConfig,
-        scheduler: Arc<DeviceScheduler>,
-    ) -> Self {
-        Self::start_cached(model, network, executor, config, scheduler, None)
-    }
-
-    /// [`InferenceEngine::start_shared`] with a content-keyed inference
-    /// cache. The exact-match layer is probed at admission — a hit is
-    /// answered before the job touches the queue, the device lease, or
-    /// the executor — and the embedding layer is consulted row-by-row
-    /// inside the executor's forward pass. `None` is byte-for-byte the
-    /// uncached engine.
-    pub fn start_cached(
-        model: impl Into<String>,
-        network: Arc<Network>,
-        executor: Arc<dyn Executor>,
-        config: EngineConfig,
-        scheduler: Arc<DeviceScheduler>,
-        cache: Option<Arc<InferenceCache>>,
-    ) -> Self {
         let model = model.into();
+        let scheduler = config
+            .device
+            .unwrap_or_else(|| Arc::new(DeviceScheduler::dedicated()));
         scheduler.register_sharer();
         let inner = Arc::new(Inner {
             model: model.clone(),
@@ -569,7 +552,7 @@ impl InferenceEngine {
             token_gap: Mutex::new(LatencyHistogram::new()),
             scheduler,
             colocation: config.colocation,
-            cache,
+            cache: config.cache,
         });
         let input_shape = network.def().input_shape().clone();
         let batch = match config.policy {
@@ -594,6 +577,20 @@ impl InferenceEngine {
             dispatcher: Some(dispatcher),
             input_shape,
         }
+    }
+
+    /// [`InferenceEngine::start`] on `device`. Kept for the benchmark
+    /// ledger, which calls it until the ledger measures from outside
+    /// (ROADMAP item 1(d)).
+    pub fn start_shared(
+        model: impl Into<String>,
+        network: Arc<Network>,
+        executor: Arc<dyn Executor>,
+        config: EngineConfig,
+        device: Arc<DeviceScheduler>,
+    ) -> Self {
+        let device = Some(device);
+        Self::start(model, network, executor, EngineConfig { device, ..config })
     }
 
     /// The model this engine serves.
@@ -952,13 +949,12 @@ fn dispatch_loop(
         }
         // Phase 2: coalesce up to the cap until the policy's budget
         // expires. `AlwaysBatch` spends the full `max_delay` (the
-        // classic §5.1 loop); `AlwaysColocate` dispatches the partial
-        // batch at once; `Dynamic` weighs SLA headroom, batch fill, and
-        // device availability. A draining engine skips the wait —
-        // queued jobs are answered as fast as possible — and so does a
-        // batch that carries a stream step: a token waits for the tick
-        // before it, never for a window. A zero window has no budget to
-        // weigh.
+        // classic §5.1 loop); `Dynamic` weighs SLA headroom, batch
+        // fill, and device availability. A zero window has no budget to
+        // weigh: it dispatches the partial batch at once. A draining
+        // engine skips the wait — queued jobs are answered as fast as
+        // possible — and so does a batch that carries a stream step: a
+        // token waits for the tick before it, never for a window.
         let budget = if draining || config.max_delay.is_zero() || jobs.iter().any(Job::is_step) {
             Duration::ZERO
         } else {
@@ -1654,28 +1650,34 @@ mod tests {
     }
 
     #[test]
-    fn always_colocate_skips_the_coalescing_delay() {
-        let max_delay = Duration::from_millis(200); // >> test budget
-        let eng = InferenceEngine::start(
-            "tiny",
-            tiny_net(),
-            Arc::new(CpuExecutor::default()),
-            EngineConfig {
-                colocation: crate::ColocationPolicy::AlwaysColocate,
-                ..batched(4, max_delay)
-            },
-        );
-        let input = Tensor::random_uniform(Shape::mat(1, 8), 1.0, 4);
-        let t0 = Instant::now();
-        let (_, spans) = eng.infer_traced(input).unwrap();
-        assert!(
-            t0.elapsed() < max_delay / 2,
-            "co-locate policy must dispatch partial batches immediately"
-        );
-        assert!(
-            spans.batch_us < (max_delay.as_micros() as u64) / 2,
-            "no coalescing wait should be attributed: {spans:?}"
-        );
+    fn zero_window_dispatches_a_lone_batched_job_at_once() {
+        // A zero `max_delay` is the one way to say "don't wait": the
+        // dispatch loop never asks the policy, whichever it is.
+        let slow = Duration::from_millis(200); // >> test budget
+        for colocation in [
+            crate::ColocationPolicy::AlwaysBatch,
+            crate::ColocationPolicy::Dynamic { sla: slow * 10 },
+        ] {
+            let eng = engine(
+                tiny_net(),
+                EngineConfig {
+                    colocation,
+                    ..batched(4, Duration::ZERO)
+                },
+            );
+            let input = Tensor::random_uniform(Shape::mat(1, 8), 1.0, 4);
+            let t0 = Instant::now();
+            let (_, spans) = eng.infer_traced(input).unwrap();
+            assert!(
+                t0.elapsed() < slow / 2,
+                "{colocation:?}: a zero window held a lone job for {:?}",
+                t0.elapsed()
+            );
+            assert!(
+                spans.batch_us < (slow.as_micros() as u64) / 2,
+                "{colocation:?}: no coalescing wait should be attributed: {spans:?}"
+            );
+        }
     }
 
     #[test]
@@ -1683,19 +1685,17 @@ mod tests {
         // Queue empty + device free: batching amortizes nothing, so the
         // dynamic policy must not hold a lone job for the full window.
         let max_delay = Duration::from_millis(200);
-        let eng = InferenceEngine::start_shared(
-            "tiny",
+        let eng = engine(
             tiny_net(),
-            Arc::new(CpuExecutor::default()),
             EngineConfig {
                 colocation: crate::ColocationPolicy::Dynamic {
                     sla: Duration::from_secs(1),
                 },
+                device: Some(Arc::new(crate::DeviceScheduler::new(crate::Device::Cpu {
+                    threads: 2,
+                }))),
                 ..batched(4, max_delay)
             },
-            Arc::new(crate::DeviceScheduler::new(crate::Device::Cpu {
-                threads: 2,
-            })),
         );
         let input = Tensor::random_uniform(Shape::mat(1, 8), 1.0, 4);
         let t0 = Instant::now();
@@ -1717,16 +1717,16 @@ mod tests {
             threads: 2,
         }));
         let mk = |name: &str| {
-            InferenceEngine::start_shared(
+            InferenceEngine::start(
                 name,
                 Arc::clone(&net),
                 Arc::new(CpuExecutor::new(tensor::Threading::new(4))),
                 EngineConfig {
                     policy: DispatchPolicy::Immediate,
                     queue_capacity: 64,
-                    colocation: crate::ColocationPolicy::AlwaysColocate,
+                    device: Some(Arc::clone(&sched)),
+                    ..EngineConfig::default()
                 },
-                Arc::clone(&sched),
             )
         };
         let a = Arc::new(mk("a"));
@@ -1764,7 +1764,7 @@ mod tests {
             threads: 1,
         }));
         let mk = |name: &str| {
-            InferenceEngine::start_shared(
+            InferenceEngine::start(
                 name,
                 tiny_net(),
                 Arc::new(SlowExecutor {
@@ -1774,9 +1774,9 @@ mod tests {
                 EngineConfig {
                     policy: DispatchPolicy::Immediate,
                     queue_capacity: 32,
-                    colocation: crate::ColocationPolicy::AlwaysColocate,
+                    device: Some(Arc::clone(&sched)),
+                    ..EngineConfig::default()
                 },
-                Arc::clone(&sched),
             )
         };
         let a = mk("a");

@@ -16,7 +16,10 @@
 //! * [`InferenceEngine`] — the per-model execution engine: bounded
 //!   admission queue (full → `Busy` backpressure), dispatch policy
 //!   ([`DispatchPolicy::Immediate`] or [`DispatchPolicy::Batched`] per
-//!   §5.1 of the paper), and queue telemetry;
+//!   §5.1 of the paper), and queue telemetry. [`InferenceEngine::start`]
+//!   is its one constructor; the shared [`DeviceScheduler`], the
+//!   [`ColocationPolicy`] and the [`InferenceCache`] ride in its
+//!   [`EngineConfig`];
 //! * [`DjinnServer`]/[`DjinnClient`] — the TCP service and its client.
 //!
 //! Both network tiers run on one I/O core: a single thread per server or

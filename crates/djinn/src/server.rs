@@ -13,7 +13,7 @@
 //! until it catches up, and one that takes nothing for the I/O core's
 //! stall limit is dropped: neither holds up anyone else.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -55,10 +55,6 @@ pub struct ServerConfig {
     /// dispatch thread is free runs as one forward pass, so a lone
     /// request runs alone and a backlog never waits for company.
     pub batching: Option<BatchConfig>,
-    /// Per-model `max_batch` overrides on top of `batching` — how the
-    /// Table 3 per-application batch sizes are deployed (e.g. 64 for the
-    /// NLP models but only 2 for FACE).
-    pub batch_overrides: BTreeMap<String, usize>,
     /// Worker threads the CPU backend spends on each forward pass
     /// (batch sharding or in-layer GEMM strips, chosen per model).
     /// `1` keeps inference sequential; ignored by the simulated GPU.
@@ -98,7 +94,6 @@ impl Default for ServerConfig {
             bind_addr: "127.0.0.1:0".into(),
             backend: Backend::Cpu,
             batching: None,
-            batch_overrides: BTreeMap::new(),
             threads: 1,
             queue_capacity: 128,
             service_delay: None,
@@ -106,22 +101,6 @@ impl Default for ServerConfig {
             colocation: ColocationPolicy::AlwaysBatch,
             cache_mode: CacheMode::Off,
             cache_bytes: 64 * 1024 * 1024,
-        }
-    }
-}
-
-impl ServerConfig {
-    /// The paper's deployment: batching on, with each Tonic model's
-    /// Table 3 batch size.
-    pub fn tonic_batching() -> Self {
-        let mut batch_overrides = BTreeMap::new();
-        for app in dnn::zoo::App::ALL {
-            batch_overrides.insert(app.name().to_lowercase(), app.service_meta().batch_size);
-        }
-        ServerConfig {
-            batching: Some(BatchConfig::default()),
-            batch_overrides,
-            ..ServerConfig::default()
         }
     }
 }
@@ -249,14 +228,13 @@ impl DjinnServer {
             }
         };
         // One scheduler fronts the device all engines share; without
-        // --device-threads each engine gets the legacy dedicated
-        // (unbounded) scheduler: no engine ever waits on another's lease.
-        let scheduler = Arc::new(match config.device_capacity {
-            Some(units) => DeviceScheduler::new(match config.backend {
+        // --device-threads each engine gets its own dedicated (unbounded)
+        // one: no engine ever waits on another's lease.
+        let device = config.device_capacity.map(|units| {
+            Arc::new(DeviceScheduler::new(match config.backend {
                 Backend::Cpu => Device::Cpu { threads: units },
                 Backend::SimGpu => Device::SimGpuMps { slots: units },
-            }),
-            None => DeviceScheduler::dedicated(),
+            }))
         });
         // Engines are created eagerly at initialization, one per model,
         // mirroring DjiNN's load-everything-up-front design. Batched and
@@ -265,30 +243,20 @@ impl DjinnServer {
         let model_count = registry.names().len().max(1);
         let per_model_cache_bytes = (config.cache_bytes / model_count).max(1);
         for name in registry.names() {
-            let net = registry.get(&name)?;
-            let policy = match config.batching {
-                Some(bc) => {
-                    let mut model_bc = bc;
-                    if let Some(&max_batch) = config.batch_overrides.get(&name) {
-                        model_bc.max_batch = max_batch;
-                    }
-                    DispatchPolicy::Batched(model_bc)
-                }
-                None => DispatchPolicy::Immediate,
-            };
             let engine_config = EngineConfig {
-                policy,
+                policy: config
+                    .batching
+                    .map_or(DispatchPolicy::Immediate, DispatchPolicy::Batched),
                 queue_capacity: config.queue_capacity,
                 colocation: config.colocation,
+                device: device.clone(),
+                cache: InferenceCache::new(config.cache_mode, per_model_cache_bytes).map(Arc::new),
             };
-            let cache = InferenceCache::new(config.cache_mode, per_model_cache_bytes).map(Arc::new);
-            let engine = InferenceEngine::start_cached(
+            let engine = InferenceEngine::start(
                 name.clone(),
-                net,
+                registry.get(&name)?,
                 Arc::clone(&executor),
                 engine_config,
-                Arc::clone(&scheduler),
-                cache,
             );
             models.push(Model {
                 name,
@@ -748,15 +716,6 @@ mod tests {
         let want = reg.get("tiny").unwrap().forward(&input).unwrap();
         assert!(threaded.max_abs_diff(&want).unwrap() < 1e-5);
         server.shutdown();
-    }
-
-    #[test]
-    fn tonic_batching_config_carries_table3_sizes() {
-        let cfg = ServerConfig::tonic_batching();
-        assert_eq!(cfg.batch_overrides["pos"], 64);
-        assert_eq!(cfg.batch_overrides["face"], 2);
-        assert_eq!(cfg.batch_overrides["imc"], 16);
-        assert!(cfg.batching.is_some());
     }
 
     #[test]

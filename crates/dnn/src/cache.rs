@@ -654,6 +654,15 @@ pub struct InferenceCache {
     embed: Option<EmbedCache>,
 }
 
+impl std::fmt::Debug for InferenceCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("InferenceCache")
+            .field("exact", &self.exact_stats())
+            .field("embed", &self.embed_stats())
+            .finish()
+    }
+}
+
 impl InferenceCache {
     /// Builds the caches `mode` enables under `budget_bytes` total
     /// ([`CacheMode::Both`] splits the budget evenly); `None` for

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use djinn_tonic::djinn::{CpuExecutor, DeviceScheduler, EngineConfig, InferenceEngine};
+use djinn_tonic::djinn::{CpuExecutor, EngineConfig, InferenceEngine};
 use djinn_tonic::dnn::cache::{tensor_key, CacheMode, ExactCache, InferenceCache, ShardedLru};
 use djinn_tonic::dnn::{zoo, Network};
 use djinn_tonic::tensor::{Shape, Tensor};
@@ -22,13 +22,14 @@ use proptest::prelude::*;
 /// here).
 fn engine_with_cache(net: Arc<Network>, mode: CacheMode) -> InferenceEngine {
     let cache = InferenceCache::new(mode, 16 * 1024).map(Arc::new);
-    InferenceEngine::start_cached(
+    InferenceEngine::start(
         "test",
         net,
         Arc::new(CpuExecutor::default()),
-        EngineConfig::default(),
-        Arc::new(DeviceScheduler::dedicated()),
-        cache,
+        EngineConfig {
+            cache,
+            ..EngineConfig::default()
+        },
     )
 }
 
@@ -85,13 +86,14 @@ fn eviction_pressure_never_corrupts_answers() {
     // one ~640-byte tiny-mnist entry per shard); 32 distinct inputs
     // cycle through it repeatedly.
     let cache = Arc::new(InferenceCache::new(CacheMode::Exact, 8192).unwrap());
-    let engine = InferenceEngine::start_cached(
+    let engine = InferenceEngine::start(
         "test",
         Arc::clone(&net),
         Arc::new(CpuExecutor::default()),
-        EngineConfig::default(),
-        Arc::new(DeviceScheduler::dedicated()),
-        Some(Arc::clone(&cache)),
+        EngineConfig {
+            cache: Some(Arc::clone(&cache)),
+            ..EngineConfig::default()
+        },
     );
     let inputs: Vec<Tensor> = (0..32).map(|i| input_for(&def, 1, i)).collect();
     let want: Vec<Tensor> = inputs.iter().map(|t| net.forward(t).unwrap()).collect();
