@@ -36,7 +36,7 @@
 //! per-stage latency breakdown (queue/batch/lease/service) for the
 //! tightest cell, written to stdout and `results/colocation_bench.txt`
 //! with CSVs alongside. `--smoke` runs one cell per policy in a few
-//! seconds — the CI wiring.
+//! seconds and writes only to stdout — the CI wiring.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -253,8 +253,8 @@ fn main() -> ExitCode {
         }
     ));
     print!("{out}");
-    let _ = summary.write_csv(std::path::Path::new("results"));
     if !smoke {
+        let _ = summary.write_csv(std::path::Path::new("results"));
         if let Err(e) = std::fs::write("results/colocation_bench.txt", &out) {
             eprintln!("warning: could not write results/colocation_bench.txt: {e}");
         }

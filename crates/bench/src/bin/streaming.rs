@@ -32,9 +32,9 @@
 //!
 //! Output: a per-arm table (TTFT p50/p99, stream total p50/p99,
 //! TTFT/total ratio, tokens/s) and the in-process table, written to
-//! stdout and `results/streaming_bench.txt` (plus CSV in the full run).
-//! `--smoke` shrinks the stream counts and skips the CSV but keeps both
-//! gates — the CI job uploads the txt as its artifact.
+//! stdout and, in the full run, `results/streaming_bench.txt` plus CSV.
+//! `--smoke` shrinks the stream counts and writes only to stdout but
+//! keeps both gates — the CI job uploads its tee'd copy as the artifact.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -337,11 +337,11 @@ fn main() -> ExitCode {
         if streaming_wins { "yes" } else { "NO" },
     ));
     print!("{out}");
-    let _ = std::fs::create_dir_all("results");
-    if let Err(e) = std::fs::write("results/streaming_bench.txt", &out) {
-        eprintln!("warning: could not write results/streaming_bench.txt: {e}");
-    }
     if !smoke {
+        let _ = std::fs::create_dir_all("results");
+        if let Err(e) = std::fs::write("results/streaming_bench.txt", &out) {
+            eprintln!("warning: could not write results/streaming_bench.txt: {e}");
+        }
         let _ = summary.write_csv(std::path::Path::new("results"));
         let _ = decode.write_csv(std::path::Path::new("results"));
     }

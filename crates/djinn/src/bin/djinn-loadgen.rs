@@ -1,5 +1,5 @@
-//! Closed-loop load generator for a DjiNN service: measures end-to-end
-//! throughput and latency from the client side, per model.
+//! Load generator for a DjiNN service: measures end-to-end throughput
+//! and latency from the client side, per model.
 //!
 //! ```text
 //! djinn-loadgen --addr HOST:PORT --model NAME
@@ -9,30 +9,33 @@
 //!               [--stream] [--tokens N]
 //! ```
 //!
-//! `--pipeline N` keeps up to N requests in flight per connection
-//! (responses are correlated by request ID, so replies may return
-//! out of order); the default of 1 is the classic closed loop.
-//! Pipelining is what keeps a batched server's coalescing window full
-//! from a single connection.
+//! Each worker thread runs one request loop over its own connection, and
+//! the one-shot modes are settings of it. By default one request is in
+//! flight at a time: the classic closed loop. `--pipeline N` keeps up to
+//! N in flight (responses are correlated by request ID, so replies may
+//! return out of order); pipelining is what keeps a batched server's
+//! coalescing window full from a single connection.
 //!
-//! `--rate R` switches from the closed loop to an *open* loop: arrivals
-//! are a Poisson process at R requests/second aggregate (split evenly
-//! across threads, exponential inter-arrival gaps from the per-thread
-//! PRNG), submitted without waiting for earlier responses. Closed loops
-//! self-throttle when the server slows — the offered load falls to
-//! match service capacity and queueing delay hides — so latency-vs-load
-//! questions (SLA attainment under a fixed arrival mix, coordinated
-//! omission) need the open loop. Completions are drained between
-//! arrivals; an arrival whose send would block still goes out on time
-//! because submission is a buffered write, so the arrival process stays
-//! faithful even under overload.
+//! `--rate R` makes the loop *open*: arrivals are a Poisson process at
+//! R requests/second aggregate (split evenly across threads, exponential
+//! inter-arrival gaps from the per-thread PRNG), submitted without
+//! waiting for earlier responses and with no cap on those in flight.
+//! Closed loops self-throttle when the server slows — the offered load
+//! falls to match service capacity and queueing delay hides — so
+//! latency-vs-load questions (SLA attainment under a fixed arrival mix,
+//! coordinated omission) need the open loop. Completions are drained
+//! between arrivals; an arrival whose send would block still goes out on
+//! time because submission is a buffered write, so the arrival process
+//! stays faithful even under overload.
 //!
-//! Transient failures (connection refused/reset, I/O timeouts) are
-//! retried by reconnecting with exponential backoff, so a server restart
-//! mid-run costs errors, not the whole measurement. `Busy` replies —
-//! the server shedding load at admission — are counted separately from
-//! transport errors: the connection stays framed and usable, and a shed
-//! is backpressure working as designed, not a failure.
+//! Every mode counts losses one way: each request is sent once, and a
+//! request lost to a transport break (in flight when the connection
+//! broke, or its own send failed) is one error. After a break (connection
+//! refused/reset, I/O timeouts) the worker reconnects with exponential
+//! backoff, so a server restart mid-run costs errors, not the whole
+//! measurement. `Busy` replies — the server shedding load at admission —
+//! are counted separately from errors: the connection stays framed and
+//! usable, and a shed is backpressure working as designed, not a failure.
 //!
 //! The report includes p50/p95/p99 end-to-end latency over successful
 //! requests (client-observed) plus a per-stage breakdown table — queue
@@ -43,8 +46,8 @@
 //! a fake zero.
 //!
 //! `--mix "tiny-mnist=7,tiny-senna=3"` replaces `--model` with a
-//! weighted model mix: each request picks a model by weight from a
-//! per-thread deterministic PRNG. This is the multi-replica router
+//! weighted model mix (`--model M` is the mix `M=1`): each request picks
+//! a model by weight from a per-thread deterministic PRNG. This is the multi-replica router
 //! scenario — point `--addr` at a `djinn-router` and the mix exercises
 //! model-affinity routing across a sharded fleet with a skewed
 //! popularity distribution, the shape that shows whether replica
@@ -60,7 +63,7 @@
 //! pool size. The default `--vocab 1` replays one input per target —
 //! the legacy behavior, a 100% duplicate stream.
 //!
-//! `--stream` switches the closed loop to generative streaming: each
+//! `--stream` switches to a closed loop of generative streams: each
 //! "request" is one `StreamInfer` that decodes `--tokens`
 //! tokens (default 16), delivered as ordered chunks. The report moves
 //! to the per-token SLA class — aggregate tokens/s, time-to-first-token
@@ -74,9 +77,9 @@
 //! reports the server's model list.
 
 use std::io::{self, Write};
+use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use djinn::trace::{fmt_ms, percentile, TraceAggregator};
@@ -192,7 +195,7 @@ const CONNECT_ATTEMPTS: u32 = 5;
 
 /// Connects with exponential backoff between attempts (10 ms doubling to
 /// a 500 ms cap), returning `None` once the attempts are exhausted.
-fn connect_with_backoff(addr: std::net::SocketAddr, timeout: Duration) -> Option<DjinnClient> {
+fn connect_with_backoff(addr: SocketAddr, timeout: Duration) -> Option<DjinnClient> {
     let mut delay = Duration::from_millis(10);
     for attempt in 0..CONNECT_ATTEMPTS {
         match DjinnClient::connect_with_timeout(addr, timeout) {
@@ -256,45 +259,17 @@ struct Workload {
 }
 
 impl Workload {
-    fn single(model: String, pool: Vec<Tensor>, zipf: f64) -> Self {
-        let vocab = pool.len();
-        Workload {
-            targets: vec![(model, pool)],
-            cum: vec![1],
-            zipf: ZipfSampler::new(vocab, zipf),
-        }
-    }
-
-    /// Parses `"name=w,name=w"`, building one input pool per entry.
-    fn from_mix(spec: &str, queries: usize, vocab: usize, zipf: f64) -> Result<Self, String> {
+    /// Builds one input pool per `(model, weight)` entry. `Err` names the
+    /// first model with no known input shape.
+    fn new(mix: &[(String, u32)], queries: usize, vocab: usize, zipf: f64) -> Result<Self, String> {
         let mut targets = Vec::new();
         let mut cum = Vec::new();
         let mut total = 0u32;
-        for part in spec.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let (name, weight) = match part.split_once('=') {
-                Some((n, w)) => {
-                    let w: u32 = w
-                        .parse()
-                        .map_err(|e| format!("bad weight in `{part}`: {e}"))?;
-                    (n.trim(), w)
-                }
-                None => (part, 1),
-            };
-            if weight == 0 {
-                return Err(format!("weight 0 in `{part}` would never be sent"));
-            }
-            let pool = inputs_for(name, queries, vocab)
-                .ok_or_else(|| format!("unknown model `{name}` in --mix"))?;
+        for (name, weight) in mix {
+            let pool = inputs_for(name, queries, vocab).ok_or_else(|| name.clone())?;
             total += weight;
-            targets.push((name.to_string(), pool));
+            targets.push((name.clone(), pool));
             cum.push(total);
-        }
-        if targets.is_empty() {
-            return Err("--mix named no models".into());
         }
         Ok(Workload {
             targets,
@@ -321,134 +296,49 @@ impl Workload {
     }
 }
 
-/// The classic closed loop: one request in flight, reconnect with
-/// backoff on transport failures.
-#[allow(clippy::too_many_arguments)]
-fn run_closed_loop(
-    client: &mut DjinnClient,
-    addr: std::net::SocketAddr,
-    timeout: Duration,
-    workload: &Workload,
-    rng: &mut u64,
-    requests: usize,
-    local: &mut Vec<TraceRecord>,
-    errors: &AtomicU64,
-    sheds: &AtomicU64,
-    reconnects: &AtomicU64,
-) {
-    for done in 0..requests {
-        let (model, pool) = &workload.targets[workload.pick(rng)];
-        let input = &pool[workload.pick_slot(rng)];
-        match client.infer_traced(model, input) {
-            Ok((_, record)) => local.push(record),
-            // The server shed the request at admission: the
-            // connection is fine, and this is backpressure, not a
-            // transport failure — count it separately.
-            Err(DjinnError::Busy { .. }) => {
-                sheds.fetch_add(1, Ordering::Relaxed);
-            }
-            // Server-side application error: the connection is
-            // still framed correctly, keep using it.
-            Err(DjinnError::Remote { .. }) => {
-                errors.fetch_add(1, Ordering::Relaxed);
-            }
-            // I/O or protocol break: the stream can no longer be
-            // trusted — reconnect with backoff and carry on.
-            Err(_) => {
-                errors.fetch_add(1, Ordering::Relaxed);
-                match connect_with_backoff(addr, timeout) {
-                    Some(c) => {
-                        reconnects.fetch_add(1, Ordering::Relaxed);
-                        *client = c;
-                    }
-                    None => {
-                        let remaining = (requests - done - 1) as u64;
-                        errors.fetch_add(remaining, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            }
+/// Parses `--mix "name=w,name=w"` into `(model, weight)` entries; a bare
+/// name weighs 1. The weights must sum to a `u32`, the range
+/// [`Workload::pick`] draws from.
+fn parse_mix(spec: &str) -> Result<Vec<(String, u32)>, String> {
+    let mut mix = Vec::new();
+    let mut total = 0u32;
+    for part in spec.split(',') {
+        let part = part.trim();
+        if part.is_empty() {
+            continue;
         }
+        let (name, weight) = match part.split_once('=') {
+            Some((n, w)) => {
+                let w: u32 = w
+                    .parse()
+                    .map_err(|e| format!("bad weight in `{part}`: {e}"))?;
+                (n.trim(), w)
+            }
+            None => (part, 1),
+        };
+        if weight == 0 {
+            return Err(format!("weight 0 in `{part}` would never be sent"));
+        }
+        total = total
+            .checked_add(weight)
+            .ok_or_else(|| format!("--mix weights sum past {}", u32::MAX))?;
+        mix.push((name.to_string(), weight));
     }
+    if mix.is_empty() {
+        return Err("--mix named no models".into());
+    }
+    Ok(mix)
 }
 
-/// Pipelined issue: keep up to `window` requests in flight on one
-/// connection, submitting and claiming completions directly so every
-/// request encodes from the one shared input through the client's
-/// reusable scratch buffer — no per-request tensor clone, no chunk
-/// batching. Responses demultiplex by request ID, so per-request sheds
-/// and errors land on the request that caused them even when replies
-/// come back out of order. A transport failure costs the requests in
-/// flight; the worker reconnects and carries on.
-#[allow(clippy::too_many_arguments)]
-fn run_pipelined(
-    client: &mut DjinnClient,
-    addr: std::net::SocketAddr,
-    timeout: Duration,
-    workload: &Workload,
-    rng: &mut u64,
-    requests: usize,
-    window: usize,
-    local: &mut Vec<TraceRecord>,
-    errors: &AtomicU64,
-    sheds: &AtomicU64,
-    reconnects: &AtomicU64,
-) {
-    let mut submitted = 0usize; // requests written to any connection
-    let mut accounted = 0usize; // responses received or charged as lost
-    while accounted < requests {
-        // Keep the window full...
-        let mut transport_broke = false;
-        while submitted < requests && client.in_flight() < window {
-            let (model, pool) = &workload.targets[workload.pick(rng)];
-            let input = &pool[workload.pick_slot(rng)];
-            match client.submit(model, input) {
-                Ok(_) => submitted += 1,
-                Err(_) => {
-                    transport_broke = true;
-                    break;
-                }
-            }
-        }
-        // ...and claim whichever in-flight request finishes first.
-        if !transport_broke {
-            match client.recv_next() {
-                Ok(done) => {
-                    accounted += 1;
-                    match done.result {
-                        Ok((_, record)) => local.push(record),
-                        Err(DjinnError::Busy { .. }) => {
-                            sheds.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    continue;
-                }
-                Err(_) => transport_broke = true,
-            }
-        }
-        debug_assert!(transport_broke);
-        // I/O or protocol break: every request still in flight is lost —
-        // charge them as errors and start over on a fresh connection.
-        let lost = (submitted - accounted) as u64;
-        errors.fetch_add(lost, Ordering::Relaxed);
-        accounted = submitted;
-        if accounted >= requests {
-            return;
-        }
-        match connect_with_backoff(addr, timeout) {
-            Some(c) => {
-                reconnects.fetch_add(1, Ordering::Relaxed);
-                *client = c;
-            }
-            None => {
-                errors.fetch_add((requests - accounted) as u64, Ordering::Relaxed);
-                return;
-            }
-        }
-    }
+/// Run-wide outcome counts, shared by every worker thread.
+#[derive(Default)]
+struct Counters {
+    /// Requests lost to a transport break, plus server-reported failures.
+    errors: AtomicU64,
+    /// `Busy` replies: the server shed the request at admission.
+    sheds: AtomicU64,
+    /// Fresh connections opened after a transport break.
+    reconnects: AtomicU64,
 }
 
 /// Draws an exponential inter-arrival gap at `rate` arrivals/second
@@ -468,111 +358,6 @@ fn is_timeout(e: &DjinnError) -> bool {
             || io.kind() == std::io::ErrorKind::WouldBlock)
 }
 
-/// Open-loop issue: requests arrive on a Poisson schedule at `rate`
-/// per second regardless of how fast responses come back, so the
-/// offered load — not the server's service rate — sets the pace.
-/// Between arrivals the worker drains completions under a short read
-/// timeout (timed-out reads leave requests in flight); after the last
-/// arrival it drains the tail under the full `timeout`. A transport
-/// break loses the requests in flight, and the worker reconnects
-/// without pausing the arrival clock — missed arrivals are sent
-/// immediately, preserving the schedule rather than resampling it.
-#[allow(clippy::too_many_arguments)]
-fn run_open_loop(
-    client: &mut DjinnClient,
-    addr: std::net::SocketAddr,
-    timeout: Duration,
-    workload: &Workload,
-    rng: &mut u64,
-    requests: usize,
-    rate: f64,
-    local: &mut Vec<TraceRecord>,
-    errors: &AtomicU64,
-    sheds: &AtomicU64,
-    reconnects: &AtomicU64,
-) {
-    /// Read-stall bound while waiting between arrivals: long enough to
-    /// amortize the syscall, short enough to never hold up an arrival
-    /// by more than a scheduling quantum.
-    const DRAIN_TIMEOUT: Duration = Duration::from_millis(1);
-
-    let mut submitted = 0usize;
-    let mut accounted = 0usize;
-    let started = Instant::now();
-    let mut next_arrival = Duration::ZERO;
-    let drain_ok = client.set_io_timeout(Some(DRAIN_TIMEOUT)).is_ok();
-    while accounted < requests {
-        let now = started.elapsed();
-        if submitted < requests && now >= next_arrival {
-            let (model, pool) = &workload.targets[workload.pick(rng)];
-            let input = &pool[workload.pick_slot(rng)];
-            match client.submit(model, input) {
-                Ok(_) => {
-                    submitted += 1;
-                    next_arrival += exp_gap(rng, rate);
-                    continue;
-                }
-                Err(_) => {
-                    // Transport break on send: charge the in-flight
-                    // window plus this arrival, then reconnect below.
-                    errors.fetch_add((submitted - accounted) as u64 + 1, Ordering::Relaxed);
-                    accounted = submitted;
-                    submitted += 1; // the failed arrival is spent
-                    next_arrival += exp_gap(rng, rate);
-                }
-            }
-        } else if client.in_flight() > 0 {
-            // Wait for completions, but never past the next arrival.
-            if submitted >= requests {
-                // Tail drain: no more arrivals to protect.
-                let _ = client.set_io_timeout(Some(timeout));
-            }
-            match client.recv_next() {
-                Ok(done) => {
-                    accounted += 1;
-                    match done.result {
-                        Ok((_, record)) => local.push(record),
-                        Err(DjinnError::Busy { .. }) => {
-                            sheds.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    continue;
-                }
-                Err(ref e) if is_timeout(e) && submitted < requests => continue,
-                Err(_) => {
-                    errors.fetch_add((submitted - accounted) as u64, Ordering::Relaxed);
-                    accounted = submitted;
-                    if accounted >= requests {
-                        return;
-                    }
-                }
-            }
-        } else {
-            // Idle until the next arrival is due.
-            std::thread::sleep(next_arrival.saturating_sub(now).min(DRAIN_TIMEOUT));
-            continue;
-        }
-        // Only reachable after a transport failure: reconnect and keep
-        // the arrival clock running.
-        match connect_with_backoff(addr, timeout) {
-            Some(c) => {
-                reconnects.fetch_add(1, Ordering::Relaxed);
-                *client = c;
-                if drain_ok && submitted < requests {
-                    let _ = client.set_io_timeout(Some(DRAIN_TIMEOUT));
-                }
-            }
-            None => {
-                errors.fetch_add((requests - accounted) as u64, Ordering::Relaxed);
-                return;
-            }
-        }
-    }
-}
-
 /// Client-observed timings for one completed generative stream.
 struct StreamRecord {
     /// Submission → first chunk (time-to-first-token), milliseconds.
@@ -585,80 +370,194 @@ struct StreamRecord {
     gaps_ms: Vec<f64>,
 }
 
-/// The streaming closed loop (`--stream`): each "request" is one
-/// generative stream of `--tokens` chunks, consumed to completion.
-/// TTFT, inter-token gaps, and total stream time are all measured from
-/// the client's clock — the numbers a user-facing token stream would
-/// feel. `Busy` sheds and remote errors leave the connection usable;
-/// transport breaks reconnect with backoff like the one-shot loops.
-#[allow(clippy::too_many_arguments)]
-fn run_stream_loop(
-    client: &mut DjinnClient,
-    addr: std::net::SocketAddr,
+/// One worker thread: its connection and PRNG state, and the run-wide
+/// workload and counters it draws from and reports into.
+struct Worker<'a> {
+    client: DjinnClient,
+    addr: SocketAddr,
     timeout: Duration,
-    workload: &Workload,
-    rng: &mut u64,
-    requests: usize,
-    max_tokens: u32,
-    local: &mut Vec<StreamRecord>,
-    errors: &AtomicU64,
-    sheds: &AtomicU64,
-    reconnects: &AtomicU64,
-) {
-    for done in 0..requests {
-        let (model, pool) = &workload.targets[workload.pick(rng)];
-        let input = &pool[workload.pick_slot(rng)];
+    workload: &'a Workload,
+    rng: u64,
+    counters: &'a Counters,
+}
+
+impl<'a> Worker<'a> {
+    /// Draws the next request's model and input.
+    fn next_input(&mut self) -> (&'a str, &'a Tensor) {
+        let workload = self.workload;
+        let (model, pool) = &workload.targets[workload.pick(&mut self.rng)];
+        (model, &pool[workload.pick_slot(&mut self.rng)])
+    }
+
+    /// Replaces a broken connection with a fresh one; `false` once the
+    /// server stays unreachable through every backoff attempt.
+    fn reconnect(&mut self) -> bool {
+        match connect_with_backoff(self.addr, self.timeout) {
+            Some(client) => {
+                self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
+                self.client = client;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The one-shot request loop. Without `rate`, up to `window` requests
+    /// are in flight on the connection (1 is the classic closed loop).
+    /// With `rate`, arrivals follow a Poisson schedule at that many per
+    /// second with no window cap: between arrivals the worker drains
+    /// completions under a short read timeout, and after the last it
+    /// drains the tail under the full `timeout`. Responses are claimed
+    /// by request ID in whatever order they finish.
+    ///
+    /// Each request is sent once. A transport break (a failed send, an
+    /// I/O error, a stalled read) charges every request sent and not yet
+    /// answered as one error each, and the worker carries on over a fresh
+    /// connection; an open loop's arrival clock keeps running meanwhile,
+    /// so missed arrivals go out at once rather than being resampled.
+    fn run_oneshot_loop(
+        &mut self,
+        requests: usize,
+        window: usize,
+        rate: Option<f64>,
+    ) -> Vec<TraceRecord> {
+        /// Read-stall bound while arrivals remain: long enough to
+        /// amortize the syscall, short enough to never hold up an arrival
+        /// by more than a scheduling quantum.
+        const DRAIN_TIMEOUT: Duration = Duration::from_millis(1);
+
+        let counters = self.counters;
+        let mut local = Vec::with_capacity(requests);
+        let mut sent = 0usize; // requests sent, failed sends included
+        let mut accounted = 0usize; // requests answered or charged as lost
         let started = Instant::now();
-        let outcome = (|| {
-            let id = client.stream_infer(model, input, StreamMode::Generative { max_tokens })?;
-            let mut record = StreamRecord {
-                ttft_ms: 0.0,
-                total_ms: 0.0,
-                tokens: 0,
-                gaps_ms: Vec::new(),
+        let mut next_arrival = Duration::ZERO;
+        let mut read_bound = self.timeout;
+        while accounted < requests {
+            let due = match rate {
+                Some(_) => started.elapsed() >= next_arrival,
+                None => self.client.in_flight() < window,
             };
-            let mut prev = started;
-            loop {
-                let chunk = client.recv_chunk(id)?;
-                let now = Instant::now();
-                let gap_ms = now.duration_since(prev).as_secs_f64() * 1e3;
-                if record.tokens == 0 {
-                    record.ttft_ms = gap_ms;
+            if sent < requests && due {
+                let (model, input) = self.next_input();
+                sent += 1;
+                if let Some(rate) = rate {
+                    next_arrival += exp_gap(&mut self.rng, rate);
+                }
+                if self.client.submit(model, input).is_ok() {
+                    continue;
+                }
+            } else if self.client.in_flight() > 0 {
+                let draining = rate.is_some() && sent < requests;
+                let bound = if draining {
+                    DRAIN_TIMEOUT
                 } else {
-                    record.gaps_ms.push(gap_ms);
+                    self.timeout
+                };
+                if bound != read_bound && self.client.set_io_timeout(Some(bound)).is_ok() {
+                    read_bound = bound;
                 }
-                prev = now;
-                record.tokens += 1;
-                if chunk.last {
-                    break;
-                }
-            }
-            record.total_ms = started.elapsed().as_secs_f64() * 1e3;
-            Ok::<_, DjinnError>(record)
-        })();
-        match outcome {
-            Ok(record) => local.push(record),
-            Err(DjinnError::Busy { .. }) => {
-                sheds.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(DjinnError::Remote { .. }) => {
-                errors.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                errors.fetch_add(1, Ordering::Relaxed);
-                match connect_with_backoff(addr, timeout) {
-                    Some(c) => {
-                        reconnects.fetch_add(1, Ordering::Relaxed);
-                        *client = c;
+                match self.client.recv_next() {
+                    Ok(done) => {
+                        accounted += 1;
+                        match done.result {
+                            Ok((_, record)) => local.push(record),
+                            // The server shed the request at admission:
+                            // backpressure, not a failure.
+                            Err(DjinnError::Busy { .. }) => {
+                                counters.sheds.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Err(_) => {
+                                counters.errors.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                        continue;
                     }
-                    None => {
+                    Err(ref e) if draining && is_timeout(e) => continue,
+                    Err(_) => {}
+                }
+            } else {
+                // Open loop with nothing in flight: idle until the next
+                // arrival is due.
+                let idle = next_arrival.saturating_sub(started.elapsed());
+                std::thread::sleep(idle.min(DRAIN_TIMEOUT));
+                continue;
+            }
+            // A transport break: the stream can no longer be trusted.
+            let lost = sent - accounted;
+            counters.errors.fetch_add(lost as u64, Ordering::Relaxed);
+            accounted = sent;
+            if accounted < requests && !self.reconnect() {
+                let remaining = (requests - accounted) as u64;
+                counters.errors.fetch_add(remaining, Ordering::Relaxed);
+                break;
+            }
+            read_bound = self.timeout;
+        }
+        local
+    }
+
+    /// The streaming closed loop (`--stream`): each "request" is one
+    /// generative stream of `max_tokens` chunks, consumed to completion.
+    /// TTFT, inter-token gaps, and total stream time are all measured
+    /// from the client's clock — the numbers a user-facing token stream
+    /// would feel. `Busy` sheds and remote errors leave the connection
+    /// usable; a transport break costs the stream and reconnects like the
+    /// one-shot loop.
+    fn run_stream_loop(&mut self, requests: usize, max_tokens: u32) -> Vec<StreamRecord> {
+        let counters = self.counters;
+        let mut local = Vec::with_capacity(requests);
+        for done in 0..requests {
+            let (model, input) = self.next_input();
+            let client = &mut self.client;
+            let started = Instant::now();
+            let outcome = (|| {
+                let id =
+                    client.stream_infer(model, input, StreamMode::Generative { max_tokens })?;
+                let mut record = StreamRecord {
+                    ttft_ms: 0.0,
+                    total_ms: 0.0,
+                    tokens: 0,
+                    gaps_ms: Vec::new(),
+                };
+                let mut prev = started;
+                loop {
+                    let chunk = client.recv_chunk(id)?;
+                    let now = Instant::now();
+                    let gap_ms = now.duration_since(prev).as_secs_f64() * 1e3;
+                    if record.tokens == 0 {
+                        record.ttft_ms = gap_ms;
+                    } else {
+                        record.gaps_ms.push(gap_ms);
+                    }
+                    prev = now;
+                    record.tokens += 1;
+                    if chunk.last {
+                        break;
+                    }
+                }
+                record.total_ms = started.elapsed().as_secs_f64() * 1e3;
+                Ok::<_, DjinnError>(record)
+            })();
+            match outcome {
+                Ok(record) => local.push(record),
+                Err(DjinnError::Busy { .. }) => {
+                    counters.sheds.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(DjinnError::Remote { .. }) => {
+                    counters.errors.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(_) => {
+                    counters.errors.fetch_add(1, Ordering::Relaxed);
+                    if !self.reconnect() {
                         let remaining = (requests - done - 1) as u64;
-                        errors.fetch_add(remaining, Ordering::Relaxed);
+                        counters.errors.fetch_add(remaining, Ordering::Relaxed);
                         break;
                     }
                 }
             }
         }
+        local
     }
 }
 
@@ -670,7 +569,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let addr: std::net::SocketAddr = match args.addr.parse() {
+    let addr: SocketAddr = match args.addr.parse() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("bad --addr {}: {e}", args.addr);
@@ -690,19 +589,10 @@ fn main() -> ExitCode {
         eprintln!("--stream is a closed loop of whole streams; it excludes --rate and --pipeline");
         return ExitCode::FAILURE;
     }
-    let (workload, label) = match (&args.model, &args.mix) {
-        (Some(model), None) => {
-            let Some(pool) = inputs_for(model, args.queries, args.vocab) else {
-                eprintln!("unknown Tonic model `{model}` (known: imc dig face asr pos chk ner)");
-                return ExitCode::FAILURE;
-            };
-            (
-                Workload::single(model.clone(), pool, args.zipf),
-                model.clone(),
-            )
-        }
-        (None, Some(spec)) => match Workload::from_mix(spec, args.queries, args.vocab, args.zipf) {
-            Ok(w) => (w, format!("mix({spec})")),
+    let (mix, label) = match (&args.model, &args.mix) {
+        (Some(model), None) => (vec![(model.clone(), 1)], model.clone()),
+        (None, Some(spec)) => match parse_mix(spec) {
+            Ok(mix) => (mix, format!("mix({spec})")),
             Err(e) => {
                 eprintln!("{e}");
                 return ExitCode::FAILURE;
@@ -723,126 +613,77 @@ fn main() -> ExitCode {
         }
         (Some(_), Some(_)) => unreachable!("checked above"),
     };
-    let workload = Arc::new(workload);
-
-    let records = Arc::new(Mutex::new(Vec::<TraceRecord>::new()));
-    let streams = Arc::new(Mutex::new(Vec::<StreamRecord>::new()));
-    let errors = Arc::new(AtomicU64::new(0));
-    let sheds = Arc::new(AtomicU64::new(0));
-    let reconnects = Arc::new(AtomicU64::new(0));
-    let timeout = args.timeout;
-    let started = Instant::now();
-    let mut handles = Vec::new();
-    for thread_idx in 0..args.threads {
-        let workload = Arc::clone(&workload);
-        let records = Arc::clone(&records);
-        let streams = Arc::clone(&streams);
-        let errors = Arc::clone(&errors);
-        let sheds = Arc::clone(&sheds);
-        let reconnects = Arc::clone(&reconnects);
-        let requests = args.requests;
-        let window = args.pipeline;
-        let thread_rate = args.rate.map(|r| r / args.threads as f64);
-        let stream_tokens = args.stream.then_some(args.tokens);
-        handles.push(std::thread::spawn(move || {
-            let mut client = match connect_with_backoff(addr, timeout) {
-                Some(c) => c,
-                None => {
-                    errors.fetch_add(requests as u64, Ordering::Relaxed);
-                    return;
-                }
-            };
-            // Per-thread trace buffer, merged once at the end, so the
-            // hot loop never contends on the shared lock. The PRNG seed
-            // is per-thread and deterministic: rerunning a mix replays
-            // the same model sequence.
-            let mut rng =
-                0x9E37_79B9_7F4A_7C15u64 ^ ((thread_idx as u64 + 1) * 0x2545_F491_4F6C_DD1D);
-            let mut local = Vec::with_capacity(requests);
-            if let Some(max_tokens) = stream_tokens {
-                let mut stream_local = Vec::with_capacity(requests);
-                run_stream_loop(
-                    &mut client,
-                    addr,
-                    timeout,
-                    &workload,
-                    &mut rng,
-                    requests,
-                    max_tokens,
-                    &mut stream_local,
-                    &errors,
-                    &sheds,
-                    &reconnects,
-                );
-                streams
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .extend(stream_local);
-                return;
-            }
-            if let Some(rate) = thread_rate {
-                run_open_loop(
-                    &mut client,
-                    addr,
-                    timeout,
-                    &workload,
-                    &mut rng,
-                    requests,
-                    rate,
-                    &mut local,
-                    &errors,
-                    &sheds,
-                    &reconnects,
-                );
-            } else if window > 1 {
-                run_pipelined(
-                    &mut client,
-                    addr,
-                    timeout,
-                    &workload,
-                    &mut rng,
-                    requests,
-                    window,
-                    &mut local,
-                    &errors,
-                    &sheds,
-                    &reconnects,
-                );
+    let workload = match Workload::new(&mix, args.queries, args.vocab, args.zipf) {
+        Ok(workload) => workload,
+        Err(name) => {
+            if args.model.is_some() {
+                eprintln!("unknown Tonic model `{name}` (known: imc dig face asr pos chk ner)");
             } else {
-                run_closed_loop(
-                    &mut client,
-                    addr,
-                    timeout,
-                    &workload,
-                    &mut rng,
-                    requests,
-                    &mut local,
-                    &errors,
-                    &sheds,
-                    &reconnects,
-                );
+                eprintln!("unknown model `{name}` in --mix");
             }
-            records
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .extend(local);
-        }));
-    }
-    for h in handles {
-        let _ = h.join();
-    }
+            return ExitCode::FAILURE;
+        }
+    };
+
+    let counters = Counters::default();
+    let started = Instant::now();
+    // Each worker keeps its records in its own buffer, handed back when
+    // it is joined, so the hot loop never contends on a shared lock.
+    let (records, streams) = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..args.threads)
+            .map(|thread_idx| {
+                let (args, workload, counters) = (&args, &workload, &counters);
+                scope.spawn(move || {
+                    let Some(client) = connect_with_backoff(addr, args.timeout) else {
+                        counters
+                            .errors
+                            .fetch_add(args.requests as u64, Ordering::Relaxed);
+                        return (Vec::new(), Vec::new());
+                    };
+                    let mut worker = Worker {
+                        client,
+                        addr,
+                        timeout: args.timeout,
+                        workload,
+                        // Per-thread and deterministic: rerunning a mix
+                        // replays the same model sequence.
+                        rng: 0x9E37_79B9_7F4A_7C15u64
+                            ^ ((thread_idx as u64 + 1) * 0x2545_F491_4F6C_DD1D),
+                        counters,
+                    };
+                    if args.stream {
+                        (
+                            Vec::new(),
+                            worker.run_stream_loop(args.requests, args.tokens),
+                        )
+                    } else {
+                        let rate = args.rate.map(|r| r / args.threads as f64);
+                        let records = worker.run_oneshot_loop(args.requests, args.pipeline, rate);
+                        (records, Vec::new())
+                    }
+                })
+            })
+            .collect();
+        let mut records = Vec::<TraceRecord>::new();
+        let mut streams = Vec::<StreamRecord>::new();
+        for worker in workers {
+            let (r, s) = worker.join().expect("a load worker panicked");
+            records.extend(r);
+            streams.extend(s);
+        }
+        (records, streams)
+    });
     let elapsed = started.elapsed().as_secs_f64();
     let sent = (args.threads * args.requests) as u64;
     let report = |out: &mut io::StdoutLock| -> io::Result<ExitCode> {
         if args.stream {
             // Streaming report: token throughput and the per-token latency
             // class (TTFT + inter-token gaps), all client-observed.
-            let recs = std::mem::take(&mut *streams.lock().unwrap_or_else(|e| e.into_inner()));
-            let ok = recs.len() as u64;
-            let total_tokens: u64 = recs.iter().map(|r| r.tokens).sum();
-            let mut ttft_ms: Vec<f64> = recs.iter().map(|r| r.ttft_ms).collect();
-            let mut total_ms: Vec<f64> = recs.iter().map(|r| r.total_ms).collect();
-            let mut gaps_ms: Vec<f64> = recs
+            let ok = streams.len() as u64;
+            let total_tokens: u64 = streams.iter().map(|r| r.tokens).sum();
+            let mut ttft_ms: Vec<f64> = streams.iter().map(|r| r.ttft_ms).collect();
+            let mut total_ms: Vec<f64> = streams.iter().map(|r| r.total_ms).collect();
+            let mut gaps_ms: Vec<f64> = streams
                 .iter()
                 .flat_map(|r| r.gaps_ms.iter().copied())
                 .collect();
@@ -862,14 +703,13 @@ fn main() -> ExitCode {
                 fmt_ms(percentile(&gaps_ms, 0.99)),
                 fmt_ms(percentile(&total_ms, 0.50)),
                 fmt_ms(percentile(&total_ms, 0.99)),
-                sheds.load(Ordering::Relaxed),
-                errors.load(Ordering::Relaxed),
-                reconnects.load(Ordering::Relaxed),
+                counters.sheds.load(Ordering::Relaxed),
+                counters.errors.load(Ordering::Relaxed),
+                counters.reconnects.load(Ordering::Relaxed),
             )?;
             return Ok(ExitCode::SUCCESS);
         }
 
-        let records = std::mem::take(&mut *records.lock().unwrap_or_else(|e| e.into_inner()));
         let mut lat_ms: Vec<f64> = records.iter().map(|r| r.e2e_us as f64 / 1e3).collect();
         lat_ms.sort_by(f64::total_cmp);
         let ok = lat_ms.len() as u64;
@@ -895,9 +735,9 @@ fn main() -> ExitCode {
             fmt_ms(percentile(&lat_ms, 0.95)),
             fmt_ms(percentile(&lat_ms, 0.99)),
             fmt_ms(lat_ms.last().copied()),
-            sheds.load(Ordering::Relaxed),
-            errors.load(Ordering::Relaxed),
-            reconnects.load(Ordering::Relaxed),
+            counters.sheds.load(Ordering::Relaxed),
+            counters.errors.load(Ordering::Relaxed),
+            counters.reconnects.load(Ordering::Relaxed),
             cache_hits,
         )?;
 

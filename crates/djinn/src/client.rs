@@ -70,12 +70,38 @@ struct PendingStream {
     next_seq: u32,
 }
 
-/// One routed inbound frame: a completed one-shot infer, or a chunk
-/// (`Err` = terminal failure) of an in-flight stream.
+/// One routed inbound frame: a completed one-shot infer, a chunk
+/// (`Err` = terminal failure) of an in-flight stream, or the answer to
+/// a blocked control call.
 #[derive(Debug)]
 enum Routed {
     Infer(PipelinedResponse),
     Stream(u64, Result<StreamChunk>),
+    Control(Response),
+}
+
+/// What a blocked call waits for; every other routed frame is stashed.
+#[derive(Debug, Clone, Copy)]
+enum Want {
+    /// Whichever one-shot infer completes first.
+    AnyInfer,
+    /// The one-shot infer with this ID.
+    Infer(u64),
+    /// The next chunk of the stream with this ID.
+    Stream(u64),
+    /// The list/stats answer with this ID.
+    Control(u64),
+}
+
+impl Want {
+    fn takes(self, routed: &Routed) -> bool {
+        match (self, routed) {
+            (Want::AnyInfer, Routed::Infer(_)) => true,
+            (Want::Infer(id), Routed::Infer(done)) => done.request_id == id,
+            (Want::Stream(id), Routed::Stream(sid, _)) => *sid == id,
+            _ => false,
+        }
+    }
 }
 
 /// A synchronous client holding one TCP connection to a DjiNN server.
@@ -101,9 +127,8 @@ enum Routed {
 /// at once: [`DjinnClient::submit`] sends without waiting,
 /// [`DjinnClient::recv_next`] blocks for whichever in-flight request
 /// finishes first (the server answers out of order as its engines
-/// complete), and [`DjinnClient::pipeline`] drives a fixed-size window
-/// over a whole batch of inputs. Pipelining is what lets a single
-/// connection keep the server's batcher fed.
+/// complete). Keeping a window of submits in flight is what lets a
+/// single connection keep the server's batcher fed.
 ///
 /// # Poisoned connections
 ///
@@ -132,9 +157,6 @@ pub struct DjinnClient {
     poisoned: Option<String>,
     /// In-flight infer requests by ID.
     pending: HashMap<u64, PendingInfer>,
-    /// Pending IDs in submission order — the fallback attribution order
-    /// for uncorrelated (ID-0) responses.
-    order: VecDeque<u64>,
     /// IDs whose responses were abandoned (a timeout fired while waiting
     /// for them); their late responses are drained and discarded.
     abandoned: VecDeque<u64>,
@@ -143,13 +165,11 @@ pub struct DjinnClient {
     /// abandoned request (possibly evicted from `abandoned`) and is
     /// drained; an ID above it was never ours and poisons.
     issued_high: u64,
-    /// Completions that arrived while waiting for a different request.
-    stash: VecDeque<PipelinedResponse>,
     /// In-flight streams by ID.
     streams: HashMap<u64, PendingStream>,
-    /// Stream chunks that arrived while waiting for a different request
-    /// or stream.
-    chunk_stash: VecDeque<(u64, Result<StreamChunk>)>,
+    /// Completions and stream chunks that arrived while waiting for
+    /// something else, in arrival order.
+    stash: VecDeque<Routed>,
 }
 
 impl DjinnClient {
@@ -185,12 +205,10 @@ impl DjinnClient {
             send_buf: BytesMut::new(),
             poisoned: None,
             pending: HashMap::new(),
-            order: VecDeque::new(),
             abandoned: VecDeque::new(),
             issued_high: 0,
-            stash: VecDeque::new(),
             streams: HashMap::new(),
-            chunk_stash: VecDeque::new(),
+            stash: VecDeque::new(),
         })
     }
 
@@ -253,14 +271,16 @@ impl DjinnClient {
             request_id
         };
         self.submit_with_id(model, input, request_id)?;
-        self.wait_infer(request_id)
+        let Routed::Infer(done) = self.wait(Want::Infer(request_id))? else {
+            unreachable!("wait returns only what it was asked for");
+        };
+        done.result
     }
 
     /// Sends one inference request *without waiting* and returns its
     /// request ID; the response is claimed later via
-    /// [`DjinnClient::recv_next`] (or [`DjinnClient::pipeline`], which
-    /// wraps both ends). Any number of submits may be in flight on one
-    /// connection.
+    /// [`DjinnClient::recv_next`]. Any number of submits may be in flight
+    /// on one connection.
     ///
     /// # Errors
     ///
@@ -299,7 +319,6 @@ impl DjinnClient {
                 sent_bytes,
             },
         );
-        self.order.push_back(request_id);
         Ok(())
     }
 
@@ -319,77 +338,10 @@ impl DjinnClient {
     /// flight — call again to keep waiting);
     /// [`DjinnError::ConnectionPoisoned`] once correlation breaks.
     pub fn recv_next(&mut self) -> Result<PipelinedResponse> {
-        if let Some(done) = self.stash.pop_front() {
-            return Ok(done);
-        }
-        if self.pending.is_empty() {
-            return Err(DjinnError::Protocol {
-                reason: "recv_next with no request in flight".into(),
-            });
-        }
-        self.check_poisoned()?;
-        loop {
-            let (rsp, frame_len) = self.read_response()?;
-            match self.route(rsp, frame_len)? {
-                Some(Routed::Infer(done)) => return Ok(done),
-                Some(Routed::Stream(id, chunk)) => self.chunk_stash.push_back((id, chunk)),
-                None => {}
-            }
-        }
-    }
-
-    /// Runs `inputs` through `model` with up to `window` requests in
-    /// flight on this one connection, and returns one result per input,
-    /// in input order. Per-request failures (shed, inference error) land
-    /// in their own slot; a transport-level failure aborts the whole
-    /// call.
-    ///
-    /// # Errors
-    ///
-    /// [`DjinnError::Protocol`] if other requests are already in flight;
-    /// transport errors ([`DjinnError::ConnectionPoisoned`], I/O,
-    /// timeouts) abort the call.
-    pub fn pipeline(
-        &mut self,
-        model: &str,
-        inputs: &[Tensor],
-        window: usize,
-    ) -> Result<Vec<Result<(Tensor, TraceRecord)>>> {
-        if !self.pending.is_empty() || !self.stash.is_empty() {
-            return Err(DjinnError::Protocol {
-                reason: "pipeline requires no other requests in flight".into(),
-            });
-        }
-        let window = window.max(1);
-        let mut results: Vec<Option<Result<(Tensor, TraceRecord)>>> = Vec::new();
-        results.resize_with(inputs.len(), || None);
-        let mut slot_of: HashMap<u64, usize> = HashMap::new();
-        let mut next = 0usize;
-        let mut done = 0usize;
-        while done < inputs.len() {
-            // Keep the window full...
-            while next < inputs.len() && slot_of.len() - done < window {
-                let id = self.submit(model, &inputs[next])?;
-                slot_of.insert(id, next);
-                next += 1;
-            }
-            // ...and claim whichever request finishes first.
-            let completion = self.recv_next()?;
-            let Some(&slot) = slot_of.get(&completion.request_id) else {
-                return Err(DjinnError::Protocol {
-                    reason: format!(
-                        "completion for id {} not part of this pipeline",
-                        completion.request_id
-                    ),
-                });
-            };
-            results[slot] = Some(completion.result);
-            done += 1;
-        }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every slot filled by the loop above"))
-            .collect())
+        let Routed::Infer(done) = self.wait(Want::AnyInfer)? else {
+            unreachable!("wait returns only what it was asked for");
+        };
+        Ok(done)
     }
 
     /// Asks the server which models it serves.
@@ -400,8 +352,8 @@ impl DjinnClient {
     pub fn list_models(&mut self) -> Result<Vec<String>> {
         let request_id = trace::next_request_id();
         self.send(&Request::ListModels { request_id })?;
-        match self.wait_control(request_id)? {
-            Response::Models { names, .. } => Ok(names),
+        match self.wait(Want::Control(request_id))? {
+            Routed::Control(Response::Models { names, .. }) => Ok(names),
             other => Err(DjinnError::Protocol {
                 reason: format!("unexpected response {other:?}"),
             }),
@@ -427,12 +379,12 @@ impl DjinnClient {
     pub fn stats_with_unknown_count(&mut self) -> Result<(Vec<ModelStats>, u64)> {
         let request_id = trace::next_request_id();
         self.send(&Request::Stats { request_id })?;
-        match self.wait_control(request_id)? {
-            Response::Stats {
+        match self.wait(Want::Control(request_id))? {
+            Routed::Control(Response::Stats {
                 unknown_model_requests,
                 stats,
                 ..
-            } => Ok((stats, unknown_model_requests)),
+            }) => Ok((stats, unknown_model_requests)),
             other => Err(DjinnError::Protocol {
                 reason: format!("unexpected response {other:?}"),
             }),
@@ -474,39 +426,10 @@ impl DjinnClient {
     /// it; a `TimedOut` I/O error abandons the stream (late chunks are
     /// drained, never misattributed).
     pub fn recv_chunk(&mut self, stream_id: u64) -> Result<StreamChunk> {
-        if let Some(pos) = self.chunk_stash.iter().position(|(id, _)| *id == stream_id) {
-            return self
-                .chunk_stash
-                .remove(pos)
-                .expect("position came from the stash")
-                .1;
-        }
-        if !self.streams.contains_key(&stream_id) {
-            return Err(DjinnError::Protocol {
-                reason: format!("stream {stream_id} is not in flight"),
-            });
-        }
-        self.check_poisoned()?;
-        loop {
-            let (rsp, frame_len) = match self.read_response() {
-                Ok(r) => r,
-                Err(e) => {
-                    if is_timeout(&e) {
-                        // A stalled stream cannot be resumed safely:
-                        // abandon it so its late chunks are drained.
-                        self.streams.remove(&stream_id);
-                        self.abandon(stream_id);
-                    }
-                    return Err(e);
-                }
-            };
-            match self.route(rsp, frame_len)? {
-                Some(Routed::Stream(id, chunk)) if id == stream_id => return chunk,
-                Some(Routed::Stream(id, chunk)) => self.chunk_stash.push_back((id, chunk)),
-                Some(Routed::Infer(done)) => self.stash.push_back(done),
-                None => {}
-            }
-        }
+        let Routed::Stream(_, chunk) = self.wait(Want::Stream(stream_id))? else {
+            unreachable!("wait returns only what it was asked for");
+        };
+        chunk
     }
 
     /// Runs one whole streaming inference as an iterator of chunks: ends
@@ -605,9 +528,9 @@ impl DjinnClient {
         }
         let id = if wire_id == 0 {
             // ID 0 answers a frame whose own ID the server could not
-            // read: fall back to order-based attribution against the
-            // oldest in-flight request.
-            match self.order.front().copied() {
+            // read: attribute it to the oldest in-flight infer.
+            let oldest = self.pending.iter().min_by_key(|(id, p)| (p.sent, **id));
+            match oldest.map(|(id, _)| *id) {
                 Some(oldest) => oldest,
                 None => {
                     return Err(
@@ -632,7 +555,6 @@ impl DjinnClient {
                 "response correlates with no request this client ever issued (id {id})"
             )));
         };
-        self.order.retain(|&o| o != id);
         let e2e_us = p.sent.elapsed().as_micros() as u64;
         let result = match rsp {
             Response::Output { tensor, trace } => {
@@ -678,7 +600,7 @@ impl DjinnClient {
                 if seq != stream.next_seq {
                     let want = stream.next_seq;
                     return Err(self.poison(format!(
-                        "stream {id} chunk out of order: got seq {seq}, want {want}"
+                        "stream {id} chunk out of sequence: got seq {seq}, want {want}"
                     )));
                 }
                 stream.next_seq += 1;
@@ -720,103 +642,90 @@ impl DjinnClient {
         }
     }
 
-    /// Blocks until the infer with `want_id` completes. Completions for
-    /// *other* in-flight requests that arrive meanwhile are stashed, not
-    /// lost. A timeout abandons `want_id`: its late response will be
-    /// drained and discarded, never returned to a later call.
-    fn wait_infer(&mut self, want_id: u64) -> Result<(Tensor, TraceRecord)> {
-        if let Some(pos) = self.stash.iter().position(|r| r.request_id == want_id) {
-            return self
+    /// Blocks until a frame that `want` takes arrives, taking it from
+    /// the stash first. Every other routed frame is stashed for the call
+    /// that wants it. A timeout abandons what `want` names (nothing, for
+    /// [`Want::AnyInfer`]): its late frames are drained and discarded,
+    /// never returned to a later call.
+    fn wait(&mut self, want: Want) -> Result<Routed> {
+        if let Some(pos) = self.stash.iter().position(|r| want.takes(r)) {
+            return Ok(self
                 .stash
                 .remove(pos)
-                .expect("position came from the stash")
-                .result;
+                .expect("position came from the stash"));
         }
+        let idle = match want {
+            Want::AnyInfer if self.pending.is_empty() => {
+                Some("recv_next with no request in flight".to_string())
+            }
+            Want::Stream(id) if !self.streams.contains_key(&id) => {
+                Some(format!("stream {id} is not in flight"))
+            }
+            _ => None,
+        };
+        if let Some(reason) = idle {
+            return Err(DjinnError::Protocol { reason });
+        }
+        self.check_poisoned()?;
         loop {
             let (rsp, frame_len) = match self.read_response() {
                 Ok(r) => r,
                 Err(e) => {
                     if is_timeout(&e) {
-                        self.abandon_pending(want_id);
+                        self.abandon(want);
                     }
                     return Err(e);
                 }
             };
-            match self.route(rsp, frame_len)? {
-                Some(Routed::Infer(done)) => {
-                    if done.request_id == want_id {
-                        return done.result;
+            if let Want::Control(want_id) = want {
+                match rsp {
+                    Response::Models { request_id, .. } | Response::Stats { request_id, .. }
+                        if request_id == want_id =>
+                    {
+                        return Ok(Routed::Control(rsp));
                     }
-                    self.stash.push_back(done);
+                    // An uncorrelated (id-0) error while a control call is
+                    // blocked answers the control call, *regardless* of
+                    // infers in flight: the server stamps every infer's ID
+                    // on its error frames, so the only request of ours an
+                    // id-0 error can answer is one the server failed to
+                    // decode — and the frame most recently at risk is this
+                    // control request. Routing it instead would
+                    // misattribute it to the oldest in-flight infer and
+                    // leave this call blocked until the read timeout.
+                    Response::Error {
+                        request_id,
+                        message,
+                    } if request_id == want_id || request_id == 0 => {
+                        return Err(DjinnError::Remote { message });
+                    }
+                    _ => {}
                 }
-                Some(Routed::Stream(id, chunk)) => self.chunk_stash.push_back((id, chunk)),
+            }
+            match self.route(rsp, frame_len)? {
+                Some(routed) if want.takes(&routed) => return Ok(routed),
+                Some(routed) => self.stash.push_back(routed),
                 None => {}
             }
         }
     }
 
-    /// Blocks until the control (list/stats) response for `want_id`
-    /// arrives; infer completions arriving meanwhile are stashed. A
-    /// timeout abandons `want_id` like any other request.
-    fn wait_control(&mut self, want_id: u64) -> Result<Response> {
-        loop {
-            let (rsp, frame_len) = match self.read_response() {
-                Ok(r) => r,
-                Err(e) => {
-                    if is_timeout(&e) {
-                        self.abandon(want_id);
-                    }
-                    return Err(e);
-                }
-            };
-            match &rsp {
-                Response::Models { request_id, .. } | Response::Stats { request_id, .. }
-                    if *request_id == want_id =>
-                {
-                    return Ok(rsp);
-                }
-                // An uncorrelated (id-0) error while a control call is
-                // blocked answers the control call, *regardless* of
-                // infers in flight: the server stamps every infer's ID
-                // on its error frames, so the only request of ours an
-                // id-0 error can answer is one the server failed to
-                // decode — and the frame most recently at risk is this
-                // control request. The old rule (`id == 0` only with no
-                // infers pending) dropped such an error into `route()`'s
-                // order-front fallback instead, misattributing it to the
-                // oldest in-flight infer and leaving this call blocked
-                // until the read timeout.
-                Response::Error { request_id, .. }
-                    if *request_id == want_id || *request_id == 0 =>
-                {
-                    let Response::Error { message, .. } = rsp else {
-                        unreachable!("matched Error above");
-                    };
-                    return Err(DjinnError::Remote { message });
-                }
-                _ => {}
+    /// Forgets what a timed-out `want` names and remembers its ID, so its
+    /// late frames are drained, not misattributed. A timed-out
+    /// [`Want::AnyInfer`] leaves its requests in flight.
+    fn abandon(&mut self, want: Want) {
+        let id = match want {
+            Want::AnyInfer => return,
+            Want::Infer(id) => {
+                self.pending.remove(&id);
+                id
             }
-            match self.route(rsp, frame_len)? {
-                Some(Routed::Infer(done)) => self.stash.push_back(done),
-                Some(Routed::Stream(id, chunk)) => self.chunk_stash.push_back((id, chunk)),
-                None => {}
+            Want::Stream(id) => {
+                self.streams.remove(&id);
+                id
             }
-        }
-    }
-
-    /// Abandons a pending infer after its wait timed out.
-    fn abandon_pending(&mut self, id: u64) {
-        if self.pending.remove(&id).is_some() {
-            self.order.retain(|&o| o != id);
-            self.abandon(id);
-        }
-    }
-
-    /// Remembers `id` so its late response is drained, not misattributed.
-    fn abandon(&mut self, id: u64) {
-        if id == 0 {
-            return;
-        }
+            Want::Control(id) => id,
+        };
         self.abandoned.push_back(id);
         while self.abandoned.len() > ABANDONED_CAP {
             self.abandoned.pop_front();

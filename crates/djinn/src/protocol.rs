@@ -34,7 +34,7 @@
 //! offset 7 — behind the status byte, as the error's own field or the
 //! first word of the trace block — in results and chunks. So a connection
 //! is full duplex (responses arrive in any order and clients demultiplex
-//! by ID, see `DjinnClient::pipeline`) and a proxy forwards a frame by
+//! by ID, see `DjinnClient::recv_next`) and a proxy forwards a frame by
 //! patching those 8 bytes in place ([`peek_request`],
 //! [`response_id_slot`]). ID 0 is reserved for the error that answers a
 //! frame whose ID could not be read. A `stream_req` is answered by N

@@ -906,11 +906,23 @@ mod tests {
         let inputs: Vec<Tensor> = (0..8)
             .map(|seed| Tensor::random_uniform(Shape::mat(1, 8), 1.0, 40 + seed))
             .collect();
-        let results = client.pipeline("tiny", &inputs, 4).unwrap();
+        // Keep four submits in flight and claim whichever finishes first.
+        let mut slot_of = HashMap::new();
+        let mut results: Vec<Option<Tensor>> = vec![None; inputs.len()];
+        let mut next = 0;
+        while results.iter().any(Option::is_none) {
+            while next < inputs.len() && client.in_flight() < 4 {
+                slot_of.insert(client.submit("tiny", &inputs[next]).unwrap(), next);
+                next += 1;
+            }
+            let done = client.recv_next().unwrap();
+            let (got, _trace) = done.result.unwrap();
+            results[slot_of[&done.request_id]] = Some(got);
+        }
         let reg = small_registry();
         let net = reg.get("tiny").unwrap();
-        for (input, result) in inputs.iter().zip(results) {
-            let (got, _trace) = result.unwrap();
+        for (input, got) in inputs.iter().zip(results) {
+            let got = got.unwrap();
             let want = net.forward(input).unwrap();
             assert!(
                 got.max_abs_diff(&want).unwrap() < 1e-5,

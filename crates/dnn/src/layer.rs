@@ -207,14 +207,6 @@ impl LayerSpec {
         }
     }
 
-    /// Whether this layer carries learned weights.
-    pub fn has_params(&self) -> bool {
-        matches!(
-            self,
-            LayerSpec::Conv(_) | LayerSpec::Local(_) | LayerSpec::InnerProduct { .. }
-        )
-    }
-
     /// Short lower-case kind name (matches the text format keywords).
     pub fn kind_name(&self) -> &'static str {
         match self {

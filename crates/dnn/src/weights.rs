@@ -82,7 +82,8 @@ impl LayerWeights {
     }
 
     /// Overwrites weights and biases with constants; test helper.
-    pub fn fill_for_test(&mut self, weight: f32, bias: f32) {
+    #[cfg(test)]
+    pub(crate) fn fill_for_test(&mut self, weight: f32, bias: f32) {
         self.weights.map_inplace(|_| weight);
         for b in &mut self.bias {
             *b = bias;

@@ -708,7 +708,7 @@ mod stale_responses {
     /// A scripted single-connection peer: decodes infer requests and
     /// answers them with caller-chosen tensors at caller-chosen times,
     /// so the test controls exactly when each response hits the wire.
-    fn accept_one(listener: &TcpListener) -> TcpStream {
+    pub(super) fn accept_one(listener: &TcpListener) -> TcpStream {
         let (stream, _) = listener.accept().unwrap();
         stream.set_nodelay(true).unwrap();
         stream
@@ -722,7 +722,7 @@ mod stale_responses {
         request_id
     }
 
-    fn write_output(stream: &mut TcpStream, request_id: u64, value: f32) {
+    pub(super) fn write_output(stream: &mut TcpStream, request_id: u64, value: f32) {
         let rsp = Response::Output {
             tensor: Tensor::from_vec(Shape::mat(1, 1), vec![value]).unwrap(),
             trace: ServerTrace {
@@ -932,6 +932,142 @@ mod stale_responses {
         // Fail-fast: no further I/O is attempted on a poisoned stream.
         let err = client.infer("m", &input).unwrap_err();
         assert!(matches!(err, DjinnError::ConnectionPoisoned { .. }));
+        peer.join().unwrap();
+    }
+}
+
+/// A call that blocks for one request keeps, in arrival order, every
+/// frame that answers another: one-shot completions for `recv_next`,
+/// chunks for their stream's `recv_chunk`. A scripted peer fixes the
+/// order the frames arrive in.
+mod cross_kind_stashing {
+    use super::stale_responses::{accept_one, write_output};
+    use super::*;
+
+    /// Reads one request frame of any kind and returns its ID.
+    fn read_request(stream: &mut TcpStream) -> u64 {
+        Request::decode(&read_frame(stream).unwrap())
+            .unwrap()
+            .request_id()
+    }
+
+    fn write_chunk(stream: &mut TcpStream, request_id: u64, seq: u32, last: bool) {
+        let rsp = Response::Chunk {
+            tensor: Tensor::from_vec(Shape::mat(1, 1), vec![seq as f32]).unwrap(),
+            trace: ServerTrace {
+                request_id,
+                ..ServerTrace::default()
+            },
+            seq,
+            last,
+        };
+        write_frame(stream, &rsp.encode().unwrap()).unwrap();
+    }
+
+    fn one() -> Tensor {
+        Tensor::from_vec(Shape::mat(1, 1), vec![1.0]).unwrap()
+    }
+
+    #[test]
+    fn a_blocked_infer_keeps_a_chunk_and_another_completion_for_later() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let mut stream = accept_one(&listener);
+            let s = read_request(&mut stream);
+            let b = read_request(&mut stream);
+            let a = read_request(&mut stream);
+            write_chunk(&mut stream, s, 0, false);
+            write_output(&mut stream, b, 222.0);
+            write_output(&mut stream, a, 111.0);
+            write_chunk(&mut stream, s, 1, true);
+        });
+
+        let mut client = DjinnClient::connect_with_timeout(addr, Duration::from_secs(2)).unwrap();
+        let s = client
+            .stream_infer("m", &one(), StreamMode::Generative { max_tokens: 2 })
+            .unwrap();
+        let b = client.submit("m", &one()).unwrap();
+        let a = client.infer("m", &one()).unwrap();
+        assert_eq!(a.data(), &[111.0], "infer must return its own answer");
+
+        let done = client.recv_next().unwrap();
+        assert_eq!(done.request_id, b);
+        assert_eq!(done.result.unwrap().0.data(), &[222.0]);
+
+        let first = client.recv_chunk(s).unwrap();
+        assert_eq!((first.seq, first.last), (0, false));
+        let second = client.recv_chunk(s).unwrap();
+        assert_eq!((second.seq, second.last), (1, true));
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn an_uncorrelated_error_answers_the_oldest_infer() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let mut stream = accept_one(&listener);
+            let _a = read_request(&mut stream);
+            let b = read_request(&mut stream);
+            let err = Response::Error {
+                request_id: 0,
+                message: "request frame not understood".into(),
+            };
+            write_frame(&mut stream, &err.encode().unwrap()).unwrap();
+            write_output(&mut stream, b, 222.0);
+        });
+
+        let mut client = DjinnClient::connect_with_timeout(addr, Duration::from_secs(2)).unwrap();
+        let a = client.submit("m", &one()).unwrap();
+        let b = client.submit("m", &one()).unwrap();
+
+        let first = client.recv_next().unwrap();
+        assert_eq!(
+            first.request_id, a,
+            "an ID-0 error goes to the oldest infer"
+        );
+        assert!(
+            matches!(&first.result, Err(DjinnError::Remote { message }) if message.contains("not understood")),
+            "got: {:?}",
+            first.result
+        );
+        let second = client.recv_next().unwrap();
+        assert_eq!(second.request_id, b);
+        assert_eq!(second.result.unwrap().0.data(), &[222.0]);
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn a_control_call_keeps_the_frames_queued_ahead_of_its_answer() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let mut stream = accept_one(&listener);
+            let s = read_request(&mut stream);
+            let b = read_request(&mut stream);
+            let list = read_request(&mut stream);
+            write_output(&mut stream, b, 222.0);
+            write_chunk(&mut stream, s, 0, true);
+            let models = Response::Models {
+                request_id: list,
+                names: vec!["m".into(), "n".into()],
+            };
+            write_frame(&mut stream, &models.encode().unwrap()).unwrap();
+        });
+
+        let mut client = DjinnClient::connect_with_timeout(addr, Duration::from_secs(2)).unwrap();
+        let s = client
+            .stream_infer("m", &one(), StreamMode::Generative { max_tokens: 1 })
+            .unwrap();
+        let b = client.submit("m", &one()).unwrap();
+        assert_eq!(client.list_models().unwrap(), vec!["m", "n"]);
+
+        let done = client.recv_next().unwrap();
+        assert_eq!(done.request_id, b);
+        assert_eq!(done.result.unwrap().0.data(), &[222.0]);
+        let chunk = client.recv_chunk(s).unwrap();
+        assert_eq!((chunk.seq, chunk.last), (0, true));
         peer.join().unwrap();
     }
 }
