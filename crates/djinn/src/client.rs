@@ -9,7 +9,8 @@ use bytes::BytesMut;
 use tensor::Tensor;
 
 use crate::protocol::{
-    encode_infer_framed_into, FrameReader, ModelStats, Request, Response, StreamMode,
+    encode_infer_framed_into, encode_stream_framed_into, FrameReader, ModelStats, Request,
+    Response, StreamMode,
 };
 use crate::trace::{self, ServerTrace, TraceRecord};
 use crate::{DjinnError, Result};
@@ -309,8 +310,7 @@ impl DjinnClient {
         // this thread is rescheduled, so stamping after the write would
         // yield e2e readings smaller than the server's own span sum.
         let sent = Instant::now();
-        self.issued_high = self.issued_high.max(request_id);
-        self.write_send_buf()?;
+        self.write_send_buf(request_id)?;
         self.pending.insert(
             request_id,
             PendingInfer {
@@ -402,12 +402,8 @@ impl DjinnClient {
     pub fn stream_infer(&mut self, model: &str, input: &Tensor, mode: StreamMode) -> Result<u64> {
         self.check_poisoned()?;
         let request_id = trace::next_request_id();
-        self.send(&Request::StreamInfer {
-            model: model.to_string(),
-            input: input.clone(),
-            request_id,
-            mode,
-        })?;
+        encode_stream_framed_into(&mut self.send_buf, model, input, request_id, mode)?;
+        self.write_send_buf(request_id)?;
         self.streams
             .insert(request_id, PendingStream { next_seq: 0 });
         Ok(request_id)
@@ -474,13 +470,14 @@ impl DjinnClient {
     fn send(&mut self, req: &Request) -> Result<()> {
         self.check_poisoned()?;
         req.encode_framed_into(&mut self.send_buf)?; // nothing written yet: not poisoning
-        self.issued_high = self.issued_high.max(req.request_id());
-        self.write_send_buf()
+        self.write_send_buf(req.request_id())
     }
 
-    /// Ships the pre-framed contents of `send_buf` in one `write_all`
-    /// (one syscall on an unbuffered socket), poisoning on failure.
-    fn write_send_buf(&mut self) -> Result<()> {
+    /// Ships the pre-framed contents of `send_buf`, request `request_id`,
+    /// in one `write_all` (one syscall on an unbuffered socket),
+    /// poisoning on failure.
+    fn write_send_buf(&mut self, request_id: u64) -> Result<()> {
+        self.issued_high = self.issued_high.max(request_id);
         let sent = self
             .stream
             .write_all(&self.send_buf)

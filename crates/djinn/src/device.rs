@@ -91,7 +91,7 @@ impl Device {
 ///
 /// Holds `granted` lease units and records how long the acquirer blocked
 /// waiting for them. The engine turns the grant into the [`Threading`]
-/// budget passed to `Executor::infer_budgeted`.
+/// budget passed to `Executor::infer_budgeted_cached`.
 #[derive(Debug)]
 pub struct ComputeLease {
     scheduler: Arc<SchedulerInner>,

@@ -40,9 +40,11 @@
 //!
 //! Telemetry: queue depth, in-flight jobs, shed count, and log-bucketed
 //! queue-wait / service-time histograms (from [`gpusim::queueing`], the
-//! same abstraction the open-loop simulator runs in virtual time).
+//! same abstraction the open-loop simulator runs in virtual time),
+//! reported by [`InferenceEngine::stats`] as the engine's part of the
+//! wire's [`ModelStats`].
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -55,7 +57,7 @@ use tensor::{Shape, Tensor};
 
 use crate::device::{ColocationPolicy, DeviceScheduler};
 use crate::io::Wake;
-use crate::protocol::StreamMode;
+use crate::protocol::{ModelStats, StreamMode};
 use crate::trace::EngineSpans;
 use crate::{DjinnError, Executor, Result};
 
@@ -144,55 +146,6 @@ pub const MAX_STREAM_TOKENS: u32 = 1024;
 /// on a full receiver before it looks again (a new arrival ends the wait
 /// early).
 const STALL_BACKOFF: Duration = Duration::from_millis(1);
-
-/// Point-in-time queue telemetry for one model's engine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Model name.
-    pub model: String,
-    /// Jobs waiting in the admission queue right now.
-    pub queue_depth: usize,
-    /// Jobs currently executing on the backend.
-    pub in_flight: usize,
-    /// Jobs shed at admission because the queue was full.
-    pub shed: u64,
-    /// Jobs completed (successfully or with an inference error).
-    pub completed: u64,
-    /// Median time a job spent queued before dispatch, microseconds.
-    pub p50_queue_wait_us: u64,
-    /// 99th-percentile queue wait, microseconds.
-    pub p99_queue_wait_us: u64,
-    /// Median batch coalescing wait (dequeue → executor start),
-    /// microseconds. Near zero under [`DispatchPolicy::Immediate`].
-    pub p50_batch_wait_us: u64,
-    /// 99th-percentile batch coalescing wait, microseconds.
-    pub p99_batch_wait_us: u64,
-    /// Median time a dispatch blocked acquiring its device lease,
-    /// microseconds. Zero on a dedicated (unshared) device.
-    pub p50_lease_wait_us: u64,
-    /// 99th-percentile lease wait, microseconds.
-    pub p99_lease_wait_us: u64,
-    /// Median device/service time per dispatch, microseconds.
-    pub p50_service_us: u64,
-    /// 99th-percentile device/service time per dispatch, microseconds.
-    pub p99_service_us: u64,
-    /// Requests (exact) or rows (embed) answered by the inference
-    /// cache. 0 with caching off.
-    pub cache_hits: u64,
-    /// Cache lookups that fell through to compute. 0 with caching off.
-    pub cache_misses: u64,
-    /// Cache entries evicted under the byte budget. 0 with caching off.
-    pub cache_evictions: u64,
-    /// Chunks emitted by streaming jobs (one per partial response). 0
-    /// with no streaming traffic.
-    pub tokens_out: u64,
-    /// Median gap between consecutive chunk emissions of a stream (the
-    /// first gap is admission → first chunk, i.e. time-to-first-token),
-    /// microseconds.
-    pub p50_token_gap_us: u64,
-    /// 99th-percentile chunk emission gap, microseconds.
-    pub p99_token_gap_us: u64,
-}
 
 /// A completed routed job, delivered to whatever channel the submitter
 /// registered with [`InferenceEngine::submit_routed`] — in the server, a
@@ -308,32 +261,15 @@ struct Stream {
 
 impl Stream {
     /// Sends `reply` if the receiver has room and keeps it for the next
-    /// tick if not; `false` once the receiver is gone. A stream is one
-    /// request: it counts as completed here, when its last reply goes out
-    /// or its receiver is found gone — and, like a one-shot, before that
-    /// reply can be seen, so whoever reads the last chunk and then the
-    /// stats finds the stream in them.
-    fn offer(&mut self, inner: &Inner, reply: RoutedReply) -> bool {
-        let last = reply.last;
-        if last {
-            inner.completed.fetch_add(1, Ordering::Relaxed);
-        }
+    /// tick if not; `false` once the receiver is gone.
+    fn offer(&mut self, reply: RoutedReply) -> bool {
         match self.tx.try_send(reply) {
             Ok(()) => true,
             Err(TrySendError::Full(reply)) => {
-                if last {
-                    // Not out after all: it counts when it does go.
-                    inner.completed.fetch_sub(1, Ordering::Relaxed);
-                }
                 self.held = Some(reply);
                 true
             }
-            Err(TrySendError::Disconnected(_)) => {
-                if !last {
-                    inner.completed.fetch_add(1, Ordering::Relaxed);
-                }
-                false
-            }
+            Err(TrySendError::Disconnected(_)) => false,
         }
     }
 
@@ -374,8 +310,10 @@ impl Stream {
                 self.first_token_us = gap;
             }
             self.last_emit = Some(now);
-            hist(&inner.token_gap).record(gap);
-            inner.tokens_out.fetch_add(1, Ordering::Relaxed);
+            let mut telemetry = inner.telemetry();
+            telemetry.token_gap.record(gap);
+            telemetry.tokens_out += 1;
+            drop(telemetry);
             let spans = EngineSpans {
                 first_token_us: self.first_token_us,
                 tokens: u64::from(self.seq) + 1,
@@ -390,7 +328,7 @@ impl Stream {
             result,
         };
         self.seq += 1;
-        if !self.offer(inner, reply) {
+        if !self.offer(reply) {
             return None;
         }
         let input = match next {
@@ -440,21 +378,27 @@ struct State {
     stepping: usize,
 }
 
+/// What the engine measures, behind one lock so that
+/// [`InferenceEngine::stats`] reads one consistent snapshot.
+#[derive(Default)]
+struct Telemetry {
+    queue_wait: LatencyHistogram,
+    batch_wait: LatencyHistogram,
+    lease_wait: LatencyHistogram,
+    service: LatencyHistogram,
+    /// Chunks emitted by streaming jobs.
+    tokens_out: u64,
+    /// Gap between consecutive chunk emissions of a stream; the first
+    /// sample of each stream is admission → first chunk (TTFT).
+    token_gap: LatencyHistogram,
+}
+
 struct Inner {
     model: String,
     state: Mutex<State>,
     cv: Condvar,
     in_flight: AtomicUsize,
-    completed: AtomicU64,
-    queue_wait: Mutex<LatencyHistogram>,
-    batch_wait: Mutex<LatencyHistogram>,
-    lease_wait: Mutex<LatencyHistogram>,
-    service: Mutex<LatencyHistogram>,
-    /// Chunks emitted by streaming jobs.
-    tokens_out: AtomicU64,
-    /// Gap between consecutive chunk emissions of a stream; the first
-    /// sample of each stream is admission → first chunk (TTFT).
-    token_gap: Mutex<LatencyHistogram>,
+    telemetry: Mutex<Telemetry>,
     /// The device this engine leases compute from: `config.device`, or
     /// a dedicated (unbounded) one.
     scheduler: Arc<DeviceScheduler>,
@@ -468,6 +412,13 @@ struct Inner {
 impl Inner {
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Locks the telemetry. Recording leaves every histogram valid at
+    /// every step, so a lock poisoned by a panicking recorder is
+    /// recovered.
+    fn telemetry(&self) -> std::sync::MutexGuard<'_, Telemetry> {
+        self.telemetry.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -543,13 +494,7 @@ impl InferenceEngine {
             }),
             cv: Condvar::new(),
             in_flight: AtomicUsize::new(0),
-            completed: AtomicU64::new(0),
-            queue_wait: Mutex::new(LatencyHistogram::new()),
-            batch_wait: Mutex::new(LatencyHistogram::new()),
-            lease_wait: Mutex::new(LatencyHistogram::new()),
-            service: Mutex::new(LatencyHistogram::new()),
-            tokens_out: AtomicU64::new(0),
-            token_gap: Mutex::new(LatencyHistogram::new()),
+            telemetry: Mutex::default(),
             scheduler,
             colocation: config.colocation,
             cache: config.cache,
@@ -636,7 +581,6 @@ impl InferenceEngine {
         // by the dispatch thread once computed.
         if let Some(exact) = self.inner.cache.as_deref().and_then(InferenceCache::exact) {
             if let Some(output) = exact.get(&input) {
-                self.inner.completed.fetch_add(1, Ordering::Relaxed);
                 let spans = EngineSpans {
                     cache_hit: true,
                     ..EngineSpans::default()
@@ -792,47 +736,42 @@ impl InferenceEngine {
         self.submit(input)?.wait_traced()
     }
 
-    /// Current queue telemetry.
-    pub fn stats(&self) -> EngineStats {
+    /// Current telemetry as a [`ModelStats`] with the engine's fields
+    /// filled. The six fields the server owns are left at 0: `requests`,
+    /// `errors`, `total_latency_us`, `max_latency_us`, `p50_wire_us` and
+    /// `p99_wire_us`.
+    pub fn stats(&self) -> ModelStats {
         let (queue_depth, shed) = {
             let st = self.inner.lock();
-            (st.queue.len(), st.queue.shed_count())
+            (st.queue.len() as u64, st.queue.shed_count())
         };
-        let quantiles = |h: &Mutex<LatencyHistogram>| {
-            let h = hist(h);
-            (h.quantile(0.50), h.quantile(0.99))
-        };
-        let (p50_queue_wait_us, p99_queue_wait_us) = quantiles(&self.inner.queue_wait);
-        let (p50_batch_wait_us, p99_batch_wait_us) = quantiles(&self.inner.batch_wait);
-        let (p50_lease_wait_us, p99_lease_wait_us) = quantiles(&self.inner.lease_wait);
-        let (p50_service_us, p99_service_us) = quantiles(&self.inner.service);
-        let (p50_token_gap_us, p99_token_gap_us) = quantiles(&self.inner.token_gap);
         let cache = self
             .inner
             .cache
             .as_ref()
             .map(|c| c.stats())
             .unwrap_or_default();
-        EngineStats {
+        let t = self.inner.telemetry();
+        ModelStats {
             model: self.inner.model.clone(),
             queue_depth,
-            in_flight: self.inner.in_flight.load(Ordering::Relaxed),
+            in_flight: self.inner.in_flight.load(Ordering::Relaxed) as u64,
             shed,
-            completed: self.inner.completed.load(Ordering::Relaxed),
-            p50_queue_wait_us,
-            p99_queue_wait_us,
-            p50_batch_wait_us,
-            p99_batch_wait_us,
-            p50_lease_wait_us,
-            p99_lease_wait_us,
-            p50_service_us,
-            p99_service_us,
+            p50_queue_wait_us: t.queue_wait.quantile(0.50),
+            p99_queue_wait_us: t.queue_wait.quantile(0.99),
+            p50_batch_wait_us: t.batch_wait.quantile(0.50),
+            p99_batch_wait_us: t.batch_wait.quantile(0.99),
+            p50_service_us: t.service.quantile(0.50),
+            p99_service_us: t.service.quantile(0.99),
+            p50_lease_wait_us: t.lease_wait.quantile(0.50),
+            p99_lease_wait_us: t.lease_wait.quantile(0.99),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_evictions: cache.evictions,
-            tokens_out: self.inner.tokens_out.load(Ordering::Relaxed),
-            p50_token_gap_us,
-            p99_token_gap_us,
+            tokens_out: t.tokens_out,
+            p50_token_gap_us: t.token_gap.quantile(0.50),
+            p99_token_gap_us: t.token_gap.quantile(0.99),
+            ..ModelStats::default()
         }
     }
 
@@ -866,12 +805,6 @@ impl Drop for InferenceEngine {
             self.stop();
         }
     }
-}
-
-/// Locks a telemetry histogram. Recording leaves a histogram valid at
-/// every step, so a lock poisoned by a panicking recorder is recovered.
-fn hist(h: &Mutex<LatencyHistogram>) -> std::sync::MutexGuard<'_, LatencyHistogram> {
-    h.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Assembles one job's span measurements from its timeline marks. The
@@ -1018,7 +951,7 @@ fn dispatch_loop(
 /// from an earlier tick offers it again. Returns the jobs that run now
 /// and the ones that sit this tick out (receiver still full); a stream
 /// whose held reply was its last, or whose receiver is gone, ends here.
-fn settle(inner: &Inner, jobs: Vec<Job>) -> (Vec<Job>, Vec<Job>) {
+fn settle(jobs: Vec<Job>) -> (Vec<Job>, Vec<Job>) {
     let holds = |j: &Job| matches!(&j.reply, ReplySlot::Stream(s) if s.held.is_some());
     if !jobs.iter().any(holds) {
         return (jobs, Vec::new());
@@ -1029,7 +962,7 @@ fn settle(inner: &Inner, jobs: Vec<Job>) -> (Vec<Job>, Vec<Job>) {
         if let ReplySlot::Stream(stream) = &mut job.reply {
             if let Some(reply) = stream.held.take() {
                 let last = reply.last;
-                if !stream.offer(inner, reply) || (last && stream.held.is_none()) {
+                if !stream.offer(reply) || (last && stream.held.is_none()) {
                     continue;
                 }
                 if stream.held.is_some() {
@@ -1076,7 +1009,6 @@ fn requeue(inner: &Inner, lent: usize, next: Vec<Job>, idle: bool) {
                 last: true,
                 result: Err(DjinnError::Shutdown),
             });
-            inner.completed.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -1088,7 +1020,7 @@ fn requeue(inner: &Inner, lent: usize, next: Vec<Job>, idle: bool) {
 fn dispatch(inner: &Inner, network: &Arc<Network>, executor: &dyn Executor, jobs: Vec<Job>) {
     let lent = jobs.iter().filter(|j| j.is_step()).count();
     let (jobs, mut next) = if lent > 0 {
-        settle(inner, jobs)
+        settle(jobs)
     } else {
         (jobs, Vec::new())
     };
@@ -1121,6 +1053,7 @@ fn dispatch(inner: &Inner, network: &Arc<Network>, executor: &dyn Executor, jobs
     let mut exec_start = Instant::now();
     let mut service = Duration::ZERO;
     let mut lease_waited = Duration::ZERO;
+    let mut device_us = None;
     let total_queries: usize = counts.iter().sum();
     let result = Tensor::stack_batch_owned(inputs)
         .map_err(DjinnError::from)
@@ -1135,7 +1068,7 @@ fn dispatch(inner: &Inner, network: &Arc<Network>, executor: &dyn Executor, jobs
                 executor.infer_budgeted_cached(network, &stacked, lease.threading(), embed)?;
             drop(lease);
             service = exec_start.elapsed();
-            hist(&inner.service).record(outcome.device_latency.as_micros() as u64);
+            device_us = Some(outcome.device_latency.as_micros() as u64);
             if n == 1 {
                 // Single-job batch: hand the output over without the
                 // split_batch copy.
@@ -1146,17 +1079,21 @@ fn dispatch(inner: &Inner, network: &Arc<Network>, executor: &dyn Executor, jobs
             }
             Ok(outcome.output.split_batch(&counts)?)
         });
-    // Per-job telemetry: queue wait (admission → queue-exit), coalescing
-    // wait (queue-exit → the lease request) and the shared lease wait.
+    // The pass's service time, and per job: queue wait (admission →
+    // queue-exit), coalescing wait (queue-exit → the lease request) and
+    // the shared lease wait.
     let lease_mark = exec_start.checked_sub(lease_waited).unwrap_or(exec_start);
     {
-        let mut queue_wait = hist(&inner.queue_wait);
-        let mut batch_wait = hist(&inner.batch_wait);
-        let mut lease_wait = hist(&inner.lease_wait);
+        let mut t = inner.telemetry();
+        if let Some(us) = device_us {
+            t.service.record(us);
+        }
         for &(enqueued, dequeued) in &marks {
-            queue_wait.record(dequeued.duration_since(enqueued).as_micros() as u64);
-            batch_wait.record(lease_mark.duration_since(dequeued).as_micros() as u64);
-            lease_wait.record(lease_waited.as_micros() as u64);
+            t.queue_wait
+                .record(dequeued.duration_since(enqueued).as_micros() as u64);
+            t.batch_wait
+                .record(lease_mark.duration_since(dequeued).as_micros() as u64);
+            t.lease_wait.record(lease_waited.as_micros() as u64);
         }
     }
     inner.in_flight.fetch_sub(n, Ordering::Relaxed);
@@ -1172,13 +1109,9 @@ fn dispatch(inner: &Inner, network: &Arc<Network>, executor: &dyn Executor, jobs
         };
         match reply {
             ReplySlot::Stream(stream) => {
-                // (A stream is one request: it counts when it ends, in
-                // `Stream::offer`, not per step.)
                 next.extend(stream.advance(inner, result, network.def().input_shape()));
             }
             ReplySlot::Once { token, tx } => {
-                // Counted before the reply can be seen.
-                inner.completed.fetch_add(1, Ordering::Relaxed);
                 if let (Some(kept), Ok((part, _))) = (kept_inputs.as_ref(), &result) {
                     if let Some(exact) = exact {
                         exact.insert(&kept[i], part);
@@ -1605,7 +1538,11 @@ mod tests {
         }
         let stats = eng.stats();
         assert_eq!(stats.model, "tiny");
-        assert_eq!(stats.completed, 4);
+        assert_eq!(
+            (stats.requests, stats.errors, stats.p99_wire_us),
+            (0, 0, 0),
+            "the server's fields are left at 0"
+        );
         assert_eq!(stats.queue_depth, 0);
         assert_eq!(stats.in_flight, 0);
         assert_eq!(stats.shed, 0);
@@ -1876,7 +1813,6 @@ mod tests {
         );
         let stats = eng.stats();
         assert_eq!(stats.tokens_out, 5, "one tokens_out tick per chunk");
-        assert_eq!(stats.completed, 1, "a whole stream counts as one request");
         eng.shutdown();
     }
 
@@ -2068,7 +2004,6 @@ mod tests {
             seen[t] += 1;
         }
         assert_eq!(seen, vec![3; 4], "every stream delivered every chunk");
-        assert_eq!(eng.stats().completed, 5, "four streams and a one-shot");
     }
 
     #[test]
@@ -2142,7 +2077,6 @@ mod tests {
             slow_rx.recv().is_err(),
             "the sender is dropped after the last chunk"
         );
-        assert_eq!(eng.stats().completed, 3);
         eng.shutdown();
     }
 
@@ -2170,19 +2104,27 @@ mod tests {
         }
         let buffered = rx.try_iter().count() as u64;
         drop(rx);
-        // At most the tick in flight and the one whose send fails follow.
+        // At most the tick in flight and the one whose send fails follow;
+        // a live stream would add a token every ~2 ms. Retired, the
+        // engine goes quiet: nothing queued or running, and no token
+        // across ten ticks' time.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while eng.stats().completed == 0 {
+        let mut tokens = eng.stats().tokens_out;
+        loop {
+            std::thread::sleep(Duration::from_millis(20));
+            let stats = eng.stats();
+            assert!(
+                stats.tokens_out <= 2 + buffered + 2,
+                "decode went on for nobody: {} tokens",
+                stats.tokens_out
+            );
+            let quiet = (stats.queue_depth, stats.in_flight) == (0, 0);
+            if quiet && stats.tokens_out == tokens {
+                break;
+            }
             assert!(Instant::now() < deadline, "the stream never retired");
-            std::thread::sleep(Duration::from_millis(1));
+            tokens = stats.tokens_out;
         }
-        let stats = eng.stats();
-        assert!(
-            stats.tokens_out <= 2 + buffered + 2,
-            "decode went on for nobody: {} tokens",
-            stats.tokens_out
-        );
-        assert_eq!((stats.queue_depth, stats.in_flight), (0, 0));
     }
 
     #[test]

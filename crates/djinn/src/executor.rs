@@ -43,30 +43,12 @@ pub trait Executor: Send + Sync {
     fn infer(&self, network: &Arc<Network>, input: &Tensor) -> Result<InferenceOutcome>;
 
     /// Runs the forward pass under an externally granted thread `budget`
-    /// (a device-scheduler lease). Backends that spend host threads cap
-    /// their configured parallelism at the budget; backends that don't
-    /// (modeled GPU, test doubles) ignore it, which is what the default
-    /// does.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape mismatches and layer failures.
-    fn infer_budgeted(
-        &self,
-        network: &Arc<Network>,
-        input: &Tensor,
-        budget: Threading,
-    ) -> Result<InferenceOutcome> {
-        let _ = budget;
-        self.infer(network, input)
-    }
-
-    /// [`Executor::infer_budgeted`] with an optional embedding-layer
-    /// cache to consult/populate. Backends that run the real layer
-    /// stack on the host route through
-    /// [`Network::forward_embed_cached`]; backends whose math happens
-    /// elsewhere (modeled GPU, test doubles) ignore the cache — the
-    /// default does.
+    /// (a device-scheduler lease), with an optional embedding-layer cache
+    /// to consult/populate. Backends that spend host threads cap their
+    /// configured parallelism at the budget, and those that run the real
+    /// layer stack on the host route through
+    /// [`Network::forward_embed_cached`]; backends that do neither
+    /// (modeled GPU, test doubles) ignore both — the default does.
     ///
     /// # Errors
     ///
@@ -78,8 +60,8 @@ pub trait Executor: Send + Sync {
         budget: Threading,
         embed: Option<&EmbedCache>,
     ) -> Result<InferenceOutcome> {
-        let _ = embed;
-        self.infer_budgeted(network, input, budget)
+        let _ = (budget, embed);
+        self.infer(network, input)
     }
 
     /// Host threads this backend would like for a `batch`-item call —
@@ -168,18 +150,6 @@ impl Executor for CpuExecutor {
         self.infer_with(network, input, self.threading)
     }
 
-    fn infer_budgeted(
-        &self,
-        network: &Arc<Network>,
-        input: &Tensor,
-        budget: Threading,
-    ) -> Result<InferenceOutcome> {
-        // A lease can shrink the configured budget, never grow it. The
-        // tensor kernels are bitwise-identical at any thread count, so a
-        // partial grant only changes timing, not outputs.
-        self.infer_with(network, input, self.threading.min(budget))
-    }
-
     fn infer_budgeted_cached(
         &self,
         network: &Arc<Network>,
@@ -187,13 +157,17 @@ impl Executor for CpuExecutor {
         budget: Threading,
         embed: Option<&EmbedCache>,
     ) -> Result<InferenceOutcome> {
+        // A lease can shrink the configured budget, never grow it. The
+        // tensor kernels are bitwise-identical at any thread count, so a
+        // partial grant only changes timing, not outputs.
+        let threading = self.threading.min(budget);
         let Some(cache) = embed else {
-            return self.infer_budgeted(network, input, budget);
+            return self.infer_with(network, input, threading);
         };
         // The prefix runs only the request's cold rows, as one batch;
         // every layer honors the lease budget.
         let start = Instant::now();
-        let output = network.forward_embed_cached(input, cache, self.threading.min(budget))?;
+        let output = network.forward_embed_cached(input, cache, threading)?;
         Ok(InferenceOutcome {
             output,
             device_latency: start.elapsed(),
@@ -345,19 +319,6 @@ impl<E: Executor> Executor for DelayExecutor<E> {
         let delay = self.delay_for_batch(input.shape().batch());
         std::thread::sleep(delay);
         let mut outcome = self.inner.infer(network, input)?;
-        outcome.device_latency += delay;
-        Ok(outcome)
-    }
-
-    fn infer_budgeted(
-        &self,
-        network: &Arc<Network>,
-        input: &Tensor,
-        budget: Threading,
-    ) -> Result<InferenceOutcome> {
-        let delay = self.delay_for_batch(input.shape().batch());
-        std::thread::sleep(delay);
-        let mut outcome = self.inner.infer_budgeted(network, input, budget)?;
         outcome.device_latency += delay;
         Ok(outcome)
     }
@@ -524,7 +485,7 @@ mod tests {
         let exec = CpuExecutor::new(Threading::new(4));
         for grant in [1usize, 2, 3, 8] {
             let out = exec
-                .infer_budgeted(&net, &input, Threading::new(grant))
+                .infer_budgeted_cached(&net, &input, Threading::new(grant), None)
                 .unwrap();
             assert_eq!(
                 out.output, serial.output,

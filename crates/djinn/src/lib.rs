@@ -66,8 +66,8 @@ pub use client::{DjinnClient, PipelinedResponse, StreamChunk, StreamIter};
 pub use device::{ColocationPolicy, ComputeLease, Device, DeviceScheduler};
 pub use dnn::cache::{CacheMode, CacheStats, InferenceCache};
 pub use engine::{
-    BatchConfig, DispatchPolicy, EngineConfig, EngineStats, InferenceEngine, ReplyTo, RoutedReply,
-    Ticket, MAX_STREAM_TOKENS,
+    BatchConfig, DispatchPolicy, EngineConfig, InferenceEngine, ReplyTo, RoutedReply, Ticket,
+    MAX_STREAM_TOKENS,
 };
 pub use error::DjinnError;
 pub use executor::{CpuExecutor, DelayExecutor, Executor, InferenceOutcome, SimGpuExecutor};

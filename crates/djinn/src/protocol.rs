@@ -197,7 +197,14 @@ impl Request {
 }
 
 /// Service statistics for one model, as reported by the `Stats` request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The counters after `model` are declared in wire order; this module
+/// alone knows that order and how a router's fleet view merges each one.
+/// The engine fills the queue, lease, service, cache and stream fields
+/// ([`crate::InferenceEngine::stats`]); the server owns `requests`,
+/// `errors`, `total_latency_us`, `max_latency_us` and the two wire
+/// quantiles.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ModelStats {
     /// Model name.
     pub model: String,
@@ -224,20 +231,21 @@ pub struct ModelStats {
     pub p50_batch_wait_us: u64,
     /// 99th-percentile batch coalescing wait, microseconds.
     pub p99_batch_wait_us: u64,
+    /// Median service (forward-pass) latency, microseconds.
+    pub p50_service_us: u64,
+    /// 99th-percentile service latency, microseconds.
+    pub p99_service_us: u64,
+    /// Median time the server took to encode a successful reply into
+    /// its connection's write buffer, microseconds (the socket write,
+    /// shared by every reply queued on the connection, is not in it).
+    pub p50_wire_us: u64,
+    /// 99th-percentile reply encode time, microseconds.
+    pub p99_wire_us: u64,
     /// Median device-lease wait (shared-device scheduling), microseconds
     /// (0 on a dedicated device).
     pub p50_lease_wait_us: u64,
     /// 99th-percentile device-lease wait, microseconds.
     pub p99_lease_wait_us: u64,
-    /// Median service (forward-pass) latency, microseconds.
-    pub p50_service_us: u64,
-    /// 99th-percentile service latency, microseconds.
-    pub p99_service_us: u64,
-    /// Median response-write (wire) time as seen by the server,
-    /// microseconds.
-    pub p50_wire_us: u64,
-    /// 99th-percentile response-write time, microseconds.
-    pub p99_wire_us: u64,
     /// Requests answered by the inference cache without touching the
     /// queue, lease, or executor (0 with caching off). Exact-match hits
     /// count requests; embedding-layer hits count rows.
@@ -257,6 +265,64 @@ pub struct ModelStats {
     pub p99_token_gap_us: u64,
 }
 
+/// How a fleet view combines one stats word across replicas.
+enum Merge {
+    /// Counts and gauges add up.
+    Sum,
+    /// Maxima and percentiles take the larger: percentiles do not sum,
+    /// and the max is the conservative bound.
+    Max,
+}
+
+/// Declares the stats layout once: each counter of a [`ModelStats`]
+/// entry in wire order, with its [`Merge`] rule. From that one list come
+/// `ModelStats::words`, `ModelStats::from_words` and [`MERGE`].
+macro_rules! stats_layout {
+    ($($field:ident: $rule:ident,)*) => {
+        /// Each stats word's merge rule, in wire order.
+        const MERGE: [Merge; STATS_WORDS] = [$(Merge::$rule),*];
+
+        impl ModelStats {
+            /// The counters in wire order.
+            fn words(&self) -> [u64; STATS_WORDS] {
+                [$(self.$field),*]
+            }
+
+            /// The inverse of `words`.
+            fn from_words(model: String, words: [u64; STATS_WORDS]) -> Self {
+                let [$($field),*] = words;
+                ModelStats { model, $($field),* }
+            }
+        }
+    };
+}
+
+stats_layout! {
+    requests: Sum,
+    errors: Sum,
+    total_latency_us: Sum,
+    max_latency_us: Max,
+    queue_depth: Sum,
+    in_flight: Sum,
+    shed: Sum,
+    p50_queue_wait_us: Max,
+    p99_queue_wait_us: Max,
+    p50_batch_wait_us: Max,
+    p99_batch_wait_us: Max,
+    p50_service_us: Max,
+    p99_service_us: Max,
+    p50_wire_us: Max,
+    p99_wire_us: Max,
+    p50_lease_wait_us: Max,
+    p99_lease_wait_us: Max,
+    cache_hits: Sum,
+    cache_misses: Sum,
+    cache_evictions: Sum,
+    tokens_out: Sum,
+    p50_token_gap_us: Max,
+    p99_token_gap_us: Max,
+}
+
 impl ModelStats {
     /// Mean device latency per successful request, microseconds.
     pub fn mean_latency_us(&self) -> f64 {
@@ -265,6 +331,19 @@ impl ModelStats {
         } else {
             self.total_latency_us as f64 / self.requests as f64
         }
+    }
+
+    /// Folds another replica's entry for the same model into this one,
+    /// word by word as its [`Merge`] rule says.
+    pub(crate) fn merge(&mut self, other: &ModelStats) {
+        let mut words = self.words();
+        for ((word, theirs), rule) in words.iter_mut().zip(other.words()).zip(MERGE) {
+            *word = match rule {
+                Merge::Sum => word.saturating_add(theirs),
+                Merge::Max => (*word).max(theirs),
+            };
+        }
+        *self = ModelStats::from_words(std::mem::take(&mut self.model), words);
     }
 }
 
@@ -570,6 +649,25 @@ fn put_infer_payload(
     Ok(())
 }
 
+/// Encodes a stream-infer payload from borrowed parts — shared by
+/// [`Request::encode_into`] and [`encode_stream_framed_into`], as
+/// [`put_infer_payload`] is for one-shots.
+fn put_stream_payload(
+    buf: &mut BytesMut,
+    model: &str,
+    input: &Tensor,
+    request_id: u64,
+    mode: StreamMode,
+) -> Result<()> {
+    header(buf, OP_STREAM_INFER);
+    put_str(buf, model)?;
+    buf.put_u64_le(request_id);
+    buf.put_u8(mode.opbyte());
+    buf.put_u32_le(mode.param());
+    put_tensor(buf, input);
+    Ok(())
+}
+
 /// Lays out one complete `[u32 len | payload]` frame in `buf`: clears it
 /// (keeping capacity), reserves the length slot, runs the payload
 /// encoder, then backfills the little-endian length — leaving `buf` ready
@@ -620,6 +718,21 @@ pub fn encode_infer_framed_into(
     frame_into(buf, |b| put_infer_payload(b, model, input, request_id))
 }
 
+/// [`encode_infer_framed_into`] for a stream start: byte-identical to
+/// encoding `Request::StreamInfer { .. }` with
+/// [`Request::encode_framed_into`], without cloning the input.
+pub(crate) fn encode_stream_framed_into(
+    buf: &mut BytesMut,
+    model: &str,
+    input: &Tensor,
+    request_id: u64,
+    mode: StreamMode,
+) -> Result<()> {
+    frame_into(buf, |b| {
+        put_stream_payload(b, model, input, request_id, mode)
+    })
+}
+
 impl Request {
     /// Serializes the request into a payload (without the frame length).
     ///
@@ -659,14 +772,7 @@ impl Request {
                 input,
                 request_id,
                 mode,
-            } => {
-                header(buf, OP_STREAM_INFER);
-                put_str(buf, model)?;
-                buf.put_u64_le(*request_id);
-                buf.put_u8(mode.opbyte());
-                buf.put_u32_le(mode.param());
-                put_tensor(buf, input);
-            }
+            } => put_stream_payload(buf, model, input, *request_id, *mode)?,
         }
         Ok(())
     }
@@ -800,29 +906,9 @@ impl Response {
                 put_count(buf, stats.len(), "stats entries")?;
                 for s in stats {
                     put_str(buf, &s.model)?;
-                    buf.put_u64_le(s.requests);
-                    buf.put_u64_le(s.errors);
-                    buf.put_u64_le(s.total_latency_us);
-                    buf.put_u64_le(s.max_latency_us);
-                    buf.put_u64_le(s.queue_depth);
-                    buf.put_u64_le(s.in_flight);
-                    buf.put_u64_le(s.shed);
-                    buf.put_u64_le(s.p50_queue_wait_us);
-                    buf.put_u64_le(s.p99_queue_wait_us);
-                    buf.put_u64_le(s.p50_batch_wait_us);
-                    buf.put_u64_le(s.p99_batch_wait_us);
-                    buf.put_u64_le(s.p50_service_us);
-                    buf.put_u64_le(s.p99_service_us);
-                    buf.put_u64_le(s.p50_wire_us);
-                    buf.put_u64_le(s.p99_wire_us);
-                    buf.put_u64_le(s.p50_lease_wait_us);
-                    buf.put_u64_le(s.p99_lease_wait_us);
-                    buf.put_u64_le(s.cache_hits);
-                    buf.put_u64_le(s.cache_misses);
-                    buf.put_u64_le(s.cache_evictions);
-                    buf.put_u64_le(s.tokens_out);
-                    buf.put_u64_le(s.p50_token_gap_us);
-                    buf.put_u64_le(s.p99_token_gap_us);
+                    for word in s.words() {
+                        buf.put_u64_le(word);
+                    }
                 }
             }
             Response::Busy {
@@ -959,34 +1045,8 @@ impl Response {
                     if buf.remaining() < STATS_WORDS * 8 {
                         return Err(err("truncated stats entry"));
                     }
-                    // Fields in wire order (the encoder's), which is not
-                    // the struct's declaration order.
-                    stats.push(ModelStats {
-                        model,
-                        requests: buf.get_u64_le(),
-                        errors: buf.get_u64_le(),
-                        total_latency_us: buf.get_u64_le(),
-                        max_latency_us: buf.get_u64_le(),
-                        queue_depth: buf.get_u64_le(),
-                        in_flight: buf.get_u64_le(),
-                        shed: buf.get_u64_le(),
-                        p50_queue_wait_us: buf.get_u64_le(),
-                        p99_queue_wait_us: buf.get_u64_le(),
-                        p50_batch_wait_us: buf.get_u64_le(),
-                        p99_batch_wait_us: buf.get_u64_le(),
-                        p50_service_us: buf.get_u64_le(),
-                        p99_service_us: buf.get_u64_le(),
-                        p50_wire_us: buf.get_u64_le(),
-                        p99_wire_us: buf.get_u64_le(),
-                        p50_lease_wait_us: buf.get_u64_le(),
-                        p99_lease_wait_us: buf.get_u64_le(),
-                        cache_hits: buf.get_u64_le(),
-                        cache_misses: buf.get_u64_le(),
-                        cache_evictions: buf.get_u64_le(),
-                        tokens_out: buf.get_u64_le(),
-                        p50_token_gap_us: buf.get_u64_le(),
-                        p99_token_gap_us: buf.get_u64_le(),
-                    });
+                    let words = std::array::from_fn(|_| buf.get_u64_le());
+                    stats.push(ModelStats::from_words(model, words));
                 }
                 Ok(Response::Stats {
                     request_id,
@@ -1489,6 +1549,59 @@ mod tests {
             stats: vec![stats_entry("dig"), stats_entry("pos")],
         };
         assert_eq!(Response::decode(&rsp.encode().unwrap()).unwrap(), rsp);
+    }
+
+    #[test]
+    fn merge_sums_counts_and_maxes_the_rest_in_every_word() {
+        // A distinct value in every word, and which side is larger
+        // alternates, so a sum never passes for a max (or a min for a
+        // max), and a word merged under another's rule shows.
+        let ours = |i: usize| 100 * (i as u64 + 1);
+        let theirs = |i: usize| {
+            if i.is_multiple_of(2) {
+                ours(i) + 4
+            } else {
+                ours(i) - 3
+            }
+        };
+        let a = ModelStats::from_words("m".into(), std::array::from_fn(ours));
+        let b = ModelStats::from_words("m".into(), std::array::from_fn(theirs));
+        let sum = |f: fn(&ModelStats) -> u64| f(&a) + f(&b);
+        let max = |f: fn(&ModelStats) -> u64| f(&a).max(f(&b));
+        let want = ModelStats {
+            model: "m".into(),
+            requests: sum(|s| s.requests),
+            errors: sum(|s| s.errors),
+            total_latency_us: sum(|s| s.total_latency_us),
+            max_latency_us: max(|s| s.max_latency_us),
+            queue_depth: sum(|s| s.queue_depth),
+            in_flight: sum(|s| s.in_flight),
+            shed: sum(|s| s.shed),
+            p50_queue_wait_us: max(|s| s.p50_queue_wait_us),
+            p99_queue_wait_us: max(|s| s.p99_queue_wait_us),
+            p50_batch_wait_us: max(|s| s.p50_batch_wait_us),
+            p99_batch_wait_us: max(|s| s.p99_batch_wait_us),
+            p50_service_us: max(|s| s.p50_service_us),
+            p99_service_us: max(|s| s.p99_service_us),
+            p50_wire_us: max(|s| s.p50_wire_us),
+            p99_wire_us: max(|s| s.p99_wire_us),
+            p50_lease_wait_us: max(|s| s.p50_lease_wait_us),
+            p99_lease_wait_us: max(|s| s.p99_lease_wait_us),
+            cache_hits: sum(|s| s.cache_hits),
+            cache_misses: sum(|s| s.cache_misses),
+            cache_evictions: sum(|s| s.cache_evictions),
+            tokens_out: sum(|s| s.tokens_out),
+            p50_token_gap_us: max(|s| s.p50_token_gap_us),
+            p99_token_gap_us: max(|s| s.p99_token_gap_us),
+        };
+        let mut merged = a.clone();
+        merged.merge(&b);
+        assert_eq!(merged, want);
+        // The rule is per word, not per side: merging the other way
+        // round gives the same entry.
+        let mut merged = b.clone();
+        merged.merge(&a);
+        assert_eq!(merged, want);
     }
 
     #[test]
@@ -2122,6 +2235,27 @@ mod tests {
         let mut via_borrowed = BytesMut::new();
         encode_infer_framed_into(&mut via_borrowed, "face", &input, 99).unwrap();
         assert_eq!(&via_owned[..], &via_borrowed[..]);
+    }
+
+    #[test]
+    fn borrowed_stream_encoder_matches_owned() {
+        let input = Tensor::random_uniform(Shape::mat(3, 5), 1.0, 6);
+        for mode in [
+            StreamMode::Windowed { window_rows: 2 },
+            StreamMode::Generative { max_tokens: 17 },
+        ] {
+            let owned = Request::StreamInfer {
+                model: "textgen".into(),
+                input: input.clone(),
+                request_id: 123,
+                mode,
+            };
+            let mut via_owned = BytesMut::new();
+            owned.encode_framed_into(&mut via_owned).unwrap();
+            let mut via_borrowed = BytesMut::new();
+            encode_stream_framed_into(&mut via_borrowed, "textgen", &input, 123, mode).unwrap();
+            assert_eq!(&via_owned[..], &via_borrowed[..], "{mode:?}");
+        }
     }
 
     #[test]

@@ -323,47 +323,20 @@ fn model_union(core: &Core) -> Vec<String> {
     names
 }
 
-/// Merges the latest per-replica stats snapshots into one fleet view:
-/// additive counters sum; `max_latency_us` and the percentile fields
-/// take the max across replicas (percentiles do not sum — the max is
-/// the conservative bound, and the approximation is documented in the
-/// module docs).
+/// Merges the latest per-replica stats snapshots into one fleet view,
+/// entry by entry with [`ModelStats::merge`]: counts sum, maxima and
+/// percentiles take the max across replicas (the approximation is
+/// documented in the module docs).
 fn merged_stats(request_id: u64, upstreams: &[Upstream]) -> Response {
     let mut merged: BTreeMap<&str, ModelStats> = BTreeMap::new();
     let mut unknown = 0u64;
     for up in upstreams {
         unknown += up.last_unknown;
         for m in &up.last_stats {
-            match merged.get_mut(m.model.as_str()) {
-                None => {
-                    merged.insert(m.model.as_str(), m.clone());
-                }
-                Some(acc) => {
-                    acc.requests += m.requests;
-                    acc.errors += m.errors;
-                    acc.total_latency_us += m.total_latency_us;
-                    acc.queue_depth += m.queue_depth;
-                    acc.in_flight += m.in_flight;
-                    acc.shed += m.shed;
-                    acc.max_latency_us = acc.max_latency_us.max(m.max_latency_us);
-                    acc.p50_queue_wait_us = acc.p50_queue_wait_us.max(m.p50_queue_wait_us);
-                    acc.p99_queue_wait_us = acc.p99_queue_wait_us.max(m.p99_queue_wait_us);
-                    acc.p50_batch_wait_us = acc.p50_batch_wait_us.max(m.p50_batch_wait_us);
-                    acc.p99_batch_wait_us = acc.p99_batch_wait_us.max(m.p99_batch_wait_us);
-                    acc.p50_service_us = acc.p50_service_us.max(m.p50_service_us);
-                    acc.p99_service_us = acc.p99_service_us.max(m.p99_service_us);
-                    acc.p50_wire_us = acc.p50_wire_us.max(m.p50_wire_us);
-                    acc.p99_wire_us = acc.p99_wire_us.max(m.p99_wire_us);
-                    acc.p50_lease_wait_us = acc.p50_lease_wait_us.max(m.p50_lease_wait_us);
-                    acc.p99_lease_wait_us = acc.p99_lease_wait_us.max(m.p99_lease_wait_us);
-                    acc.cache_hits += m.cache_hits;
-                    acc.cache_misses += m.cache_misses;
-                    acc.cache_evictions += m.cache_evictions;
-                    acc.tokens_out += m.tokens_out;
-                    acc.p50_token_gap_us = acc.p50_token_gap_us.max(m.p50_token_gap_us);
-                    acc.p99_token_gap_us = acc.p99_token_gap_us.max(m.p99_token_gap_us);
-                }
-            }
+            merged
+                .entry(m.model.as_str())
+                .and_modify(|acc| acc.merge(m))
+                .or_insert_with(|| m.clone());
         }
     }
     Response::Stats {

@@ -133,7 +133,6 @@ struct StatsAcc {
 
 /// One registered model: its engine and the server's wire-level stats.
 struct Model {
-    name: String,
     engine: InferenceEngine,
     stats: StatsAcc,
 }
@@ -252,14 +251,10 @@ impl DjinnServer {
                 device: device.clone(),
                 cache: InferenceCache::new(config.cache_mode, per_model_cache_bytes).map(Arc::new),
             };
-            let engine = InferenceEngine::start(
-                name.clone(),
-                registry.get(&name)?,
-                Arc::clone(&executor),
-                engine_config,
-            );
+            let network = registry.get(&name)?;
+            let engine =
+                InferenceEngine::start(name, network, Arc::clone(&executor), engine_config);
             models.push(Model {
-                name,
                 engine,
                 stats: StatsAcc::default(),
             });
@@ -553,7 +548,7 @@ impl Service {
     ) -> Option<Response> {
         let Ok(m) = self
             .models
-            .binary_search_by(|known| known.name.as_str().cmp(&model))
+            .binary_search_by(|known| known.engine.model().cmp(&model))
         else {
             self.unknown_models += 1;
             return Some(refusal(
@@ -589,9 +584,10 @@ impl Service {
         None
     }
 
-    /// Merges the wire-level accumulators with each engine's queue
-    /// telemetry; every registered model gets an entry, and requests for
-    /// unregistered models surface only in the aggregate counter.
+    /// Each engine's stats with the six fields the server owns filled
+    /// in from its wire-level accumulators; every registered model gets
+    /// an entry, and requests for unregistered models surface only in
+    /// the aggregate counter.
     fn stats_response(&self, request_id: u64) -> Response {
         Response::Stats {
             request_id,
@@ -599,34 +595,14 @@ impl Service {
             stats: self
                 .models
                 .iter()
-                .map(|m| {
-                    let (acc, q) = (&m.stats, m.engine.stats());
-                    ModelStats {
-                        model: m.name.clone(),
-                        requests: acc.requests,
-                        errors: acc.errors,
-                        total_latency_us: acc.total_latency_us,
-                        max_latency_us: acc.max_latency_us,
-                        queue_depth: q.queue_depth as u64,
-                        in_flight: q.in_flight as u64,
-                        shed: q.shed,
-                        p50_queue_wait_us: q.p50_queue_wait_us,
-                        p99_queue_wait_us: q.p99_queue_wait_us,
-                        p50_batch_wait_us: q.p50_batch_wait_us,
-                        p99_batch_wait_us: q.p99_batch_wait_us,
-                        p50_service_us: q.p50_service_us,
-                        p99_service_us: q.p99_service_us,
-                        p50_wire_us: acc.wire.quantile(0.50),
-                        p99_wire_us: acc.wire.quantile(0.99),
-                        p50_lease_wait_us: q.p50_lease_wait_us,
-                        p99_lease_wait_us: q.p99_lease_wait_us,
-                        cache_hits: q.cache_hits,
-                        cache_misses: q.cache_misses,
-                        cache_evictions: q.cache_evictions,
-                        tokens_out: q.tokens_out,
-                        p50_token_gap_us: q.p50_token_gap_us,
-                        p99_token_gap_us: q.p99_token_gap_us,
-                    }
+                .map(|m| ModelStats {
+                    requests: m.stats.requests,
+                    errors: m.stats.errors,
+                    total_latency_us: m.stats.total_latency_us,
+                    max_latency_us: m.stats.max_latency_us,
+                    p50_wire_us: m.stats.wire.quantile(0.50),
+                    p99_wire_us: m.stats.wire.quantile(0.99),
+                    ..m.engine.stats()
                 })
                 .collect(),
         }

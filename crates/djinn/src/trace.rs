@@ -286,25 +286,13 @@ impl TraceAggregator {
     }
 }
 
-/// The `q`-quantile of an ascending-sorted sample vector, or `None` when
-/// there are no samples — the caller renders `None` as `n/a` instead of
-/// inventing a zero (or panicking on an empty index, as the loadgen once
-/// did on an all-shed run).
-///
-/// Uses the ceiling nearest-rank convention (`rank = max(1, ceil(q·n))`,
-/// 1-based) — the same one `LatencyHistogram::quantile` uses — so the
-/// loadgen's client-side report and the server's stats report agree on
-/// what "p99" means. The old truncating index `(n-1)·q` rounded *down*,
-/// which at small sample counts understated tail quantiles (e.g. 10
-/// samples at q=0.99 reported the 9th value instead of the 10th).
+/// The `q`-quantile of an ascending-sorted sample vector by
+/// [`gpusim::queueing::percentile_sorted`] (ceiling nearest-rank, the
+/// rule the server's histograms use too), or `None` when there are no
+/// samples — the caller renders `None` as `n/a` instead of inventing a
+/// zero.
 pub fn percentile(sorted: &[f64], q: f64) -> Option<f64> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize)
-        .max(1)
-        .min(sorted.len());
-    Some(sorted[rank - 1])
+    (!sorted.is_empty()).then(|| gpusim::queueing::percentile_sorted(sorted, q))
 }
 
 /// Renders an optional millisecond quantity: `12.34 ms` or `n/a`.

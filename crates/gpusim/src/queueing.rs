@@ -261,14 +261,22 @@ impl LatencyHistogram {
     }
 }
 
-/// The `q`-quantile of an ascending-sorted slice by the nearest-rank
-/// definition used throughout the workspace. Returns 0 for empty input.
+/// The `q`-quantile of an ascending-sorted slice by the ceiling
+/// nearest-rank definition used throughout the workspace
+/// (`rank = max(1, ceil(q·n))`, 1-based), the one
+/// [`LatencyHistogram::quantile`] uses. Returns 0 for empty input.
+///
+/// A truncating index `(n-1)·q` would round down, and at small sample
+/// counts understate tails: 10 samples at q = 0.99 would report the 9th
+/// value instead of the 10th.
 pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
-    let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)) as usize;
-    sorted[idx]
+    let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize)
+        .max(1)
+        .min(sorted.len());
+    sorted[rank - 1]
 }
 
 #[cfg(test)]
@@ -496,5 +504,9 @@ mod tests {
         assert_eq!(percentile_sorted(&v, 0.99), 99.0);
         assert_eq!(percentile_sorted(&v, 1.0), 100.0);
         assert_eq!(percentile_sorted(&[], 0.5), 0.0);
+        // Where ceiling nearest-rank and the truncating (n-1)·q index
+        // part: the top of ten samples, not the ninth.
+        let ten: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert_eq!(percentile_sorted(&ten, 0.99), 10.0);
     }
 }

@@ -397,7 +397,6 @@ fn streaming_batched_streams_equal_solo_streams_bitwise() {
                 }
                 let stats = engine.stats();
                 assert_eq!(stats.tokens_out, (n * TOKENS) as u64, "{what}");
-                assert_eq!(stats.completed as usize, n + n.div_ceil(3), "{what}");
                 engine.shutdown();
             }
         }
