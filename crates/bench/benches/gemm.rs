@@ -3,11 +3,15 @@
 //! parallel driver — the `tensor` crate's design-choice ablation — and,
 //! in the `skinny` group, the no-pack and packed kernels row count by row
 //! count: the crossover table behind `SKINNY_MAX_M`
-//! (results/gemm_skinny.txt).
+//! (results/gemm_skinny.txt). The `lookup` group sets the lookup tier
+//! against the no-pack one by nonzeros per row: the crossover table
+//! behind `LOOKUP_MAX_SHARE` (results/gemm_lookup.txt).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use tensor::{gemm_naive, gemm_packed, gemm_skinny, sgemm, GemmOptions, Shape, Tensor};
+use tensor::{
+    gemm_lookup, gemm_naive, gemm_packed, gemm_skinny, sgemm, GemmOptions, Shape, Tensor,
+};
 
 fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("sgemm");
@@ -131,5 +135,55 @@ fn bench_skinny(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gemm, bench_skinny);
+/// Rows with `nnz` nonzeros each, evenly spaced (the rest `0.0`),
+/// against `textgen`'s 256x512 embedding and SENNA's 350x450 first
+/// layer at the heights a decode tick or a tagging batch has: the lookup
+/// tier, and the no-pack tier `sgemm` picks at these heights, which
+/// reads all of B whatever A holds. Where the lookup column passes the
+/// no-pack one is the share of nonzeros the lookup tier may take.
+fn bench_lookup(c: &mut Criterion) {
+    type Kernel = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
+    let kernels: [(&str, Kernel); 2] = [
+        ("lookup", |m, n, k, a, b, c| {
+            gemm_lookup(m, n, k, 1.0, a, b, c)
+        }),
+        ("nopack", |m, n, k, a, b, c| {
+            gemm_skinny(m, n, k, 1.0, a, b, c)
+        }),
+    ];
+    let mut group = c.benchmark_group("lookup");
+    group.sample_size(30);
+    for &(n, k) in &[(512usize, 256usize), (450, 350)] {
+        let b = Tensor::random_uniform(Shape::mat(k, n), 1.0, 2).into_vec();
+        for &m in &[1usize, 2, 8, 16] {
+            let dense = Tensor::random_uniform(Shape::mat(m, k), 1.0, 1).into_vec();
+            for &nnz in &[1usize, 4, 8, 16, 32, 64] {
+                let a: Vec<f32> = dense
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| {
+                        if (i % k) % (k / nnz) == 0 && (i % k) / (k / nnz) < nnz {
+                            v
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+                for (name, kernel) in kernels {
+                    let id = BenchmarkId::new(name, format!("{m}x{n}x{k}/nnz{nnz}"));
+                    group.bench_function(id, |bench| {
+                        bench.iter(|| {
+                            let mut cbuf = vec![0.0f32; m * n];
+                            kernel(m, n, k, &a, &b, &mut cbuf);
+                            black_box(cbuf)
+                        });
+                    });
+                }
+            }
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_gemm, bench_skinny, bench_lookup);
 criterion_main!(benches);

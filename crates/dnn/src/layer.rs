@@ -269,25 +269,38 @@ impl LayerSpec {
             LayerSpec::InnerProduct { out } => {
                 // weights stored (cols x out), so y = x * W + b; `matmul`
                 // reads any-rank input as the `(N, C*H*W)` matrix in place.
+                // Finite weights let rows that are mostly zero (a one-hot
+                // token) read only the weight rows they select.
                 let w = weights.weights();
-                let mut y = tensor::matmul_with(input, w, threading.threads)?;
+                let mut y = if weights.is_finite() {
+                    tensor::matmul_finite(input, w, threading.threads)?
+                } else {
+                    tensor::matmul_with(input, w, threading.threads)?
+                };
                 debug_assert_eq!(y.shape().as_matrix().1, *out);
                 tensor::add_bias_rows(&mut y, weights.bias())?;
                 Ok(y)
             }
-            LayerSpec::Activation(a) => {
-                let mut out = input.clone();
-                a.apply(&mut out);
-                Ok(out)
-            }
             LayerSpec::Lrn(p) => Ok(tensor::lrn_cross_channel(input, p)?),
-            LayerSpec::Dropout => Ok(input.clone()),
-            LayerSpec::Softmax => {
+            LayerSpec::Activation(_) | LayerSpec::Dropout | LayerSpec::Softmax => {
                 let mut out = input.clone();
-                tensor::softmax_rows(&mut out);
+                self.forward_in_place(&mut out);
                 Ok(out)
             }
         }
+    }
+
+    /// Runs a pointwise layer (activation, dropout, softmax) on `t` in
+    /// place, with the bits [`LayerSpec::forward`] gives, and says so;
+    /// any other layer leaves `t` alone and returns `false`.
+    pub(crate) fn forward_in_place(&self, t: &mut Tensor) -> bool {
+        match self {
+            LayerSpec::Activation(a) => a.apply(t),
+            LayerSpec::Dropout => {}
+            LayerSpec::Softmax => tensor::softmax_rows(t),
+            _ => return false,
+        }
+        true
     }
 }
 
@@ -404,6 +417,38 @@ mod tests {
         w.fill_for_test(1.0, 0.0);
         let out = layer.forward(&input, &w).unwrap();
         assert_eq!(out.data(), &[8.0, 12.0, 20.0, 24.0]);
+    }
+
+    /// Weights with one infinity, or one NaN, in a row the input does not
+    /// select: the one-hot row must still get the dense answer, NaN in
+    /// that column (`0 * inf`, `0 * NaN`), not the lookup tier's finite
+    /// one. With finite weights the two tiers agree bit for bit.
+    #[test]
+    fn non_finite_weights_keep_the_dense_answer_on_a_one_hot_row() {
+        let (k, out) = (64, 24);
+        let layer = LayerSpec::InnerProduct { out };
+        let mut hot = vec![0.0f32; k];
+        hot[5] = 1.0;
+        let x = Tensor::from_vec(Shape::mat(1, k), hot).unwrap();
+        let dense = |w: &LayerWeights| {
+            let mut y = tensor::matmul_with(&x, w.weights(), 1).unwrap();
+            tensor::add_bias_rows(&mut y, w.bias()).unwrap();
+            bits(&y)
+        };
+        let mut w = LayerWeights::init(&layer, x.shape(), 3);
+        assert!(w.is_finite());
+        assert_eq!(bits(&layer.forward(&x, &w).unwrap()), dense(&w));
+        for bad in [f32::INFINITY, f32::NAN] {
+            w.set_weight_for_test(40 * out + 7, bad);
+            assert!(!w.is_finite());
+            let y = layer.forward(&x, &w).unwrap();
+            assert!(y.data()[7].is_nan(), "0 * {bad} is NaN");
+            assert_eq!(bits(&y), dense(&w), "{bad}");
+        }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]

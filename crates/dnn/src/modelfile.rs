@@ -156,6 +156,30 @@ mod tests {
         );
     }
 
+    /// The file holds weights, not the finiteness flag: `load` finds it
+    /// again from what it reads. An infinity written into the first
+    /// layer of `pos` comes back as non-finite weights there (so its
+    /// inner product stays dense, and a one-hot row still meets
+    /// `0 * inf`), and every other layer as finite.
+    #[test]
+    fn finiteness_is_recomputed_on_load() {
+        let net = zoo::network(App::Pos).unwrap();
+        let mut weights = net.weights().to_vec();
+        weights[0].set_weight_for_test(100 * 450 + 3, f32::INFINITY);
+        let net = Network::with_weights(net.def().clone(), weights).unwrap();
+        let mut buf = Vec::new();
+        save(&net, &mut buf).unwrap();
+        let loaded = load(&buf[..]).unwrap();
+        let finite: Vec<bool> = loaded.weights().iter().map(|w| w.is_finite()).collect();
+        assert_eq!(finite, [false, true, true]);
+        let mut hot = vec![0.0f32; 350];
+        hot[9] = 1.0;
+        let hot = Tensor::from_vec(Shape::mat(1, 350), hot).unwrap();
+        let l1 = &loaded.forward_all(&hot).unwrap()[0];
+        assert!(l1.data()[3].is_nan(), "0 * inf");
+        assert_eq!(l1.data().iter().filter(|v| v.is_nan()).count(), 1);
+    }
+
     #[test]
     fn rejects_bad_magic_version_and_truncation() {
         let net = zoo::network(App::Pos).unwrap();

@@ -277,7 +277,9 @@ impl Network {
 
     /// Runs the half-open layer range `span` on `input`, remapping layer
     /// errors to the failing layer's name. The first layer reads `input`
-    /// where it lies; nothing is copied unless `span` is empty.
+    /// where it lies; nothing is copied unless `span` is empty or opens
+    /// with a pointwise layer. A pointwise layer after the first works in
+    /// place on the activation this pass owns.
     fn run_layers(
         &self,
         span: std::ops::Range<usize>,
@@ -289,6 +291,11 @@ impl Network {
             .iter()
             .zip(&self.weights[span])
         {
+            if let Some(t) = cur.as_mut() {
+                if l.spec.forward_in_place(t) {
+                    continue;
+                }
+            }
             let out = l
                 .spec
                 .forward_with(cur.as_ref().unwrap_or(input), w, threading)

@@ -13,6 +13,10 @@ pub struct LayerWeights {
     weights: Tensor,
     bias: Vec<f32>,
     empty: bool,
+    /// Whether every weight (not bias) is finite, found once when the
+    /// weights are built or loaded: an inner product may then skip the
+    /// weight rows a zero input selects (`tensor::matmul_finite`).
+    finite: bool,
 }
 
 impl LayerWeights {
@@ -22,6 +26,7 @@ impl LayerWeights {
             weights: Tensor::zeros(Shape::vec(1)),
             bias: Vec::new(),
             empty: true,
+            finite: true,
         }
     }
 
@@ -45,6 +50,7 @@ impl LayerWeights {
     /// A parameterised layer's weights from a tensor and a bias vector.
     pub(crate) fn from_parts(weights: Tensor, bias: Vec<f32>) -> Self {
         LayerWeights {
+            finite: all_finite(&weights),
             weights,
             bias,
             empty: false,
@@ -60,6 +66,11 @@ impl LayerWeights {
     /// The bias vector (empty for parameter-free layers).
     pub fn bias(&self) -> &[f32] {
         &self.bias
+    }
+
+    /// Whether the weight tensor holds no infinity and no NaN.
+    pub(crate) fn is_finite(&self) -> bool {
+        self.finite
     }
 
     /// Whether this is the parameter-free placeholder.
@@ -88,7 +99,19 @@ impl LayerWeights {
         for b in &mut self.bias {
             *b = bias;
         }
+        self.finite = all_finite(&self.weights);
     }
+
+    /// Sets the weight at flat index `at`; test helper.
+    #[cfg(test)]
+    pub(crate) fn set_weight_for_test(&mut self, at: usize, weight: f32) {
+        self.weights.data_mut()[at] = weight;
+        self.finite = all_finite(&self.weights);
+    }
+}
+
+fn all_finite(t: &Tensor) -> bool {
+    t.data().iter().all(|v| v.is_finite())
 }
 
 /// `layer`'s weight shape, bias length and fan-in given its input shape;

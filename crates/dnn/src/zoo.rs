@@ -441,6 +441,11 @@ pub fn tiny_senna() -> NetDef {
 /// serving engine can feed the argmax of each step straight back in as
 /// the next one-hot input — the token-at-a-time decode loop behind the
 /// streaming (`--stream`) workload. ~0.5M parameters.
+///
+/// On a one-hot row `embed` is a lookup: its weights are finite, so the
+/// inner product takes `tensor`'s lookup tier and reads the one row of
+/// the 256x512 matrix the token selects, not all of it, with the dense
+/// tiers' bits.
 pub fn textgen() -> NetDef {
     NetDef::new(
         "textgen",

@@ -16,19 +16,36 @@
 //! im2col columns into B's panels in the layout's own order, each panel
 //! row once (`crate::conv`).
 //!
-//! The two tiers share one **reduction-order contract**, which is what
+//! A third tier, the lookup kernel [`gemm_lookup`], reads only the rows
+//! of B that A's nonzero entries select: a one-hot row times an
+//! embedding matrix is one row of it, not all of it. [`matmul_finite`]
+//! takes it when every row of A has at most `1 / LOOKUP_MAX_SHARE` of
+//! its entries nonzero, and only there, because skipping a zero term is
+//! exact only for a finite B: `0 * inf` and `0 * NaN` are NaN, so a
+//! caller must know B holds no infinity or NaN (a network's weights are
+//! checked once, when they are built or loaded).
+//!
+//! The three tiers share one **reduction-order contract**, which is what
 //! makes them interchangeable bit for bit: for each
 //! element of C and each `KC`-deep block of the inner dimension, blocks
-//! in ascending order, a fresh `0.0` accumulator takes `a[i][p] * b[p][j]`
+//! in ascending order, a fresh `+0.0` accumulator takes `a[i][p] * b[p][j]`
 //! in ascending `p` (no fused multiply-add, no reassociation), and then
 //! `c[i][j] += alpha * acc`. A row therefore gets the same bits whether
-//! it is sent alone or inside a large batch.
+//! it is sent alone or inside a large batch. The lookup tier leaves out
+//! the terms with `a[i][p] == ±0.0` and keeps the rest of the contract,
+//! including the `c += alpha * acc` of a block with no term left. With B
+//! finite that changes no bit: a left-out product is `±0.0`; `x + ±0.0`
+//! is `x` for every `x` but `-0.0`; and an accumulator that starts at
+//! `+0.0` is never `-0.0`, since under round-to-nearest a sum is `-0.0`
+//! only when both addends are.
 //!
 //! The kernels are safe Rust that the compiler vectorises; there are no
 //! intrinsics. Each tier's loop nest is compiled for baseline x86-64
-//! (SSE2, four lanes) and again inside `#[target_feature]` functions
+//! (SSE2, four lanes), and the no-pack and packed tiers' again inside
+//! `#[target_feature]` functions
 //! (`crate::isa`, the crate's one CPU check, picks the best the CPU has,
-//! once per call). The packed tier runs one const-generic micro-kernel,
+//! once per call); the lookup tier does a row's worth of work per
+//! nonzero and has only the one instantiation. The packed tier runs one const-generic micro-kernel,
 //! [`microkernel`], whose tile is `W` columns: one `NR` panel portably,
 //! two adjacent panels under AVX2 and four under AVX-512F. The no-pack
 //! tier runs [`gemm_skinny_body`] portably and under AVX2, and under
@@ -78,6 +95,26 @@ pub(crate) fn takes_no_pack(m: usize, n: usize, k: usize, threads: usize) -> boo
         SKINNY_MAX_M
     };
     m <= max_m || m * n * k < PACK_MIN_VOLUME
+}
+
+/// A row of A takes the lookup tier with at most `k / LOOKUP_MAX_SHARE`
+/// nonzeros. The lookup tier's time grows with the nonzeros and the
+/// no-pack tier's does not. At 1, 2, 8 and 16 rows the lookup tier was
+/// 1.1-2.4x ahead at `k / 8` nonzeros per row against `textgen`'s
+/// 256x512 embedding and 1.5-3.4x at `k / 11` against SENNA's 350x450
+/// layer, and behind from two rows up at `k / 4` and from eight at
+/// `k / 5.5` (0.64-0.84x; `results/gemm_lookup.txt`). At `k / 16` it was
+/// 2.0-3.7x ahead on the first shape, a margin the host's noise does not
+/// cross; a one-hot row ran 10-27x ahead.
+const LOOKUP_MAX_SHARE: usize = 16;
+
+/// Whether [`matmul_finite`] sends the row-major `m x k` matrix `a` to
+/// the lookup tier: every row has at most `k / LOOKUP_MAX_SHARE`
+/// nonzeros. The scan stops at the first row with more.
+fn takes_lookup(a: &[f32], k: usize) -> bool {
+    let max = k / LOOKUP_MAX_SHARE;
+    a.chunks_exact(k)
+        .all(|row| row.iter().filter(|&&v| v != 0.0).count() <= max)
 }
 
 /// Which instantiation of the packed tier one call runs: chosen once, on
@@ -147,6 +184,26 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 ///
 /// Returns [`TensorError::ShapeMismatch`] if the inner dimensions disagree.
 pub fn matmul_with(a: &Tensor, b: &Tensor, threads: usize) -> Result<Tensor> {
+    product(a, b, threads, false)
+}
+
+/// [`matmul_with`] for a `b` that holds no infinity and no NaN: where
+/// every row of `a` is sparse enough it takes the lookup tier, which
+/// reads only the rows of `b` that `a`'s nonzeros select, and elsewhere
+/// the tier [`sgemm`] picks. The bits are [`matmul_with`]'s either way,
+/// given that precondition; with an infinity or NaN in `b` the lookup
+/// tier would drop the NaN that `0 * inf` or `0 * NaN` gives.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if the inner dimensions disagree.
+pub fn matmul_finite(a: &Tensor, b: &Tensor, threads: usize) -> Result<Tensor> {
+    product(a, b, threads, true)
+}
+
+/// `a * b` into a new tensor, through the lookup tier if `b_finite` says
+/// it may and `a`'s rows are sparse enough, else through [`sgemm`].
+fn product(a: &Tensor, b: &Tensor, threads: usize, b_finite: bool) -> Result<Tensor> {
     let (m, ka) = a.shape().as_matrix();
     let (kb, n) = b.shape().as_matrix();
     if ka != kb {
@@ -157,17 +214,21 @@ pub fn matmul_with(a: &Tensor, b: &Tensor, threads: usize) -> Result<Tensor> {
         });
     }
     let mut c = Tensor::zeros(Shape::mat(m, n));
-    sgemm(
-        m,
-        n,
-        ka,
-        1.0,
-        a.data(),
-        b.data(),
-        0.0,
-        c.data_mut(),
-        GemmOptions::with_threads(threads),
-    )?;
+    if b_finite && takes_lookup(a.data(), ka) {
+        gemm_lookup(m, n, ka, 1.0, a.data(), b.data(), c.data_mut());
+    } else {
+        sgemm(
+            m,
+            n,
+            ka,
+            1.0,
+            a.data(),
+            b.data(),
+            0.0,
+            c.data_mut(),
+            GemmOptions::with_threads(threads),
+        )?;
+    }
     Ok(c)
 }
 
@@ -348,7 +409,7 @@ pub(crate) fn gemm_skinny_body(
 /// Rows of C one pass of [`gemm_skinny_blocked`] computes.
 const GROUP: usize = 2 * MR;
 /// Lanes of one 512-bit vector register.
-const LANES: usize = 16;
+pub(crate) const LANES: usize = 16;
 
 /// [`gemm_skinny_body`]'s contract as a register-blocked nest, for the
 /// no-pack tier's AVX-512 instantiation (`crate::isa`), where the
@@ -366,8 +427,11 @@ const LANES: usize = 16;
 /// time. The columns past the last whole vector come from `tail`, one
 /// vector's worth per row copied once per depth block and shared by every
 /// row group, so no row end needs a mask: a strip reads whole vectors and
-/// stores only the block's columns.
+/// stores only the block's columns. `tail` is the buffer for those
+/// copies, from [`with_tail`]: `KC` rows, or none where `n` leaves no
+/// block a ragged end.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_skinny_blocked(
     m: usize,
     n: usize,
@@ -376,8 +440,8 @@ pub(crate) fn gemm_skinny_blocked(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
+    tail: &mut [[f32; LANES]],
 ) {
-    let mut tail = [[0.0f32; LANES]; KC];
     for jc in (0..n).step_by(NC) {
         let nb = NC.min(n - jc);
         let whole = nb - nb % LANES;
@@ -393,7 +457,7 @@ pub(crate) fn gemm_skinny_blocked(
                 kb,
                 whole,
                 nb,
-                tail: tail[..kb].as_flattened(),
+                tail: tail.get(..kb).unwrap_or(&[]).as_flattened(),
                 alpha,
             };
             for i0 in (0..m).step_by(GROUP) {
@@ -411,6 +475,23 @@ pub(crate) fn gemm_skinny_blocked(
                 }
             }
         }
+    }
+}
+
+/// Runs `f` on the tail buffer [`gemm_skinny_blocked`] needs for an
+/// `n`-wide B: `KC` zeroed rows of one vector where `n` leaves the last
+/// column block a ragged end (`NC` is whole vectors, so only the last
+/// can have one), and none otherwise, so a call with no ragged end
+/// builds no buffer. The buffer is made here, outside the nest, and
+/// reaches it as an argument: built inside, conditionally, it cost the
+/// nest's 28-row `pos` call 1.5x its time.
+#[inline(always)]
+pub(crate) fn with_tail<T>(n: usize, f: impl FnOnce(&mut [[f32; LANES]]) -> T) -> T {
+    const { assert!(NC.is_multiple_of(LANES)) };
+    if n.is_multiple_of(LANES) {
+        f(&mut [])
+    } else {
+        f(&mut [[0.0; LANES]; KC])
     }
 }
 
@@ -514,6 +595,60 @@ fn strip<const R: usize, const W: usize>(
         let crow = &mut c[r * block.ldb..][..width];
         for (cv, &x) in crow.iter_mut().zip(&scaled) {
             *cv += x;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Lookup kernel
+// ---------------------------------------------------------------------------
+
+/// Lookup kernel for rows of A that are mostly zero: `C += alpha * A B`
+/// (no beta, one thread), reading only the rows of B that A's nonzero
+/// entries select. Per row of C, `NC` column block and `KC` depth block,
+/// a fresh `+0.0` accumulator takes `a * b` for each nonzero `a` of the
+/// block in ascending depth, and C then takes `alpha * acc`, even from a
+/// block with no nonzero. That is the module's reduction-order contract
+/// less the `±0.0 * b` terms, which for a finite B are `±0.0` and change
+/// no bit (module docs), so for such a B the result is bitwise
+/// [`gemm_skinny`]'s and [`gemm_packed`]'s. With an infinity or NaN in B
+/// it is not: `0 * inf` is NaN, and this kernel never forms it.
+///
+/// Correct for any `m` and any A. [`matmul_finite`] sends it a call
+/// whose every row has at most `k / LOOKUP_MAX_SHARE` nonzeros, such as
+/// the one-hot token rows of a decode step against an embedding matrix.
+/// Public as an ablation tier for the GEMM benchmarks, like
+/// [`gemm_skinny`].
+pub fn gemm_lookup(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32], c: &mut [f32]) {
+    let mut acc = [0.0f32; NC];
+    for (a, c) in a[..m * k].chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+        for jc in (0..n).step_by(NC) {
+            let acc = &mut acc[..NC.min(n - jc)];
+            let c = &mut c[jc..][..acc.len()];
+            for pc in (0..k).step_by(KC) {
+                acc.fill(0.0);
+                // A vector's worth of depths at a time: one OR over their
+                // bits, less the sign, says whether any is nonzero.
+                for (p0, span) in (pc..)
+                    .step_by(LANES)
+                    .zip(a[pc..][..KC.min(k - pc)].chunks(LANES))
+                {
+                    if span.iter().fold(0, |any, v| any | v.to_bits() << 1) == 0 {
+                        continue;
+                    }
+                    for (p, &av) in (p0..).zip(span) {
+                        if av != 0.0 {
+                            let brow = &b[p * n + jc..][..acc.len()];
+                            for (x, &v) in acc.iter_mut().zip(brow) {
+                                *x += av * v;
+                            }
+                        }
+                    }
+                }
+                for (cv, &x) in c.iter_mut().zip(acc.iter()) {
+                    *cv += alpha * x;
+                }
+            }
         }
     }
 }
@@ -1177,6 +1312,136 @@ mod tests {
                 sgemm(m, n, k, alpha, &a, &b, beta, &mut front, GemmOptions::with_threads(threads)).unwrap();
                 prop_assert!(bits(&packed) == bits(&front), "sgemm m={m} n={n} k={k} alpha={alpha} beta={beta} threads={threads}");
             }
+        }
+    }
+
+    /// What a lookup-tier test draws besides uniform noise: both zeros,
+    /// both units, and finite extremes (a product of two of them
+    /// overflows to infinity; one is subnormal).
+    const SPECIAL: [f32; 7] = [0.0, -0.0, 1.0, -1.0, f32::MAX, -f32::MAX, -1e-40];
+
+    /// `len` values from `seed`: a special value about one time in three,
+    /// uniform noise otherwise.
+    fn finite_mix(len: usize, seed: u64) -> Vec<f32> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                let u = crate::splitmix64_unit(&mut state);
+                if u < 1.0 / 3.0 {
+                    SPECIAL[(u * 3.0 * SPECIAL.len() as f64) as usize]
+                } else {
+                    (u * 4.0 - 2.5) as f32
+                }
+            })
+            .collect()
+    }
+
+    /// An `m x k` A whose every row has at most `k / LOOKUP_MAX_SHARE`
+    /// nonzeros (none, one, or up to that many, drawn per row) taken
+    /// from `finite_mix`, at random depths; its zeros are `+0.0` and
+    /// `-0.0`.
+    fn sparse_rows(m: usize, k: usize, seed: u64) -> Vec<f32> {
+        let values = finite_mix(m * k, seed);
+        let mut state = seed ^ 0x5eed;
+        let mut draw = |below: usize| (crate::splitmix64_unit(&mut state) * below as f64) as usize;
+        let mut a: Vec<f32> = (0..m * k)
+            .map(|i| if i % 3 == 0 { -0.0 } else { 0.0 })
+            .collect();
+        for row in 0..m {
+            for _ in 0..draw(k / LOOKUP_MAX_SHARE + 1) {
+                let at = row * k + draw(k);
+                a[at] = values[at];
+            }
+        }
+        a
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The lookup tier keeps the reduction-order contract for every
+        /// finite B: it gives the packed and no-pack tiers' bits, and
+        /// `matmul_finite` (which takes it for such rows) gives
+        /// `matmul_with`'s. Rows hold none, one or up to the threshold of
+        /// nonzeros, with `±0.0` for zeros; A's and B's values include
+        /// `±1.0`, `±f32::MAX` (products overflow) and a subnormal, and C
+        /// holds `-0.0`, which only a block's `c += alpha * acc` turns
+        /// into `+0.0`. k is one to three `KC` blocks; n ragged against
+        /// `NR` and `NC`.
+        #[test]
+        fn lookup_is_bitwise_equal_to_packed_and_skinny(
+            m in 1usize..=20,
+            n in prop::sample::select([ragged(NR, 2), ragged(NC, 2), STRIP_EDGES.to_vec()].concat()),
+            k in prop::sample::select(vec![16usize, 256, 257, 600]),
+            alpha in prop::sample::select(vec![-0.75f32, 3.1, -1.0]),
+            beta in prop::sample::select(vec![0.0f32, 1.0, 0.5]),
+            seed in 0u64..1000,
+        ) {
+            let a = sparse_rows(m, k, seed);
+            prop_assert!(takes_lookup(&a, k));
+            let b = finite_mix(k * n, seed + 1);
+            let c0: Vec<f32> = finite_mix(m * n, seed + 2).iter().map(|&v| if v == 0.0 { -0.0 } else { v }).collect();
+            let scaled: Vec<f32> = c0.iter().map(|v| if beta == 0.0 { 0.0 } else { v * beta }).collect();
+            let mut packed = scaled.clone();
+            gemm_packed(m, n, k, alpha, &a, &b, &mut packed, 1);
+            let mut skinny = scaled.clone();
+            gemm_skinny(m, n, k, alpha, &a, &b, &mut skinny);
+            let mut lookup = scaled;
+            gemm_lookup(m, n, k, alpha, &a, &b, &mut lookup);
+            prop_assert!(bits(&packed) == bits(&skinny), "skinny m={m} n={n} k={k}");
+            prop_assert!(bits(&packed) == bits(&lookup), "lookup m={m} n={n} k={k} alpha={alpha} beta={beta}");
+            let (ta, tb) = (Tensor::from_vec(Shape::mat(m, k), a).unwrap(), Tensor::from_vec(Shape::mat(k, n), b).unwrap());
+            let dense = matmul_with(&ta, &tb, 1).unwrap();
+            let finite = matmul_finite(&ta, &tb, 1).unwrap();
+            prop_assert!(bits(dense.data()) == bits(finite.data()), "matmul_finite m={m} n={n} k={k}");
+        }
+    }
+
+    /// The tier choice: a row with `k / LOOKUP_MAX_SHARE` nonzeros keeps
+    /// the call on the lookup tier, one more (in any row) sends it to
+    /// `sgemm`; `±0.0` count as zero, a NaN or infinity in A as nonzero.
+    #[test]
+    fn lookup_takes_rows_up_to_the_share_of_nonzeros() {
+        let k = 64;
+        let max = k / LOOKUP_MAX_SHARE;
+        let row = |nonzeros: usize, value: f32| -> Vec<f32> {
+            (0..k)
+                .map(|p| {
+                    if p < nonzeros {
+                        value
+                    } else if p % 2 == 0 {
+                        -0.0
+                    } else {
+                        0.0
+                    }
+                })
+                .collect()
+        };
+        assert!(takes_lookup(&row(0, 1.0), k));
+        assert!(takes_lookup(&[row(max, 1.0), row(1, f32::NAN)].concat(), k));
+        assert!(!takes_lookup(&[row(1, 1.0), row(max + 1, 1.0)].concat(), k));
+        assert!(!takes_lookup(&row(max + 1, f32::INFINITY), k));
+        assert!(!takes_lookup(&row(max + 1, f32::NAN), k));
+    }
+
+    /// What the lookup tier gives up for an infinite or NaN B, and why
+    /// only `matmul_finite` may take it: `0 * inf` is NaN in the dense
+    /// tiers, and the lookup tier never forms it.
+    #[test]
+    fn lookup_drops_zero_times_non_finite_so_dense_is_the_oracle() {
+        let (m, n, k) = (1, 4, 32);
+        let mut a = vec![0.0f32; k];
+        a[3] = 1.0;
+        for bad in [f32::INFINITY, f32::NAN] {
+            let mut b = vec![1.0f32; k * n];
+            b[20 * n + 2] = bad; // a depth the row does not select
+            let mut dense = vec![0.0f32; m * n];
+            gemm_skinny(m, n, k, 1.0, &a, &b, &mut dense);
+            let mut lookup = vec![0.0f32; m * n];
+            gemm_lookup(m, n, k, 1.0, &a, &b, &mut lookup);
+            assert!(dense[2].is_nan(), "0 * {bad} is NaN");
+            assert_eq!(lookup[2], 1.0, "the lookup tier reads only depth 3");
+            assert_eq!(bits(&dense[..2]), bits(&lookup[..2]));
         }
     }
 

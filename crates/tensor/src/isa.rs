@@ -30,7 +30,7 @@
 //! module's `unsafe`, sound once the token exists, and all of the crate's
 //! `unsafe` code.
 
-use crate::gemm::{PackedA, PackedB, NR};
+use crate::gemm::{PackedA, PackedB, LANES, NR};
 use crate::pool::{Plan, Pooling};
 
 /// What the kernels may use, lowest first: the portable nests, their
@@ -111,8 +111,10 @@ impl Avx2 {
         c: &mut [f32],
     ) {
         if self.avx512 {
-            // SAFETY: `avx512` is set only where `detect` found AVX-512F.
-            unsafe { gemm_skinny_avx512(m, n, k, alpha, a, b, c) }
+            crate::gemm::with_tail(n, |tail| {
+                // SAFETY: `avx512` is set only where `detect` found AVX-512F.
+                unsafe { gemm_skinny_avx512(m, n, k, alpha, a, b, c, tail) }
+            })
         } else {
             // SAFETY: `self` exists only where `detect` found AVX2.
             unsafe { gemm_skinny(m, n, k, alpha, a, b, c) }
@@ -160,6 +162,7 @@ fn gemm_skinny(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32], c
 }
 
 #[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
 fn gemm_skinny_avx512(
     m: usize,
     n: usize,
@@ -168,8 +171,9 @@ fn gemm_skinny_avx512(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
+    tail: &mut [[f32; LANES]],
 ) {
-    crate::gemm::gemm_skinny_blocked(m, n, k, alpha, a, b, c);
+    crate::gemm::gemm_skinny_blocked(m, n, k, alpha, a, b, c, tail);
 }
 
 #[target_feature(enable = "avx2")]

@@ -50,7 +50,10 @@ mod threading;
 
 pub use conv::{conv2d, conv2d_direct, conv2d_with, im2col, Conv2dParams};
 pub use error::TensorError;
-pub use gemm::{gemm_naive, gemm_packed, gemm_skinny, matmul, matmul_with, sgemm, GemmOptions};
+pub use gemm::{
+    gemm_lookup, gemm_naive, gemm_packed, gemm_skinny, matmul, matmul_finite, matmul_with, sgemm,
+    GemmOptions,
+};
 pub use ops::{
     add_bias_rows, hardtanh, lrn_cross_channel, relu, sigmoid, softmax_rows, tanh, LrnParams,
 };

@@ -2,7 +2,9 @@
 //! a matrix product — and so a row of a network's output — has the same
 //! bits whether it is computed alone, beside one other row, or deep in a
 //! batch. Alone and in a pair the call is at most `SKINNY_MAX_M` rows and
-//! takes the no-pack kernel; as row 17 of 33 it takes the packed one. The
+//! takes the no-pack kernel; as row 17 of 33 it takes the packed one. A
+//! one-hot row's first inner product takes the lookup tier alone and
+//! among one-hot rows, and the dense tiers beside a dense row. The
 //! serving invariants (batched ≡ solo, cache hit ≡ miss, remote ≡ local)
 //! all rest on the two agreeing bit for bit. The convolutional networks
 //! are held to the same: an image's output does not depend on the batch
@@ -87,8 +89,23 @@ fn layer_rows(net: &Network, input: &Tensor, r: usize) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// `rows` one-hot rows of `width`, row `r` hot at `(7 * r + 3) % width`.
+fn one_hot_rows(rows: usize, width: usize) -> Tensor {
+    Tensor::from_fn(Shape::mat(rows, width), |i| {
+        let (r, p) = (i / width, i % width);
+        if p == (7 * r + 3) % width {
+            1.0
+        } else {
+            0.0
+        }
+    })
+}
+
 /// One row through `def`, alone, in a 2-row batch and as row 17 of 33:
-/// every layer's output must agree.
+/// every layer's output must agree. Then a one-hot row, whose first
+/// inner product takes the lookup tier alone and as row 17 of 33 one-hot
+/// rows, and a dense tier as row 1 of 2 beside a dense row: all three
+/// must agree too.
 fn assert_forward_is_row_independent(def: NetDef) {
     let name = def.name().to_string();
     let width = def.input_shape().as_matrix().1;
@@ -102,6 +119,20 @@ fn assert_forward_is_row_independent(def: NetDef) {
     // `forward` is the same computation as `forward_all`'s last entry.
     let out = net.forward(&row).unwrap();
     assert_eq!(&bits(out.data()), alone.last().unwrap(), "{name}");
+
+    let hot_rows = one_hot_rows(TALL, width);
+    let hot = &hot_rows.data()[ROW * width..][..width];
+    let alone = layer_rows(&net, &batch_around(hot, 1, 0, 10), 0);
+    let beside_dense = layer_rows(&net, &batch_around(hot, 2, 1, 11), 1);
+    let among_hot = layer_rows(&net, &hot_rows, ROW);
+    assert_eq!(
+        alone, beside_dense,
+        "{name}: one-hot row alone vs beside a dense row"
+    );
+    assert_eq!(
+        alone, among_hot,
+        "{name}: one-hot row alone vs row {ROW} of {TALL} one-hot rows"
+    );
 }
 
 #[test]
