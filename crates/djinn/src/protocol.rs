@@ -62,11 +62,16 @@
 //! length prefix. [`FrameReader`] is the stateful alternative: it
 //! accumulates partial reads across `WouldBlock`/`TimedOut` and yields a
 //! frame only once it is complete, so a timeout is a clean "no frame yet"
-//! signal instead of data loss. The stateless [`read_frame`] remains for
-//! blocking sockets without a read timeout.
+//! signal instead of data loss. It is the one frame reader: a blocking
+//! socket without a timeout reads through it too.
+//!
+//! Frames are written whole: an encoder lays out `[u32 len | payload]`
+//! in one buffer ([`encode_infer_framed_into`],
+//! [`Request::encode_framed_into`], [`Response::encode_framed_into`]) and
+//! the caller sends it with one `write_all`.
 
 use bytes::{Buf, BufMut, BytesMut};
-use std::io::{IoSlice, Read, Write};
+use std::io::Read;
 
 use tensor::{Shape, Tensor};
 
@@ -135,7 +140,13 @@ impl StreamMode {
         }
     }
 
-    fn from_wire(mode: u8, param: u32) -> Result<Self> {
+    /// Reads the mode byte and parameter word of a `stream_req`.
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        if buf.remaining() < 1 + 4 {
+            return Err(err("truncated stream request"));
+        }
+        let mode = buf.get_u8();
+        let param = buf.get_u32_le();
         match mode {
             0 => Ok(StreamMode::Windowed { window_rows: param }),
             1 => Ok(StreamMode::Generative { max_tokens: param }),
@@ -504,17 +515,6 @@ fn get_str(buf: &mut &[u8]) -> Result<String> {
 }
 
 fn get_tensor(buf: &mut &[u8]) -> Result<Tensor> {
-    let mut data = Vec::new();
-    let shape = get_tensor_into(buf, &mut data)?;
-    Ok(Tensor::from_vec(shape, data).expect("volume matches by construction"))
-}
-
-/// Decodes a wire tensor into `data` (cleared first, capacity reused);
-/// returns the decoded shape. The borrow-on-decode primitive behind
-/// [`get_tensor`] and [`Response::decode_output_into`]: a consumer that
-/// keeps one `Vec<f32>` per connection pays no per-frame allocation for
-/// the multi-MB f32 section.
-fn get_tensor_into(buf: &mut &[u8], data: &mut Vec<f32>) -> Result<Shape> {
     if buf.remaining() < 1 {
         return Err(err("truncated tensor rank"));
     }
@@ -536,15 +536,16 @@ fn get_tensor_into(buf: &mut &[u8], data: &mut Vec<f32>) -> Result<Shape> {
     }
     // Bulk-decode the f32 payload: multi-MB FACE/ASR tensors dominate the
     // frame, so the per-element `get_f32_le` cursor loop is a hot spot.
-    data.clear();
-    data.reserve(n);
+    // `extend` into a presized `Vec` vectorises; `collect` of the same
+    // iterator did not, and decoded 6x slower (the `protocol` bench).
+    let mut data = Vec::with_capacity(n);
     data.extend(
         buf[..n * 4]
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
     );
     buf.advance(n * 4);
-    Ok(shape)
+    Ok(Tensor::from_vec(shape, data).expect("volume matches by construction"))
 }
 
 fn err(reason: &str) -> DjinnError {
@@ -788,50 +789,55 @@ impl Request {
         frame_into(buf, |b| self.encode_into(b))
     }
 
-    /// Parses a request payload.
+    /// Parses a request payload: [`peek_request`] reads the header, name
+    /// and ID, then a stream's mode and the input tensor are decoded.
     ///
     /// # Errors
     ///
     /// Returns [`DjinnError::Protocol`] for any malformed frame.
-    pub fn decode(mut payload: &[u8]) -> Result<Self> {
-        let buf = &mut payload;
-        match check_header(buf)? {
-            OP_INFER => {
-                let model = get_str(buf)?;
-                let request_id = get_request_id(buf)?;
-                let input = get_tensor(buf)?;
-                Ok(Request::Infer {
-                    model,
-                    input,
-                    request_id,
-                })
+    pub fn decode(payload: &[u8]) -> Result<Self> {
+        let peek = peek_request(payload)?;
+        let model = match peek {
+            RequestPeek::ListModels { request_id, .. } => {
+                return Ok(Request::ListModels { request_id })
             }
-            OP_LIST => Ok(Request::ListModels {
-                request_id: get_request_id(buf)?,
-            }),
-            OP_STATS => Ok(Request::Stats {
-                request_id: get_request_id(buf)?,
-            }),
-            OP_STREAM_INFER => {
-                let model = get_str(buf)?;
-                if buf.remaining() < 8 + 1 + 4 {
-                    return Err(err("truncated stream request"));
-                }
-                let request_id = buf.get_u64_le();
-                let mode_byte = buf.get_u8();
-                let param = buf.get_u32_le();
-                let mode = StreamMode::from_wire(mode_byte, param)?;
-                let input = get_tensor(buf)?;
-                Ok(Request::StreamInfer {
-                    model,
-                    input,
-                    request_id,
-                    mode,
-                })
+            RequestPeek::Stats { request_id, .. } => return Ok(Request::Stats { request_id }),
+            RequestPeek::Infer { model, .. } | RequestPeek::StreamInfer { model, .. } => {
+                model.to_owned()
             }
-            other => Err(err(&format!("unexpected request opcode {other}"))),
-        }
+        };
+        let request_id = peek.request_id();
+        Ok(match decode_input(&peek, payload)? {
+            (None, input) => Request::Infer {
+                model,
+                input,
+                request_id,
+            },
+            (Some(mode), input) => Request::StreamInfer {
+                model,
+                input,
+                request_id,
+                mode,
+            },
+        })
     }
+}
+
+/// Decodes what follows the ID of the `Infer` or `StreamInfer` that
+/// `peek` located in `payload`: a stream's mode (`Some`), then the input
+/// tensor. With [`peek_request`] this is all of request parsing; the
+/// server admits through the two without building a [`Request`].
+pub(crate) fn decode_input(
+    peek: &RequestPeek<'_>,
+    payload: &[u8],
+) -> Result<(Option<StreamMode>, Tensor)> {
+    // In range: `peek` has read the 8-byte ID at `id_at`.
+    let mut buf = &payload[peek.id_at() + 8..];
+    let mode = match peek {
+        RequestPeek::StreamInfer { .. } => Some(StreamMode::get(&mut buf)?),
+        _ => None,
+    };
+    Ok((mode, get_tensor(&mut buf)?))
 }
 
 impl Response {
@@ -936,42 +942,6 @@ impl Response {
         frame_into(buf, |b| self.encode_into(b))
     }
 
-    /// Decodes a successful `Output` payload, landing the f32 tensor data
-    /// in the caller's reusable buffer (cleared first, capacity kept)
-    /// instead of allocating per frame. Returns the tensor's shape and
-    /// the server trace. Any other frame kind — including a well-formed
-    /// `Error` or `Busy` — is a protocol error; general consumers that
-    /// must handle those use [`Response::decode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DjinnError::Protocol`] for malformed frames and for
-    /// frames that are not a successful inference result.
-    pub fn decode_output_into(
-        mut payload: &[u8],
-        data: &mut Vec<f32>,
-    ) -> Result<(Shape, ServerTrace)> {
-        let buf = &mut payload;
-        let opcode = check_header(buf)?;
-        if opcode != OP_RESULT {
-            return Err(err(&format!(
-                "expected an inference result, got opcode {opcode}"
-            )));
-        }
-        if buf.remaining() < 1 {
-            return Err(err("truncated status"));
-        }
-        let status = buf.get_u8();
-        if status != STATUS_OK {
-            return Err(err(&format!(
-                "expected a successful result, got status {status}"
-            )));
-        }
-        let trace = get_trace(buf)?;
-        let shape = get_tensor_into(buf, data)?;
-        Ok((shape, trace))
-    }
-
     /// Parses a response payload.
     ///
     /// # Errors
@@ -1071,95 +1041,6 @@ impl Response {
     }
 }
 
-/// Writes one length-prefixed frame as a *single* vectored write.
-///
-/// The old implementation issued two `write_all` calls (4-byte length
-/// prefix, then payload); on an unbuffered `TcpStream` without
-/// `TCP_NODELAY` that two-syscall pattern triggers the Nagle +
-/// delayed-ACK interaction and pins small-frame latency at ~40 ms. Here
-/// prefix and payload go out together through `write_vectored` (`writev`
-/// on a socket: one syscall, one segment). The partial-write loop is
-/// correct for *any* writer, including those whose default
-/// `write_vectored` degrades to writing only the first non-empty buffer
-/// per call — the loop simply advances through both slices until done.
-/// Hot paths that must guarantee one syscall regardless of writer
-/// support instead pre-frame into a scratch buffer with
-/// [`Request::encode_framed_into`]/[`Response::encode_framed_into`] and
-/// issue a single contiguous `write_all`.
-///
-/// # Errors
-///
-/// Returns [`DjinnError::Protocol`] for a payload exceeding
-/// [`MAX_FRAME`]; propagates I/O failures (a writer that accepts zero
-/// bytes surfaces as `WriteZero`).
-pub fn write_frame<W: Write>(mut w: W, payload: &[u8]) -> Result<()> {
-    if payload.len() > MAX_FRAME {
-        return Err(err(&format!(
-            "frame length {} exceeds cap {MAX_FRAME}",
-            payload.len()
-        )));
-    }
-    let len = (payload.len() as u32).to_le_bytes();
-    let mut prefix: &[u8] = &len;
-    let mut rest = payload;
-    while !prefix.is_empty() || !rest.is_empty() {
-        let bufs = [IoSlice::new(prefix), IoSlice::new(rest)];
-        match w.write_vectored(&bufs) {
-            Ok(0) => {
-                return Err(DjinnError::Io(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "writer accepted zero bytes mid-frame",
-                )));
-            }
-            Ok(mut n) => {
-                let from_prefix = n.min(prefix.len());
-                prefix = &prefix[from_prefix..];
-                n -= from_prefix;
-                rest = &rest[n..];
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads one length-prefixed frame from a *blocking* stream.
-///
-/// Unsuitable for sockets with a read timeout: `read_exact` discards
-/// already-consumed bytes when the timeout fires mid-frame, desyncing the
-/// stream. Use [`FrameReader`] there.
-///
-/// # Errors
-///
-/// Returns [`DjinnError::Protocol`] if the advertised length exceeds
-/// [`MAX_FRAME`]; propagates I/O failures (including clean EOF as
-/// `UnexpectedEof`).
-pub fn read_frame<R: Read>(mut r: R) -> Result<Vec<u8>> {
-    let mut len_bytes = [0u8; 4];
-    r.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > MAX_FRAME {
-        return Err(err(&format!("frame length {len} exceeds cap {MAX_FRAME}")));
-    }
-    // Read into reserved-but-uninitialized capacity via `take` +
-    // `read_to_end`: no zero-fill pass over a multi-MB payload before the
-    // bytes land. The up-front reservation is capped so a hostile prefix
-    // (already bounded by MAX_FRAME) can claim at most 1 MiB before any
-    // payload byte arrives; `read_to_end` grows the rest on demand.
-    const INITIAL_FRAME_RESERVE: usize = 1 << 20;
-    let mut payload = Vec::with_capacity(len.min(INITIAL_FRAME_RESERVE));
-    let got = (&mut r).take(len as u64).read_to_end(&mut payload)?;
-    if got < len {
-        return Err(DjinnError::Io(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "connection closed mid-frame",
-        )));
-    }
-    Ok(payload)
-}
-
 /// A stateful, buffered frame reader that survives read timeouts without
 /// losing bytes.
 ///
@@ -1180,9 +1061,9 @@ pub fn read_frame<R: Read>(mut r: R) -> Result<Vec<u8>> {
 /// buffer (no intermediate stack chunk), and compaction runs only when
 /// the tail is exhausted *and* at least half the filled region is
 /// already consumed — so the copy cost stays amortized O(1) per byte.
-/// [`FrameReader::read_frame_ref`] additionally yields the frame as a
-/// borrowed slice of this buffer: the steady-state receive path performs
-/// zero per-frame allocations.
+/// [`FrameReader::read_frame_ref`] yields each frame as a borrowed slice
+/// of this buffer: the steady-state receive path performs zero per-frame
+/// allocations.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     /// Backing storage: `buf[pos..end]` is buffered-but-unconsumed wire
@@ -1217,7 +1098,11 @@ impl FrameReader {
         self.end - self.pos
     }
 
-    /// Pulls the next complete frame, reading from `r` as needed.
+    /// Pulls the next complete frame, reading from `r` as needed, and
+    /// yields its payload as a slice borrowed from the internal buffer —
+    /// no per-frame allocation. The slice is valid until the next call on
+    /// this reader; decode it (or copy what outlives the call) before
+    /// reading again.
     ///
     /// Returns `Ok(Some(payload))` once a whole frame is available,
     /// `Ok(None)` when the stream's read timeout fired first (partial
@@ -1228,18 +1113,6 @@ impl FrameReader {
     /// Returns [`DjinnError::Protocol`] for a length prefix exceeding
     /// [`MAX_FRAME`], `UnexpectedEof` when the stream closes (mid-frame or
     /// between frames), and propagates other I/O failures.
-    pub fn read_frame<R: Read>(&mut self, r: R) -> Result<Option<Vec<u8>>> {
-        Ok(self.read_frame_ref(r)?.map(<[u8]>::to_vec))
-    }
-
-    /// Like [`FrameReader::read_frame`], but yields the frame as a slice
-    /// borrowed from the internal buffer — no per-frame allocation. The
-    /// slice is valid until the next call on this reader; decode it (or
-    /// copy what outlives the call) before reading again.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FrameReader::read_frame`].
     pub fn read_frame_ref<R: Read>(&mut self, mut r: R) -> Result<Option<&[u8]>> {
         loop {
             if let Some(range) = self.buffered_frame_range()? {
@@ -1927,25 +1800,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_io_roundtrip() {
-        let payload = b"hello djinn".to_vec();
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).unwrap();
-        let got = read_frame(&wire[..]).unwrap();
-        assert_eq!(got, payload);
-    }
-
-    #[test]
-    fn frame_rejects_hostile_length() {
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&(u32::MAX).to_le_bytes());
-        assert!(matches!(
-            read_frame(&wire[..]),
-            Err(DjinnError::Protocol { .. })
-        ));
-    }
-
-    #[test]
     fn rejects_zero_and_overlong_rank() {
         // Handcraft a tensor with rank 0 (after a valid zeroed trace
         // block, so the failure is the rank, not a truncated trace).
@@ -2006,19 +1860,6 @@ mod tests {
         let mut reader = FrameReader::new();
         let mut frames = Vec::new();
         loop {
-            match reader.read_frame(&mut *stream) {
-                Ok(Some(f)) => frames.push(f),
-                Ok(None) => continue,
-                Err(e) => return (frames, e),
-            }
-        }
-    }
-
-    /// Same as [`collect_frames`] but through the borrowing fast path.
-    fn collect_frames_ref(stream: &mut ChunkedStream) -> (Vec<Vec<u8>>, DjinnError) {
-        let mut reader = FrameReader::new();
-        let mut frames = Vec::new();
-        loop {
             match reader.read_frame_ref(&mut *stream) {
                 Ok(Some(f)) => frames.push(f.to_vec()),
                 Ok(None) => continue,
@@ -2027,148 +1868,16 @@ mod tests {
         }
     }
 
-    /// A writer that accepts at most `max` bytes per call — plain and
-    /// vectored alike — forcing `write_frame`'s partial-write loop to
-    /// straddle the prefix/payload boundary at every offset.
-    struct TrickleWriter {
-        out: Vec<u8>,
-        max: usize,
-        vectored_calls: usize,
-    }
-
-    impl TrickleWriter {
-        fn new(max: usize) -> Self {
-            TrickleWriter {
-                out: Vec::new(),
-                max,
-                vectored_calls: 0,
-            }
-        }
-    }
-
-    impl Write for TrickleWriter {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            let n = buf.len().min(self.max);
-            self.out.extend_from_slice(&buf[..n]);
-            Ok(n)
-        }
-        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
-            self.vectored_calls += 1;
-            let mut budget = self.max;
-            let mut written = 0;
-            for b in bufs {
-                let n = b.len().min(budget);
-                self.out.extend_from_slice(&b[..n]);
-                written += n;
-                budget -= n;
-                if budget == 0 {
-                    break;
-                }
-            }
-            Ok(written)
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    /// A writer with *no* `write_vectored` override: the std default
-    /// forwards only the first non-empty buffer to `write`, which is the
-    /// degraded path `write_frame` must also survive.
-    struct FirstBufferOnly {
-        out: Vec<u8>,
-        max: usize,
-    }
-
-    impl Write for FirstBufferOnly {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            let n = buf.len().min(self.max);
-            self.out.extend_from_slice(&buf[..n]);
-            Ok(n)
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
+    /// `[u32 len | payload]`, the frame layout, built by hand.
     fn framed(payload: &[u8]) -> Vec<u8> {
         let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
         wire.extend_from_slice(payload);
         wire
     }
 
-    #[test]
-    fn write_frame_survives_partial_vectored_writes() {
-        for payload in [&b""[..], &b"x"[..], &b"hello djinn, twelve"[..]] {
-            for max in 1..=6 {
-                let mut w = TrickleWriter::new(max);
-                write_frame(&mut w, payload).unwrap();
-                assert_eq!(w.out, framed(payload), "max={max}");
-                assert!(w.vectored_calls >= 1);
-            }
-        }
-    }
-
-    #[test]
-    fn write_frame_survives_default_first_buffer_vectored_impl() {
-        let payload = b"prefix straddling payload";
-        for max in [1, 3, 4, 7, 1024] {
-            let mut w = FirstBufferOnly {
-                out: Vec::new(),
-                max,
-            };
-            write_frame(&mut w, payload).unwrap();
-            assert_eq!(w.out, framed(payload), "max={max}");
-        }
-    }
-
-    #[test]
-    fn write_frame_retries_interrupted_writes() {
-        /// Fails every other call with `Interrupted`.
-        struct Flaky {
-            inner: TrickleWriter,
-            next_fails: bool,
-        }
-        impl Write for Flaky {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.inner.write(buf)
-            }
-            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
-                self.next_fails = !self.next_fails;
-                if self.next_fails {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::Interrupted,
-                        "signal",
-                    ));
-                }
-                self.inner.write_vectored(bufs)
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut w = Flaky {
-            inner: TrickleWriter::new(2),
-            next_fails: false,
-        };
-        write_frame(&mut w, b"abcdef").unwrap();
-        assert_eq!(w.inner.out, framed(b"abcdef"));
-    }
-
-    #[test]
-    fn write_frame_errors_on_writer_that_accepts_nothing() {
-        struct Stuck;
-        impl Write for Stuck {
-            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-                Ok(0)
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let got = write_frame(Stuck, b"payload");
-        assert!(matches!(got, Err(DjinnError::Io(ref e))
-            if e.kind() == std::io::ErrorKind::WriteZero));
+    /// Frames laid end to end, as a peer pipelines them.
+    fn framed_all<'a>(payloads: impl IntoIterator<Item = &'a [u8]>) -> Vec<u8> {
+        payloads.into_iter().flat_map(framed).collect()
     }
 
     #[test]
@@ -2204,19 +1913,17 @@ mod tests {
             },
         ];
         // One dirty scratch buffer reused across every frame: framed
-        // encoding must clear it and still match write_frame(encode())
-        // byte for byte.
+        // encoding must clear it and still match the length-prefixed
+        // payload byte for byte.
         let mut scratch = BytesMut::new();
         scratch.put_slice(b"stale bytes from a previous frame");
 
-        let mut expected = Vec::new();
-        write_frame(&mut expected, &request.encode().unwrap()).unwrap();
+        let expected = framed(&request.encode().unwrap());
         request.encode_framed_into(&mut scratch).unwrap();
         assert_eq!(&scratch[..], &expected[..]);
 
         for rsp in &responses {
-            let mut expected = Vec::new();
-            write_frame(&mut expected, &rsp.encode().unwrap()).unwrap();
+            let expected = framed(&rsp.encode().unwrap());
             rsp.encode_framed_into(&mut scratch).unwrap();
             assert_eq!(&scratch[..], &expected[..], "{rsp:?}");
         }
@@ -2259,78 +1966,12 @@ mod tests {
     }
 
     #[test]
-    fn decode_output_into_matches_decode() {
-        let tensor = Tensor::random_uniform(Shape::mat(4, 7), 2.0, 8);
-        let trace = ServerTrace {
-            request_id: 17,
-            queue_us: 1,
-            batch_us: 2,
-            lease_us: 0,
-            service_us: 3,
-            server_total_us: 6,
-            cache_hit: true,
-            first_token_us: 4,
-            tokens: 5,
-        };
-        let rsp = Response::Output {
-            tensor: tensor.clone(),
-            trace,
-        };
-        let wire = rsp.encode().unwrap();
-        // A pre-dirtied, pre-sized buffer must be cleared and refilled.
-        let mut data = vec![f32::NAN; 3];
-        let (shape, got_trace) = Response::decode_output_into(&wire, &mut data).unwrap();
-        assert_eq!(shape, *tensor.shape());
-        assert_eq!(&data[..], tensor.data());
-        assert_eq!(got_trace, trace);
-
-        // Non-output frames are protocol errors, not silent misreads.
-        for other in [
-            Response::Error {
-                request_id: 1,
-                message: "boom".into(),
-            },
-            Response::Busy {
-                request_id: 1,
-                model: "imc".into(),
-                queue_depth: 2,
-            },
-            Response::Models {
-                request_id: 1,
-                names: vec![],
-            },
-        ] {
-            let wire = other.encode().unwrap();
-            assert!(
-                matches!(
-                    Response::decode_output_into(&wire, &mut data),
-                    Err(DjinnError::Protocol { .. })
-                ),
-                "{other:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn stateless_read_frame_reports_eof_mid_frame() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &[0xCD; 100]).unwrap();
-        wire.truncate(40);
-        let got = read_frame(&wire[..]);
-        assert!(matches!(got, Err(DjinnError::Io(ref e))
-            if e.kind() == std::io::ErrorKind::UnexpectedEof));
-    }
-
-    #[test]
     fn frame_reader_ref_consumes_pipelined_frames_by_cursor() {
         // Several frames delivered in one chunk: each read_frame_ref call
         // must yield the next one from the buffer (advancing the cursor,
         // not copying), and `buffered()` must count only unconsumed bytes.
         let payloads: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 3 + i as usize * 7]).collect();
-        let mut wire = Vec::new();
-        for p in &payloads {
-            write_frame(&mut wire, p).unwrap();
-        }
+        let wire = framed_all(payloads.iter().map(Vec::as_slice));
         let total = wire.len();
         let mut consumed = 0;
         let mut stream = ChunkedStream::new(vec![wire]);
@@ -2351,17 +1992,14 @@ mod tests {
         let payloads: Vec<Vec<u8>> = (0..6u8)
             .map(|i| vec![i ^ 0x5A; READ_CHUNK / 2 + i as usize * 1_000])
             .collect();
-        let mut wire = Vec::new();
-        for p in &payloads {
-            write_frame(&mut wire, p).unwrap();
-        }
+        let wire = framed_all(payloads.iter().map(Vec::as_slice));
         // Deliver in chunks that never align with frame boundaries.
         let chunks: Vec<Vec<u8>> = wire
             .chunks(READ_CHUNK / 3 + 17)
             .map(<[u8]>::to_vec)
             .collect();
         let mut stream = ChunkedStream::new(chunks);
-        let (frames, end) = collect_frames_ref(&mut stream);
+        let (frames, end) = collect_frames(&mut stream);
         assert_eq!(frames, payloads);
         assert!(matches!(end, DjinnError::Io(ref e)
             if e.kind() == std::io::ErrorKind::UnexpectedEof));
@@ -2377,8 +2015,7 @@ mod tests {
         .encode()
         .unwrap()
         .to_vec();
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).unwrap();
+        let wire = framed(&payload);
         // Split inside the length prefix AND inside the payload.
         let cuts = [2usize, 9, wire.len() / 2];
         let mut chunks = Vec::new();
@@ -2399,9 +2036,7 @@ mod tests {
     fn frame_reader_yields_pipelined_frames_without_new_reads() {
         // Two frames delivered in ONE chunk: the second must come out of
         // the buffer even though the stream has hit EOF.
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"first").unwrap();
-        write_frame(&mut wire, b"second").unwrap();
+        let wire = framed_all([&b"first"[..], b"second"]);
         let mut stream = ChunkedStream::new(vec![wire]);
         let (frames, _) = collect_frames(&mut stream);
         assert_eq!(frames, vec![b"first".to_vec(), b"second".to_vec()]);
@@ -2411,14 +2046,13 @@ mod tests {
     fn frame_reader_rejects_hostile_length_before_buffering_payload() {
         let mut reader = FrameReader::new();
         let hostile = u32::MAX.to_le_bytes().to_vec();
-        let got = reader.read_frame(&hostile[..]);
+        let got = reader.read_frame_ref(&hostile[..]);
         assert!(matches!(got, Err(DjinnError::Protocol { .. })));
     }
 
     #[test]
     fn frame_reader_reports_eof_mid_frame() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &[0xAB; 100]).unwrap();
+        let mut wire = framed(&[0xAB; 100]);
         wire.truncate(40); // stream dies mid-payload
         let mut stream = ChunkedStream::new(vec![wire]);
         let (frames, end) = collect_frames(&mut stream);
@@ -2478,7 +2112,7 @@ mod tests {
                 let len = size_rng.below(2000);
                 let payload: Vec<u8> =
                     (0..len).map(|j| (i * 31 + j * 7) as u8).collect();
-                write_frame(&mut wire, &payload).unwrap();
+                wire.extend(framed(&payload));
                 payloads.push(payload);
             }
             let mut cut_rng = proptest::TestRng::new(cut_seed);
@@ -2492,15 +2126,9 @@ mod tests {
                 prev = c;
             }
             chunks.push(wire[prev..].to_vec());
-            // Owned and borrowed paths must reassemble identically.
-            let mut stream = ChunkedStream::new(chunks.clone());
-            let (frames, end) = collect_frames(&mut stream);
-            prop_assert_eq!(&frames, &payloads);
-            prop_assert!(matches!(end, DjinnError::Io(ref e)
-                if e.kind() == std::io::ErrorKind::UnexpectedEof));
             let mut stream = ChunkedStream::new(chunks);
-            let (frames_ref, end) = collect_frames_ref(&mut stream);
-            prop_assert_eq!(frames_ref, payloads);
+            let (frames, end) = collect_frames(&mut stream);
+            prop_assert_eq!(frames, payloads);
             prop_assert!(matches!(end, DjinnError::Io(ref e)
                 if e.kind() == std::io::ErrorKind::UnexpectedEof));
         }

@@ -76,14 +76,17 @@
 //! successor.
 
 use std::collections::{BTreeMap, HashMap};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+use bytes::BytesMut;
+
 use crate::io::{dial, Conn, LoopThread, Poller, WriteBuf};
 use crate::protocol::{
-    is_busy_response, is_partial_chunk, peek_request, read_frame, response_id_slot, write_frame,
-    ModelStats, Request, RequestPeek, Response,
+    is_busy_response, is_partial_chunk, peek_request, response_id_slot, FrameReader, ModelStats,
+    Request, RequestPeek, Response,
 };
 use crate::{DjinnError, Result};
 
@@ -276,10 +279,15 @@ impl Core {
 /// Blocking bootstrap handshake: connect, ask `ListModels`, return the
 /// connection (nonblocking from here on) plus the model list.
 fn connect_upstream(addr: SocketAddr) -> Result<(Conn, Vec<String>)> {
-    let stream = TcpStream::connect_timeout(&addr, HANDSHAKE_TIMEOUT)?;
+    let mut stream = TcpStream::connect_timeout(&addr, HANDSHAKE_TIMEOUT)?;
     stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-    write_frame(&stream, &Request::ListModels { request_id: 1 }.encode()?)?;
-    let names = models_of(&read_frame(&stream)?, addr)?;
+    let mut hello = BytesMut::new();
+    Request::ListModels { request_id: 1 }.encode_framed_into(&mut hello)?;
+    stream.write_all(&hello)?;
+    let names = match FrameReader::new().read_frame_ref(&stream)? {
+        Some(frame) => models_of(frame, addr)?,
+        None => return Err(std::io::Error::from(std::io::ErrorKind::TimedOut).into()),
+    };
     Ok((Conn::new(stream)?, names))
 }
 

@@ -25,7 +25,7 @@ use tensor::{Tensor, Threading};
 
 use crate::device::{ColocationPolicy, Device, DeviceScheduler};
 use crate::io::{Conn, LoopThread, Poller, Wake, WriteBuf};
-use crate::protocol::{peek_request, ModelStats, Request, Response, StreamMode};
+use crate::protocol::{decode_input, peek_request, ModelStats, RequestPeek, Response, StreamMode};
 use crate::trace::ServerTrace;
 use crate::{
     BatchConfig, CpuExecutor, DelayExecutor, DispatchPolicy, DjinnError, EngineConfig, Executor,
@@ -139,7 +139,6 @@ struct Model {
 
 /// Everything the loop owns besides its sockets.
 struct Service {
-    registry: ModelRegistry,
     /// In the registry's (sorted) order, for binary search by name.
     models: Vec<Model>,
     /// Infer requests rejected for naming an unregistered model. One
@@ -260,7 +259,6 @@ impl DjinnServer {
             });
         }
         let service = Service {
-            registry,
             models,
             unknown_models: 0,
         };
@@ -370,34 +368,32 @@ fn read_client(service: &mut Service, clients: &mut HashMap<u64, Client>, id: u6
 }
 
 /// Answers one request frame into `out`, or admits it; `false` closes
-/// the connection (a response not even encodable as an error).
+/// the connection (a response not even encodable as an error). The
+/// model name stays borrowed from the frame: only the input is decoded.
 fn on_request(service: &mut Service, owed: &mut Owed, frame: &[u8], out: &mut WriteBuf) -> bool {
     let received = Instant::now();
-    let immediate = match Request::decode(frame) {
-        Ok(Request::Infer {
-            model,
-            input,
+    // An undecodable request is refused under its own ID whenever that
+    // much of the frame is readable, so the refusal finds its way back —
+    // through a client's correlation, or a router's — to the request it
+    // answers; 0 only when there is no ID to read.
+    let immediate = match peek_request(frame) {
+        Ok(
+            peek @ (RequestPeek::Infer {
+                model, request_id, ..
+            }
+            | RequestPeek::StreamInfer {
+                model, request_id, ..
+            }),
+        ) => match decode_input(&peek, frame) {
+            Ok((stream, input)) => service.admit(owed, model, input, request_id, received, stream),
+            Err(e) => Some(refusal(request_id, e)),
+        },
+        Ok(RequestPeek::ListModels { request_id, .. }) => Some(Response::Models {
             request_id,
-        }) => service.admit(owed, model, input, request_id, received, None),
-        Ok(Request::StreamInfer {
-            model,
-            input,
-            request_id,
-            mode,
-        }) => service.admit(owed, model, input, request_id, received, Some(mode)),
-        Ok(Request::ListModels { request_id }) => Some(Response::Models {
-            request_id,
-            names: service.registry.names(),
+            names: service.model_names(),
         }),
-        Ok(Request::Stats { request_id }) => Some(service.stats_response(request_id)),
-        // An undecodable request is refused under its own ID whenever
-        // that much of the frame is readable, so the refusal finds its
-        // way back — through a client's correlation, or a router's — to
-        // the request it answers; 0 only when there is no ID to read.
-        Err(e) => Some(Response::Error {
-            request_id: peek_request(frame).map_or(0, |peek| peek.request_id()),
-            message: e.to_string(),
-        }),
+        Ok(RequestPeek::Stats { request_id, .. }) => Some(service.stats_response(request_id)),
+        Err(e) => Some(refusal(0, e)),
     };
     immediate.is_none_or(|response| out.push_response(&response).is_ok())
 }
@@ -540,7 +536,7 @@ impl Service {
     fn admit(
         &mut self,
         owed: &mut Owed,
-        model: String,
+        model: &str,
         input: Tensor,
         request_id: u64,
         received: Instant,
@@ -548,13 +544,11 @@ impl Service {
     ) -> Option<Response> {
         let Ok(m) = self
             .models
-            .binary_search_by(|known| known.engine.model().cmp(&model))
+            .binary_search_by(|known| known.engine.model().cmp(model))
         else {
             self.unknown_models += 1;
-            return Some(refusal(
-                request_id,
-                DjinnError::UnknownModel { name: model },
-            ));
+            let name = model.to_owned();
+            return Some(refusal(request_id, DjinnError::UnknownModel { name }));
         };
         let token = owed.next_token;
         owed.next_token += 1;
@@ -582,6 +576,14 @@ impl Service {
         };
         owed.pending.by_token.insert(token, pending);
         None
+    }
+
+    /// The served models' names, in the registry's (sorted) order.
+    fn model_names(&self) -> Vec<String> {
+        self.models
+            .iter()
+            .map(|m| m.engine.model().to_owned())
+            .collect()
     }
 
     /// Each engine's stats with the six fields the server owns filled
@@ -914,7 +916,7 @@ mod tests {
         // 7: the later ones finish long before the first does, but a
         // client that reuses an ID can only correlate by order, so each
         // must follow the last chunk of the one before.
-        use crate::protocol::{read_frame, write_frame};
+        use crate::protocol::{FrameReader, Request};
         let registry = ModelRegistry::with_tiny_test_zoo().unwrap();
         let server = DjinnServer::start(registry, ServerConfig::default()).unwrap();
         let mut prompt = vec![0.0f32; 16];
@@ -932,23 +934,30 @@ mod tests {
             request_id: 7,
         };
         let mut wire = Vec::new();
+        let mut frame = bytes::BytesMut::new();
         for request in [stream(32), stream(4), once] {
-            write_frame(&mut wire, &request.encode().unwrap()).unwrap();
+            request.encode_framed_into(&mut frame).unwrap();
+            wire.extend_from_slice(&frame);
         }
         let mut socket = TcpStream::connect(server.local_addr()).unwrap();
         socket
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         std::io::Write::write_all(&mut socket, &wire).unwrap();
+        let mut replies = FrameReader::new();
+        let mut recv = || {
+            let frame = replies.read_frame_ref(&socket).unwrap().unwrap();
+            Response::decode(frame).unwrap()
+        };
         for n in [32u32, 4] {
             for i in 0..n {
-                match Response::decode(&read_frame(&mut socket).unwrap()).unwrap() {
+                match recv() {
                     Response::Chunk { seq, last, .. } => assert_eq!((seq, last), (i, i == n - 1)),
                     other => panic!("chunk {i} of {n}: got {other:?}"),
                 }
             }
         }
-        let rsp = Response::decode(&read_frame(&mut socket).unwrap()).unwrap();
+        let rsp = recv();
         assert!(matches!(rsp, Response::Output { .. }), "{rsp:?}");
         server.shutdown();
     }

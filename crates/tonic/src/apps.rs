@@ -483,19 +483,22 @@ mod tests {
     /// surviving trace must record how many sheds it rode through.
     #[test]
     fn busy_retries_keep_one_request_id() {
-        use djinn::protocol::{read_frame, write_frame, Request, Response};
+        use djinn::protocol::{FrameReader, Request, Response};
         use djinn::ServerTrace;
+        use std::io::Write;
 
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
+            let mut requests = FrameReader::new();
+            let mut reply = bytes::BytesMut::new();
             let mut ids = Vec::new();
             for attempt in 0..2 {
-                let frame = read_frame(&mut stream).unwrap();
+                let frame = requests.read_frame_ref(&stream).unwrap().unwrap();
                 let Request::Infer {
                     input, request_id, ..
-                } = Request::decode(&frame).unwrap()
+                } = Request::decode(frame).unwrap()
                 else {
                     panic!("expected an infer request");
                 };
@@ -512,7 +515,8 @@ mod tests {
                         trace: ServerTrace::new(request_id, Default::default(), 5),
                     }
                 };
-                write_frame(&mut stream, &rsp.encode().unwrap()).unwrap();
+                rsp.encode_framed_into(&mut reply).unwrap();
+                stream.write_all(&reply).unwrap();
             }
             ids
         });

@@ -109,7 +109,7 @@ fn oversized_frame_is_rejected_without_allocation_bomb() {
 /// starts `undecodable_` so CI can run the group by name.
 mod undecodable {
     use super::*;
-    use djinn_tonic::djinn::protocol::{read_frame, write_frame, Request, Response, VERSION};
+    use djinn_tonic::djinn::protocol::{FrameReader, Request, Response, StreamMode, VERSION};
     use djinn_tonic::djinn::{DjinnError, DjinnRouter, ModelRegistry, RouterConfig};
 
     const MODEL: &str = "tiny-mnist";
@@ -161,17 +161,185 @@ mod undecodable {
         payload
     }
 
-    fn raw_connect(addr: std::net::SocketAddr) -> TcpStream {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        stream
+    /// `[u32 len | payload]`: how a peer frames a payload it built by hand.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(payload);
+        wire
     }
 
-    fn read_response(stream: &mut TcpStream) -> Response {
-        Response::decode(&read_frame(stream).unwrap()).unwrap()
+    /// A raw connection: hand-built payloads go out framed in one write,
+    /// replies come in through one `FrameReader`.
+    struct Raw {
+        stream: TcpStream,
+        replies: FrameReader,
+    }
+
+    impl Raw {
+        fn connect(addr: std::net::SocketAddr) -> Self {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream.set_nodelay(true).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            Raw {
+                stream,
+                replies: FrameReader::new(),
+            }
+        }
+
+        fn send(&mut self, payload: &[u8]) {
+            self.stream.write_all(&framed(payload)).unwrap();
+        }
+
+        fn recv(&mut self) -> Response {
+            let frame = self.replies.read_frame_ref(&self.stream).unwrap();
+            Response::decode(frame.expect("a reply within the read timeout")).unwrap()
+        }
+
+        /// The next frame, or the read's timeout (`None`) or failure.
+        fn try_recv(&mut self) -> Result<Option<Vec<u8>>, DjinnError> {
+            let frame = self.replies.read_frame_ref(&self.stream)?;
+            Ok(frame.map(<[u8]>::to_vec))
+        }
+    }
+
+    /// One malformed request of each class, in turn on one connection to
+    /// a direct server: each is refused under the ID read from it (0 when
+    /// the header, name or ID cannot be read) with the decoder's message,
+    /// and the connection serves a good request afterwards.
+    #[test]
+    fn undecodable_every_malformed_request_keeps_its_refusal() {
+        let server = tiny_server();
+        let infer = infer_payload(&input(0), 77);
+        let stream = Request::StreamInfer {
+            model: MODEL.into(),
+            input: input(0),
+            request_id: 77,
+            mode: StreamMode::Generative { max_tokens: 4 },
+        }
+        .encode()
+        .unwrap()
+        .to_vec();
+        let name_at = 6 + 2;
+        let id_at = name_at + MODEL.len();
+        let rank_at = id_at + 8; // an Infer's; a StreamInfer's mode byte
+        let with = |base: &[u8], at: usize, byte: u8| {
+            let mut payload = base.to_vec();
+            payload[at] = byte;
+            payload
+        };
+        let cut = |base: &[u8], len: usize| base[..len].to_vec();
+        let old = VERSION - 1;
+        let table: Vec<(&str, Vec<u8>, u64, String)> = vec![
+            ("bad magic", with(&infer, 0, b'X'), 0, "bad magic".into()),
+            (
+                "wrong version",
+                with(&infer, 4, old),
+                0,
+                format!(
+                    "unsupported protocol version {old}: this peer speaks only version {VERSION}"
+                ),
+            ),
+            (
+                "unknown opcode",
+                with(&infer, 5, 42),
+                0,
+                "unexpected request opcode 42".into(),
+            ),
+            (
+                "truncated name length",
+                cut(&infer, name_at - 1),
+                0,
+                "truncated string length".into(),
+            ),
+            (
+                "truncated name body",
+                cut(&infer, name_at + 3),
+                0,
+                "truncated string body".into(),
+            ),
+            (
+                "non-UTF-8 name",
+                with(&infer, name_at, 0xFF),
+                0,
+                "string is not utf-8".into(),
+            ),
+            (
+                "truncated ID",
+                cut(&infer, id_at + 4),
+                0,
+                "truncated request id".into(),
+            ),
+            // Read by `peek_request`, like every ID: the same text as an
+            // `Infer` cut there.
+            (
+                "stream cut in its ID",
+                cut(&stream, id_at + 4),
+                0,
+                "truncated request id".into(),
+            ),
+            (
+                "truncated stream mode",
+                cut(&stream, rank_at + 3),
+                77,
+                "truncated stream request".into(),
+            ),
+            (
+                "unknown mode byte",
+                with(&stream, rank_at, 9),
+                77,
+                "unknown stream mode 9".into(),
+            ),
+            (
+                "rank 0",
+                with(&infer, rank_at, 0),
+                77,
+                "tensor rank 0 out of 1..=4".into(),
+            ),
+            (
+                "rank 5",
+                with(&infer, rank_at, 5),
+                77,
+                "tensor rank 5 out of 1..=4".into(),
+            ),
+            (
+                "truncated dims",
+                cut(&infer, rank_at + 1 + 6),
+                77,
+                "truncated tensor dims".into(),
+            ),
+            (
+                "truncated data",
+                cut(&infer, infer.len() - 1),
+                77,
+                "truncated tensor data".into(),
+            ),
+        ];
+        let mut raw = Raw::connect(server.local_addr());
+        for (class, payload, id, reason) in table {
+            raw.send(&payload);
+            match raw.recv() {
+                Response::Error {
+                    request_id,
+                    message,
+                } => {
+                    assert_eq!(request_id, id, "{class}: the refusal's ID");
+                    assert_eq!(
+                        message,
+                        format!("protocol violation: {reason}"),
+                        "{class}: the refusal's message"
+                    );
+                }
+                other => panic!("{class}: expected a refusal, got {other:?}"),
+            }
+        }
+        raw.send(&infer);
+        match raw.recv() {
+            Response::Output { trace, .. } => assert_eq!(trace.request_id, 77),
+            other => panic!("expected an output after the refusals, got {other:?}"),
+        }
+        server.shutdown();
     }
 
     fn assert_names_both_versions(message: &str) {
@@ -194,17 +362,16 @@ mod undecodable {
         let want_a = reference.infer(MODEL, &a).unwrap();
         let want_b = reference.infer(MODEL, &b).unwrap();
 
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &infer_payload(&a, 11)).unwrap();
-        write_frame(&mut wire, &rank_zero_payload(4242)).unwrap();
-        write_frame(&mut wire, &infer_payload(&b, 13)).unwrap();
-        let mut stream = raw_connect(server.local_addr());
-        stream.write_all(&wire).unwrap();
+        let mut wire = framed(&infer_payload(&a, 11));
+        wire.extend(framed(&rank_zero_payload(4242)));
+        wire.extend(framed(&infer_payload(&b, 13)));
+        let mut raw = Raw::connect(server.local_addr());
+        raw.stream.write_all(&wire).unwrap();
 
         let mut refused = false;
         let mut outputs = std::collections::HashMap::new();
         for _ in 0..3 {
-            match read_response(&mut stream) {
+            match raw.recv() {
                 Response::Error { request_id, .. } => {
                     assert_eq!(request_id, 4242, "the error must carry the bad frame's ID");
                     refused = true;
@@ -230,11 +397,11 @@ mod undecodable {
     fn undecodable_request_through_the_router_is_refused_and_retired() {
         let replica = tiny_server();
         let router = router_over(&replica);
-        let mut stream = raw_connect(router.local_addr());
+        let mut raw = Raw::connect(router.local_addr());
 
         let asked = std::time::Instant::now();
-        write_frame(&mut stream, &rank_zero_payload(4242)).unwrap();
-        match read_response(&mut stream) {
+        raw.send(&rank_zero_payload(4242));
+        match raw.recv() {
             Response::Error { request_id, .. } => assert_eq!(request_id, 4242),
             other => panic!("expected the refusal, got {other:?}"),
         }
@@ -243,8 +410,8 @@ mod undecodable {
             "the refusal must arrive well inside the I/O timeout"
         );
 
-        write_frame(&mut stream, &infer_payload(&input(3), 7)).unwrap();
-        match read_response(&mut stream) {
+        raw.send(&infer_payload(&input(3), 7));
+        match raw.recv() {
             Response::Output { trace, .. } => assert_eq!(trace.request_id, 7),
             other => panic!("expected an output, got {other:?}"),
         }
@@ -253,15 +420,11 @@ mod undecodable {
         // replica with a correlated error: losing the replica now must
         // produce no frame at all.
         replica.shutdown();
-        stream
+        raw.stream
             .set_read_timeout(Some(Duration::from_millis(400)))
             .unwrap();
-        match read_frame(&mut stream) {
-            Err(DjinnError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
+        match raw.try_recv() {
+            Ok(None) => {}
             other => panic!("the router still held a request in flight: {other:?}"),
         }
         router.shutdown();
@@ -276,14 +439,14 @@ mod undecodable {
         let mut bystander = DjinnClient::connect(server.local_addr()).unwrap();
         let want = bystander.infer(MODEL, &input(5)).unwrap();
 
-        let mut stream = raw_connect(server.local_addr());
-        write_frame(&mut stream, &old_version_payload(21)).unwrap();
-        match read_response(&mut stream) {
+        let mut raw = Raw::connect(server.local_addr());
+        raw.send(&old_version_payload(21));
+        match raw.recv() {
             Response::Error { message, .. } => assert_names_both_versions(&message),
             other => panic!("expected the refusal, got {other:?}"),
         }
-        write_frame(&mut stream, &infer_payload(&input(5), 22)).unwrap();
-        match read_response(&mut stream) {
+        raw.send(&infer_payload(&input(5), 22));
+        match raw.recv() {
             Response::Output { tensor, trace } => {
                 assert_eq!(trace.request_id, 22);
                 assert_eq!(tensor, want);
@@ -300,13 +463,13 @@ mod undecodable {
     fn undecodable_old_version_frame_through_the_router_is_refused_and_closed() {
         let replica = tiny_server();
         let router = router_over(&replica);
-        let mut stream = raw_connect(router.local_addr());
-        write_frame(&mut stream, &old_version_payload(21)).unwrap();
-        match read_response(&mut stream) {
+        let mut raw = Raw::connect(router.local_addr());
+        raw.send(&old_version_payload(21));
+        match raw.recv() {
             Response::Error { message, .. } => assert_names_both_versions(&message),
             other => panic!("expected the refusal, got {other:?}"),
         }
-        match read_frame(&mut stream) {
+        match raw.try_recv() {
             Err(DjinnError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {}
             other => panic!("the router must close the connection, got {other:?}"),
         }
@@ -324,7 +487,8 @@ mod undecodable {
 /// router. Every name starts `stalled_` so CI can run the group by name.
 mod stalled {
     use super::*;
-    use djinn_tonic::djinn::protocol::{write_frame, ModelStats, Request, StreamMode};
+    use bytes::BytesMut;
+    use djinn_tonic::djinn::protocol::{ModelStats, Request, StreamMode};
     use djinn_tonic::djinn::{DjinnRouter, ModelRegistry, RouterConfig};
     use djinn_tonic::dnn::{parser, Network};
     use std::io::Read;
@@ -424,13 +588,15 @@ mod stalled {
     fn flood(n: u64) -> Vec<u8> {
         let input = Tensor::random_uniform(Shape::mat(32, 1), 1.0, 5);
         let mut wire = Vec::new();
+        let mut frame = BytesMut::new();
         for request_id in 1..=n {
             let request = Request::Infer {
                 model: "wide".into(),
                 input: input.clone(),
                 request_id,
             };
-            write_frame(&mut wire, &request.encode().unwrap()).unwrap();
+            request.encode_framed_into(&mut frame).unwrap();
+            wire.extend_from_slice(&frame);
         }
         wire
     }
@@ -577,7 +743,9 @@ mod stalled {
             request_id: 1,
             mode: StreamMode::Windowed { window_rows: 32 },
         };
-        write_frame(&mut a, &request.encode().unwrap()).unwrap();
+        let mut frame = BytesMut::new();
+        request.encode_framed_into(&mut frame).unwrap();
+        a.write_all(&frame).unwrap();
         let mut b = DjinnClient::connect(server.local_addr()).unwrap();
         let decoded = settle(&mut b, Duration::from_secs(10), |s| s.tokens_out);
         assert!(

@@ -14,8 +14,9 @@ use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
+use bytes::BytesMut;
 use djinn_tonic::djinn::protocol::{
-    peek_request, read_frame, response_id_slot, write_frame, Request, Response, StreamMode, VERSION,
+    peek_request, response_id_slot, FrameReader, Request, Response, StreamMode, VERSION,
 };
 use djinn_tonic::djinn::{
     CacheMode, DjinnClient, DjinnError, DjinnServer, ModelRegistry, ServerConfig, ServerTrace,
@@ -41,16 +42,21 @@ fn reference_net() -> Network {
 }
 
 fn infer_wire_bytes(input: &Tensor) -> Vec<u8> {
-    let payload = Request::Infer {
+    let mut wire = BytesMut::new();
+    Request::Infer {
         model: "tiny".into(),
         input: input.clone(),
         request_id: 1,
     }
-    .encode()
+    .encode_framed_into(&mut wire)
     .unwrap();
-    let mut wire = Vec::new();
-    write_frame(&mut wire, &payload).unwrap();
-    wire
+    wire.to_vec()
+}
+
+/// The next frame on `stream`, read through the connection's one
+/// `FrameReader` (a blocking socket: a frame, or a failure).
+fn next_frame(replies: &mut FrameReader, stream: &TcpStream) -> Vec<u8> {
+    replies.read_frame_ref(stream).unwrap().unwrap().to_vec()
 }
 
 fn expect_output(wire_response: &[u8], input: &Tensor) {
@@ -66,7 +72,7 @@ fn expect_output(wire_response: &[u8], input: &Tensor) {
 /// The acceptance scenario: one `Infer` request delivered in >= 3 chunks
 /// separated by sleeps longer than the server's old 500 ms read timeout,
 /// with chunk boundaries inside the length prefix and inside the payload.
-/// The stateless `read_frame` loop lost the consumed bytes at each fired
+/// The old stateless frame read lost the consumed bytes at each fired
 /// timeout; the `FrameReader` must answer correctly.
 #[test]
 fn request_split_across_slow_chunks_gets_a_correct_response() {
@@ -88,7 +94,7 @@ fn request_split_across_slow_chunks_gets_a_correct_response() {
     stream.write_all(&wire[prev..]).unwrap();
     stream.flush().unwrap();
 
-    let rsp = read_frame(&mut stream).unwrap();
+    let rsp = next_frame(&mut FrameReader::new(), &stream);
     expect_output(&rsp, &input);
     server.shutdown();
 }
@@ -110,7 +116,7 @@ fn byte_at_a_time_request_is_reassembled() {
         std::thread::sleep(Duration::from_millis(2));
     }
 
-    let rsp = read_frame(&mut stream).unwrap();
+    let rsp = next_frame(&mut FrameReader::new(), &stream);
     expect_output(&rsp, &input);
     server.shutdown();
 }
@@ -131,9 +137,10 @@ fn two_requests_in_one_write_get_two_responses() {
     stream.write_all(&wire).unwrap();
     stream.flush().unwrap();
 
-    let first = read_frame(&mut stream).unwrap();
+    let mut replies = FrameReader::new();
+    let first = next_frame(&mut replies, &stream);
     expect_output(&first, &a);
-    let second = read_frame(&mut stream).unwrap();
+    let second = next_frame(&mut replies, &stream);
     expect_output(&second, &b);
     server.shutdown();
 }
@@ -157,15 +164,16 @@ fn a_cache_hit_under_a_reused_id_waits_for_the_miss_before_it() {
     let hit = Tensor::random_uniform(Shape::mat(1, 8), 1.0, 3);
     let miss = Tensor::random_uniform(Shape::mat(1, 8), 1.0, 4);
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut replies = FrameReader::new();
     // Warm the cache with the input that will hit.
     stream.write_all(&infer_wire_bytes(&hit)).unwrap();
-    expect_output(&read_frame(&mut stream).unwrap(), &hit);
+    expect_output(&next_frame(&mut replies, &stream), &hit);
 
     let mut wire = infer_wire_bytes(&miss);
     wire.extend_from_slice(&infer_wire_bytes(&hit));
     stream.write_all(&wire).unwrap();
-    let first = read_frame(&mut stream).unwrap();
-    let second = read_frame(&mut stream).unwrap();
+    let first = next_frame(&mut replies, &stream);
+    let second = next_frame(&mut replies, &stream);
     expect_output(&first, &miss);
     expect_output(&second, &hit);
     match Response::decode(&second).unwrap() {
@@ -213,7 +221,7 @@ fn slow_client_does_not_disturb_fast_clients() {
         std::thread::sleep(Duration::from_millis(700));
         stream.write_all(&wire[mid..]).unwrap();
         stream.flush().unwrap();
-        let rsp = read_frame(&mut stream).unwrap();
+        let rsp = next_frame(&mut FrameReader::new(), &stream);
         expect_output(&rsp, &slow_input);
     });
 
@@ -708,21 +716,40 @@ mod stale_responses {
     /// A scripted single-connection peer: decodes infer requests and
     /// answers them with caller-chosen tensors at caller-chosen times,
     /// so the test controls exactly when each response hits the wire.
-    pub(super) fn accept_one(listener: &TcpListener) -> TcpStream {
-        let (stream, _) = listener.accept().unwrap();
-        stream.set_nodelay(true).unwrap();
-        stream
+    pub(super) struct Scripted {
+        stream: TcpStream,
+        requests: FrameReader,
     }
 
-    fn read_infer(stream: &mut TcpStream) -> u64 {
-        let payload = read_frame(stream).unwrap();
-        let Request::Infer { request_id, .. } = Request::decode(&payload).unwrap() else {
+    pub(super) fn accept_one(listener: &TcpListener) -> Scripted {
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nodelay(true).unwrap();
+        Scripted {
+            stream,
+            requests: FrameReader::new(),
+        }
+    }
+
+    /// The next request frame, decoded.
+    pub(super) fn read_request(peer: &mut Scripted) -> Request {
+        Request::decode(&next_frame(&mut peer.requests, &peer.stream)).unwrap()
+    }
+
+    /// Writes `rsp` as one frame.
+    pub(super) fn write_response(peer: &mut Scripted, rsp: &Response) {
+        let mut frame = BytesMut::new();
+        rsp.encode_framed_into(&mut frame).unwrap();
+        peer.stream.write_all(&frame).unwrap();
+    }
+
+    fn read_infer(stream: &mut Scripted) -> u64 {
+        let Request::Infer { request_id, .. } = read_request(stream) else {
             panic!("expected Infer");
         };
         request_id
     }
 
-    pub(super) fn write_output(stream: &mut TcpStream, request_id: u64, value: f32) {
+    pub(super) fn write_output(stream: &mut Scripted, request_id: u64, value: f32) {
         let rsp = Response::Output {
             tensor: Tensor::from_vec(Shape::mat(1, 1), vec![value]).unwrap(),
             trace: ServerTrace {
@@ -730,7 +757,7 @@ mod stale_responses {
                 ..ServerTrace::default()
             },
         };
-        write_frame(stream, &rsp.encode().unwrap()).unwrap();
+        write_response(stream, &rsp);
     }
 
     /// A response delayed past the client's timeout must be *discarded*,
@@ -826,16 +853,12 @@ mod stale_responses {
             // (say, a corrupted or unsupported control frame) and
             // answers with an uncorrelated error, like the real server
             // does for any undecodable request.
-            let payload = read_frame(&mut stream).unwrap();
-            assert!(matches!(
-                Request::decode(&payload).unwrap(),
-                Request::Stats { .. }
-            ));
+            assert!(matches!(read_request(&mut stream), Request::Stats { .. }));
             let err = Response::Error {
                 request_id: 0,
                 message: "stats frame not supported".into(),
             };
-            write_frame(&mut stream, &err.encode().unwrap()).unwrap();
+            write_response(&mut stream, &err);
             // The held infer completes only afterwards.
             write_output(&mut stream, held, 222.0);
         });
@@ -941,17 +964,15 @@ mod stale_responses {
 /// chunks for their stream's `recv_chunk`. A scripted peer fixes the
 /// order the frames arrive in.
 mod cross_kind_stashing {
-    use super::stale_responses::{accept_one, write_output};
+    use super::stale_responses::{accept_one, write_output, write_response, Scripted};
     use super::*;
 
     /// Reads one request frame of any kind and returns its ID.
-    fn read_request(stream: &mut TcpStream) -> u64 {
-        Request::decode(&read_frame(stream).unwrap())
-            .unwrap()
-            .request_id()
+    fn read_request(stream: &mut Scripted) -> u64 {
+        super::stale_responses::read_request(stream).request_id()
     }
 
-    fn write_chunk(stream: &mut TcpStream, request_id: u64, seq: u32, last: bool) {
+    fn write_chunk(stream: &mut Scripted, request_id: u64, seq: u32, last: bool) {
         let rsp = Response::Chunk {
             tensor: Tensor::from_vec(Shape::mat(1, 1), vec![seq as f32]).unwrap(),
             trace: ServerTrace {
@@ -961,7 +982,7 @@ mod cross_kind_stashing {
             seq,
             last,
         };
-        write_frame(stream, &rsp.encode().unwrap()).unwrap();
+        write_response(stream, &rsp);
     }
 
     fn one() -> Tensor {
@@ -1014,7 +1035,7 @@ mod cross_kind_stashing {
                 request_id: 0,
                 message: "request frame not understood".into(),
             };
-            write_frame(&mut stream, &err.encode().unwrap()).unwrap();
+            write_response(&mut stream, &err);
             write_output(&mut stream, b, 222.0);
         });
 
@@ -1053,7 +1074,7 @@ mod cross_kind_stashing {
                 request_id: list,
                 names: vec!["m".into(), "n".into()],
             };
-            write_frame(&mut stream, &models.encode().unwrap()).unwrap();
+            write_response(&mut stream, &models);
         });
 
         let mut client = DjinnClient::connect_with_timeout(addr, Duration::from_secs(2)).unwrap();

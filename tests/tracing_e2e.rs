@@ -11,7 +11,7 @@
 
 use std::time::{Duration, Instant};
 
-use djinn_tonic::djinn::protocol::{read_frame, write_frame, Request, Response};
+use djinn_tonic::djinn::protocol::{FrameReader, Request, Response};
 use djinn_tonic::djinn::{
     BatchConfig, DjinnClient, DjinnServer, ModelRegistry, ServerConfig, StreamMode, TraceRecord,
 };
@@ -207,9 +207,12 @@ fn server_echoes_request_id_on_the_wire() {
         input: senna_input(1),
         request_id: 0x00C0FFEE,
     };
-    write_frame(&mut stream, &req.encode().unwrap()).unwrap();
-    let frame = read_frame(&mut stream).unwrap();
-    let Response::Output { trace, .. } = Response::decode(&frame).unwrap() else {
+    let mut frame = bytes::BytesMut::new();
+    req.encode_framed_into(&mut frame).unwrap();
+    std::io::Write::write_all(&mut stream, &frame).unwrap();
+    let mut replies = FrameReader::new();
+    let reply = replies.read_frame_ref(&stream).unwrap().unwrap();
+    let Response::Output { trace, .. } = Response::decode(reply).unwrap() else {
         panic!("expected an output response");
     };
     assert_eq!(trace.request_id, 0x00C0FFEE);
