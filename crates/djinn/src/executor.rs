@@ -267,9 +267,10 @@ impl Executor for SimGpuExecutor {
 ///
 /// [`DelayExecutor::new`] sets only `base` (the historical behavior of
 /// `--service-delay-us`, under which a batched call and a single call
-/// cost the same — accurate for launch-bound devices but badly skewed
-/// for co-location benches, where it made batching look free).
-/// [`DelayExecutor::with_per_item`] sets both terms explicitly.
+/// cost the same — accurate for launch-bound devices, but it makes
+/// batching look free). [`DelayExecutor::with_per_item`] sets both terms
+/// explicitly; `tests/colocation.rs` uses it to give two models on one
+/// shared device a dispatch cost that batching amortizes.
 #[derive(Debug, Clone)]
 pub struct DelayExecutor<E> {
     inner: E,
@@ -296,16 +297,6 @@ impl<E> DelayExecutor<E> {
             base,
             per_item,
         }
-    }
-
-    /// The per-dispatch base delay.
-    pub fn delay(&self) -> Duration {
-        self.base
-    }
-
-    /// The per-item delay term.
-    pub fn per_item(&self) -> Duration {
-        self.per_item
     }
 
     /// The total delay a `batch`-item dispatch incurs.

@@ -339,7 +339,7 @@ fn merged_stats(request_id: u64, upstreams: &[Upstream]) -> Response {
     let mut merged: BTreeMap<&str, ModelStats> = BTreeMap::new();
     let mut unknown = 0u64;
     for up in upstreams {
-        unknown += up.last_unknown;
+        unknown = unknown.saturating_add(up.last_unknown);
         for m in &up.last_stats {
             merged
                 .entry(m.model.as_str())
@@ -763,7 +763,7 @@ mod tests {
         s1.p99_service_us = 700;
         up1.last_stats = vec![s1];
         up1.last_unknown = 1;
-        let ups = vec![up0, up1];
+        let mut ups = vec![up0, up1];
         let Response::Stats {
             request_id,
             unknown_model_requests,
@@ -774,6 +774,16 @@ mod tests {
         };
         assert_eq!(request_id, 42);
         assert_eq!(unknown_model_requests, 5);
+        // Replica-supplied words saturate, as `ModelStats::merge`'s sums do.
+        ups[0].last_unknown = u64::MAX;
+        let Response::Stats {
+            unknown_model_requests: saturated,
+            ..
+        } = merged_stats(43, &ups)
+        else {
+            panic!("merged_stats must answer with Stats");
+        };
+        assert_eq!(saturated, u64::MAX);
         assert_eq!(stats.len(), 2);
         let m = stats.iter().find(|s| s.model == "m").unwrap();
         assert_eq!(m.requests, 20);

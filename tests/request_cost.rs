@@ -1,6 +1,7 @@
 //! What one request costs the whole process, pinned: heap allocations and
 //! wire bytes each way, per request, for a direct `tiny-mnist` one-shot,
-//! the same one-shot through a router, and one `tiny-lm` stream.
+//! the same one-shot through a router, one `tiny-lm` stream, and a
+//! `tiny-mnist` one-shot that hits and one that misses an exact cache.
 //!
 //! The counting allocator below is process-wide, so everything a request
 //! touches is in the count: the client (this test's thread), the server's
@@ -30,7 +31,7 @@ use std::time::Duration;
 use bytes::BytesMut;
 use djinn_tonic::djinn::protocol::{encode_infer_framed_into, FrameReader, Request, Response};
 use djinn_tonic::djinn::{
-    DjinnRouter, DjinnServer, ModelRegistry, RouterConfig, ServerConfig, StreamMode,
+    CacheMode, DjinnRouter, DjinnServer, ModelRegistry, RouterConfig, ServerConfig, StreamMode,
 };
 use djinn_tonic::tensor::{Shape, Tensor};
 
@@ -94,8 +95,11 @@ struct Cost {
 /// The pinned costs, one row per case. The server-side counts were 22.032,
 /// 22.032 and 105.0 while the server decoded each request into an owned
 /// `Request`; admitting through `peek_request` keeps the model name
-/// borrowed, one allocation fewer per request and per stream.
-const TABLE: [(&str, Cost); 3] = [
+/// borrowed, one allocation fewer per request and per stream. The engine
+/// answers an exact-cache hit at admission (5.032 off the client's
+/// thread); a miss costs 6.186 more than the uncached one-shot, for the
+/// probe, the insert and the growth of the cache's tables.
+const TABLE: [(&str, Cost); 5] = [
     (
         "direct tiny-mnist one-shot",
         Cost {
@@ -121,6 +125,24 @@ const TABLE: [(&str, Cost); 3] = [
             client_allocs: 19.0,
             bytes_out: 105,
             bytes_in: 1288,
+        },
+    ),
+    (
+        "exact-cache hit, tiny-mnist",
+        Cost {
+            server_allocs: 5.032,
+            client_allocs: 2.0,
+            bytes_out: 623,
+            bytes_in: 132,
+        },
+    ),
+    (
+        "exact-cache miss, tiny-mnist, no eviction",
+        Cost {
+            server_allocs: 27.218,
+            client_allocs: 2.0,
+            bytes_out: 623,
+            bytes_in: 132,
         },
     ),
 ];
@@ -224,12 +246,12 @@ fn tiny_server() -> DjinnServer {
     DjinnServer::start(registry, ServerConfig::default()).unwrap()
 }
 
-fn mnist_input() -> Tensor {
-    Tensor::random_uniform(Shape::nchw(1, 1, 12, 12), 0.5, 1)
+fn mnist_input(seed: u64) -> Tensor {
+    Tensor::random_uniform(Shape::nchw(1, 1, 12, 12), 0.5, seed)
 }
 
 fn one_shots(addr: SocketAddr) -> Cost {
-    let input = mnist_input();
+    let input = mnist_input(1);
     let mut client = Client::connect(addr);
     measure(&mut client, |c, id| c.one_shot(&input, id))
 }
@@ -258,7 +280,25 @@ fn request_costs_match_the_table() {
     drop(client);
     server.shutdown();
 
-    let measured = [direct, routed, stream];
+    // An exact cache whose budget holds every input below: the hit case
+    // answers one input again and again, the miss case sends a fresh
+    // one each time, all drawn before the window.
+    let registry = ModelRegistry::with_tiny_test_zoo().unwrap();
+    let config = ServerConfig {
+        cache_mode: CacheMode::Exact,
+        cache_bytes: 64 << 20,
+        ..ServerConfig::default()
+    };
+    let server = DjinnServer::start(registry, config).unwrap();
+    let mut client = Client::connect(server.local_addr());
+    let input = mnist_input(1);
+    let hit = measure(&mut client, |c, id| c.one_shot(&input, id));
+    let fresh: Vec<Tensor> = (0..WARM_UP + ROUNDS).map(|i| mnist_input(2 + i)).collect();
+    let miss = measure(&mut client, |c, id| c.one_shot(&fresh[id as usize - 1], id));
+    drop(client);
+    server.shutdown();
+
+    let measured = [direct, routed, stream, hit, miss];
     for ((case, _), got) in TABLE.iter().zip(measured) {
         eprintln!("{case}: {got:?}");
     }

@@ -216,11 +216,22 @@ fn streaming_unknown_model_is_a_terminal_correlated_error() {
 
 /// The router acceptance criterion: a streamed request through the
 /// router delivers ordered, ID-correlated chunks end-to-end, with every
-/// chunk carrying the client's original request ID.
+/// chunk carrying the client's original request ID. The replicas pay
+/// 2 ms per forward pass, so a 32-token stream spans ~64 ms: the first
+/// token must arrive at under a quarter of the whole stream's time
+/// (median over the streams), or the router is holding chunks back.
 #[test]
 fn streaming_through_router_stays_ordered_and_correlated() {
-    let replica_a = start_server();
-    let replica_b = start_server();
+    let replica = || {
+        let registry = ModelRegistry::with_tiny_test_zoo().expect("tiny zoo");
+        let config = ServerConfig {
+            service_delay: Some(Duration::from_millis(2)),
+            ..ServerConfig::default()
+        };
+        DjinnServer::start(registry, config).expect("replica start")
+    };
+    let replica_a = replica();
+    let replica_b = replica();
     let router = DjinnRouter::start(RouterConfig {
         replicas: vec![replica_a.local_addr(), replica_b.local_addr()],
         stats_interval: Duration::from_millis(10),
@@ -230,16 +241,27 @@ fn streaming_through_router_stays_ordered_and_correlated() {
 
     let mut client = connect(router.local_addr());
     let net = reference_lm();
-    let want = greedy_reference(&net, prompt(9), 6);
+    let want = greedy_reference(&net, prompt(9), 32);
+    let (mut ttfts, mut totals) = (Vec::new(), Vec::new());
     // Several streams back-to-back so both replicas see stream traffic.
-    for round in 0..4 {
-        let chunks = collect_chunks(
-            &mut client,
-            "tiny-lm",
-            &prompt(9),
-            StreamMode::Generative { max_tokens: 6 },
-        );
-        assert_eq!(chunks.len(), 6, "round {round}");
+    for round in 0..5 {
+        let started = Instant::now();
+        let mut chunks = Vec::new();
+        let stream = client
+            .stream(
+                "tiny-lm",
+                &prompt(9),
+                StreamMode::Generative { max_tokens: 32 },
+            )
+            .expect("stream start");
+        for chunk in stream {
+            chunks.push(chunk.expect("chunk"));
+            if chunks.len() == 1 {
+                ttfts.push(started.elapsed());
+            }
+        }
+        totals.push(started.elapsed());
+        assert_eq!(chunks.len(), 32, "round {round}");
         for (i, (chunk, expect)) in chunks.iter().zip(&want).enumerate() {
             assert_eq!(chunk.seq as usize, i, "round {round} order");
             assert!(
@@ -247,8 +269,15 @@ fn streaming_through_router_stays_ordered_and_correlated() {
                 "round {round} chunk {i} diverged through the router"
             );
         }
-        assert!(chunks[5].last);
+        assert!(chunks[31].last);
     }
+    ttfts.sort();
+    totals.sort();
+    let (ttft, total) = (ttfts[2], totals[2]);
+    assert!(
+        ttft * 4 < total,
+        "routed TTFT p50 {ttft:?} is not under 25% of the stream-total p50 {total:?}"
+    );
     // One-shot traffic still flows on the same routed connection.
     let input = Tensor::random_uniform(Shape::mat(1, 30), 1.0, 2);
     client

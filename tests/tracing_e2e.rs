@@ -335,6 +335,42 @@ fn cache_stats_reconcile_with_client_observed_hits() {
     server.shutdown();
 }
 
+/// The duplicate-rate gate: 120 `tiny-senna` requests over 12 distinct
+/// inputs, each sent ten times back to back. Against `both`, the client
+/// sees exactly the 108 duplicates offered as hits; an uncached server
+/// sees none; and the two servers answer every request with the same
+/// bits.
+#[test]
+fn cache_hits_every_duplicate_and_matches_uncached_bitwise() {
+    let inputs: Vec<Tensor> = (0..12)
+        .map(|i| Tensor::random_uniform(Shape::mat(1, 30), 0.5, 99 + 7919 * i))
+        .collect();
+    let replay = |mode: &str| {
+        let server = caching_server(mode);
+        let mut client = DjinnClient::connect(server.local_addr()).unwrap();
+        let mut hits = 0u64;
+        let mut outputs = Vec::new();
+        for i in 0..120 {
+            let (out, record) = client.infer_traced("tiny-senna", &inputs[i / 10]).unwrap();
+            hits += u64::from(record.cache_hit);
+            outputs.push(out.data().iter().map(|f| f.to_bits()).collect::<Vec<_>>());
+        }
+        server.shutdown();
+        (hits, outputs)
+    };
+    let (off_hits, off_outputs) = replay("off");
+    let (hits, outputs) = replay("both");
+    assert_eq!(off_hits, 0, "an uncached server reports no hits");
+    assert_eq!(
+        hits, 108,
+        "every duplicate offered is a hit, and nothing else"
+    );
+    assert!(
+        outputs == off_outputs,
+        "cached answers must equal uncached ones bit for bit"
+    );
+}
+
 /// The embed layer counts **rows**, not requests — and the two units
 /// must never be conflated when reconciling server counters against
 /// client-observed hits. A 5-row SENNA batch replayed 3 times makes 4
